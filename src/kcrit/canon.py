@@ -20,42 +20,56 @@ against the current best leaf and prune early.
 
 from __future__ import annotations
 
-from .graph import Graph, from_graph6
+from .graph import Graph, bits, from_graph6
 
 # ===== equitable refinement =====
 
 
-def _mask(cell):
-    m = 0
-    for v in cell:
-        m |= 1 << v
-    return m
-
-
 def _refine(adj, cells):
-    """Coarsest equitable refinement; subcells ordered by descending count."""
-    cells = [c[:] for c in cells]
-    queue = [_mask(c) for c in cells]
+    """Coarsest equitable refinement of a list of cell bit masks.
+
+    Each splitter from the queue splits every cell by neighbour count into
+    the splitter; the subcells replace the cell in place, ordered by
+    descending count, and join the queue.
+    """
+    n = len(adj)
+    queue = list(cells)
     qi = 0
-    while qi < len(queue):
+    # a discrete partition splits no further
+    while qi < len(queue) and len(cells) < n:
         splitter = queue[qi]
         qi += 1
-        i = 0
-        while i < len(cells):
-            cell = cells[i]
-            if len(cell) == 1:
-                i += 1
-                continue
-            groups: dict[int, list[int]] = {}
-            for v in cell:
-                groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-            if len(groups) == 1:
-                i += 1
-                continue
-            parts = [groups[k] for k in sorted(groups, reverse=True)]
-            cells[i:i + 1] = parts
-            queue.extend(_mask(p) for p in parts)
-            i += len(parts)
+        out = []
+        if splitter & (splitter - 1) == 0:
+            # one-vertex splitter: neighbours (count 1) before the rest
+            nbrs = adj[splitter.bit_length() - 1]
+            for cell in cells:
+                hit = cell & nbrs
+                if hit and hit != cell:
+                    parts = (hit, cell ^ hit)
+                    out += parts
+                    queue += parts
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                if cell & (cell - 1) == 0:
+                    out.append(cell)
+                    continue
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c = (adj[low.bit_length() - 1] & splitter).bit_count()
+                    groups[c] = groups.get(c, 0) | low
+                if len(groups) == 1:
+                    out.append(cell)
+                    continue
+                parts = [groups[c] for c in sorted(groups, reverse=True)]
+                out += parts
+                queue += parts
+        cells = out
     return cells
 
 
@@ -116,7 +130,7 @@ class _Search:
             self.best_order = ()
             self.best_cols = []
             return
-        self._node([list(range(self.n))], [])
+        self._node([(1 << self.n) - 1], [])
 
     def _node(self, cells, path):
         """Process one node; returns the depth the caller should resume at."""
@@ -124,9 +138,9 @@ class _Search:
         cells = _refine(self.adj, cells)
         prefix = []
         for c in cells:
-            if len(c) != 1:
+            if c & (c - 1):
                 break
-            prefix.append(c[0])
+            prefix.append(c.bit_length() - 1)
         cols = self._cols(prefix)
         # keep a subtree if it can still reach the first leaf's encoding (for
         # automorphism discovery) or can still beat the best leaf's encoding
@@ -162,14 +176,14 @@ class _Search:
         ci = len(prefix)
         rest = cells[ci]
         tried: list[int] = []
-        for v in rest:
+        for v in bits(rest):
             on_first = self.first_order is None or path == self.first_path[:depth]
             if on_first and tried:
                 r = self._find(v)
                 if any(self._find(u) == r for u in tried):
                     continue
             tried.append(v)
-            child = cells[:ci] + [[v], [u for u in rest if u != v]] + cells[ci + 1:]
+            child = cells[:ci] + [1 << v, rest ^ 1 << v] + cells[ci + 1:]
             path.append(v)
             jump = self._node(child, path)
             path.pop()

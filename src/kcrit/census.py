@@ -48,11 +48,12 @@ def _rows_from_buckets(orders, buckets) -> list[CensusRow]:
 
 # ===== fast pipeline: complements of triangle-free graphs =====
 
-def _copaw_expand(parent: Graph, k: int) -> tuple[list[Graph], list[str]]:
-    # one augmentation step: the parent's accepted triangle-free children,
-    # plus canonical codes of those children's complements that are
-    # k-vertex-critical (chi and criticality via matchings in the child)
-    kids = child_graphs(parent, TRIANGLE_FREE)
+def _copaw_expand(parent: Graph, k: int, max_degree: int) -> tuple[list[Graph], list[str]]:
+    # one augmentation step: the parent's accepted triangle-free children
+    # of maximum degree <= max_degree, plus canonical codes of those
+    # children's complements that are k-vertex-critical (chi and
+    # criticality via matchings in the child)
+    kids = child_graphs(parent, TRIANGLE_FREE, max_degree)
     codes = []
     n = parent.n + 1
     full = (1 << n) - 1
@@ -69,20 +70,21 @@ def _copaw_expand(parent: Graph, k: int) -> tuple[list[Graph], list[str]]:
     return kids, codes
 
 
-def _filtered_level(parents: list[Graph], k: int, workers: int) -> tuple[list[Graph], list[str]]:
+def _filtered_level(parents: list[Graph], k: int, workers: int,
+                    max_degree: int) -> tuple[list[Graph], list[str]]:
     # expand one order and filter in the same pass; deterministic order
     # regardless of worker count (imap preserves parent order)
     children: list[Graph] = []
     codes: list[str] = []
     if workers > 1 and len(parents) >= 4 * workers:
         with Pool(workers) as pool:
-            for kids, found in pool.imap(partial(_copaw_expand, k=k),
-                                         parents, chunksize=16):
+            expand = partial(_copaw_expand, k=k, max_degree=max_degree)
+            for kids, found in pool.imap(expand, parents, chunksize=16):
                 children.extend(kids)
                 codes.extend(found)
         return children, codes
     for p in parents:
-        kids, found = _copaw_expand(p, k)
+        kids, found = _copaw_expand(p, k, max_degree)
         children.extend(kids)
         codes.extend(found)
     return children, codes
@@ -129,9 +131,15 @@ def census_copaw_critical(k: int, n_max: int | None = None, workers: int = 1,
     canonical code of the graph itself (not of its triangle-free
     complement).  With cross_check, joins of smaller census results are
     verified to be present.
+
+    A k-vertex-critical graph has minimum degree >= k-1, so its complement
+    F has maximum degree <= n-k <= n_max-k.  Maximum degree is hereditary
+    and every canonical-augmentation ancestor of F is an induced subgraph
+    of F, so the whole search keeps to maximum degree <= n_max-k.
     """
-    if not 3 <= k <= 7:
-        raise ValueError("k must be in 3..7")
+    if not 3 <= k <= 6:
+        raise ValueError("k must be in 3..6 (k = 7 would take hours; its "
+                         "order-13 search space holds about 2e7 graphs)")
     cap = 2 * k - 1
     if n_max is None:
         n_max = cap
@@ -141,7 +149,7 @@ def census_copaw_critical(k: int, n_max: int | None = None, workers: int = 1,
     level = [Graph(1, (0,))]
     order = 1
     while order < n_max:
-        level, codes = _filtered_level(level, k, workers)
+        level, codes = _filtered_level(level, k, workers, n_max - k)
         order += 1
         if order >= k:
             buckets[order] = codes

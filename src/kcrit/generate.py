@@ -26,23 +26,32 @@ ALL_GRAPHS = "all"
 
 def independent_set_masks(g: Graph) -> list[int]:
     """All independent-set masks of g, the empty set included."""
+    return _independent_masks(g.adj, (1 << g.n) - 1, g.n)
+
+
+def _independent_masks(adj, avail: int, room: int) -> list[int]:
+    # independent sets inside avail with at most room vertices
     res: list[int] = []
 
-    def rec(cur: int, avail: int) -> None:
+    def rec(cur: int, avail: int, room: int) -> None:
         res.append(cur)
+        if not room:
+            return
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            rec(cur | 1 << v, avail & ~g.adj[v])
+            low = avail & -avail
+            avail ^= low
+            rec(cur | low, avail & ~adj[low.bit_length() - 1], room - 1)
 
-    rec(0, (1 << g.n) - 1)
+    rec(0, avail, room)
     return res
 
 
 def _apply_perm(perm, mask: int) -> int:
     out = 0
-    for v in bits(mask):
-        out |= 1 << perm[v]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << perm[low.bit_length() - 1]
     return out
 
 
@@ -72,49 +81,78 @@ def _mask_orbit_reps(masks, gens) -> list[int]:
 
 # ===== the canonical-extension acceptance rule =====
 
-def _vertex_invariants(n: int, adj) -> list[tuple]:
-    deg = [adj[v].bit_count() for v in range(n)]
-    return [(deg[v], tuple(sorted(deg[u] for u in bits(adj[v])))) for v in range(n)]
+def _canonical_extension(n, adj, deg, below, s):
+    """Adjacency of parent + vertex n attached to s, or None if not canonical.
+
+    The deletion vertex of a child is the one with the smallest (degree,
+    sorted neighbour degrees) invariant that sits at the latest canonical
+    position; the child is accepted iff the new vertex n shares its orbit.
+    The test runs from cheap to costly.  deg holds the parent's degrees
+    and below[d] the mask of parent vertices of degree < d.
+    """
+    t = s.bit_count()
+    # 1. n must have the child's minimum degree t: no vertex outside s
+    #    below t, none inside s below t - 1
+    if t and (below[t] & ~s or below[t - 1] & s):
+        return None
+    # 2. compare neighbour-degree lists among the child's degree-t vertices
+    child = [a | (s >> v & 1) << n for v, a in enumerate(adj)]
+    child.append(s)
+    cdeg = [d + (s >> v & 1) for v, d in enumerate(deg)]
+    cdeg.append(t)
+    mine = sorted(cdeg[u] for u in bits(s))
+    peers = (below[t + 1] ^ below[t]) & ~s
+    if t:
+        peers |= (below[t] ^ below[t - 1]) & s
+    ties = 0
+    for v in bits(peers):
+        theirs = sorted(cdeg[u] for u in bits(child[v]))
+        if theirs < mine:
+            return None
+        if theirs == mine:
+            ties |= 1 << v
+    # 3. n alone attains the minimum invariant: it is the deletion vertex
+    if not ties:
+        return child
+    # 4. the latest tied vertex in canonical order must share n's orbit
+    order, _, _, orbit = canon_raw(n + 1, child)
+    ties |= 1 << n
+    for v in reversed(order):
+        if ties >> v & 1:
+            return child if orbit[v] == orbit[n] else None
+    raise AssertionError("unreachable: n attains the minimum")
 
 
-def _extend(parent: Graph, s: int) -> Graph:
-    adj = [a | ((s >> v & 1) << parent.n) for v, a in enumerate(parent.adj)]
-    adj.append(s)
-    return Graph(parent.n + 1, tuple(adj))
+def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
+                 max_degree: int | None = None) -> list[Graph]:
+    """Accepted one-vertex extensions of parent, one per child class.
 
-
-def _is_canonical_child(child: Graph) -> bool:
-    # the deletion vertex of a child is the one with the smallest
-    # (degree, neighbor degrees) invariant sitting at the latest canonical
-    # position; accept iff the just-added vertex shares its orbit
-    n = child.n
-    x = n - 1
-    inv = _vertex_invariants(n, child.adj)
-    low = min(inv)
-    if inv[x] != low:
-        return False
-    order, _, _, orbit = canon_raw(n, child.adj)
-    for i in range(n - 1, -1, -1):
-        v = order[i]
-        if inv[v] == low:
-            return orbit[v] == orbit[x]
-    raise AssertionError("unreachable: some vertex attains the minimum")
-
-
-def child_graphs(parent: Graph, mode: str = ALL_GRAPHS) -> list[Graph]:
-    """Accepted one-vertex extensions of parent, one per child class."""
+    With max_degree (>= 0), only children of maximum degree <= max_degree
+    are produced.  Since a parent is an induced subgraph of its children, a
+    level-by-level run with the bound yields exactly the classes with
+    maximum degree <= max_degree, in the order of the unbounded run.
+    """
+    n = parent.n
+    adj = parent.adj
+    deg = [a.bit_count() for a in adj]
+    below = [sum(1 << v for v, d in enumerate(deg) if d < e) for e in range(n + 2)]
+    avail, room = (1 << n) - 1, n
+    if max_degree is not None:
+        # attach to at most max_degree vertices, none already at the bound
+        avail, room = below[min(max_degree, n)], min(max_degree, n)
     if mode == TRIANGLE_FREE:
-        masks = independent_set_masks(parent)
+        masks = _independent_masks(adj, avail, room)
     elif mode == ALL_GRAPHS:
-        masks = list(range(1 << parent.n))
+        masks = [s for s in range(1 << n)
+                 if not s & ~avail and s.bit_count() <= room]
     else:
         raise ValueError(f"unknown generation mode {mode!r}")
-    _, _, gens, _ = canon_raw(parent.n, parent.adj)
+    _, _, gens, _ = canon_raw(n, adj)
     out = []
     for s in _mask_orbit_reps(masks, gens):
-        child = _extend(parent, s)
-        if _is_canonical_child(child):
-            out.append(child)
+        child = _canonical_extension(n, adj, deg, below, s)
+        if child is not None:
+            out.append(Graph._unchecked(n + 1, tuple(child)))
     return out
 
 

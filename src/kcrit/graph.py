@@ -15,6 +15,7 @@ accepted as input only, for graphs with n <= 10.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -64,6 +65,15 @@ class Graph:
             for u in bits(row):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
+
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        # internal constructor for kernels whose output is valid by
+        # construction; skips __post_init__, which checks outside input
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -258,26 +268,40 @@ def parse_graph_line(line: str) -> Graph:
     text = line.split("#", 1)[0].strip()
     if not text:
         raise ValueError("blank graph line")
-    # '#' and whitespace never occur inside graph6 (bytes are 63..126), and a
-    # graph6 token is never all digits, so the dispatch below is unambiguous.
-    if ":" in text or any(c.isspace() for c in text) or text.isdigit():
+    # graph6 bytes are 63..126: ':', ',' and whitespace never occur in a
+    # graph6 token, nor is one all digits, and a leading '{' would be a
+    # header for order 60; anything else is graph6 and reports its error
+    if (text.isdigit() or text[0] == "{"
+            or any(c in ":," or c.isspace() for c in text)):
         return parse_edge_list(text)
-    try:
-        return from_graph6(text)
-    except ValueError:
-        return parse_edge_list(text)
+    return from_graph6(text)
+
+
+_HEADER = re.compile(r"k=\d+\s+count=(\d+)")
 
 
 def read_graph_file(path) -> list[tuple[int, Graph]]:
-    """Read a text file of graphs, one per line; returns (line number, graph)."""
+    """Read a text file of graphs, one per line; returns (line number, graph).
+
+    The first non-comment line may be a ``k=<k> count=<n>`` header, as in
+    the shipped ``critical<k>.g6`` files; the file must then hold n graphs.
+    """
     out = []
+    count = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.split("#", 1)[0].strip()
             if not stripped:
                 continue
+            if not out and count is None:
+                header = _HEADER.fullmatch(stripped)
+                if header:
+                    count = int(header.group(1))
+                    continue
             try:
                 out.append((lineno, parse_graph_line(stripped)))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if count is not None and count != len(out):
+        raise ValueError(f"{path}: header says {count} graphs, file has {len(out)}")
     return out

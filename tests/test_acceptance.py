@@ -18,7 +18,7 @@ from kcrit.certify import YES, build_database, certify_color, verify_certificate
 from kcrit.critical import check_min_class_colorings, verify_join_criticality
 from kcrit.families import co_odd_cycle, odd_cycle
 from kcrit.generate import generate_graphs
-from kcrit.graph import Graph, read_graph_file
+from kcrit.graph import Graph, read_graph_file, to_graph6
 from kcrit.invariants import (chromatic_number, clique_number,
                               independence_number, is_k_colorable,
                               max_matching)
@@ -79,10 +79,16 @@ def test_criterion_02_census_k5_matches_appendix():
 def test_criterion_03_census_k6():
     rows, secs = _census(6)
     counts = _counts(rows)
+    # the shipped list holds the census's canonical codes, so the set
+    # comparison also pins the canonical labeling bit for bit
+    shipped = {to_graph6(g)
+               for _, g in read_graph_file(data_path("critical6.g6"))}
+    set_match = _codes(rows) == shipped
     ok = (counts == {6: 1, 7: 0, 8: 1, 9: 6, 10: 171, 11: 17828}
-          and secs < 3600.0)
-    _report(3, "6-critical census counts exact", ok,
-            f"counts={counts} time={secs:.1f}s budget=3600s single worker")
+          and set_match and secs < 3600.0)
+    _report(3, "6-critical census counts exact, set equals critical6.g6", ok,
+            f"counts={counts} set_match={set_match} "
+            f"time={secs:.1f}s budget=3600s single worker")
 
 
 def test_criterion_04_appendix_verification():

@@ -5,13 +5,14 @@ import pytest
 from kcrit.canon import canonical_form
 from kcrit.census import (
     CensusRow,
+    _filtered_level,
     census_copaw_critical,
     census_general,
     verify_list,
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
-from kcrit.graph import format_edge_list, to_graph6
+from kcrit.graph import Graph, format_edge_list, to_graph6
 from kcrit.invariants import independence_number
 from kcrit.patterns import is_free, named_graph
 
@@ -75,6 +76,8 @@ def test_census_soundness_double_entry():
 def test_census_args():
     with pytest.raises(ValueError):
         census_copaw_critical(2)
+    with pytest.raises(ValueError, match="hours"):
+        census_copaw_critical(7)
     with pytest.raises(ValueError):
         census_copaw_critical(8)
     with pytest.raises(ValueError):
@@ -87,6 +90,19 @@ def test_census_workers_match_serial():
     serial = census_copaw_critical(4, workers=1)
     parallel = census_copaw_critical(4, workers=2)
     assert serial == parallel
+
+
+def test_filtered_level_workers_keep_degree_bound():
+    # the pool path must expand with the same degree bound as the serial one
+    parents = [Graph(1, (0,))]
+    for _ in range(6):
+        parents, _ = _filtered_level(parents, 5, 1, 4)
+    serial = _filtered_level(parents, 5, 1, 4)
+    parallel = _filtered_level(parents, 5, 2, 4)
+    assert len(parents) >= 8                 # enough to take the pool path
+    assert [g.adj for g in parallel[0]] == [g.adj for g in serial[0]]
+    assert parallel[1] == serial[1]
+    assert max(a.bit_count() for g in serial[0] for a in g.adj) <= 4
 
 
 # ===== the general pipeline =====

@@ -90,6 +90,14 @@ def test_census_usage_errors(capsys):
     assert run(["census", "--k", "3", "--pattern", "claw"]) == 2  # no max-order
 
 
+def test_census_alpha_flag_needs_exhaustive_pipeline(capsys):
+    assert run(["census", "--k", "4", "--alpha-le-2", "--max-order", "6"]) == 2
+    assert "--alpha-le-2" in capsys.readouterr().err
+    assert run(["census", "--k", "4", "--alpha-le-2", "--max-order", "6",
+                "--all-graphs"]) == 0
+    assert "total 2" in capsys.readouterr().out
+
+
 def test_census_deterministic(capsys):
     run(["census", "--k", "4"])
     first = capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from kcrit.canon import canonical_form
 from kcrit.generate import (
+    ALL_GRAPHS,
     TRIANGLE_FREE,
     child_graphs,
     generate_graphs,
@@ -79,6 +80,34 @@ def test_triangle_free_agrees_with_filtered_general_stream():
 def test_triangle_free_counts_order8_9():
     assert sum(1 for _ in generate_triangle_free(8)) == 410
     assert sum(1 for _ in generate_triangle_free(9)) == 1897
+
+
+# ===== degree-bounded generation =====
+
+def _levels(mode, top, max_degree=None):
+    # every level of one run, orders 1..top
+    levels = [[Graph(1, (0,))]]
+    while len(levels) < top:
+        levels.append([c for p in levels[-1]
+                       for c in child_graphs(p, mode, max_degree)])
+    return levels
+
+
+def _max_degree(g):
+    return max(a.bit_count() for a in g.adj)
+
+
+@pytest.mark.parametrize("mode,top", [(TRIANGLE_FREE, 9), (ALL_GRAPHS, 6)])
+def test_degree_bounded_equals_filtered_unbounded(mode, top):
+    # bounded runs keep exactly the unbounded run's classes of maximum
+    # degree <= D, as the same graphs in the same order
+    full = _levels(mode, top)
+    for d in range(1, 6):
+        for want, got in zip(full, _levels(mode, top, d)):
+            kept = [g for g in want if _max_degree(g) <= d]
+            assert ({canonical_form(g) for g in got}
+                    == {canonical_form(g) for g in kept})
+            assert [g.adj for g in got] == [g.adj for g in kept]
 
 
 # ===== emitted-stream invariants =====

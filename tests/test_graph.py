@@ -170,6 +170,15 @@ def test_parse_graph_line_dispatch():
     assert parse_graph_line("C~") == K4
     assert parse_graph_line("01 02 03 12 13 23") == K4
     assert parse_graph_line("4: 0 1, 0 2, 0 3, 1 2, 1 3, 2 3") == K4
+    assert parse_graph_line("01,02,12") == complete(3)
+    assert parse_graph_line("{01,02,12}") == complete(3)
+
+
+def test_parse_graph_line_reports_graph6_errors():
+    # a token that is not edge-list shaped gets graph6's own error
+    for bad in ["C~~", "A~", "k=5"]:
+        with pytest.raises(ValueError, match="graph6"):
+            parse_graph_line(bad)
 
 
 def test_read_graph_file(tmp_path):
@@ -179,3 +188,24 @@ def test_read_graph_file(tmp_path):
     loaded = read_graph_file(p)
     assert [ln for ln, _ in loaded] == [2, 4]
     assert loaded[0][1] == C5 and loaded[1][1] == K4
+
+
+def test_read_graph_file_header(tmp_path):
+    from kcrit.graph import read_graph_file
+    p = tmp_path / "critical.g6"
+    p.write_text("k=4 count=2\nC~\nDhc\n")
+    assert [g.n for _, g in read_graph_file(p)] == [4, 5]
+    p.write_text("k=4 count=3\nC~\nDhc\n")
+    with pytest.raises(ValueError, match="header says 3"):
+        read_graph_file(p)
+    p.write_text("C~\nk=4 count=1\n")           # only as the first line
+    with pytest.raises(ValueError, match=":2:"):
+        read_graph_file(p)
+
+
+def test_read_shipped_databases():
+    from kcrit.graph import read_graph_file
+    from util import data_path
+    counts = {k: len(read_graph_file(data_path(f"critical{k}.g6")))
+              for k in (4, 5)}
+    assert counts == {4: 8, 5: 178}
