@@ -1,24 +1,29 @@
 """Criticality censuses over isomorph-free graph streams.
 
 Two pipelines.  The fast one targets graphs with no induced P3+P1: every
-k-vertex-critical such graph has independence number two and at most
-2k-1 vertices, so candidates are complements of triangle-free graphs F,
-and both the chromatic number and the criticality test reduce to maximum
-matchings in F (chi(complement(F)) = n - matching(F)).  The general one
-enumerates all graphs up to a small order cap and filters with the exact
-invariants directly; it exists to cross-check the fast pipeline and to
-run small censuses for other forbidden patterns.
+k-vertex-critical such graph G has independence number two and at most
+2k-1 vertices, so its complement F is triangle-free and
+chi(G) = n - matching(F).  By Gallai's lemma G is then k-vertex-critical
+exactly when every component of F is factor-critical and F has 2k - n
+components.  So the census generates only the prime pieces (connected F
+of odd order) and builds every other graph as a join of pieces.  The
+general one enumerates all graphs up to a small order cap and filters
+with the exact invariants directly; it exists to cross-check the fast
+pipeline and to run small censuses for other forbidden patterns.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import chain, combinations_with_replacement, product
 from multiprocessing import Pool
 
 from .canon import canonical_form
 from .critical import is_vertex_critical
-from .generate import ALL_GRAPHS, TRIANGLE_FREE, Graph, child_graphs, generate_level
+from .generate import ALL_GRAPHS, TRIANGLE_FREE, Graph, child_graphs
 from .graph import complement, from_graph6, join, read_graph_file
 from .invariants import matching_raw
 from .patterns import is_free, named_graph
@@ -28,93 +33,141 @@ from .patterns import is_free, named_graph
 
 @dataclass(frozen=True)
 class CensusRow:
-    """Isomorphism-class count of the order-n census survivors.
+    """Isomorphism classes of the order-n census survivors.
 
-    codes holds one canonical graph6 code per class, in discovery order;
-    count == len(codes).
+    codes holds one canonical graph6 code per class.
     """
 
     n: int
-    count: int
     codes: tuple[str, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.codes)
 
     def graphs(self) -> list[Graph]:
         return [from_graph6(c) for c in self.codes]
 
 
-def _rows_from_buckets(orders, buckets) -> list[CensusRow]:
-    return [CensusRow(n, len(buckets[n]), tuple(buckets[n])) for n in orders]
+@contextmanager
+def _mapper(workers: int):
+    # an order-preserving map, over one process pool for the whole run
+    if workers <= 1:
+        yield map
+        return
+    with Pool(workers) as pool:
+        yield partial(pool.imap, chunksize=16)
 
 
-# ===== fast pipeline: complements of triangle-free graphs =====
+# ===== fast pipeline: prime pieces and their joins =====
 
-def _copaw_expand(parent: Graph, k: int, max_degree: int) -> tuple[list[Graph], list[str]]:
+def _piece_expand(parent: Graph, max_degree: int) -> tuple[list[Graph], list[str]]:
     # one augmentation step: the parent's accepted triangle-free children
-    # of maximum degree <= max_degree, plus canonical codes of those
-    # children's complements that are k-vertex-critical (chi and
-    # criticality via matchings in the child)
+    # of maximum degree <= max_degree and, at an odd order 2j-1, the
+    # canonical codes of the complements of the children that are pieces,
+    # i.e. factor-critical: every F - v has a perfect matching.  Cheap
+    # necessary conditions go first: F has maximum degree <= j-1 (its
+    # complement is j-critical, so of minimum degree >= j-1) and minimum
+    # degree >= 2 (deleting a leaf's neighbour would strand the leaf)
     kids = child_graphs(parent, TRIANGLE_FREE, max_degree)
-    codes = []
     n = parent.n + 1
+    if n % 2 == 0:
+        return kids, []
+    j = (n + 1) // 2
     full = (1 << n) - 1
-    target = n - k
+    codes = []
     for f in kids:
-        # complement min degree >= k-1, i.e. every child degree <= n-k
-        if target < 0 or any(a.bit_count() > target for a in f.adj):
+        if not all(2 <= a.bit_count() < j for a in f.adj):
             continue
-        if matching_raw(n, f.adj, full) != target:
-            continue  # chi(complement) != k
-        if any(matching_raw(n, f.adj, full ^ (1 << v)) != target for v in range(n)):
-            continue  # some deletion keeps chi at k
-        codes.append(canonical_form(complement(f)))
+        if all(matching_raw(n, f.adj, full ^ 1 << v) == j - 1 for v in range(n)):
+            codes.append(canonical_form(complement(f)))
     return kids, codes
 
 
-def _filtered_level(parents: list[Graph], k: int, workers: int,
-                    max_degree: int) -> tuple[list[Graph], list[str]]:
-    # expand one order and filter in the same pass; deterministic order
-    # regardless of worker count (imap preserves parent order)
+def _filtered_level(parents: list[Graph], max_degree: int,
+                    mapper=map) -> tuple[list[Graph], list[str]]:
+    # expand one order; children and piece codes come in parent order
+    # whatever the mapper
     children: list[Graph] = []
     codes: list[str] = []
-    if workers > 1 and len(parents) >= 4 * workers:
-        with Pool(workers) as pool:
-            expand = partial(_copaw_expand, k=k, max_degree=max_degree)
-            for kids, found in pool.imap(expand, parents, chunksize=16):
-                children.extend(kids)
-                codes.extend(found)
-        return children, codes
-    for p in parents:
-        kids, found = _copaw_expand(p, k, max_degree)
+    for kids, found in mapper(partial(_piece_expand, max_degree=max_degree), parents):
         children.extend(kids)
         codes.extend(found)
     return children, codes
 
 
-def _critical_copaw_pool(k: int, n_cap: int) -> list[Graph]:
-    # all k-vertex-critical P3+P1-free graphs of order <= n_cap, for the
-    # join cross-check; tiny ks are closed-form
-    if k == 1:
-        return [named_graph("K1")] if n_cap >= 1 else []
-    if k == 2:
-        return [named_graph("K2")] if n_cap >= 2 else []
-    if n_cap < k:
-        return []
-    rows = census_copaw_critical(k, min(n_cap, 2 * k - 1), cross_check=False)
-    return [g for row in rows for g in row.graphs()]
+def _has_perfect_matching(f: Graph) -> bool:
+    return 2 * matching_raw(f.n, f.adj, (1 << f.n) - 1) == f.n
 
 
-def _join_cross_check(k: int, n_max: int, found: set[str]) -> None:
+def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
+    """Codes of the pieces P_1..P_top, each in discovery order.
+
+    P_j holds the j-vertex-critical P3+P1-free graphs of order 2j-1,
+    i.e. the complements of the factor-critical triangle-free graphs of
+    order 2j-1.  P_1 is K1 and P_2 is empty (K2 = K1 v K1).  One
+    canonical-augmentation run to order 2*top-1 finds them all: a piece
+    of P_j has maximum degree <= j-1 <= top-1, so the run keeps to that
+    bound.  Before the last step it drops the parents with no perfect
+    matching, since the canonical parent F - v of a factor-critical F
+    has one.
+    """
+    pieces = {1: [canonical_form(Graph(1, (0,)))]}
+    level = [Graph(1, (0,))]
+    for n in range(2, 2 * top):
+        if n == 2 * top - 1:
+            level = [f for f in level if _has_perfect_matching(f)]
+        level, codes = _filtered_level(level, top - 1, mapper)
+        if n % 2:
+            pieces[(n + 1) // 2] = codes
+    return pieces
+
+
+def _partitions(total: int, parts: int, largest: int):
+    # the partitions of total into `parts` parts of size <= largest, as
+    # non-increasing tuples, largest first part first
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(largest, total - parts + 1), 0, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
+    # codes of the order-n k-vertex-critical P3+P1-free graphs: one join
+    # per multiset of pieces P_j whose sizes j form a partition of k into
+    # 2k - n parts
+    codes: list[str] = []
+    for parts in _partitions(k, 2 * k - n, k):
+        if len(parts) == 1:
+            codes.extend(pieces[k])
+            continue
+        picks = product(*(combinations_with_replacement(pieces[j], c)
+                          for j, c in Counter(parts).items()))
+        for pick in picks:
+            factors = [from_graph6(c) for c in chain.from_iterable(pick)]
+            codes.append(canonical_form(reduce(join, factors)))
+    return codes
+
+
+def _critical_graphs(pieces: dict[int, list[str]], k: int, n_cap: int) -> list[Graph]:
+    # every k-vertex-critical P3+P1-free graph of order <= n_cap
+    return [from_graph6(c) for n in range(k, min(n_cap, 2 * k - 1) + 1)
+            for c in _assembled(pieces, k, n)]
+
+
+def _join_cross_check(k: int, n_max: int, pieces: dict[int, list[str]],
+                      found: set[str]) -> None:
     # every join of a k1- and a k2-critical P3+P1-free graph with
-    # k1 + k2 = k is itself such a graph, so it must already be in the
-    # census; a miss means the census lost a graph
+    # k1 + k2 = k is itself such a graph, so it must be in the census;
+    # the factors are assembled on their own from the same pieces, so a
+    # miss means the assembly lost a graph
     for k1 in range(1, k // 2 + 1):
         k2 = k - k1
-        pool1 = _critical_copaw_pool(k1, n_max - k2)
-        pool2 = _critical_copaw_pool(k2, n_max - k1)
-        for g in pool1:
-            for h in pool2:
-                if g.n + h.n > n_max:
-                    continue
+        for g in _critical_graphs(pieces, k1, n_max - k2):
+            for h in _critical_graphs(pieces, k2, n_max - g.n):
                 code = canonical_form(join(g, h))
                 if code not in found:
                     raise RuntimeError(
@@ -122,20 +175,23 @@ def _join_cross_check(k: int, n_max: int, found: set[str]) -> None:
                         f"a {k2}-critical factor ({code})")
 
 
-def census_copaw_critical(k: int, n_max: int | None = None, workers: int = 1,
-                          cross_check: bool = True) -> list[CensusRow]:
+def census_copaw_critical(k: int, n_max: int | None = None,
+                          workers: int = 1) -> list[CensusRow]:
     """Census of k-vertex-critical P3+P1-free graphs, one row per order.
 
     Orders run from k to n_max (default 2k-1, which is the exact maximum
     order such a graph can have).  Every survivor is recorded as the
     canonical code of the graph itself (not of its triangle-free
-    complement).  With cross_check, joins of smaller census results are
-    verified to be present.
+    complement).
 
-    A k-vertex-critical graph has minimum degree >= k-1, so its complement
-    F has maximum degree <= n-k <= n_max-k.  Maximum degree is hereditary
-    and every canonical-augmentation ancestor of F is an induced subgraph
-    of F, so the whole search keeps to maximum degree <= n_max-k.
+    The order-n graphs are the joins of pieces P_j (see ``_pieces``) over
+    the partitions of k into 2k - n parts: the co-components of such a
+    graph are pieces, and chi and criticality add up over a join.  A part
+    j of such a partition is at most n_max - k + 1, so the pieces come
+    from one run to order 2(n_max - k) + 1.  The order-(2k-1) row lists
+    P_k in discovery order, the lower rows their joins in assembly order.
+    Joins of smaller censuses, assembled from the same pieces, are
+    checked to be present.
     """
     if not 3 <= k <= 6:
         raise ValueError("k must be in 3..6 (k = 7 would take hours; its "
@@ -145,18 +201,10 @@ def census_copaw_critical(k: int, n_max: int | None = None, workers: int = 1,
         n_max = cap
     if not k <= n_max <= cap:
         raise ValueError(f"n_max must be in {k}..{cap}")
-    buckets: dict[int, list[str]] = {n: [] for n in range(k, n_max + 1)}
-    level = [Graph(1, (0,))]
-    order = 1
-    while order < n_max:
-        level, codes = _filtered_level(level, k, workers, n_max - k)
-        order += 1
-        if order >= k:
-            buckets[order] = codes
-    rows = _rows_from_buckets(range(k, n_max + 1), buckets)
-    if cross_check:
-        found = {c for row in rows for c in row.codes}
-        _join_cross_check(k, n_max, found)
+    with _mapper(workers) as mapper:
+        pieces = _pieces(n_max - k + 1, mapper)
+    rows = [CensusRow(n, tuple(_assembled(pieces, k, n))) for n in range(k, n_max + 1)]
+    _join_cross_check(k, n_max, pieces, {c for row in rows for c in row.codes})
     return rows
 
 
@@ -179,49 +227,26 @@ def census_general(k: int, pattern: str | Graph | None, n_max: int,
         raise ValueError(f"n_max must be in {k}..{cap} for this mode")
     if isinstance(pattern, str):
         pattern = named_graph(pattern)
-    mode = TRIANGLE_FREE if alpha_le_2 else ALL_GRAPHS
-
-    def survives(g: Graph) -> bool:
-        if min(a.bit_count() for a in g.adj) < k - 1:
-            return False
-        if pattern is not None and not is_free(g, pattern):
-            return False
-        return is_vertex_critical(g, k).is_critical
-
-    buckets: dict[int, list[str]] = {n: [] for n in range(k, n_max + 1)}
+    expand = partial(child_graphs, mode=TRIANGLE_FREE if alpha_le_2 else ALL_GRAPHS)
+    survives = partial(_general_survivor, k=k, pattern=pattern)
+    rows = []
     level = [Graph(1, (0,))]
-    order = 1
-    while order < n_max:
-        if workers > 1 and len(level) >= 4 * workers:
-            nxt: list[Graph] = []
-            with Pool(workers) as pool:
-                for kids in pool.imap(partial(child_graphs, mode=mode),
-                                      level, chunksize=16):
-                    nxt.extend(kids)
-            level = nxt
-        else:
-            level = generate_level(level, mode)
-        order += 1
-        if order < k:
-            continue
-        pool_graphs = [complement(g) for g in level] if alpha_le_2 else level
-        if workers > 1 and len(pool_graphs) >= 4 * workers:
-            pat6 = canonical_form(pattern) if pattern is not None else None
-            check = partial(_general_survivor, k=k, pattern_g6=pat6,
-                            min_deg=k - 1)
-            with Pool(workers) as pool:
-                flags = pool.map(check, pool_graphs, chunksize=64)
-            buckets[order] = [canonical_form(g)
-                              for g, ok in zip(pool_graphs, flags) if ok]
-        else:
-            buckets[order] = [canonical_form(g) for g in pool_graphs if survives(g)]
-    return _rows_from_buckets(range(k, n_max + 1), buckets)
+    with _mapper(workers) as mapper:
+        for n in range(1, n_max + 1):
+            if n > 1:
+                level = [c for kids in mapper(expand, level) for c in kids]
+            if n < k:
+                continue
+            cands = [complement(g) for g in level] if alpha_le_2 else level
+            rows.append(CensusRow(n, tuple(
+                canonical_form(g) for g, ok in zip(cands, mapper(survives, cands)) if ok)))
+    return rows
 
 
-def _general_survivor(g: Graph, k: int, pattern_g6: str | None, min_deg: int) -> bool:
-    if min(a.bit_count() for a in g.adj) < min_deg:
+def _general_survivor(g: Graph, k: int, pattern: Graph | None) -> bool:
+    if min(a.bit_count() for a in g.adj) < k - 1:
         return False
-    if pattern_g6 is not None and not is_free(g, from_graph6(pattern_g6)):
+    if pattern is not None and not is_free(g, pattern):
         return False
     return is_vertex_critical(g, k).is_critical
 

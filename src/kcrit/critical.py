@@ -57,10 +57,11 @@ def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    chi = chromatic_number(g)
+    alpha = independence_number(g)
+    chi = chromatic_number(g, alpha)
     if chi != k:
         return CriticalityReport(k=chi, is_critical=False, witness=None)
-    comp = complement(g) if independence_number(g) <= 2 else None
+    comp = complement(g) if alpha <= 2 else None
     for v in range(g.n):
         if not _deletion_lowers_chi(g, comp, v, k):
             return CriticalityReport(k=chi, is_critical=False, witness=v)

@@ -281,12 +281,17 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
     return best[1]
 
 
-def chromatic_number(g: Graph) -> int:
-    """chi(G), exact; alpha <= 2 fast path, else DSATUR branch and bound."""
+def chromatic_number(g: Graph, alpha: int | None = None) -> int:
+    """chi(G), exact; alpha <= 2 fast path, else DSATUR branch and bound.
+
+    alpha, when given, must be independence_number(g).
+    """
     n = g.n
     if n == 0:
         return 0
-    if independence_number(g) <= 2:
+    if alpha is None:
+        alpha = independence_number(g)
+    if alpha <= 2:
         co = complement(g)
         return n - matching_raw(n, co.adj, (1 << n) - 1)
     greedy = _normalized(_dsatur_order_greedy(n, g.adj))

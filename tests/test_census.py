@@ -6,15 +6,19 @@ from kcrit.canon import canonical_form
 from kcrit.census import (
     CensusRow,
     _filtered_level,
+    _has_perfect_matching,
+    _mapper,
+    _pieces,
     census_copaw_critical,
     census_general,
     verify_list,
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
-from kcrit.graph import Graph, format_edge_list, to_graph6
-from kcrit.invariants import independence_number
-from kcrit.patterns import is_free, named_graph
+from kcrit.generate import TRIANGLE_FREE, child_graphs
+from kcrit.graph import Graph, complement, format_edge_list, read_graph_file, to_graph6
+from kcrit.invariants import independence_number, matching_raw
+from kcrit.patterns import co_components, is_free, named_graph
 
 from util import data_path
 
@@ -95,14 +99,68 @@ def test_census_workers_match_serial():
 def test_filtered_level_workers_keep_degree_bound():
     # the pool path must expand with the same degree bound as the serial one
     parents = [Graph(1, (0,))]
-    for _ in range(6):
-        parents, _ = _filtered_level(parents, 5, 1, 4)
-    serial = _filtered_level(parents, 5, 1, 4)
-    parallel = _filtered_level(parents, 5, 2, 4)
-    assert len(parents) >= 8                 # enough to take the pool path
+    for _ in range(5):
+        parents, _ = _filtered_level(parents, 4)
+    serial = _filtered_level(parents, 4)
+    with _mapper(2) as mapper:
+        parallel = _filtered_level(parents, 4, mapper)
+    assert len(parents) >= 8
     assert [g.adj for g in parallel[0]] == [g.adj for g in serial[0]]
-    assert parallel[1] == serial[1]
+    assert parallel[1] == serial[1] and len(serial[1]) == 6   # P_4 at order 7
     assert max(a.bit_count() for g in serial[0] for a in g.adj) <= 4
+
+
+# ===== the prime-piece census against the level-by-level pipeline =====
+
+def _level_filter_census(k, n_max):
+    # the pipeline the piece census replaced, kept as an oracle: grow
+    # triangle-free F of maximum degree <= n_max - k to order n_max and
+    # keep, at every order n >= k, the F whose complement is
+    # k-vertex-critical, read off maximum matchings in F
+    rows = {}
+    level = [Graph(1, (0,))]
+    for n in range(2, n_max + 1):
+        level = [c for p in level for c in child_graphs(p, TRIANGLE_FREE, n_max - k)]
+        if n < k:
+            continue
+        full = (1 << n) - 1
+        rows[n] = {canonical_form(complement(f)) for f in level
+                   if matching_raw(n, f.adj, full) == n - k
+                   and all(matching_raw(n, f.adj, full ^ 1 << v) == n - k
+                           for v in range(n))}
+    return rows
+
+
+@pytest.mark.parametrize("k, n_max", [(k, n) for k in (3, 4, 5) for n in range(k, 2 * k)]
+                         + [(6, n) for n in range(6, 11)])
+def test_piece_census_equals_level_filter_census(k, n_max):
+    rows = census_copaw_critical(k, n_max)
+    assert {r.n: set(r.codes) for r in rows} == _level_filter_census(k, n_max)
+    assert all(len(set(r.codes)) == r.count for r in rows)
+
+
+@pytest.mark.parametrize("top", [3, 4, 5])
+def test_perfect_matching_prune_loses_no_piece(top):
+    # without the prune, the filter finds the same pieces in the same order
+    level, unpruned = [Graph(1, (0,))], {}
+    for n in range(2, 2 * top):
+        if n == 2 * top - 1:
+            kept = [f for f in level if _has_perfect_matching(f)]
+            assert 0 < len(kept) < len(level)
+        level, unpruned[n] = _filtered_level(level, top - 1)
+    pieces = _pieces(top)
+    assert [pieces[j] for j in range(3, top + 1)] == \
+        [unpruned[2 * j - 1] for j in range(3, top + 1)]
+    assert [len(pieces[j]) for j in range(1, top + 1)] == [1, 0, 1, 6, 170][:top]
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_shipped_graphs_are_joins_of_odd_pieces(k):
+    # Gallai: n + #co-components = 2k, every co-component of odd order 2j-1
+    for _, g in read_graph_file(data_path(f"critical{k}.g6")):
+        comps = co_components(g)
+        assert g.n + len(comps) == 2 * k
+        assert all(c.bit_count() % 2 == 1 for c in comps)
 
 
 # ===== the general pipeline =====
@@ -134,6 +192,19 @@ def test_general_p2lp1_censuses():
         expect = {canonical_form(named_graph(f"C{2*m+1}")) for m in range(1, l + 1)}
         assert got == expect
         assert max(r.n for r in rows if r.count) == 2 * l + 1
+
+
+@pytest.mark.parametrize("alpha_le_2", [False, True])
+def test_general_workers_match_serial(alpha_le_2):
+    serial = census_general(4, "P3+P1", 7, alpha_le_2=alpha_le_2)
+    parallel = census_general(4, "P3+P1", 7, alpha_le_2=alpha_le_2, workers=2)
+    assert parallel == serial
+    assert [r.count for r in serial] == [1, 0, 1, 6]
+
+
+def test_general_1critical_is_k1():
+    rows = census_general(1, None, 3)
+    assert [(r.n, r.count) for r in rows] == [(1, 1), (2, 0), (3, 0)]
 
 
 def test_general_args():

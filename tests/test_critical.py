@@ -33,6 +33,25 @@ def test_known_critical_graphs():
     assert is_vertex_critical(named_graph("K1"), 1) == CriticalityReport(1, True, None)
 
 
+@pytest.mark.parametrize("name, k", [("C5", 3), ("C7", 3), ("K4", 4), ("C6", 3)])
+def test_alpha_computed_once(monkeypatch, name, k):
+    # alpha(C7) = 3 takes the branch-and-bound path, the rest alpha <= 2
+    import kcrit.critical
+    import kcrit.invariants
+    g = named_graph(name)
+    chi = chromatic_number(g)
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return kcrit.invariants._alpha_raw(g.n, g.adj, (1 << g.n) - 1)
+
+    monkeypatch.setattr(kcrit.critical, "independence_number", counted)
+    monkeypatch.setattr(kcrit.invariants, "independence_number", counted)
+    assert is_vertex_critical(g, k).k == chi
+    assert calls == [g.n]
+
+
 def test_wrong_chromatic_number_short_circuits():
     rep = is_vertex_critical(named_graph("C6"), 3)
     assert rep == CriticalityReport(2, False, None)
