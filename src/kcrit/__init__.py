@@ -51,7 +51,6 @@ from .patterns import (
     copaw_decompose,
     is_free,
     is_p2_lp1_free,
-    is_p3p1_free,
     maximal_independent_set,
     named_graph,
     nonneighbor_profile,

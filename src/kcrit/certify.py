@@ -25,6 +25,8 @@ YES = "yes"
 NO = "no"
 NOT_IN_CLASS = "not-in-class"
 
+_P3P1 = named_graph("P3+P1")
+
 
 # ===== certificates =====
 
@@ -173,7 +175,7 @@ def certify_color(g: Graph, k: int, db: CriticalDatabase) -> CertifiedAnswer:
         raise ValueError("certified coloring supports k in 3..5")
     if db.k != k + 1:
         raise ValueError(f"need the level-{k + 1} database, got level {db.k}")
-    hit = contains_induced(g, named_graph("P3+P1"))
+    hit = contains_induced(g, _P3P1)
     if hit is not None:
         return CertifiedAnswer(NOT_IN_CLASS, witness=mask_of(hit))
     coloring = _structural_coloring(g)
@@ -210,5 +212,5 @@ def verify_certificate(g: Graph, k: int, answer: CertifiedAnswer) -> bool:
     if answer.verdict == NO:
         return is_vertex_critical(sub, k + 1).is_critical
     if answer.verdict == NOT_IN_CLASS:
-        return is_isomorphic(sub, named_graph("P3+P1"))
+        return is_isomorphic(sub, _P3P1)
     return False

@@ -102,12 +102,14 @@ def _cmd_color(args) -> int:
         return 2
     entries = _load(args.file)
     db = build_database(args.k + 1)
+    failed = 0
     for lineno, g in entries:
         ans = certify_color(g, args.k, db)
         if not verify_certificate(g, args.k, ans):
             print(f"line {lineno}: INTERNAL ERROR certificate failed "
                   f"verification", file=sys.stderr)
-            return 1
+            failed += 1
+            continue
         if ans.verdict == YES:
             print(f"line {lineno}: YES colors="
                   + ",".join(map(str, ans.coloring.colors)))
@@ -117,7 +119,7 @@ def _cmd_color(args) -> int:
         else:
             print(f"line {lineno}: NOT-IN-CLASS p3p1="
                   + ",".join(map(str, bits(ans.witness))))
-    return 0
+    return 1 if failed else 0
 
 
 # ===== convert =====

@@ -92,32 +92,46 @@ ORDER4_NAMES = ("K4", "co-K4", "diamond", "P2+2P1", "paw", "P3+P1",
 def contains_induced(g: Graph, h: Graph):
     """An injective map phi with uv in E(h) iff phi(u)phi(v) in E(g), or None.
 
-    Plain backtracking over degree-feasible candidates; patterns here have
-    at most 5 vertices.
+    Backtracking over candidate bitmasks: pattern vertex u may go to any
+    host vertex of degree >= deg_h(u) that is adjacent to phi(i) exactly
+    when u is adjacent to i, for every i < u.  Pattern vertices are placed
+    in the order 0..h.n-1 and each domain is tried lowest host vertex
+    first, so the result is the lexicographically first embedding.  Used
+    for patterns of any size, from P3+P1 to the critical graphs of up to
+    11 vertices that the certifier scans for.
     """
     if h.n > g.n:
         return None
     if h.n == 0:
         return ()
-    hdeg = [h.adj[u].bit_count() for u in range(h.n)]
-    gdeg = [g.adj[v].bit_count() for v in range(g.n)]
-    phi = [-1] * h.n
+    full = (1 << g.n) - 1
+    adj = g.adj
+    nadj = [full ^ row ^ 1 << v for v, row in enumerate(adj)]
+    gdeg = [row.bit_count() for row in adj]
+    deg_ok = []
+    for hrow in h.adj:
+        d = hrow.bit_count()
+        deg_ok.append(sum(1 << v for v in range(g.n) if gdeg[v] >= d))
+    last = h.n - 1
+    phi = [0] * h.n
 
-    def rec(u: int, used: int):
-        for w in range(g.n):
-            if used >> w & 1 or gdeg[w] < hdeg[u]:
-                continue
-            grow = g.adj[w]
-            hrow = h.adj[u]
-            if any((hrow >> i & 1) != (grow >> phi[i] & 1) for i in range(u)):
-                continue
-            phi[u] = w
-            if u + 1 == h.n or rec(u + 1, used | 1 << w):
+    def rec(u: int, dom: int) -> bool:
+        hrow = h.adj[u + 1] if u < last else 0
+        while dom:
+            low = dom & -dom
+            phi[u] = low.bit_length() - 1
+            if u == last:
                 return True
-            phi[u] = -1
+            # neither adj[w] nor nadj[w] contains w, so used vertices drop out
+            nxt = deg_ok[u + 1]
+            for i in range(u + 1):
+                nxt &= adj[phi[i]] if hrow >> i & 1 else nadj[phi[i]]
+            if nxt and rec(u + 1, nxt):
+                return True
+            dom ^= low
         return False
 
-    return tuple(phi) if rec(0, 0) else None
+    return tuple(phi) if rec(0, deg_ok[0]) else None
 
 
 def is_free(g: Graph, pattern: str | Graph) -> bool:
@@ -148,22 +162,6 @@ def is_p2_lp1_free(g: Graph, l: int) -> bool:
             rest = full & ~g.adj[u] & ~g.adj[v] & ~(1 << u) & ~(1 << v)
             if _has_independent_set(g.adj, rest, l):
                 return False
-    return True
-
-
-def is_p3p1_free(g: Graph) -> bool:
-    """Specialized (P3+P1)-freeness: no midpoint with two nonadjacent
-    neighbors plus an untouched fourth vertex."""
-    full = (1 << g.n) - 1
-    for b in range(g.n):
-        nb = g.adj[b]
-        for a in bits(nb):
-            others = nb & ~g.adj[a] & ~(1 << a)
-            for c in bits(others >> (a + 1) << (a + 1)):
-                rest = full & ~g.adj[a] & ~g.adj[b] & ~g.adj[c]
-                rest &= ~mask_of((a, b, c))
-                if rest:
-                    return False
     return True
 
 

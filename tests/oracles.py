@@ -81,6 +81,22 @@ def contains_induced(g: Graph, h: Graph):
     return None
 
 
+def is_p3p1_free(g: Graph) -> bool:
+    """(P3+P1)-freeness read off the definition: no midpoint b with two
+    nonadjacent neighbors a, c plus a fourth vertex touching none of them."""
+    full = (1 << g.n) - 1
+    for b in range(g.n):
+        nb = g.adj[b]
+        for a in bits(nb):
+            others = nb & ~g.adj[a] & ~(1 << a)
+            for c in bits(others >> (a + 1) << (a + 1)):
+                rest = full & ~g.adj[a] & ~g.adj[b] & ~g.adj[c]
+                rest &= ~(1 << a | 1 << b | 1 << c)
+                if rest:
+                    return False
+    return True
+
+
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Isomorphism by trying all n! bijections."""
     if g.n != h.n:

@@ -120,6 +120,25 @@ def test_color_verdicts(tmp_path, capsys):
     assert "NOT-IN-CLASS" in capsys.readouterr().out
 
 
+def test_color_failed_certificate_keeps_answering(tmp_path, capsys,
+                                                 monkeypatch):
+    import kcrit.cli as cli
+
+    graphs = [co_odd_cycle(5), odd_cycle(3), named_graph("K3"), odd_cycle(2)]
+    f = tmp_path / "g.g6"
+    f.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    real = cli.verify_certificate
+    monkeypatch.setattr(cli, "verify_certificate",
+                        lambda g, k, ans: g != odd_cycle(3) and real(g, k, ans))
+    assert run(["color", str(f), "--k", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "line 1", "line 3", "line 4"]
+    assert "line 1: NO witness=" in out and "line 3: YES colors=" in out
+    assert err.splitlines() == [
+        "line 2: INTERNAL ERROR certificate failed verification"]
+
+
 def test_color_unsupported_k(tmp_path, capsys):
     f = tmp_path / "g.g6"
     f.write_text(to_graph6(named_graph("K3")) + "\n")

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 import oracles
 from kcrit.canon import canonical_form, is_isomorphic
 from kcrit.graph import (Graph, complement, from_edge_list, induced_subgraph,
-                         join, mask_of)
+                         join, mask_of, read_graph_file, relabel)
 from kcrit.patterns import (ORDER4_NAMES, JoinDecomposition, contains_induced,
                             copaw_decompose, is_free, is_p2_lp1_free,
-                            is_p3p1_free, maximal_independent_set, named_graph,
+                            maximal_independent_set, named_graph,
                             nonneighbor_profile, p2_lp1)
-from util import canonical_reps, graphs, random_graph
+from util import (canonical_reps, data_path, graphs, random_copaw_free,
+                  random_graph)
 
 
 def cycle(n):
@@ -58,6 +59,35 @@ def test_order4_names_pairwise_distinct():
 
 # ===== contains_induced =====
 
+def backtrack_contains_induced(g, h):
+    """The earlier search, kept as an oracle for patterns too large for
+    the permutation scan: try every host vertex at every pattern level,
+    ascending, and check its adjacency to the vertices already placed."""
+    if h.n > g.n:
+        return None
+    if h.n == 0:
+        return ()
+    hdeg = [h.adj[u].bit_count() for u in range(h.n)]
+    gdeg = [g.adj[v].bit_count() for v in range(g.n)]
+    phi = [-1] * h.n
+
+    def rec(u: int, used: int):
+        for w in range(g.n):
+            if used >> w & 1 or gdeg[w] < hdeg[u]:
+                continue
+            grow = g.adj[w]
+            hrow = h.adj[u]
+            if any((hrow >> i & 1) != (grow >> phi[i] & 1) for i in range(u)):
+                continue
+            phi[u] = w
+            if u + 1 == h.n or rec(u + 1, used | 1 << w):
+                return True
+            phi[u] = -1
+        return False
+
+    return tuple(phi) if rec(0, 0) else None
+
+
 def test_contains_examples():
     assert contains_induced(cycle(7), named_graph("P3+P1")) is not None
     assert oracles.contains_induced(cycle(7), named_graph("P3+P1")) is not None
@@ -81,12 +111,67 @@ def test_embedding_induces_pattern():
         for name in ("paw", "claw", "P4", "2K2"):
             h = named_graph(name)
             phi = contains_induced(g, h)
-            if phi is None:
-                assert oracles.contains_induced(g, h) is None
-            else:
+            assert phi == oracles.contains_induced(g, h)
+            if phi is not None:
                 assert len(set(phi)) == h.n
                 assert all((h.adj[i] >> j & 1) == (g.adj[phi[i]] >> phi[j] & 1)
                            for i in range(h.n) for j in range(i + 1, h.n))
+
+
+def test_same_embedding_as_backtracking_on_random_pairs():
+    rng = random.Random(8)
+    found = 0
+    for _ in range(1500):
+        g = random_graph(rng, rng.randint(0, 10), p=rng.choice([0.2, 0.5, 0.8]))
+        h = random_graph(rng, rng.randint(0, 5), p=rng.choice([0.2, 0.5, 0.8]))
+        phi = contains_induced(g, h)
+        assert phi == backtrack_contains_induced(g, h)
+        found += phi is not None
+    assert 300 < found < 1200   # both outcomes well represented
+
+
+def test_same_embedding_as_backtracking_for_critical_patterns():
+    # the certifier's database scan: P3+P1-free hosts of order 8 to 11,
+    # half of them relabelled critical6 members, with critical4 and
+    # critical5 members (orders 4 to 9) as patterns
+    members = [g for k in (4, 5)
+               for _, g in read_graph_file(data_path(f"critical{k}.g6"))]
+    six = [g for _, g in read_graph_file(data_path("critical6.g6"))]
+    rng = random.Random(21)
+    patterns = members[:8] + rng.sample(members[8:], 20)
+    hosts = []
+    while len(hosts) < 10:
+        g = random_copaw_free(rng, max_n=11)
+        if g.n >= 8:
+            hosts.append(g)
+    for g in rng.sample(six, 10):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        hosts.append(relabel(g, perm))
+    found = 0
+    for g in hosts:
+        for h in patterns:
+            phi = contains_induced(g, h)
+            assert phi == backtrack_contains_induced(g, h)
+            found += phi is not None
+    assert found > 50
+
+
+def test_certify_answers_unchanged_under_backtracking(monkeypatch):
+    # verdicts and witnesses (NOT-IN-CLASS hits and NO scan hits alike)
+    # must not depend on which of the two searches certify_color calls
+    import kcrit.certify as certify
+
+    dbs = {k: certify.build_database(k + 1) for k in (3, 4)}
+    rng = random.Random(34)
+    batch = [random_copaw_free(rng, max_n=11) for _ in range(120)]
+    batch += [random_graph(rng, rng.randint(4, 9)) for _ in range(30)]
+    fast = [certify.certify_color(g, k, dbs[k]) for g in batch for k in dbs]
+    monkeypatch.setattr(certify, "contains_induced", backtrack_contains_induced)
+    slow = [certify.certify_color(g, k, dbs[k]) for g in batch for k in dbs]
+    assert fast == slow
+    verdicts = {a.verdict for a in fast}
+    assert verdicts == {certify.YES, certify.NO, certify.NOT_IN_CLASS}
 
 
 def test_is_free_agrees_with_subset_scan_n6():
@@ -112,7 +197,7 @@ def test_p2_lp1_specialized_matches_generic(g):
 @settings(max_examples=120)
 @given(graphs(max_n=8))
 def test_p3p1_specialized_matches_generic(g):
-    assert is_p3p1_free(g) == is_free(g, "P3+P1")
+    assert oracles.is_p3p1_free(g) == is_free(g, "P3+P1")
 
 
 def test_odd_cycle_p2_lp1_threshold():
@@ -146,7 +231,7 @@ def test_decompose_absent_on_c7():
 @given(graphs(max_n=8))
 def test_decompose_iff_free(g):
     dec = copaw_decompose(g)
-    assert (dec is not None) == is_p3p1_free(g)
+    assert (dec is not None) == oracles.is_p3p1_free(g)
     if dec is not None:
         # factors partition V and reassemble to g under join
         assert sum(f.bit_count() for f in dec.factors) == g.n
