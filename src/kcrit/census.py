@@ -25,7 +25,7 @@ from .canon import canonical_form
 from .critical import is_vertex_critical
 from .generate import ALL_GRAPHS, TRIANGLE_FREE, Graph, child_graphs
 from .graph import complement, from_graph6, join, read_graph_file
-from .invariants import matching_raw
+from .invariants import gallai_edmonds_d_raw, matching_mates_raw, matching_raw
 from .patterns import is_free, named_graph
 
 
@@ -52,7 +52,9 @@ class CensusRow:
 @contextmanager
 def _mapper(workers: int):
     # an order-preserving map, over one process pool for the whole run
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
         yield map
         return
     with Pool(workers) as pool:
@@ -65,10 +67,12 @@ def _piece_expand(parent: Graph, max_degree: int) -> tuple[list[Graph], list[str
     # one augmentation step: the parent's accepted triangle-free children
     # of maximum degree <= max_degree and, at an odd order 2j-1, the
     # canonical codes of the complements of the children that are pieces,
-    # i.e. factor-critical: every F - v has a perfect matching.  Cheap
-    # necessary conditions go first: F has maximum degree <= j-1 (its
-    # complement is j-critical, so of minimum degree >= j-1) and minimum
-    # degree >= 2 (deleting a leaf's neighbour would strand the leaf)
+    # i.e. factor-critical: a maximum matching leaves one vertex exposed
+    # and the Gallai-Edmonds set D (the vertices some maximum matching
+    # leaves exposed) is every vertex.  Cheap necessary conditions go
+    # first: F has maximum degree <= j-1 (its complement is j-critical,
+    # so of minimum degree >= j-1) and minimum degree >= 2 (deleting a
+    # leaf's neighbour would strand the leaf)
     kids = child_graphs(parent, TRIANGLE_FREE, max_degree)
     n = parent.n + 1
     if n % 2 == 0:
@@ -79,7 +83,8 @@ def _piece_expand(parent: Graph, max_degree: int) -> tuple[list[Graph], list[str
     for f in kids:
         if not all(2 <= a.bit_count() < j for a in f.adj):
             continue
-        if all(matching_raw(n, f.adj, full ^ 1 << v) == j - 1 for v in range(n)):
+        mates = matching_mates_raw(n, f.adj, full)
+        if mates.count(-1) == 1 and gallai_edmonds_d_raw(n, f.adj, full, mates) == full:
             codes.append(canonical_form(complement(f)))
     return kids, codes
 
@@ -191,7 +196,8 @@ def census_copaw_critical(k: int, n_max: int | None = None,
     from one run to order 2(n_max - k) + 1.  The order-(2k-1) row lists
     P_k in discovery order, the lower rows their joins in assembly order.
     Joins of smaller censuses, assembled from the same pieces, are
-    checked to be present.
+    checked to be present.  ``workers`` (at least 1) is the number of
+    processes that expand the pieces.
     """
     if not 3 <= k <= 6:
         raise ValueError("k must be in 3..6 (k = 7 would take hours; its "
@@ -218,7 +224,7 @@ def census_general(k: int, pattern: str | Graph | None, n_max: int,
     graph class (n_max <= 9); alpha_le_2 restricts the search space to
     graphs with independence number two via triangle-free complements
     (n_max <= 11) and is only exhaustive for targets known to force
-    alpha <= 2.
+    alpha <= 2.  ``workers`` (at least 1) is the number of processes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

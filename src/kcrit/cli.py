@@ -30,6 +30,9 @@ def _load(path):
 # ===== check =====
 
 def _cmd_check(args) -> int:
+    if args.k is not None and args.k < 1:
+        print("error: --k must be at least 1", file=sys.stderr)
+        return 2
     entries = _load(args.file)
     patterns = []
     for name in args.pattern or []:

@@ -1,23 +1,28 @@
 """Vertex-criticality testing and critical-subgraph extraction.
 
 A graph is k-vertex-critical when its chromatic number is k and deleting
-any single vertex lowers it.  Deciding that needs one chromatic number
-plus n deletion checks; when alpha(g) <= 2 every deletion check reduces
-to a maximum matching in the complement, which is where the census
-spends its time.
+any single vertex lowers it.  When alpha(g) <= 2 (the complement F is
+triangle-free) chi(g) = n - nu(F), and deleting v lowers chi exactly
+when some maximum matching of F leaves v exposed.  So one maximum
+matching and one Gallai-Edmonds pass over F decide criticality: g is
+critical iff every vertex is in D(F).  Otherwise every deletion is
+checked with an exact coloring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, complement, delete_vertex, join, mask_of
+from .graph import Graph, bits, complement, delete_vertex, join, mask_of
 from .invariants import (
     chromatic_number,
     coloring_with_min_class_size,
+    gallai_edmonds_d_raw,
     independence_number,
     is_k_colorable,
+    matching_mates_raw,
     matching_raw,
+    triangle_free_raw,
 )
 from .patterns import co_components
 
@@ -39,33 +44,33 @@ class CriticalityReport:
     witness: int | None
 
 
-def _deletion_lowers_chi(g: Graph, comp: Graph | None, v: int, k: int) -> bool:
-    # True iff chi(g - v) < k. comp is complement(g) when alpha(g) <= 2,
-    # in which case chi(g - v) = (n - 1) - matching(comp - v).
-    if comp is not None:
-        active = ((1 << g.n) - 1) ^ (1 << v)
-        return g.n - 1 - matching_raw(comp.n, comp.adj, active) < k
-    return is_k_colorable(delete_vertex(g, v), k - 1) is not None
-
-
 def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     """Exact k-vertex-criticality test.
 
-    Short-circuits when chi(g) != k; otherwise scans vertices in
-    ascending order and reports the first one whose deletion fails to
-    lower the chromatic number.
+    Short-circuits when chi(g) != k; otherwise reports the lowest vertex
+    whose deletion fails to lower the chromatic number.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    alpha = independence_number(g)
-    chi = chromatic_number(g, alpha)
+    n = g.n
+    full = (1 << n) - 1
+    co = complement(g)
+    small_alpha = triangle_free_raw(co.adj)          # alpha(g) <= 2
+    if small_alpha:
+        mates = matching_mates_raw(n, co.adj, full)
+        chi = (n + mates.count(-1)) // 2             # n - nu(co)
+    else:
+        chi = chromatic_number(g)
     if chi != k:
         return CriticalityReport(k=chi, is_critical=False, witness=None)
-    comp = complement(g) if alpha <= 2 else None
-    for v in range(g.n):
-        if not _deletion_lowers_chi(g, comp, v, k):
-            return CriticalityReport(k=chi, is_critical=False, witness=v)
-    return CriticalityReport(k=chi, is_critical=True, witness=None)
+    if small_alpha:
+        # deleting v keeps chi iff every maximum matching of co covers v
+        keeps = bits(full & ~gallai_edmonds_d_raw(n, co.adj, full, mates))
+    else:
+        keeps = (v for v in range(n)
+                 if is_k_colorable(delete_vertex(g, v), k - 1) is None)
+    witness = next(keeps, None)
+    return CriticalityReport(k=chi, is_critical=witness is None, witness=witness)
 
 
 # ===== extracting a critical induced subgraph =====

@@ -121,8 +121,10 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 # ===== basic transformations =====
 
 def complement(g: Graph) -> Graph:
+    # valid by construction when g is, so the checks are skipped
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
+    return Graph._unchecked(g.n, tuple(full & ~row & ~(1 << v)
+                                       for v, row in enumerate(g.adj)))
 
 
 def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:

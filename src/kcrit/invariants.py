@@ -3,14 +3,16 @@
 All routines are exact.  Sizes are capped at 31 vertices by the Graph type,
 so branch and bound with bitmask state is always sufficient; the only
 polynomial algorithm that matters for throughput is the blossom matching,
-which the census calls on every enumerated graph and every vertex-deleted
-subgraph.
+which the census and the criticality test call once per graph.  The same
+alternating-forest search, grown from every exposed vertex at once, gives
+the Gallai-Edmonds set D (the vertices some maximum matching leaves
+exposed), which decides every vertex deletion in one pass.
 
-Chromatic number takes a structural shortcut when alpha(G) <= 2: color
-classes then have at most two vertices, so an optimal coloring pairs up
-nonadjacent vertices, i.e. chi(G) = n - nu(complement(G)).  Everything else
-goes through saturation-ordered branch and bound with a greedy clique lower
-bound.
+Chromatic number takes a structural shortcut when alpha(G) <= 2, i.e. when
+the complement is triangle-free: color classes then have at most two
+vertices, so an optimal coloring pairs up nonadjacent vertices, i.e.
+chi(G) = n - nu(complement(G)).  Everything else goes through
+saturation-ordered branch and bound with a greedy clique lower bound.
 """
 
 from __future__ import annotations
@@ -51,85 +53,120 @@ def clique_number(g: Graph) -> int:
 
 # ===== maximum matching (blossom) =====
 
+def _lca(match, p, base, a: int, b: int) -> int:
+    # base of the lowest common even ancestor of even vertices a and b,
+    # or -1 when they lie in different trees of the forest
+    seen = 0
+    while True:
+        a = base[a]
+        seen |= 1 << a
+        if match[a] == -1:
+            break
+        a = p[match[a]]
+    while True:
+        b = base[b]
+        if seen >> b & 1:
+            return b
+        if match[b] == -1:
+            return -1
+        b = p[match[b]]
+
+
+def _mark_path(match, p, base, v: int, b: int, child: int, in_blossom: list) -> None:
+    # walk from v up to the blossom base b, flagging the bases on the way
+    # and pointing the even vertices' parents back into the blossom
+    while base[v] != b:
+        in_blossom[base[v]] = True
+        in_blossom[base[match[v]]] = True
+        p[v] = child
+        child = match[v]
+        v = p[match[v]]
+
+
+def _alternating_forest(n: int, adj, active: int, verts: list, match: list,
+                        roots: list) -> list | None:
+    """Grow an alternating forest from the exposed ``roots``.
+
+    Blossoms are contracted through base pointers.  Reaching an exposed
+    vertex that is not a root closes an augmenting path: ``match`` is
+    augmented along it and None returned.  Otherwise the result flags
+    the even (outer) vertices, blossom members included.  An even-even
+    edge between two trees (only possible with several roots) would
+    close an augmenting path too; it raises ValueError.
+    """
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    for r in roots:
+        used[r] = True
+    queue = list(roots)
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for to in bits(adj[v] & active):
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if used[to] if match[to] == -1 else p[match[to]] != -1:
+                # to is even: an odd cycle, contracted at its lca
+                cur = _lca(match, p, base, v, to)
+                if cur == -1:
+                    raise ValueError("matching is not maximum")
+                in_blossom = [False] * n
+                _mark_path(match, p, base, v, cur, to, in_blossom)
+                _mark_path(match, p, base, to, cur, v, in_blossom)
+                for u in verts:
+                    if in_blossom[base[u]]:
+                        base[u] = cur
+                        if not used[u]:
+                            used[u] = True
+                            queue.append(u)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    # augment along the parent chain
+                    w = to
+                    while w != -1:
+                        pw = p[w]
+                        nxt = match[pw]
+                        match[w] = pw
+                        match[pw] = w
+                        w = nxt
+                    return None
+                used[match[to]] = True
+                queue.append(match[to])
+    return used
+
+
 def matching_mates_raw(n: int, adj, active: int) -> list[int]:
     """Mate array of a maximum matching on the ``active`` mask (-1 exposed).
 
-    Classic augmenting-path search with blossom contraction via base
-    pointers; O(V^3) worst case, microseconds at census sizes.
+    Classic augmenting-path search from one exposed vertex at a time;
+    O(V^3) worst case, microseconds at census sizes.
     """
     match = [-1] * n
-    p = [-1] * n
-    base = list(range(n))
     verts = list(bits(active))
-
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = p[match[b]]
-
-    def mark_path(v: int, b: int, child: int, in_blossom: list) -> None:
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def try_augment(root: int) -> bool:
-        for v in verts:
-            p[v] = -1
-            base[v] = v
-        used = [False] * n
-        used[root] = True
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for to in bits(adj[v] & active):
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # odd cycle: contract the blossom at the stem lca
-                    cur = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur, to, in_blossom)
-                    mark_path(to, cur, v, in_blossom)
-                    for u in verts:
-                        if in_blossom[base[u]]:
-                            base[u] = cur
-                            if not used[u]:
-                                used[u] = True
-                                queue.append(u)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        # augment along the parent chain
-                        w = to
-                        while w != -1:
-                            pw = p[w]
-                            nxt = match[pw]
-                            match[w] = pw
-                            match[pw] = w
-                            w = nxt
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
     for v in verts:
         if match[v] == -1:
-            try_augment(v)
+            _alternating_forest(n, adj, active, verts, match, [v])
     return match
+
+
+def gallai_edmonds_d_raw(n: int, adj, active: int, mates) -> int:
+    """Mask of D: the ``active`` vertices that some maximum matching leaves
+    exposed.
+
+    ``mates`` must be a maximum matching on ``active`` (as from
+    ``matching_mates_raw``; it is not modified).  D is the set of even
+    vertices of one alternating forest grown from every exposed vertex
+    at once (Gallai-Edmonds), so v is in D iff nu(F - v) = nu(F).
+    Raises ValueError when the matching is not maximum.
+    """
+    verts = list(bits(active))
+    match = list(mates)
+    used = _alternating_forest(n, adj, active, verts, match,
+                               [v for v in verts if match[v] == -1])
+    return sum(1 << v for v in verts if used[v])
 
 
 def matching_raw(n: int, adj, active: int) -> int:
@@ -281,18 +318,21 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
     return best[1]
 
 
-def chromatic_number(g: Graph, alpha: int | None = None) -> int:
+def triangle_free_raw(adj) -> bool:
+    """True iff the graph with adjacency masks ``adj`` has no triangle."""
+    return not any(row & adj[u] for v, row in enumerate(adj)
+                   for u in bits(row >> v << v))
+
+
+def chromatic_number(g: Graph) -> int:
     """chi(G), exact; alpha <= 2 fast path, else DSATUR branch and bound.
 
-    alpha, when given, must be independence_number(g).
+    alpha(G) <= 2 exactly when the complement is triangle-free, which a
+    pass over its edges decides.
     """
     n = g.n
-    if n == 0:
-        return 0
-    if alpha is None:
-        alpha = independence_number(g)
-    if alpha <= 2:
-        co = complement(g)
+    co = complement(g)
+    if triangle_free_raw(co.adj):
         return n - matching_raw(n, co.adj, (1 << n) - 1)
     greedy = _normalized(_dsatur_order_greedy(n, g.adj))
     better = _bb_coloring(n, g.adj, greedy.k, first_hit=False)

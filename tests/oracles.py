@@ -4,6 +4,10 @@ Everything here trades speed for obviousness: exhaustive subset scans,
 search over all n! bijections, exponential matching recursion.  These are
 the independent oracles the fast library code is checked against, so none
 of them may import from the modules they oracle beyond the Graph type.
+
+The last section keeps library paths that a faster one replaced.  They
+reuse the library's lower layers (matching, coloring), which the oracles
+above check, and stand in only for the step that was replaced.
 """
 
 from __future__ import annotations
@@ -156,3 +160,30 @@ def graph6_encode(g: Graph) -> str:
             val = val * 2 + b
         chars.append(chr(val + 63))
     return "".join(chars)
+
+
+# ===== replaced library paths =====
+
+def is_vertex_critical(g: Graph, k: int):
+    """k-vertex-criticality by one deletion check per vertex, in ascending
+    order: a maximum matching in the complement when alpha(g) <= 2, an
+    exact coloring otherwise.  Returns the library's CriticalityReport."""
+    from kcrit.critical import CriticalityReport
+    from kcrit.graph import complement, delete_vertex
+    from kcrit.invariants import chromatic_number, is_k_colorable, matching_raw
+
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    chi = chromatic_number(g)
+    if chi != k:
+        return CriticalityReport(k=chi, is_critical=False, witness=None)
+    comp = complement(g) if independence_number(g) <= 2 else None
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        if comp is not None:
+            lowers = g.n - 1 - matching_raw(g.n, comp.adj, full ^ 1 << v) < k
+        else:
+            lowers = is_k_colorable(delete_vertex(g, v), k - 1) is not None
+        if not lowers:
+            return CriticalityReport(k=chi, is_critical=False, witness=v)
+    return CriticalityReport(k=chi, is_critical=True, witness=None)

@@ -90,6 +90,14 @@ def test_census_args():
         census_copaw_critical(4, n_max=3)
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_census_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers"):
+        census_copaw_critical(4, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        census_general(3, None, 5, workers=workers)
+
+
 def test_census_workers_match_serial():
     serial = census_copaw_critical(4, workers=1)
     parallel = census_copaw_critical(4, workers=2)
@@ -152,6 +160,30 @@ def test_perfect_matching_prune_loses_no_piece(top):
     assert [pieces[j] for j in range(3, top + 1)] == \
         [unpruned[2 * j - 1] for j in range(3, top + 1)]
     assert [len(pieces[j]) for j in range(1, top + 1)] == [1, 0, 1, 6, 170][:top]
+
+
+def _per_vertex_pieces(top):
+    # the piece filter the Gallai-Edmonds test replaced, kept as an
+    # oracle without its prunes: at each odd order 2j-1 <= 2*top-1, the
+    # triangle-free F of maximum degree <= top-1 whose every F - v has a
+    # perfect matching, in discovery order
+    pieces, level = {}, [Graph(1, (0,))]
+    for n in range(2, 2 * top):
+        level = [c for p in level for c in child_graphs(p, TRIANGLE_FREE, top - 1)]
+        if n % 2:
+            full = (1 << n) - 1
+            pieces[(n + 1) // 2] = [
+                canonical_form(complement(f)) for f in level
+                if all(2 * matching_raw(n, f.adj, full ^ 1 << v) == n - 1
+                       for v in range(n))]
+    return pieces
+
+
+@pytest.mark.parametrize("top", [3, 4, 5])
+def test_piece_filter_equals_per_vertex_filter(top):
+    pieces, oracle = _pieces(top), _per_vertex_pieces(top)
+    assert [pieces[j] for j in range(2, top + 1)] == \
+        [oracle[j] for j in range(2, top + 1)]
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])

@@ -46,6 +46,13 @@ def test_check_parse_error(capsys):
     assert run(["check", "/no/such/file", "--k", "4"]) == 2
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_check_rejects_k_below_one(capsys, k):
+    assert run(["check", str(data_path("fig1.edges")), "--k", k]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: --k must be at least 1") and out == ""
+
+
 def test_check_reports_invariants(tmp_path, capsys):
     f = tmp_path / "one.g6"
     f.write_text(to_graph6(co_odd_cycle(5)) + "\n")
@@ -88,6 +95,14 @@ def test_census_usage_errors(capsys):
     assert run(["census", "--k", "9", "--pattern", "P3+P1"]) == 2
     capsys.readouterr()
     assert run(["census", "--k", "3", "--pattern", "claw"]) == 2  # no max-order
+
+
+@pytest.mark.parametrize("extra", [[], ["--pattern", "claw", "--max-order", "5"]])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_census_rejects_workers_below_one(capsys, workers, extra):
+    assert run(["census", "--k", "3", "--workers", workers] + extra) == 2
+    out, err = capsys.readouterr()
+    assert "workers must be at least 1" in err and out == ""
 
 
 def test_census_alpha_flag_needs_exhaustive_pipeline(capsys):

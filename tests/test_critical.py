@@ -1,7 +1,11 @@
 """Tests for vertex-criticality reports, peeling, and join behavior."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
+
+import oracles
 
 from kcrit.critical import (
     CriticalityReport,
@@ -12,17 +16,21 @@ from kcrit.critical import (
 )
 from kcrit.families import co_odd_cycle, odd_cycle
 from kcrit.graph import (
+    Graph,
+    complement,
     delete_vertex,
     disjoint_union,
     from_edge_list,
     induced_subgraph,
     join,
+    read_graph_file,
+    relabel,
 )
 from kcrit.invariants import chromatic_number
 from kcrit.canon import is_isomorphic
 from kcrit.patterns import named_graph
 
-from util import graphs
+from util import data_path, graphs, random_graph, random_triangle_free
 
 
 # ===== is_vertex_critical =====
@@ -35,7 +43,9 @@ def test_known_critical_graphs():
 
 @pytest.mark.parametrize("name, k", [("C5", 3), ("C7", 3), ("K4", 4), ("C6", 3)])
 def test_alpha_computed_once(monkeypatch, name, k):
-    # alpha(C7) = 3 takes the branch-and-bound path, the rest alpha <= 2
+    # alpha is not computed at all: alpha <= 2 is read off a triangle test
+    # on the complement; alpha(C7) = 3 takes the branch-and-bound path,
+    # the rest alpha <= 2
     import kcrit.critical
     import kcrit.invariants
     g = named_graph(name)
@@ -49,7 +59,7 @@ def test_alpha_computed_once(monkeypatch, name, k):
     monkeypatch.setattr(kcrit.critical, "independence_number", counted)
     monkeypatch.setattr(kcrit.invariants, "independence_number", counted)
     assert is_vertex_critical(g, k).k == chi
-    assert calls == [g.n]
+    assert calls == []
 
 
 def test_wrong_chromatic_number_short_circuits():
@@ -83,6 +93,73 @@ def test_report_matches_definition(g):
         assert min(g.degree(v) for v in range(g.n)) >= chi - 1
     elif rep.witness is not None:
         assert chromatic_number(delete_vertex(g, rep.witness)) == chi
+
+
+# ===== the Gallai-Edmonds test against the per-vertex oracle =====
+
+def _reports_agree(g, ks):
+    for k in ks:
+        if k >= 1:
+            assert is_vertex_critical(g, k) == oracles.is_vertex_critical(g, k), (g, k)
+
+
+def _relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def _shipped(rng):
+    # every graph of critical4/5 and a seeded critical6 sample, relabelled
+    out = []
+    for k in (4, 5, 6):
+        gs = [g for _, g in read_graph_file(data_path(f"critical{k}.g6"))]
+        if k == 6:
+            gs = rng.sample(gs, 300)
+        out.extend((k, _relabelled(rng, g)) for g in gs)
+    return out
+
+
+def test_oracle_agrees_on_shipped_critical_graphs():
+    rng = random.Random(61)
+    for k, g in _shipped(rng):
+        assert is_vertex_critical(g, k) == CriticalityReport(k, True, None)
+        _reports_agree(g, (k - 1, k, k + 1))
+
+
+def test_oracle_agrees_on_perturbed_critical_graphs():
+    # one edge toggled or one vertex deleted: the chromatic number may
+    # stay, so non-critical witnesses come up
+    rng = random.Random(67)
+    witnesses = 0
+    for k, g in _shipped(rng):
+        i, j = rng.sample(range(g.n), 2)
+        adj = list(g.adj)
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+        for h in (Graph(g.n, tuple(adj)), delete_vertex(g, rng.randrange(g.n))):
+            chi = chromatic_number(h)
+            _reports_agree(h, {k, chi})
+            witnesses += is_vertex_critical(h, chi).witness is not None
+    assert witnesses > 100
+
+
+def test_oracle_agrees_on_random_graphs():
+    rng = random.Random(71)
+    small_alpha = large_alpha = 0
+    for _ in range(300):
+        n = rng.randint(1, 11)
+        if rng.random() < 0.5:
+            g = complement(random_triangle_free(rng, n, p=rng.choice([0.3, 0.5])))
+        else:
+            g = random_graph(rng, min(n, 8), p=rng.choice([0.3, 0.5, 0.7]))
+        if oracles.independence_number(g) <= 2:
+            small_alpha += 1
+        else:
+            large_alpha += 1
+        chi = chromatic_number(g)
+        _reports_agree(g, (chi - 1, chi, chi + 1))
+    assert small_alpha > 100 and large_alpha > 50
 
 
 # ===== find_critical_subgraph =====

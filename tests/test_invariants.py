@@ -8,9 +8,11 @@ from hypothesis import given, settings
 import oracles
 from kcrit.graph import Graph, complement, delete_vertex, from_edge_list
 from kcrit.invariants import (Coloring, chromatic_number, clique_number,
-                              coloring_with_min_class_size, independence_number,
-                              is_k_colorable, is_proper_coloring, max_matching)
-from util import graphs, random_graph
+                              coloring_with_min_class_size, gallai_edmonds_d_raw,
+                              independence_number, is_k_colorable,
+                              is_proper_coloring, matching_mates_raw,
+                              matching_raw, max_matching, triangle_free_raw)
+from util import graphs, random_graph, random_triangle_free
 
 
 def cycle(n):
@@ -72,6 +74,97 @@ def test_matching_blossom_heavy():
     g = disjoint_union(cycle(5), cycle(7))
     assert max_matching(g) == 2 + 3
     assert max_matching(cycle(9)) == 4
+
+
+# ===== the Gallai-Edmonds set D =====
+
+def _brute_d(g, active):
+    # v is in D iff some maximum matching misses v iff nu(F - v) = nu(F)
+    nu = matching_raw(g.n, g.adj, active)
+    return sum(1 << v for v in range(g.n)
+               if active >> v & 1 and matching_raw(g.n, g.adj, active ^ 1 << v) == nu)
+
+
+def _d(g, active=None):
+    active = (1 << g.n) - 1 if active is None else active
+    return gallai_edmonds_d_raw(g.n, g.adj, active,
+                                matching_mates_raw(g.n, g.adj, active))
+
+
+def _with_pendant_paths(core, lengths):
+    # hang a path of the given length off each listed core vertex
+    edges, n = list(core.edges()), core.n
+    for v, length in lengths:
+        for _ in range(length):
+            edges.append((v, n))
+            v, n = n, n + 1
+    return from_edge_list(n, edges)
+
+
+def test_d_examples():
+    assert _d(C5) == 0b11111                      # factor-critical
+    assert _d(cycle(6)) == 0                      # perfect matching: D empty
+    assert _d(Graph(3, (0, 0, 0))) == 0b111
+    star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
+    assert _d(star) == 0b1110                     # the centre is in A(F)
+    # C5 with a two-edge path 0-5-6: the blossom and the path's end are
+    # in D, the middle vertex 5 never goes exposed
+    assert _d(_with_pendant_paths(C5, [(0, 2)])) == 0b1011111
+
+
+def test_d_against_brute_force_blossoms():
+    rng = random.Random(41)
+    cases = [cycle(m) for m in (3, 5, 7, 9, 11, 13)]
+    for core in (cycle(5), cycle(7)):
+        for _ in range(12):
+            picks = rng.sample(range(core.n), rng.randint(1, 3))
+            tails = [(v, rng.randint(1, 3)) for v in picks]
+            g = _with_pendant_paths(core, tails)
+            if g.n <= 13:
+                cases.append(g)
+    from kcrit.graph import disjoint_union
+    cases.append(disjoint_union(cycle(5), cycle(7)))
+    cases.append(disjoint_union(cycle(3), _with_pendant_paths(cycle(5), [(2, 2)])))
+    for g in cases:
+        full = (1 << g.n) - 1
+        assert _d(g) == _brute_d(g, full), g
+        for _ in range(4):
+            active = rng.getrandbits(g.n)
+            assert _d(g, active) == _brute_d(g, active), (g, active)
+
+
+def test_d_against_brute_force_random():
+    rng = random.Random(43)
+    for _ in range(400):
+        n = rng.randint(0, 13)
+        if rng.random() < 0.5:
+            g = random_graph(rng, n, p=rng.choice([0.15, 0.3, 0.5, 0.8]))
+        else:
+            g = random_triangle_free(rng, n, p=rng.choice([0.3, 0.5]))
+        full = (1 << n) - 1
+        active = full if rng.random() < 0.5 else rng.getrandbits(n) if n else 0
+        d = _d(g, active)
+        assert d == _brute_d(g, active), (g, active)
+        assert d & ~active == 0
+
+
+def test_d_leaves_mates_alone_and_rejects_non_maximum():
+    g = cycle(7)
+    mates = matching_mates_raw(7, g.adj, 0b1111111)
+    before = list(mates)
+    gallai_edmonds_d_raw(7, g.adj, 0b1111111, mates)
+    assert mates == before
+    p4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    for bad in ([-1, 2, 1, -1], [-1] * 4):
+        with pytest.raises(ValueError, match="not maximum"):
+            gallai_edmonds_d_raw(4, p4.adj, 0b1111, bad)
+
+
+def test_triangle_free_raw():
+    assert triangle_free_raw(C5.adj) and triangle_free_raw(())
+    assert not triangle_free_raw(cycle(3).adj)
+    for g in oracles.all_labeled_graphs(5):
+        assert triangle_free_raw(g.adj) == (oracles.clique_number(g) <= 2)
 
 
 # ===== chromatic number =====
