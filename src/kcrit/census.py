@@ -63,46 +63,65 @@ def _mapper(workers: int):
 
 # ===== fast pipeline: prime pieces and their joins =====
 
-def _piece_expand(parent: Graph, max_degree: int) -> tuple[list[Graph], list[str]]:
-    # one augmentation step: the parent's accepted triangle-free children
-    # of maximum degree <= max_degree and, at an odd order 2j-1, the
+def _piece_expand(item, max_degree: int, leaf: bool):
+    # one augmentation step from item = (parent, its generators or None):
+    # the parent's accepted triangle-free children of maximum degree
+    # <= max_degree with their generators (none at the leaf, the last
+    # order, where only pieces are wanted) and, at an odd order 2j-1, the
     # canonical codes of the complements of the children that are pieces,
     # i.e. factor-critical: a maximum matching leaves one vertex exposed
     # and the Gallai-Edmonds set D (the vertices some maximum matching
     # leaves exposed) is every vertex.  Cheap necessary conditions go
     # first: F has maximum degree <= j-1 (its complement is j-critical,
     # so of minimum degree >= j-1) and minimum degree >= 2 (deleting a
-    # leaf's neighbour would strand the leaf)
-    kids = child_graphs(parent, TRIANGLE_FREE, max_degree)
+    # leaf's neighbour would strand the leaf); at the leaf the children
+    # are generated with that minimum degree
+    parent, gens = item
+    kid_gens: list = []
+    kids = child_graphs(parent, TRIANGLE_FREE, max_degree,
+                        min_degree=2 if leaf else None, gens=gens, child_gens=kid_gens)
     n = parent.n + 1
-    if n % 2 == 0:
-        return kids, []
-    j = (n + 1) // 2
-    full = (1 << n) - 1
     codes = []
-    for f in kids:
-        if not all(2 <= a.bit_count() < j for a in f.adj):
-            continue
-        mates = matching_mates_raw(n, f.adj, full)
-        if mates.count(-1) == 1 and gallai_edmonds_d_raw(n, f.adj, full, mates) == full:
-            codes.append(canonical_form(complement(f)))
-    return kids, codes
+    if n % 2:
+        j = (n + 1) // 2
+        full = (1 << n) - 1
+        for f in kids:
+            if not all(2 <= a.bit_count() < j for a in f.adj):
+                continue
+            mates = matching_mates_raw(n, f.adj, full)
+            if mates.count(-1) == 1 and gallai_edmonds_d_raw(n, f.adj, full, mates) == full:
+                codes.append(canonical_form(complement(f)))
+    if leaf:
+        return [], [], codes
+    return kids, kid_gens, codes
 
 
-def _filtered_level(parents: list[Graph], max_degree: int,
-                    mapper=map) -> tuple[list[Graph], list[str]]:
-    # expand one order; children and piece codes come in parent order
-    # whatever the mapper
+def _filtered_level(parents: list[Graph], max_degree: int, mapper=map,
+                    gens: list | None = None, leaf: bool = False):
+    """Expand one order: ((children, their generators), piece codes).
+
+    gens, parallel to parents, holds each parent's automorphism
+    generators or None (then the step labels the parent itself), and the
+    children's generators come back the same way.  At the leaf no
+    children are kept.  Everything comes in parent order whatever the
+    mapper.
+    """
+    if gens is None:
+        gens = [None] * len(parents)
     children: list[Graph] = []
+    child_gens: list = []
     codes: list[str] = []
-    for kids, found in mapper(partial(_piece_expand, max_degree=max_degree), parents):
+    step = partial(_piece_expand, max_degree=max_degree, leaf=leaf)
+    for kids, kid_gens, found in mapper(step, zip(parents, gens)):
         children.extend(kids)
+        child_gens.extend(kid_gens)
         codes.extend(found)
-    return children, codes
+    return (children, child_gens), codes
 
 
-def _has_perfect_matching(f: Graph) -> bool:
-    return 2 * matching_raw(f.n, f.adj, (1 << f.n) - 1) == f.n
+def _deficiency(f: Graph) -> int:
+    # vertices a maximum matching of f leaves exposed
+    return f.n - 2 * matching_raw(f.n, f.adj, (1 << f.n) - 1)
 
 
 def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
@@ -111,18 +130,24 @@ def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
     P_j holds the j-vertex-critical P3+P1-free graphs of order 2j-1,
     i.e. the complements of the factor-critical triangle-free graphs of
     order 2j-1.  P_1 is K1 and P_2 is empty (K2 = K1 v K1).  One
-    canonical-augmentation run to order 2*top-1 finds them all: a piece
-    of P_j has maximum degree <= j-1 <= top-1, so the run keeps to that
-    bound.  Before the last step it drops the parents with no perfect
-    matching, since the canonical parent F - v of a factor-critical F
-    has one.
+    canonical-augmentation run to order N = 2*top-1 finds them all: a
+    piece of P_j has maximum degree <= j-1 <= top-1, so the run keeps to
+    that bound.  Before expanding order m it drops the graphs of
+    deficiency above N-1-m: every F - v of a factor-critical F on
+    N' <= N vertices has a perfect matching, and each further deleted
+    vertex raises the deficiency by at most one, so an order-m ancestor
+    of a piece has deficiency <= N'-1-m.  The last step generates
+    minimum degree >= 2 only, and keeps no children.
     """
+    last = 2 * top - 1
     pieces = {1: [canonical_form(Graph(1, (0,)))]}
-    level = [Graph(1, (0,))]
-    for n in range(2, 2 * top):
-        if n == 2 * top - 1:
-            level = [f for f in level if _has_perfect_matching(f)]
-        level, codes = _filtered_level(level, top - 1, mapper)
+    level, gens = [Graph(1, (0,))], [None]
+    for n in range(2, last + 1):
+        slack = last - n
+        if slack < n - 1:       # a deficiency never exceeds the order
+            kept = [i for i, f in enumerate(level) if _deficiency(f) <= slack]
+            level, gens = [level[i] for i in kept], [gens[i] for i in kept]
+        (level, gens), codes = _filtered_level(level, top - 1, mapper, gens, n == last)
         if n % 2:
             pieces[(n + 1) // 2] = codes
     return pieces

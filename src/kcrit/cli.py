@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .census import census_copaw_critical, census_general
 from .certify import NO, NOT_IN_CLASS, YES, build_database, certify_color, verify_certificate
@@ -23,6 +24,20 @@ def _load(path):
     try:
         return read_graph_file(path)
     except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
+def _open_out(path):
+    # the --out file, opened before any work so that a bad path is a
+    # usage error, and for appending so that a usage error found later
+    # leaves an existing file as it was: truncate it before writing.  A
+    # context that yields None without --out
+    if path is None:
+        return nullcontext()
+    try:
+        return open(path, "a")
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 
@@ -71,29 +86,27 @@ def _cmd_census(args) -> int:
         print("error: --alpha-le-2 applies to the exhaustive pipeline only; "
               "add --all-graphs or pick another pattern", file=sys.stderr)
         return 2
-    try:
-        if fast:
-            rows = census_copaw_critical(args.k, args.max_order,
-                                         workers=args.workers)
-        else:
-            if args.max_order is None:
-                print("error: --max-order is required for this mode",
-                      file=sys.stderr)
-                return 2
-            rows = census_general(args.k, pattern, args.max_order,
-                                  alpha_le_2=args.alpha_le_2,
-                                  workers=args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if not fast and args.max_order is None:
+        print("error: --max-order is required for this mode", file=sys.stderr)
         return 2
-    for row in rows:
-        print(f"{args.k},{row.n},{row.count}")
-    print(f"total {sum(r.count for r in rows)}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            for row in rows:
-                for code in row.codes:
-                    fh.write(code + "\n")
+    with _open_out(args.out) as fh:
+        try:
+            if fast:
+                rows = census_copaw_critical(args.k, args.max_order,
+                                             workers=args.workers)
+            else:
+                rows = census_general(args.k, pattern, args.max_order,
+                                      alpha_le_2=args.alpha_le_2,
+                                      workers=args.workers)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for row in rows:
+            print(f"{args.k},{row.n},{row.count}")
+        print(f"total {sum(r.count for r in rows)}")
+        if fh is not None:
+            fh.truncate(0)
+            fh.writelines(code + "\n" for row in rows for code in row.codes)
     return 0
 
 
@@ -131,28 +144,35 @@ def _cmd_convert(args) -> int:
     entries = _load(args.file)
     render = to_graph6 if args.to == "graph6" else format_edge_list
     lines = [render(g) for _, g in entries]
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        if fh is not None:
+            fh.truncate(0)
             fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+        else:
+            for line in lines:
+                print(line)
     return 0
 
 
 # ===== family =====
 
+# family name -> (builder, names of its integer parameters)
+_FAMILIES = {
+    "odd-cycle": (odd_cycle, ("m",)),
+    "co-odd-cycle": (co_odd_cycle, ("k",)),
+    "clique-cycle": (clique_substituted_odd_cycle, ("t", "k")),
+}
+
+
 def _cmd_family(args) -> int:
+    build, names = _FAMILIES[args.name]
+    if len(args.params) != len(names):
+        print(f"error: {args.name} takes {len(names)} parameter(s) "
+              f"({' '.join(names)}), got {len(args.params)}", file=sys.stderr)
+        return 2
     try:
-        if args.name == "odd-cycle":
-            g = odd_cycle(args.params[0])
-        elif args.name == "co-odd-cycle":
-            g = co_odd_cycle(args.params[0])
-        elif args.name == "clique-cycle":
-            g = clique_substituted_odd_cycle(args.params[0], args.params[1])
-        else:
-            raise ValueError(f"unknown family {args.name!r}")
-    except (ValueError, IndexError) as exc:
+        g = build(*args.params)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(to_graph6(g) if args.to == "graph6" else format_edge_list(g))
@@ -204,7 +224,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("family", help="emit a named family member")
-    p.add_argument("name", choices=("odd-cycle", "co-odd-cycle", "clique-cycle"))
+    p.add_argument("name", choices=tuple(_FAMILIES))
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("--to", choices=("graph6", "edges"), default="edges")
     p.set_defaults(func=_cmd_family)

@@ -82,13 +82,15 @@ def _mask_orbit_reps(masks, gens) -> list[int]:
 # ===== the canonical-extension acceptance rule =====
 
 def _canonical_extension(n, adj, deg, below, s):
-    """Adjacency of parent + vertex n attached to s, or None if not canonical.
+    """(adjacency, generators) of parent + vertex n attached to s, or None.
 
     The deletion vertex of a child is the one with the smallest (degree,
     sorted neighbour degrees) invariant that sits at the latest canonical
     position; the child is accepted iff the new vertex n shares its orbit.
     The test runs from cheap to costly.  deg holds the parent's degrees
-    and below[d] the mask of parent vertices of degree < d.
+    and below[d] the mask of parent vertices of degree < d.  The
+    generators are those of Aut(child) when stage 4 labelled the child,
+    None when an earlier stage decided.
     """
     t = s.bit_count()
     # 1. n must have the child's minimum degree t: no vertex outside s
@@ -113,28 +115,48 @@ def _canonical_extension(n, adj, deg, below, s):
             ties |= 1 << v
     # 3. n alone attains the minimum invariant: it is the deletion vertex
     if not ties:
-        return child
+        return child, None
     # 4. the latest tied vertex in canonical order must share n's orbit
-    order, _, _, orbit = canon_raw(n + 1, child)
+    order, _, gens, orbit = canon_raw(n + 1, child)
     ties |= 1 << n
     for v in reversed(order):
         if ties >> v & 1:
-            return child if orbit[v] == orbit[n] else None
+            return (child, gens) if orbit[v] == orbit[n] else None
     raise AssertionError("unreachable: n attains the minimum")
 
 
 def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
-                 max_degree: int | None = None) -> list[Graph]:
+                 max_degree: int | None = None, min_degree: int | None = None,
+                 gens=None, child_gens: list | None = None) -> list[Graph]:
     """Accepted one-vertex extensions of parent, one per child class.
 
     With max_degree (>= 0), only children of maximum degree <= max_degree
     are produced.  Since a parent is an induced subgraph of its children, a
     level-by-level run with the bound yields exactly the classes with
     maximum degree <= max_degree, in the order of the unbounded run.
+
+    With min_degree, only children of minimum degree >= min_degree are
+    produced: the new vertex gets at least min_degree neighbours, among
+    them every parent vertex of degree min_degree - 1, and a parent with
+    a vertex of lower degree has no such child.  Unlike the maximum
+    degree, the minimum degree is not hereditary (a child of minimum
+    degree 2 may have a parent with a leaf), so this bound can only
+    filter the last step of a run.  Both bounds select attachment sets
+    by degrees, a family closed under Aut(parent), so the children kept
+    are exactly the unbounded step's children that meet the bounds, in
+    the same order.
+
+    gens, when given, generate Aut(parent) as ``canon_raw`` returns them
+    and spare the parent's labeling.  When child_gens is a list, one entry
+    per returned child is appended to it: the generators of Aut(child)
+    that the canonicity test found, or None where it did not label the
+    child.
     """
     n = parent.n
     adj = parent.adj
     deg = [a.bit_count() for a in adj]
+    if min_degree is not None and any(d < min_degree - 1 for d in deg):
+        return []
     below = [sum(1 << v for v, d in enumerate(deg) if d < e) for e in range(n + 2)]
     avail, room = (1 << n) - 1, n
     if max_degree is not None:
@@ -147,12 +169,18 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
                  if not s & ~avail and s.bit_count() <= room]
     else:
         raise ValueError(f"unknown generation mode {mode!r}")
-    _, _, gens, _ = canon_raw(n, adj)
+    if min_degree is not None:
+        need = sum(1 << v for v, d in enumerate(deg) if d < min_degree)
+        masks = [s for s in masks if s & need == need and s.bit_count() >= min_degree]
+    if gens is None:
+        _, _, gens, _ = canon_raw(n, adj)
     out = []
     for s in _mask_orbit_reps(masks, gens):
-        child = _canonical_extension(n, adj, deg, below, s)
-        if child is not None:
-            out.append(Graph._unchecked(n + 1, tuple(child)))
+        ext = _canonical_extension(n, adj, deg, below, s)
+        if ext is not None:
+            out.append(Graph._unchecked(n + 1, tuple(ext[0])))
+            if child_gens is not None:
+                child_gens.append(ext[1])
     return out
 
 

@@ -155,7 +155,7 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     if g.n + h.n > MAX_VERTICES:
         raise ValueError(f"combined order {g.n + h.n} exceeds {MAX_VERTICES}")
-    return Graph(g.n + h.n, g.adj + tuple(row << g.n for row in h.adj))
+    return Graph._unchecked(g.n + h.n, g.adj + tuple(row << g.n for row in h.adj))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -164,7 +164,7 @@ def join(g: Graph, h: Graph) -> Graph:
     hmask = ((1 << u.n) - 1) ^ gmask
     adj = tuple((row | hmask) if v < g.n else (row | gmask)
                 for v, row in enumerate(u.adj))
-    return Graph(u.n, adj)
+    return Graph._unchecked(u.n, adj)
 
 
 # ===== graph6 codec =====
@@ -187,39 +187,41 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+_G6_BAD_BYTE = re.compile(r"[^?-~]")
+# a graph6 byte's six bits, last bit first: the body read backwards turns
+# into one integer whose bit i is bit i of the upper-triangle stream
+_G6_BITS_REVERSED = {v + 63: format(v, "06b")[::-1] for v in range(64)}
+
+
 def from_graph6(text: str) -> Graph:
     """Decode a graph6 string; strict about length and zero padding."""
     s = text.strip()
     if not s:
         raise ValueError("empty graph6 string")
-    vals = []
-    for ch in s:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise ValueError(f"byte {ch!r} outside graph6 range")
-        vals.append(v)
-    n = vals[0]
+    bad = _G6_BAD_BYTE.search(s)
+    if bad:
+        raise ValueError(f"byte {bad.group()!r} outside graph6 range")
+    n = ord(s[0]) - 63
     if n == 63:
         raise ValueError("extended graph6 headers (n > 62) not supported")
     if n > MAX_VERTICES:
         raise ValueError(f"graph6 order {n} exceeds cap {MAX_VERTICES}")
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(vals) - 1 != need:
-        raise ValueError(f"graph6 body has {len(vals) - 1} bytes, expected {need}")
+    if len(s) - 1 != need:
+        raise ValueError(f"graph6 body has {len(s) - 1} bytes, expected {need}")
+    stream = int(s[:0:-1].translate(_G6_BITS_REVERSED) or "0", 2)
+    # column j holds the bits x(0,j) .. x(j-1,j), row 0 lowest
     adj = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            if vals[1 + k // 6] >> (5 - k % 6) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+        col = stream & ((1 << j) - 1)
+        stream >>= j
+        adj[j] = col
+        for i in bits(col):
+            adj[i] |= 1 << j
     # trailing pad bits must be zero
-    while k < 6 * need:
-        if vals[1 + k // 6] >> (5 - k % 6) & 1:
-            raise ValueError("nonzero padding bits in graph6 string")
-        k += 1
-    return Graph(n, tuple(adj))
+    if stream:
+        raise ValueError("nonzero padding bits in graph6 string")
+    return Graph._unchecked(n, tuple(adj))
 
 
 # ===== edge-list text format =====

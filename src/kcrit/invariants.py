@@ -180,11 +180,6 @@ def max_matching(g: Graph) -> int:
     return matching_raw(g.n, g.adj, (1 << g.n) - 1)
 
 
-def max_matching_mates(g: Graph) -> tuple[int, ...]:
-    """Mate per vertex under some maximum matching, -1 where exposed."""
-    return tuple(matching_mates_raw(g.n, g.adj, (1 << g.n) - 1))
-
-
 # ===== colorings =====
 
 @dataclass(frozen=True)

@@ -187,3 +187,46 @@ def is_vertex_critical(g: Graph, k: int):
         if not lowers:
             return CriticalityReport(k=chi, is_critical=False, witness=v)
     return CriticalityReport(k=chi, is_critical=True, witness=None)
+
+
+def from_graph6(text: str) -> Graph:
+    """graph6 decoding one bit at a time, validated by the Graph
+    constructor; same checks and messages as the library decoder."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty graph6 string")
+    vals = []
+    for ch in s:
+        v = ord(ch) - 63
+        if not 0 <= v <= 63:
+            raise ValueError(f"byte {ch!r} outside graph6 range")
+        vals.append(v)
+    n = vals[0]
+    if n == 63:
+        raise ValueError("extended graph6 headers (n > 62) not supported")
+    if n > 31:
+        raise ValueError(f"graph6 order {n} exceeds cap 31")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(vals) - 1 != need:
+        raise ValueError(f"graph6 body has {len(vals) - 1} bytes, expected {need}")
+    adj = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if vals[1 + k // 6] >> (5 - k % 6) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            k += 1
+    # trailing pad bits must be zero
+    while k < 6 * need:
+        if vals[1 + k // 6] >> (5 - k % 6) & 1:
+            raise ValueError("nonzero padding bits in graph6 string")
+        k += 1
+    return Graph(n, tuple(adj))
+
+
+def has_perfect_matching(f: Graph) -> bool:
+    """The census's last-step prune before the deficiency prune replaced
+    it: a perfect matching, from the library's maximum matching."""
+    from kcrit.invariants import matching_raw
+    return 2 * matching_raw(f.n, f.adj, (1 << f.n) - 1) == f.n

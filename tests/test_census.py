@@ -2,11 +2,12 @@
 
 import pytest
 
-from kcrit.canon import canonical_form
+import oracles
+from kcrit.canon import canon_raw, canonical_form
 from kcrit.census import (
     CensusRow,
+    _deficiency,
     _filtered_level,
-    _has_perfect_matching,
     _mapper,
     _pieces,
     census_copaw_critical,
@@ -105,17 +106,24 @@ def test_census_workers_match_serial():
 
 
 def test_filtered_level_workers_keep_degree_bound():
-    # the pool path must expand with the same degree bound as the serial one
-    parents = [Graph(1, (0,))]
+    # the pool path must expand with the same degree bound as the serial
+    # one and hand down the same generators
+    parents, gens = [Graph(1, (0,))], None
     for _ in range(5):
-        parents, _ = _filtered_level(parents, 4)
-    serial = _filtered_level(parents, 4)
+        (parents, gens), _ = _filtered_level(parents, 4, gens=gens)
+    serial = _filtered_level(parents, 4, gens=gens)
     with _mapper(2) as mapper:
-        parallel = _filtered_level(parents, 4, mapper)
-    assert len(parents) >= 8
-    assert [g.adj for g in parallel[0]] == [g.adj for g in serial[0]]
-    assert parallel[1] == serial[1] and len(serial[1]) == 6   # P_4 at order 7
-    assert max(a.bit_count() for g in serial[0] for a in g.adj) <= 4
+        parallel = _filtered_level(parents, 4, mapper, gens)
+        parallel_leaf = _filtered_level(parents, 4, mapper, gens, leaf=True)
+    assert len(parents) >= 8 and any(g is not None for g in gens)
+    (kids, kid_gens), codes = serial
+    assert parallel == serial
+    assert len(kid_gens) == len(kids) and any(g is not None for g in kid_gens)
+    assert len(codes) == 6                                   # P_4 at order 7
+    assert max(a.bit_count() for g in kids for a in g.adj) <= 4
+    # the leaf step keeps no children and finds the same pieces
+    assert parallel_leaf == _filtered_level(parents, 4, gens=gens, leaf=True)
+    assert parallel_leaf == (([], []), codes)
 
 
 # ===== the prime-piece census against the level-by-level pipeline =====
@@ -148,18 +156,42 @@ def test_piece_census_equals_level_filter_census(k, n_max):
 
 
 @pytest.mark.parametrize("top", [3, 4, 5])
-def test_perfect_matching_prune_loses_no_piece(top):
-    # without the prune, the filter finds the same pieces in the same order
-    level, unpruned = [Graph(1, (0,))], {}
-    for n in range(2, 2 * top):
-        if n == 2 * top - 1:
-            kept = [f for f in level if _has_perfect_matching(f)]
-            assert 0 < len(kept) < len(level)
-        level, unpruned[n] = _filtered_level(level, top - 1)
+def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
+    # an unpruned run that keeps every child at every order finds the same
+    # pieces in the same order, and both prunes drop something: the
+    # deficiency prune some graph at some order, the leaf step (minimum
+    # degree >= 2 at the last order) some child
+    last = 2 * top - 1
+    level, unpruned, drops = [Graph(1, (0,))], {}, 0
+    for n in range(2, last + 1):
+        kept = [f for f in level if _deficiency(f) <= last - n]
+        drops += len(kept) < len(level)
+        if n == last:       # the perfect-matching prune it generalises
+            assert kept == [f for f in level if oracles.has_perfect_matching(f)]
+        (level, _), unpruned[n] = _filtered_level(level, top - 1)
+    assert drops and 0 < len(kept)
+    assert any(min(a.bit_count() for a in f.adj) < 2 for f in level)
     pieces = _pieces(top)
-    assert [pieces[j] for j in range(3, top + 1)] == \
-        [unpruned[2 * j - 1] for j in range(3, top + 1)]
+    assert [pieces[j] for j in range(2, top + 1)] == \
+        [unpruned[2 * j - 1] for j in range(2, top + 1)]
     assert [len(pieces[j]) for j in range(1, top + 1)] == [1, 0, 1, 6, 170][:top]
+
+
+def test_pieces_hand_generators_down(monkeypatch):
+    # a parent that stage 4 labelled when it was accepted comes with its
+    # own generators, so the next step does not label it again
+    import kcrit.census as census
+    seen, expand = [], census.child_graphs
+
+    def spy(parent, *args, gens=None, **kwargs):
+        seen.append((parent, gens))
+        return expand(parent, *args, gens=gens, **kwargs)
+
+    monkeypatch.setattr(census, "child_graphs", spy)
+    _pieces(5)
+    handed = [(p, g) for p, g in seen if g is not None]
+    assert len(handed) > len(seen) // 4
+    assert all(g == canon_raw(p.n, p.adj)[2] for p, g in handed)
 
 
 def _per_vertex_pieces(top):

@@ -113,6 +113,24 @@ def test_census_alpha_flag_needs_exhaustive_pipeline(capsys):
     assert "total 2" in capsys.readouterr().out
 
 
+def test_census_bad_out_path_is_usage_error(tmp_path, capsys):
+    # the output file is opened before the census runs
+    bad = tmp_path / "missing" / "x.g6"
+    assert run(["census", "--k", "4", "--out", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "Traceback" not in err and out == ""
+    assert not bad.exists()
+
+
+def test_census_out_file_replaced_and_kept_on_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "res.g6"
+    out_file.write_text("old line\nanother\n")
+    assert run(["census", "--k", "9", "--out", str(out_file)]) == 2
+    assert out_file.read_text() == "old line\nanother\n"
+    assert run(["census", "--k", "3", "--out", str(out_file)]) == 0
+    assert len(out_file.read_text().split()) == 2
+
+
 def test_census_deterministic(capsys):
     run(["census", "--k", "4"])
     first = capsys.readouterr().out
@@ -174,6 +192,14 @@ def test_convert_round_trip(tmp_path, capsys):
     assert all(is_isomorphic(a, b) for a, b in zip(orig, back))
 
 
+def test_convert_bad_out_path_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "missing" / "x.edges"
+    assert run(["convert", str(data_path("critical4.g6")), "--to", "edges",
+                "--out", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == ""
+
+
 def test_convert_parse_error():
     assert run(["convert", "/no/such/file", "--to", "graph6"]) == 2
 
@@ -198,3 +224,15 @@ def test_family_bad_params(capsys):
     assert run(["family", "odd-cycle", "0"]) == 2
     capsys.readouterr()
     assert run(["family", "clique-cycle", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["odd-cycle", "5", "9", "7"], "odd-cycle takes 1 parameter(s) (m), got 3"),
+    (["co-odd-cycle", "5", "2"], "co-odd-cycle takes 1 parameter(s) (k), got 2"),
+    (["clique-cycle", "5"], "clique-cycle takes 2 parameter(s) (t k), got 1"),
+    (["clique-cycle", "2", "4", "1"], "clique-cycle takes 2 parameter(s) (t k), got 3"),
+])
+def test_family_wrong_parameter_count(capsys, argv, expect):
+    assert run(["family"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {expect}\n" and out == ""

@@ -3,7 +3,7 @@
 import pytest
 
 import oracles
-from kcrit.canon import canonical_form
+from kcrit.canon import canon_raw, canonical_form
 from kcrit.generate import (
     ALL_GRAPHS,
     TRIANGLE_FREE,
@@ -108,6 +108,62 @@ def test_degree_bounded_equals_filtered_unbounded(mode, top):
             assert ({canonical_form(g) for g in got}
                     == {canonical_form(g) for g in kept})
             assert [g.adj for g in got] == [g.adj for g in kept]
+
+
+def _min_degree(g):
+    return min(a.bit_count() for a in g.adj)
+
+
+@pytest.mark.parametrize("mode,top,max_degree", [(TRIANGLE_FREE, 8, None),
+                                                 (TRIANGLE_FREE, 9, 4),
+                                                 (ALL_GRAPHS, 6, None)])
+def test_min_degree_equals_post_filter(mode, top, max_degree, monkeypatch):
+    # the attachment rule keeps exactly the children of minimum degree
+    # >= d, in the order of the unbounded step, and it restricts the
+    # masks before their orbit representatives are taken
+    import kcrit.generate as generate
+    offered, reps = [], generate._mask_orbit_reps
+
+    def spy(masks, gens):
+        offered.append(list(masks))
+        return reps(masks, gens)
+
+    monkeypatch.setattr(generate, "_mask_orbit_reps", spy)
+    for level in _levels(mode, top - 1, max_degree):
+        for p in level:
+            kids = child_graphs(p, mode, max_degree)
+            for d in (1, 2, 3):
+                want = [g.adj for g in kids if _min_degree(g) >= d]
+                offered.clear()
+                assert [g.adj for g in child_graphs(p, mode, max_degree, d)] == want
+                need = sum(1 << v for v, a in enumerate(p.adj) if a.bit_count() < d)
+                assert all(s & need == need and s.bit_count() >= d
+                           for masks in offered for s in masks)
+
+
+# ===== handed-down automorphism generators =====
+
+def test_handed_down_generators_give_the_same_children():
+    # on every triangle-free parent up to order 8: the generators found
+    # while accepting a child are its canon_raw generators, and expanding
+    # with them gives the same children (and generators) as labelling it
+    level, gens = [Graph(1, (0,))], [None]
+    handed = 0
+    while level[0].n <= 8:
+        next_level, next_gens = [], []
+        for p, g in zip(level, gens):
+            if g is not None:
+                handed += 1
+                assert g == canon_raw(p.n, p.adj)[2]
+            mine, fresh = [], []
+            kids = child_graphs(p, TRIANGLE_FREE, gens=g, child_gens=mine)
+            assert [c.adj for c in kids] == \
+                [c.adj for c in child_graphs(p, TRIANGLE_FREE, child_gens=fresh)]
+            assert mine == fresh and len(mine) == len(kids)
+            next_level += kids
+            next_gens += mine
+        level, gens = next_level, next_gens
+    assert len(level) == 1897 and handed > 200
 
 
 # ===== emitted-stream invariants =====

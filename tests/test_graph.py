@@ -1,5 +1,7 @@
 """Graph representation, transformations, and serialization."""
 
+from random import Random
+
 import pytest
 from hypothesis import given
 
@@ -8,7 +10,7 @@ from kcrit.graph import (Graph, bits, complement, delete_vertex, disjoint_union,
                          format_edge_list, from_edge_list, from_graph6,
                          induced_subgraph, join, mask_of, parse_edge_list,
                          parse_graph_line, relabel, to_graph6)
-from util import graphs
+from util import data_path, graphs, random_graph
 
 K4 = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -143,6 +145,32 @@ def test_graph6_malformed():
         from_graph6(chr(35 + 63))   # order 35 > 31 cap
     with pytest.raises(ValueError):
         from_graph6("C" + chr(30))  # byte below 63
+
+
+def test_graph6_decoder_equals_bitwise_oracle():
+    # the one-integer decoder against the bit-at-a-time decoder it replaced
+    for name in ("critical4.g6", "critical5.g6", "critical6.g6"):
+        lines = data_path(name).read_text().split()
+        codes = [c for c in lines if not c.startswith(("k=", "count="))]
+        assert codes
+        for c in codes:
+            assert from_graph6(c) == oracles.from_graph6(c)
+    rng = Random(6)
+    for n in range(32):
+        for _ in range(4):
+            g = random_graph(rng, n, rng.random())
+            assert from_graph6(to_graph6(g)) == oracles.from_graph6(to_graph6(g)) == g
+
+
+def _error(decode, text):
+    with pytest.raises(ValueError) as exc:
+        decode(text)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("text", ["B~", "Ab", "C~~", "~", "`", "A\x7f", ""])
+def test_graph6_errors_equal_oracle(text):
+    assert _error(from_graph6, text) == _error(oracles.from_graph6, text)
 
 
 # ===== edge-list text =====
