@@ -17,8 +17,8 @@ from functools import lru_cache
 from .canon import canonical_form, is_isomorphic
 from .census import census_copaw_critical
 from .critical import find_critical_subgraph, is_vertex_critical
-from .graph import Graph, bits, complement, from_graph6, induced_subgraph, mask_of
-from .invariants import Coloring, is_proper_coloring, matching_mates_raw
+from .graph import Graph, bits, from_graph6, induced_subgraph, mask_of
+from .invariants import Coloring, alpha_le_2_chi, is_proper_coloring
 from .patterns import contains_induced, copaw_decompose, named_graph
 
 YES = "yes"
@@ -118,8 +118,7 @@ def build_database(k: int, from_census: bool = False,
 def _color_alpha_le_2(sub: Graph) -> list[int]:
     # pair up nonadjacent vertices via a maximum matching in the
     # complement; pairs share a color, leftovers get their own
-    comp = complement(sub)
-    mates = matching_mates_raw(comp.n, comp.adj, (1 << comp.n) - 1)
+    _, _, mates = alpha_le_2_chi(sub)
     colors = [-1] * sub.n
     nxt = 0
     for v in range(sub.n):

@@ -3,9 +3,9 @@
 A graph is k-vertex-critical when its chromatic number is k and deleting
 any single vertex lowers it.  When alpha(g) <= 2 (the complement F is
 triangle-free) chi(g) = n - nu(F), and deleting v lowers chi exactly
-when some maximum matching of F leaves v exposed.  So one maximum
-matching and one Gallai-Edmonds pass over F decide criticality: g is
-critical iff every vertex is in D(F).  Otherwise every deletion is
+when some maximum matching of F leaves v exposed (v is in D(F)).  So one
+maximum matching and one Gallai-Edmonds pass over F decide criticality,
+and a peel needs one per deletion.  Otherwise every deletion is
 checked with an exact coloring.
 """
 
@@ -13,16 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, complement, delete_vertex, join, mask_of
+from .graph import Graph, bits, delete_vertex, induced_subgraph, join
 from .invariants import (
+    alpha_le_2_chi,
     chromatic_number,
     coloring_with_min_class_size,
     gallai_edmonds_d_raw,
-    independence_number,
+    independence_number,  # for the perfbench span invariants.independence_number
     is_k_colorable,
     matching_mates_raw,
-    matching_raw,
-    triangle_free_raw,
+    matching_raw,  # for the perfbench span invariants.matching_raw
 )
 from .patterns import co_components
 
@@ -52,22 +52,17 @@ def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = g.n
-    full = (1 << n) - 1
-    co = complement(g)
-    small_alpha = triangle_free_raw(co.adj)          # alpha(g) <= 2
-    if small_alpha:
-        mates = matching_mates_raw(n, co.adj, full)
-        chi = (n + mates.count(-1)) // 2             # n - nu(co)
-    else:
-        chi = chromatic_number(g)
+    small = alpha_le_2_chi(g)
+    chi = chromatic_number(g) if small is None else small[0]
     if chi != k:
         return CriticalityReport(k=chi, is_critical=False, witness=None)
-    if small_alpha:
+    if small is not None:
         # deleting v keeps chi iff every maximum matching of co covers v
-        keeps = bits(full & ~gallai_edmonds_d_raw(n, co.adj, full, mates))
+        full = (1 << g.n) - 1
+        _, co, mates = small
+        keeps = bits(full & ~gallai_edmonds_d_raw(g.n, co, full, mates))
     else:
-        keeps = (v for v in range(n)
+        keeps = (v for v in range(g.n)
                  if is_k_colorable(delete_vertex(g, v), k - 1) is None)
     witness = next(keeps, None)
     return CriticalityReport(k=chi, is_critical=witness is None, witness=witness)
@@ -75,38 +70,36 @@ def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
 
 # ===== extracting a critical induced subgraph =====
 
-def _chi_at_least(g: Graph, k: int) -> bool:
-    if independence_number(g) <= 2:
-        comp = complement(g)
-        return g.n - matching_raw(comp.n, comp.adj, (1 << g.n) - 1) >= k
-    return is_k_colorable(g, k - 1) is None
-
-
 def find_critical_subgraph(g: Graph, k: int) -> int:
     """Vertex mask (in g's labels) inducing a k-vertex-critical subgraph.
 
-    Greedy peel: repeatedly delete the lowest-indexed vertex whose
-    removal keeps the chromatic number at k or above, restarting the
-    scan after each deletion.  When no vertex is deletable the remainder
-    is k-vertex-critical.  Requires chi(g) >= k.
+    One ascending pass deletes each vertex whose removal keeps chi >= k;
+    a kept vertex stays kept, as chi(S - v) < k implies chi(S' - v) < k
+    for S' inside S.  When alpha(g) <= 2, only deleting a vertex of D
+    lowers chi (by one).  Requires chi(g) >= k.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not _chi_at_least(g, k):
+    small = alpha_le_2_chi(g)
+    chi = chromatic_number(g) if small is None else small[0]
+    if chi < k:
         raise ValueError("graph is not even k-chromatic; nothing to extract")
-    keep = list(range(g.n))
-    sub = g
-    progress = True
-    while progress:
-        progress = False
-        for i in range(sub.n):
-            cand = delete_vertex(sub, i)
-            if _chi_at_least(cand, k):
-                sub = cand
-                del keep[i]
-                progress = True
-                break
-    return mask_of(keep)
+    active = (1 << g.n) - 1
+    if small is None:
+        for v in range(g.n):
+            if is_k_colorable(induced_subgraph(g, active ^ 1 << v), k - 1) is None:
+                active ^= 1 << v
+        return active
+    _, co, mates = small
+    d = gallai_edmonds_d_raw(g.n, co, active, mates)
+    for v in range(g.n):
+        in_d = d >> v & 1
+        if chi > k or not in_d:
+            chi -= in_d
+            active ^= 1 << v
+            mates = matching_mates_raw(g.n, co, active)
+            d = gallai_edmonds_d_raw(g.n, co, active, mates)
+    return active
 
 
 # ===== structural checks used as property tests =====

@@ -127,20 +127,38 @@ def complement(g: Graph) -> Graph:
                                        for v, row in enumerate(g.adj)))
 
 
+def _check_vertex(g: Graph, v: int) -> None:
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
+
+
 def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
-    """Subgraph induced on s (mask or iterable), relabeled in ascending index order."""
-    smask = s if isinstance(s, int) else mask_of(s)
+    """Subgraph induced on s (mask or iterable), relabeled in ascending index order.
+
+    Raises ValueError naming a vertex of s outside 0..n-1.
+    """
+    if isinstance(s, int):
+        high = s >> g.n                 # negative masks have every high bit
+        if high:
+            _check_vertex(g, g.n + (high & -high).bit_length() - 1)
+        smask = s
+    else:
+        smask = 0
+        for v in s:
+            _check_vertex(g, v)
+            smask |= 1 << v
     verts = list(bits(smask))
     pos = {v: i for i, v in enumerate(verts)}
     adj = [0] * len(verts)
     for v in verts:
         for u in bits(g.adj[v] & smask):
             adj[pos[v]] |= 1 << pos[u]
-    return Graph(len(verts), tuple(adj))
+    return Graph._unchecked(len(verts), tuple(adj))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
-    return induced_subgraph(g, ((1 << g.n) - 1) & ~(1 << v))
+    _check_vertex(g, v)
+    return induced_subgraph(g, ((1 << g.n) - 1) ^ 1 << v)
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:

@@ -8,9 +8,9 @@ alternating-forest search, grown from every exposed vertex at once, gives
 the Gallai-Edmonds set D (the vertices some maximum matching leaves
 exposed), which decides every vertex deletion in one pass.
 
-Chromatic number takes a structural shortcut when alpha(G) <= 2, i.e. when
+``alpha_le_2_chi`` is the structural shortcut when alpha(G) <= 2, i.e. when
 the complement is triangle-free: color classes then have at most two
-vertices, so an optimal coloring pairs up nonadjacent vertices, i.e.
+vertices, so an optimal coloring pairs up nonadjacent vertices and
 chi(G) = n - nu(complement(G)).  Everything else goes through
 saturation-ordered branch and bound with a greedy clique lower bound.
 """
@@ -319,18 +319,23 @@ def triangle_free_raw(adj) -> bool:
                    for u in bits(row >> v << v))
 
 
-def chromatic_number(g: Graph) -> int:
-    """chi(G), exact; alpha <= 2 fast path, else DSATUR branch and bound.
+def alpha_le_2_chi(g: Graph):
+    """(chi, complement adjacency, mates of a maximum matching of the
+    complement, -1 exposed) when alpha(G) <= 2, else None."""
+    co = complement(g).adj
+    if not triangle_free_raw(co):
+        return None
+    mates = matching_mates_raw(g.n, co, (1 << g.n) - 1)
+    return (g.n + mates.count(-1)) // 2, co, mates
 
-    alpha(G) <= 2 exactly when the complement is triangle-free, which a
-    pass over its edges decides.
-    """
-    n = g.n
-    co = complement(g)
-    if triangle_free_raw(co.adj):
-        return n - matching_raw(n, co.adj, (1 << n) - 1)
-    greedy = _normalized(_dsatur_order_greedy(n, g.adj))
-    better = _bb_coloring(n, g.adj, greedy.k, first_hit=False)
+
+def chromatic_number(g: Graph) -> int:
+    """chi(G), exact; alpha <= 2 fast path, else DSATUR branch and bound."""
+    small = alpha_le_2_chi(g)
+    if small is not None:
+        return small[0]
+    greedy = _normalized(_dsatur_order_greedy(g.n, g.adj))
+    better = _bb_coloring(g.n, g.adj, greedy.k, first_hit=False)
     return greedy.k if better is None else max(better) + 1
 
 

@@ -230,3 +230,39 @@ def has_perfect_matching(f: Graph) -> bool:
     it: a perfect matching, from the library's maximum matching."""
     from kcrit.invariants import matching_raw
     return 2 * matching_raw(f.n, f.adj, (1 << f.n) - 1) == f.n
+
+
+def _chi_at_least(g: Graph, k: int) -> bool:
+    from kcrit.graph import complement
+    from kcrit.invariants import independence_number, is_k_colorable, matching_raw
+
+    if independence_number(g) <= 2:
+        comp = complement(g)
+        return g.n - matching_raw(comp.n, comp.adj, (1 << g.n) - 1) >= k
+    return is_k_colorable(g, k - 1) is None
+
+
+def find_critical_subgraph(g: Graph, k: int) -> int:
+    """The peel before the one-pass Gallai-Edmonds peel replaced it:
+    repeatedly delete the lowest-indexed vertex whose removal keeps the
+    chromatic number at k or above, restarting the scan after each
+    deletion.  Same mask and same ValueErrors as the library."""
+    from kcrit.graph import delete_vertex, mask_of
+
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not _chi_at_least(g, k):
+        raise ValueError("graph is not even k-chromatic; nothing to extract")
+    keep = list(range(g.n))
+    sub = g
+    progress = True
+    while progress:
+        progress = False
+        for i in range(sub.n):
+            cand = delete_vertex(sub, i)
+            if _chi_at_least(cand, k):
+                sub = cand
+                del keep[i]
+                progress = True
+                break
+    return mask_of(keep)

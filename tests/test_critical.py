@@ -17,6 +17,7 @@ from kcrit.critical import (
 from kcrit.families import co_odd_cycle, odd_cycle
 from kcrit.graph import (
     Graph,
+    bits,
     complement,
     delete_vertex,
     disjoint_union,
@@ -26,11 +27,12 @@ from kcrit.graph import (
     read_graph_file,
     relabel,
 )
-from kcrit.invariants import chromatic_number
+from kcrit.invariants import chromatic_number, triangle_free_raw
 from kcrit.canon import is_isomorphic
-from kcrit.patterns import named_graph
+from kcrit.patterns import copaw_decompose, named_graph
 
-from util import data_path, graphs, random_graph, random_triangle_free
+from util import (data_path, graphs, random_copaw_free, random_graph,
+                  random_triangle_free)
 
 
 # ===== is_vertex_critical =====
@@ -44,21 +46,25 @@ def test_known_critical_graphs():
 @pytest.mark.parametrize("name, k", [("C5", 3), ("C7", 3), ("K4", 4), ("C6", 3)])
 def test_alpha_computed_once(monkeypatch, name, k):
     # alpha is not computed at all: alpha <= 2 is read off a triangle test
-    # on the complement; alpha(C7) = 3 takes the branch-and-bound path,
-    # the rest alpha <= 2
-    import kcrit.critical
+    # on the complement, by the criticality test, the peel and the join
+    # decomposition; alpha(C7) = 3 takes the branch-and-bound path, the
+    # rest alpha <= 2.  Every binding of independence_number ends in
+    # _alpha_raw, so counting that counts them all.
     import kcrit.invariants
     g = named_graph(name)
     chi = chromatic_number(g)
     calls = []
+    real = kcrit.invariants._alpha_raw
 
-    def counted(g):
-        calls.append(g.n)
-        return kcrit.invariants._alpha_raw(g.n, g.adj, (1 << g.n) - 1)
+    def counted(n, adj, avail):
+        calls.append(n)
+        return real(n, adj, avail)
 
-    monkeypatch.setattr(kcrit.critical, "independence_number", counted)
-    monkeypatch.setattr(kcrit.invariants, "independence_number", counted)
+    monkeypatch.setattr(kcrit.invariants, "_alpha_raw", counted)
     assert is_vertex_critical(g, k).k == chi
+    assert is_vertex_critical(induced_subgraph(g, find_critical_subgraph(g, chi)),
+                             chi).is_critical
+    copaw_decompose(g)
     assert calls == []
 
 
@@ -200,6 +206,115 @@ def test_peel_output_is_critical(g):
     s = find_critical_subgraph(g, k)
     sub = induced_subgraph(g, s)
     assert is_vertex_critical(sub, k).is_critical
+
+
+# ===== the one-pass peel against the restart-loop oracle =====
+
+def _peel(f, g, k):
+    try:
+        return f(g, k)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _peels_agree(g):
+    # same mask or same ValueError at every k up to one past chi
+    for k in range(1, chromatic_number(g) + 2):
+        assert _peel(find_critical_subgraph, g, k) == \
+            _peel(oracles.find_critical_subgraph, g, k), (g, k)
+
+
+def _with_extra_vertices(rng, g):
+    # 1-3 new vertices, each a true twin of an old one (alpha stays <= 2)
+    # or joined to a random half (alpha usually rises)
+    adj = list(g.adj)
+    for _ in range(rng.randint(1, 3)):
+        v = len(adj)
+        if rng.random() < 0.5:
+            u = rng.randrange(v)
+            row = adj[u] | 1 << u
+        else:
+            row = sum(1 << u for u in range(v) if rng.random() < 0.5)
+        for u in bits(row):
+            adj[u] |= 1 << v
+        adj.append(row)
+    return Graph(len(adj), tuple(adj))
+
+
+def _critical6_extended(seed):
+    rng = random.Random(seed)
+    gs = [g for _, g in read_graph_file(data_path("critical6.g6"))]
+    return [_with_extra_vertices(rng, g) for g in rng.sample(gs, 300)]
+
+
+def test_peel_oracle_on_critical45():
+    for k in (4, 5):
+        for _, g in read_graph_file(data_path(f"critical{k}.g6")):
+            _peels_agree(g)
+
+
+def test_peel_oracle_on_extended_critical6():
+    small_alpha = 0
+    for g in _critical6_extended(73):
+        small_alpha += triangle_free_raw(complement(g).adj)
+        _peels_agree(g)
+    assert small_alpha > 20
+
+
+def test_peel_oracle_on_copaw_free_no_instances():
+    # chi >= 4: each is a NO instance of the k = 3 certifier and more
+    rng = random.Random(79)
+    seen = 0
+    while seen < 400:
+        g = random_copaw_free(rng, 12)
+        if chromatic_number(g) >= 4:
+            seen += 1
+            _peels_agree(g)
+
+
+def test_peel_oracle_on_random_graphs():
+    rng = random.Random(83)
+    small_alpha = 0
+    for i in range(400):
+        if i % 2:
+            g = complement(random_triangle_free(rng, rng.randint(1, 13),
+                                                p=rng.choice([0.3, 0.5])))
+        else:
+            g = random_graph(rng, rng.randint(1, 9), p=rng.choice([0.3, 0.5, 0.7]))
+        small_alpha += oracles.independence_number(g) <= 2
+        _peels_agree(g)
+    assert 200 <= small_alpha < 400
+
+
+def test_peel_matching_count(monkeypatch):
+    # the alpha <= 2 peel: one matching up front and one per deletion,
+    # never a matching size alone
+    import kcrit.critical
+    import kcrit.invariants
+    calls = {"mates": 0, "size": 0}
+    real = kcrit.invariants.matching_mates_raw
+
+    def mates(*args):
+        calls["mates"] += 1
+        return real(*args)
+
+    def size(*args):
+        calls["size"] += 1
+        return 0
+
+    for mod in (kcrit.critical, kcrit.invariants):
+        monkeypatch.setattr(mod, "matching_mates_raw", mates)
+        monkeypatch.setattr(mod, "matching_raw", size)
+    peeled = 0
+    for g in _critical6_extended(89)[:60]:
+        if not triangle_free_raw(complement(g).adj):
+            continue
+        for k in range(1, 7):
+            calls["mates"] = 0
+            find_critical_subgraph(g, k)
+            assert calls["mates"] <= g.n + 1 and calls["size"] == 0, (g, k)
+            peeled += 1
+    assert peeled > 30
 
 
 # ===== colorings with every class of size two =====

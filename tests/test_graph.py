@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from kcrit.graph import (Graph, bits, complement, delete_vertex, disjoint_union,
@@ -82,6 +83,32 @@ def test_delete_vertex():
     p4 = delete_vertex(C5, 0)
     assert p4.n == 4 and p4.edge_count() == 3 and sorted(p4.degree_sequence()) == [1, 1, 2, 2]
     assert delete_vertex(K4, 2) == complete(3)
+
+
+@pytest.mark.parametrize("s, vertex", [
+    (-1, 5),                    # a negative mask holds every vertex from n up
+    (0b1100001, 5),
+    (1 << 9, 9),
+    ([0, 7], 7),
+    ({1, -2}, -2),
+])
+def test_induced_rejects_vertices_out_of_range(s, vertex):
+    with pytest.raises(ValueError, match=f"vertex {vertex} out of range for n=5"):
+        induced_subgraph(C5, s)
+
+
+@pytest.mark.parametrize("v", [-1, 5, 7])
+def test_delete_vertex_rejects_vertices_out_of_range(v):
+    with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
+        delete_vertex(C5, v)
+
+
+@given(graphs(max_n=9), st.integers(0, (1 << 9) - 1))
+def test_induced_subgraph_is_valid(g, s):
+    # built without the constructor's checks; they must pass anyway
+    h = induced_subgraph(g, s & ((1 << g.n) - 1))
+    assert Graph(h.n, h.adj) == h
+    assert induced_subgraph(g, list(bits(s & ((1 << g.n) - 1)))) == h
 
 
 def test_join_and_union():
