@@ -17,7 +17,7 @@ from .critical import is_vertex_critical
 from .families import clique_substituted_odd_cycle, co_odd_cycle, odd_cycle
 from .graph import bits, format_edge_list, read_graph_file, to_graph6
 from .invariants import chromatic_number, clique_number, independence_number
-from .patterns import is_free, named_graph
+from .patterns import is_free, is_p3p1, named_graph
 
 
 def _load(path):
@@ -78,10 +78,14 @@ def _cmd_check(args) -> int:
 # ===== census =====
 
 def _cmd_census(args) -> int:
-    pattern = None if args.pattern.lower() == "none" else args.pattern
-    copaw = (pattern is not None
-             and pattern.replace("+", "").replace(" ", "").lower() == "p3p1")
-    fast = copaw and not args.all_graphs
+    pattern = None
+    if args.pattern.lower() != "none":
+        try:
+            pattern = named_graph(args.pattern)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    fast = pattern is not None and is_p3p1(pattern) and not args.all_graphs
     if fast and args.alpha_le_2:
         print("error: --alpha-le-2 applies to the exhaustive pipeline only; "
               "add --all-graphs or pick another pattern", file=sys.stderr)

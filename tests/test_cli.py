@@ -79,6 +79,30 @@ def test_census_small_copaw(capsys):
     assert code == 0 and "total 2" in out
 
 
+@pytest.mark.parametrize("spelling", ["co-paw", "copaw", "p3p1", "P3 + P1", "p3+p1"])
+def test_census_fast_path_for_every_p3p1_spelling(capsys, spelling):
+    # the fast path is chosen from the parsed pattern, so it needs no
+    # --max-order under any name of P3+P1
+    assert run(["census", "--k", "4"]) == 0
+    expected = capsys.readouterr().out
+    assert run(["census", "--k", "4", "--pattern", spelling]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_census_co_paw_exhaustive(capsys):
+    code = run(["census", "--k", "3", "--pattern", "co-paw", "--all-graphs",
+                "--max-order", "5"])
+    out = capsys.readouterr().out
+    assert code == 0 and "total 2" in out
+
+
+def test_census_unknown_pattern_is_usage_error(capsys):
+    assert run(["census", "--k", "3", "--pattern", "triangle?",
+                "--max-order", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert "unknown pattern" in err and "Traceback" not in err and out == ""
+
+
 def test_census_general_pattern(capsys, tmp_path):
     out_file = tmp_path / "res.g6"
     code = run(["census", "--k", "3", "--pattern", "P2+2P1",

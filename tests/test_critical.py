@@ -68,6 +68,27 @@ def test_alpha_computed_once(monkeypatch, name, k):
     assert calls == []
 
 
+@pytest.mark.parametrize("name, k", [("C5", 3), ("C7", 3), ("K4", 4), ("C6", 3)])
+def test_triangle_test_runs_once(monkeypatch, name, k):
+    # the criticality test and the peel run the complement's triangle test
+    # once; when it fails (alpha(C7) = 3) chi comes from branch and bound
+    # without a second alpha <= 2 attempt
+    import kcrit.invariants
+    g = named_graph(name)
+    calls = []
+    real = kcrit.invariants.triangle_free_raw
+
+    def counted(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(kcrit.invariants, "triangle_free_raw", counted)
+    chi = is_vertex_critical(g, k).k
+    assert calls == [g.n]
+    find_critical_subgraph(g, chi)
+    assert calls == [g.n, g.n]
+
+
 def test_wrong_chromatic_number_short_circuits():
     rep = is_vertex_critical(named_graph("C6"), 3)
     assert rep == CriticalityReport(2, False, None)

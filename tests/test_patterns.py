@@ -1,7 +1,7 @@
 """Pattern catalog, induced-subgraph detection, and the join decomposition."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,7 @@ from kcrit.canon import canonical_form, is_isomorphic
 from kcrit.graph import (Graph, complement, from_edge_list, induced_subgraph,
                          join, mask_of, read_graph_file, relabel)
 from kcrit.patterns import (ORDER4_NAMES, JoinDecomposition, contains_induced,
-                            copaw_decompose, is_free, is_p2_lp1_free,
+                            copaw_decompose, is_free, is_p2_lp1_free, is_p3p1,
                             maximal_independent_set, named_graph,
                             nonneighbor_profile, p2_lp1)
 from util import (canonical_reps, data_path, graphs, random_copaw_free,
@@ -42,6 +42,9 @@ def test_named_graph_parsing_variants():
     assert named_graph("P2+P1").n == 3
     assert named_graph("p2+3p1").n == 5
     assert named_graph("2K2").edge_count() == 2
+    for spelling in ("p3p1", "P3P1", "P3 + P1", "p3++p1"):
+        assert named_graph(spelling) == named_graph("P3+P1")
+    assert named_graph("co-p3p1") == named_graph("co-P3+P1")
 
 
 def test_named_graph_rejects():
@@ -174,6 +177,42 @@ def test_certify_answers_unchanged_under_backtracking(monkeypatch):
     assert verdicts == {certify.YES, certify.NO, certify.NOT_IN_CLASS}
 
 
+def test_contains_induced_p3p1_matches_oracle():
+    # the certifier's NOT-IN-CLASS witness is contains_induced's embedding,
+    # while is_free decides P3+P1 by the decomposition
+    h = named_graph("P3+P1")
+    rng = random.Random(41)
+    found = 0
+    for _ in range(800):
+        g = random_graph(rng, rng.randint(0, 10), p=rng.choice([0.2, 0.5, 0.8, 0.9]))
+        phi = contains_induced(g, h)
+        assert (phi is None) == oracles.is_p3p1_free(g)
+        if phi is not None:
+            found += 1
+            assert len(set(phi)) == 4
+            assert all((h.adj[i] >> j & 1) == (g.adj[phi[i]] >> phi[j] & 1)
+                       for i in range(4) for j in range(i + 1, 4))
+    assert 200 < found < 700   # both outcomes well represented
+
+
+def test_is_free_matches_contains_induced_for_order4_patterns():
+    p3p1 = named_graph("P3+P1")
+    relabelled = {relabel(p3p1, list(perm)) for perm in permutations(range(4))}
+    assert len(relabelled) == 12
+    patterns = [named_graph(name) for name in ORDER4_NAMES] + sorted(
+        relabelled, key=lambda h: h.adj)
+    assert [is_p3p1(h) for h in patterns[:11]] == [
+        name == "P3+P1" for name in ORDER4_NAMES]
+    assert all(is_p3p1(h) for h in relabelled)
+    rng = random.Random(43)
+    batch = [random_graph(rng, rng.randint(0, 10), p=rng.choice([0.3, 0.5, 0.8]))
+             for _ in range(150)]
+    batch += [random_copaw_free(rng, max_n=10) for _ in range(50)]
+    for g in batch:
+        for h in patterns:
+            assert is_free(g, h) == (contains_induced(g, h) is None)
+
+
 def test_is_free_agrees_with_subset_scan_n6():
     patterns = [named_graph(name) for name in ORDER4_NAMES]
     for n in range(4, 7):
@@ -241,6 +280,38 @@ def test_decompose_iff_free(g):
             rebuilt = sub if rebuilt is None else join(rebuilt, sub)
         if rebuilt is not None:
             assert is_isomorphic(rebuilt, g)
+
+
+def test_decompose_matches_oracle_on_random_graphs():
+    rng = random.Random(47)
+    present = 0
+    for _ in range(1500):
+        g = random_graph(rng, rng.randint(0, 12), p=rng.choice([0.2, 0.5, 0.8, 0.9]))
+        dec = copaw_decompose(g)
+        assert dec == oracles.copaw_decompose(g)
+        present += dec is not None
+    assert 300 < present < 1200   # both outcomes well represented
+
+
+def test_decompose_matches_oracle_on_critical_lists():
+    graphs_ = [g for k in (4, 5)
+               for _, g in read_graph_file(data_path(f"critical{k}.g6"))]
+    six = [g for _, g in read_graph_file(data_path("critical6.g6"))]
+    graphs_ += random.Random(53).sample(six, 400)
+    for g in graphs_:
+        dec = copaw_decompose(g)
+        assert dec is not None and dec == oracles.copaw_decompose(g)
+
+
+def test_decompose_matches_oracle_on_copaw_free_joins():
+    rng = random.Random(59)
+    kinds = set()
+    for _ in range(600):
+        g = random_copaw_free(rng, max_n=12)
+        dec = copaw_decompose(g)
+        assert dec is not None and dec == oracles.copaw_decompose(g)
+        kinds.update(dec.kinds)
+    assert len(kinds) == 3   # alpha <= 2 only, cliques only, and both
 
 
 def test_decompose_factor_kinds_hold():
