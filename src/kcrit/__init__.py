@@ -1,9 +1,13 @@
 """Exact tools for k-vertex-critical graphs with small forbidden subgraphs.
 
 Bitmask graphs up to 31 vertices, exact invariants (chromatic,
-independence, clique, matching numbers), induced-pattern detection,
-canonical forms, isomorph-free enumeration, criticality censuses, and a
-certifying k-colorability test for graphs with no induced P3+P1.
+independence and clique numbers), induced-pattern detection, canonical
+forms, isomorph-free enumeration, criticality censuses, and a certifying
+k-colorability test for graphs with no induced P3+P1.  The package holds
+what the census, the criticality test, the certifier and the command
+line call, plus the general entry points ``generate_graphs``,
+``relabel`` and ``census_general``; the checkers for the lemmas behind
+the paper's proofs are test code (``tests/lemmas.py``).
 """
 
 from .graph import (
@@ -26,47 +30,34 @@ from .graph import (
     to_graph6,
 )
 from .canon import (
-    automorphism_generators,
-    automorphism_orbits,
     canonical_form,
-    canonical_graph,
-    canonical_labeling,
     is_isomorphic,
 )
 from .invariants import (
     Coloring,
     chromatic_number,
     clique_number,
-    coloring_with_min_class_size,
     independence_number,
     is_k_colorable,
     is_proper_coloring,
-    max_matching,
 )
 from .patterns import (
     JoinDecomposition,
     ORDER4_NAMES,
     contains_induced,
-    co_components,
     copaw_decompose,
     is_free,
-    is_p2_lp1_free,
-    maximal_independent_set,
     named_graph,
-    nonneighbor_profile,
 )
 from .critical import (
     CriticalityReport,
-    check_min_class_colorings,
     find_critical_subgraph,
     is_vertex_critical,
-    verify_join_criticality,
 )
 from .families import (
     clique_substituted_odd_cycle,
     co_odd_cycle,
     odd_cycle,
-    substitute_clique,
 )
 from .generate import (
     ALL_GRAPHS,
@@ -74,8 +65,6 @@ from .generate import (
     child_graphs,
     generate_graphs,
     generate_level,
-    generate_triangle_free,
-    independent_set_masks,
 )
 from .census import (
     CensusRow,

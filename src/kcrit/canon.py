@@ -20,7 +20,7 @@ against the current best leaf and prune early.
 
 from __future__ import annotations
 
-from .graph import Graph, bits, from_graph6
+from .graph import Graph, bits
 
 # ===== equitable refinement =====
 
@@ -228,30 +228,6 @@ def canonical_form(g: Graph) -> str:
     """Canonical graph6 code: equal codes exactly for isomorphic graphs."""
     _, cols, _, _ = canon_raw(g.n, g.adj)
     return _graph6_from_cols(g.n, cols)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically relabeled copy of g (decodes canonical_form)."""
-    return from_graph6(canonical_form(g))
-
-
-def canonical_labeling(g: Graph) -> tuple[int, ...]:
-    """Vertex order realizing the canonical form: order[i] = old vertex at
-    canonical position i."""
-    order, _, _, _ = canon_raw(g.n, g.adj)
-    return order
-
-
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generators of Aut(g), each a map old-vertex -> image-vertex."""
-    _, _, gens, _ = canon_raw(g.n, g.adj)
-    return gens
-
-
-def automorphism_orbits(g: Graph) -> list[int]:
-    """orbit[v] = smallest vertex in the Aut(g)-orbit of v."""
-    _, _, _, orbit = canon_raw(g.n, g.adj)
-    return orbit
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -17,8 +17,8 @@ from functools import lru_cache
 from .canon import canonical_form, is_isomorphic
 from .census import census_copaw_critical
 from .critical import find_critical_subgraph, is_vertex_critical
-from .graph import Graph, bits, from_graph6, induced_subgraph, mask_of
-from .invariants import Coloring, alpha_le_2_chi, is_proper_coloring
+from .graph import Graph, bits, complement, from_graph6, induced_subgraph, mask_of
+from .invariants import Coloring, is_proper_coloring, matching_mates_raw
 from .patterns import contains_induced, copaw_decompose, named_graph
 
 YES = "yes"
@@ -115,51 +115,35 @@ def build_database(k: int, from_census: bool = False,
 
 # ===== structural coloring inside the class =====
 
-def _color_alpha_le_2(sub: Graph) -> list[int]:
-    # pair up nonadjacent vertices via a maximum matching in the
-    # complement; pairs share a color, leftovers get their own
-    _, _, mates = alpha_le_2_chi(sub)
-    colors = [-1] * sub.n
-    nxt = 0
-    for v in range(sub.n):
-        if colors[v] >= 0:
-            continue
-        colors[v] = nxt
-        if mates[v] != -1:
-            colors[mates[v]] = nxt
-        nxt += 1
-    return colors
-
-
-def _color_clique_union(sub: Graph) -> list[int]:
-    # each component is a clique: number the vertices inside each one
-    colors = [-1] * sub.n
-    for v in range(sub.n):
-        if colors[v] >= 0:
-            continue
-        comp_vertices = sorted(bits(sub.adj[v] | 1 << v))
-        for i, u in enumerate(comp_vertices):
-            colors[u] = i
-    return colors
-
-
 def _structural_coloring(g: Graph) -> Coloring:
-    # optimal coloring of a P3+P1-free graph from its join decomposition;
-    # factors take disjoint palettes, so the total is the sum of exact
-    # factor chromatic numbers
-    if g.n == 0:
-        return Coloring((), 0)
+    # optimal coloring of a P3+P1-free graph from its join decomposition,
+    # on raw masks; factors take disjoint palettes, so the total is the
+    # sum of exact factor chromatic numbers
     dec = copaw_decompose(g)
-    colors = [0] * g.n
+    co = complement(g).adj
+    colors = [-1] * g.n
     offset = 0
     for factor, kind in zip(dec.factors, dec.kinds):
-        verts = sorted(bits(factor))
-        sub = induced_subgraph(g, factor)
-        local = (_color_alpha_le_2(sub) if "alpha_le_2" in kind
-                 else _color_clique_union(sub))
-        for u, c in zip(verts, local):
-            colors[u] = offset + c
-        offset += max(local) + 1
+        if "alpha_le_2" in kind:
+            # pair up nonadjacent vertices via a maximum matching in the
+            # complement; pairs share a color, leftovers get their own
+            mates = matching_mates_raw(g.n, co, factor)
+            for v in bits(factor):
+                if colors[v] < 0:
+                    colors[v] = offset
+                    if mates[v] != -1:
+                        colors[mates[v]] = offset
+                    offset += 1
+        else:
+            # each component is a clique: number the vertices inside each one
+            largest = 0
+            for v in bits(factor):
+                if colors[v] < 0:
+                    clique = (g.adj[v] | 1 << v) & factor
+                    for i, u in enumerate(bits(clique)):
+                        colors[u] = offset + i
+                    largest = max(largest, clique.bit_count())
+            offset += largest
     return Coloring(tuple(colors), offset)
 
 

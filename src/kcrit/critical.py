@@ -13,19 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, delete_vertex, induced_subgraph, join
+from .graph import Graph, bits, delete_vertex, induced_subgraph
 from .invariants import (
     _chi_branch_and_bound,
     alpha_le_2_chi,
     chromatic_number,  # for the perfbench span invariants.chromatic_number
-    coloring_with_min_class_size,
     gallai_edmonds_d_raw,
     independence_number,  # for the perfbench span invariants.independence_number
     is_k_colorable,
     matching_mates_raw,
     matching_raw,  # for the perfbench span invariants.matching_raw
 )
-from .patterns import co_components
 
 
 # ===== criticality reports =====
@@ -101,38 +99,3 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
             mates = matching_mates_raw(g.n, co, active)
             d = gallai_edmonds_d_raw(g.n, co, active, mates)
     return active
-
-
-# ===== structural checks used as property tests =====
-
-def check_min_class_colorings(g: Graph, k: int) -> bool:
-    """For every vertex v: g - v has a (k-1)-coloring, all classes >= 2.
-
-    Holds for every k-vertex-critical graph whose complement is
-    connected; callers must ensure that precondition.  A False return
-    signals a bug somewhere, so tests treat it as a hard failure.
-    """
-    rep = is_vertex_critical(g, k)
-    if not rep.is_critical:
-        raise ValueError("graph is not k-vertex-critical")
-    if len(co_components(g)) != 1:
-        raise ValueError("complement is not connected")
-    return all(
-        coloring_with_min_class_size(delete_vertex(g, v), k - 1, 2) is not None
-        for v in range(g.n)
-    )
-
-
-def verify_join_criticality(g: Graph, h: Graph, k1: int, k2: int) -> bool:
-    """Check on one instance that criticality factors across a join.
-
-    Returns whether [g v h is (k1+k2)-vertex-critical] iff [g is
-    k1-vertex-critical and h is k2-vertex-critical].  Expected True on
-    every input; exercised as a property test.
-    """
-    parts = (
-        is_vertex_critical(g, k1).is_critical
-        and is_vertex_critical(h, k2).is_critical
-    )
-    whole = is_vertex_critical(join(g, h), k1 + k2).is_critical
-    return parts == whole

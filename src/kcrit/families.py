@@ -1,8 +1,11 @@
 """Constructors for recurring graph families.
 
-odd cycles, their complements, and clique substitutions into odd
-cycles.  Constructors only build; correctness claims about the results
-(criticality, freeness) live in tests.
+Odd cycles, their complements (the extremal (2k-1)-vertex members of
+each census), and odd cycles with cliques substituted at the even
+labels, all reachable from ``kcrit family``.  Constructors only build;
+correctness claims about the results (criticality, freeness) live in
+tests, which check the substituted cycles against single-vertex clique
+substitution (``tests/lemmas.py``).
 """
 
 from __future__ import annotations
@@ -25,30 +28,6 @@ def co_odd_cycle(k: int) -> Graph:
     if not 3 <= k <= 16:
         raise ValueError("k must be in 3..16")
     return complement(odd_cycle(k - 1))
-
-
-def substitute_clique(g: Graph, v: int, q: int) -> Graph:
-    """Replace vertex v of g by a clique of order q.
-
-    Every clique vertex inherits v's neighborhood.  Vertex order of the
-    result: g's vertices ascending with v removed, then the q clique
-    vertices.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError("vertex out of range")
-    if q < 1:
-        raise ValueError("clique order must be at least 1")
-    n = g.n - 1 + q
-    if n > MAX_VERTICES:
-        raise ValueError("result exceeds the vertex cap")
-    old = [u for u in range(g.n) if u != v]
-    pos = {u: i for i, u in enumerate(old)}
-    edges = [(pos[a], pos[b]) for a, b in g.edges() if v not in (a, b)]
-    base = g.n - 1
-    for i in range(q):
-        edges.extend((pos[u], base + i) for u in old if g.has_edge(u, v))
-        edges.extend((base + j, base + i) for j in range(i))
-    return from_edge_list(n, edges)
 
 
 def clique_substituted_odd_cycle(t: int, k: int) -> Graph:

@@ -24,11 +24,6 @@ ALL_GRAPHS = "all"
 
 # ===== attachment subsets =====
 
-def independent_set_masks(g: Graph) -> list[int]:
-    """All independent-set masks of g, the empty set included."""
-    return _independent_masks(g.adj, (1 << g.n) - 1, g.n)
-
-
 def _independent_masks(adj, avail: int, room: int) -> list[int]:
     # independent sets inside avail with at most room vertices
     res: list[int] = []
@@ -207,8 +202,3 @@ def generate_graphs(n: int, mode: str = ALL_GRAPHS) -> Iterator[Graph]:
         level = generate_level(level, mode)
     for p in level:
         yield from child_graphs(p, mode)
-
-
-def generate_triangle_free(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of triangle-free graphs."""
-    yield from generate_graphs(n, TRIANGLE_FREE)

@@ -52,10 +52,14 @@ class Graph:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_VERTICES:
             raise ValueError(f"order must lie in 0..{MAX_VERTICES}, got {self.n}")
+        # stored as a tuple, so a list argument still hashes and joins
+        object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.n:
             raise ValueError("adjacency tuple length differs from order")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
+            if not isinstance(row, int):
+                raise ValueError(f"adjacency row of vertex {v} is not an int: {row!r}")
             if row & ~full:
                 raise ValueError(f"vertex {v} has a neighbor bit at or above n={self.n}")
             if row >> v & 1:
@@ -162,12 +166,17 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
-    """Apply a permutation; perm[v] is the new index of old vertex v."""
+    """Apply a permutation; perm[v] is the new index of old vertex v.
+
+    Raises ValueError unless perm is a permutation of 0..n-1.
+    """
     p = list(perm)
+    if not all(isinstance(x, int) for x in p) or sorted(p) != list(range(g.n)):
+        raise ValueError(f"not a permutation of 0..{g.n - 1}: {p!r}")
     adj = [0] * g.n
     for v in range(g.n):
         adj[p[v]] = sum(1 << p[u] for u in bits(g.adj[v]))
-    return Graph(g.n, tuple(adj))
+    return Graph._unchecked(g.n, tuple(adj))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

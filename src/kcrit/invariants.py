@@ -175,11 +175,6 @@ def matching_raw(n: int, adj, active: int) -> int:
     return sum(1 for v, m in enumerate(mates) if m > v)
 
 
-def max_matching(g: Graph) -> int:
-    """nu(G): maximum matching size, exact."""
-    return matching_raw(g.n, g.adj, (1 << g.n) - 1)
-
-
 # ===== colorings =====
 
 @dataclass(frozen=True)
@@ -188,12 +183,6 @@ class Coloring:
 
     colors: tuple[int, ...]
     k: int
-
-    def classes(self) -> list[tuple[int, ...]]:
-        out = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.colors):
-            out[c].append(v)
-        return [tuple(c) for c in out]
 
 
 def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
@@ -356,41 +345,3 @@ def is_k_colorable(g: Graph, k: int) -> Coloring | None:
         return greedy
     found = _bb_coloring(g.n, g.adj, k + 1, first_hit=True)
     return None if found is None else _normalized(found)
-
-
-def coloring_with_min_class_size(g: Graph, k: int, m: int) -> Coloring | None:
-    """A proper k-coloring with every class of size >= m, or None.
-
-    Exhaustive backtracking with a class-deficit prune and first-use color
-    symmetry breaking.
-    """
-    if k < 1 or m < 1:
-        raise ValueError("k and m must be >= 1")
-    n = g.n
-    if n < k * m:
-        return None
-    adj = g.adj
-    colors = [-1] * n
-    size = [0] * k
-
-    def rec(v: int, maxc: int, deficit: int) -> bool:
-        if deficit > n - v:
-            return False
-        if v == n:
-            return deficit == 0
-        top = min(maxc + 1, k - 1)
-        for c in range(top + 1):
-            if any(colors[u] == c for u in bits(adj[v])):
-                continue
-            colors[v] = c
-            size[c] += 1
-            d = deficit - 1 if size[c] <= m else deficit
-            if rec(v + 1, max(maxc, c), d):
-                return True
-            colors[v] = -1
-            size[c] -= 1
-        return False
-
-    if rec(0, -1, k * m):
-        return Coloring(tuple(colors), k)
-    return None

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import Graph, bits, complement, disjoint_union, from_edge_list, mask_of
+from .graph import Graph, bits, complement, disjoint_union, from_edge_list
 from .invariants import independence_number  # for the perfbench span of that name
 
 
@@ -154,31 +154,6 @@ def is_free(g: Graph, pattern: str | Graph) -> bool:
     return contains_induced(g, h) is None
 
 
-def _has_independent_set(adj, avail: int, need: int) -> bool:
-    if need <= 0:
-        return True
-    if avail.bit_count() < need:
-        return False
-    v = (avail & -avail).bit_length() - 1
-    if _has_independent_set(adj, avail & ~adj[v] & ~(1 << v), need - 1):
-        return True
-    return _has_independent_set(adj, avail & ~(1 << v), need)
-
-
-def is_p2_lp1_free(g: Graph, l: int) -> bool:
-    """Specialized (P2+lP1)-freeness: for every edge uv, the vertices not
-    touching {u,v} must contain no independent set of size l."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
-    full = (1 << g.n) - 1
-    for u in range(g.n):
-        for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
-            rest = full & ~g.adj[u] & ~g.adj[v] & ~(1 << u) & ~(1 << v)
-            if _has_independent_set(g.adj, rest, l):
-                return False
-    return True
-
-
 # ===== (P3+P1)-free join decomposition =====
 
 @dataclass(frozen=True)
@@ -214,11 +189,6 @@ def _components(rows) -> list[int]:
 def _complement_rows(g: Graph) -> list[int]:
     full = (1 << g.n) - 1
     return [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]
-
-
-def co_components(g: Graph) -> list[int]:
-    """Vertex masks of the connected components of the complement."""
-    return _components(_complement_rows(g))
 
 
 _ALPHA_LE_2 = frozenset({"alpha_le_2"})
@@ -284,36 +254,3 @@ def copaw_decompose(g: Graph):
     """The join decomposition, or None exactly when g contains P3+P1."""
     parts = _copaw_factors(g)
     return None if parts is None else JoinDecomposition(*parts)
-
-
-# ===== maximal independent sets and the nonneighbor profile =====
-
-def maximal_independent_set(g: Graph, order=None) -> int:
-    """Greedy maximal independent set (mask), taking vertices in the given
-    order (default ascending)."""
-    s = 0
-    blocked = 0
-    for v in (order if order is not None else range(g.n)):
-        if not blocked >> v & 1:
-            s |= 1 << v
-            blocked |= g.adj[v] | 1 << v
-    return s
-
-
-def nonneighbor_profile(g: Graph, s) -> dict[int, int]:
-    """For each vertex outside the maximal independent set s, how many
-    vertices of s it is nonadjacent to."""
-    smask = s if isinstance(s, int) else mask_of(s)
-    size = smask.bit_count()
-    for v in bits(smask):
-        if g.adj[v] & smask:
-            raise ValueError("s is not independent")
-    profile = {}
-    for v in range(g.n):
-        if smask >> v & 1:
-            continue
-        hits = (g.adj[v] & smask).bit_count()
-        if hits == 0:
-            raise ValueError(f"s is not maximal: vertex {v} could join it")
-        profile[v] = size - hits
-    return profile

@@ -307,3 +307,41 @@ def copaw_decompose(g: Graph):
         factors.append(comp)
         kinds.append(frozenset(kind))
     return JoinDecomposition(tuple(factors), tuple(kinds))
+
+
+def structural_coloring(g: Graph):
+    """The certifier's structural coloring before it moved onto raw
+    masks: one induced subgraph per join factor, colored through the
+    alpha <= 2 kernel (which repeats the factor's triangle test) or by
+    numbering each clique.  Returns the library's Coloring."""
+    from kcrit.graph import induced_subgraph
+    from kcrit.invariants import Coloring, alpha_le_2_chi
+    from kcrit.patterns import copaw_decompose
+
+    if g.n == 0:
+        return Coloring((), 0)
+    dec = copaw_decompose(g)
+    colors = [0] * g.n
+    offset = 0
+    for factor, kind in zip(dec.factors, dec.kinds):
+        sub = induced_subgraph(g, factor)
+        local = [-1] * sub.n
+        nxt = 0
+        if "alpha_le_2" in kind:
+            # pairs of a maximum matching in the complement share a color
+            _, _, mates = alpha_le_2_chi(sub)
+            for v in range(sub.n):
+                if local[v] < 0:
+                    local[v] = nxt
+                    if mates[v] != -1:
+                        local[mates[v]] = nxt
+                    nxt += 1
+        else:
+            for v in range(sub.n):
+                if local[v] < 0:
+                    for i, u in enumerate(bits(sub.adj[v] | 1 << v)):
+                        local[u] = i
+        for u, c in zip(bits(factor), local):
+            colors[u] = offset + c
+        offset += max(local) + 1
+    return Coloring(tuple(colors), offset)

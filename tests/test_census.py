@@ -19,8 +19,9 @@ from kcrit.families import co_odd_cycle
 from kcrit.generate import TRIANGLE_FREE, child_graphs
 from kcrit.graph import Graph, complement, format_edge_list, read_graph_file, to_graph6
 from kcrit.invariants import independence_number, matching_raw
-from kcrit.patterns import co_components, is_free, named_graph
+from kcrit.patterns import is_free, named_graph
 
+from lemmas import co_components
 from util import data_path
 
 

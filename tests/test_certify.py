@@ -6,12 +6,15 @@ import pytest
 
 from kcrit.canon import canonical_form, is_isomorphic
 from kcrit.census import census_copaw_critical
+import kcrit.invariants
+import kcrit.patterns
 from kcrit.certify import (
     NO,
     NOT_IN_CLASS,
     YES,
     CertifiedAnswer,
     CriticalDatabase,
+    _structural_coloring,
     build_database,
     certify_color,
     load_database,
@@ -22,8 +25,9 @@ from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
 from kcrit.graph import Graph, induced_subgraph, join
 from kcrit.invariants import Coloring, is_k_colorable
-from kcrit.patterns import is_free, named_graph
+from kcrit.patterns import copaw_decompose, is_free, named_graph
 
+import oracles
 from util import random_copaw_free
 
 
@@ -153,6 +157,44 @@ def test_verify_rejects_tampering(db5):
     assert not verify_certificate(co9, 5, CertifiedAnswer(YES, witness=1))
     assert not verify_certificate(co9, 4, CertifiedAnswer(NO, coloring=yes.coloring))
     assert not verify_certificate(co9, 4, CertifiedAnswer("maybe", witness=3))
+
+
+# ===== structural coloring =====
+
+def _coloring_inputs():
+    rng = random.Random(1)
+    yield from (random_copaw_free(rng, 12) for _ in range(3000))
+    yield from build_database(4).members_by_order()
+    yield from build_database(5).members_by_order()
+    yield from random.Random(6).sample(build_database(6).members_by_order(), 2000)
+
+
+def test_structural_coloring_equals_the_induced_subgraph_path():
+    checked = 0
+    for g in _coloring_inputs():
+        assert _structural_coloring(g) == oracles.structural_coloring(g), g
+        checked += 1
+    assert checked == 3000 + 8 + 178 + 2000
+
+
+def test_structural_coloring_tests_each_factor_for_triangles_once(monkeypatch):
+    # the decomposition's triangle test is the only one: the alpha <= 2
+    # kernel, which would repeat it, is never entered
+    def kernel_entered(adj):
+        raise AssertionError("triangle test repeated")
+
+    calls = []
+    real = kcrit.patterns._triangle_free_on
+    monkeypatch.setattr(kcrit.invariants, "triangle_free_raw", kernel_entered)
+    monkeypatch.setattr(kcrit.patterns, "_triangle_free_on",
+                        lambda rows, mask: calls.append(mask) or real(rows, mask))
+    rng = random.Random(2)
+    for _ in range(200):
+        g = random_copaw_free(rng, 12)
+        calls.clear()
+        _structural_coloring(g)
+        tested = list(calls)
+        assert tested == list(copaw_decompose(g).factors)
 
 
 # ===== randomized soundness and agreement =====

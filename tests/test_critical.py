@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from lemmas import check_min_class_colorings, verify_join_criticality
 
-from kcrit.critical import (
-    CriticalityReport,
-    check_min_class_colorings,
-    find_critical_subgraph,
-    is_vertex_critical,
-    verify_join_criticality,
-)
+from kcrit.critical import CriticalityReport, find_critical_subgraph, is_vertex_critical
 from kcrit.families import co_odd_cycle, odd_cycle
 from kcrit.graph import (
     Graph,

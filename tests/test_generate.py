@@ -7,11 +7,10 @@ from kcrit.canon import canon_raw, canonical_form
 from kcrit.generate import (
     ALL_GRAPHS,
     TRIANGLE_FREE,
+    _independent_masks,
     child_graphs,
     generate_graphs,
     generate_level,
-    generate_triangle_free,
-    independent_set_masks,
 )
 from kcrit.graph import Graph, from_edge_list
 from kcrit.invariants import clique_number, independence_number
@@ -26,16 +25,16 @@ def _oracle_class_count(n, keep=lambda g: True):
 
 def test_independent_set_masks_examples():
     c5 = named_graph("C5")
-    masks = independent_set_masks(c5)
+    masks = _independent_masks(c5.adj, 0b11111, 5)
     assert len(masks) == len(set(masks)) == 11  # 1 empty + 5 singles + 5 pairs
     assert 0 in masks
     k3 = named_graph("K3")
-    assert sorted(independent_set_masks(k3)) == [0, 1, 2, 4]
+    assert sorted(_independent_masks(k3.adj, 0b111, 3)) == [0, 1, 2, 4]
 
 
 def test_independent_set_masks_are_independent():
     g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    for s in independent_set_masks(g):
+    for s in _independent_masks(g.adj, 0b11111, 5):
         sub = [v for v in range(5) if s >> v & 1]
         assert not any(g.has_edge(a, b) for a in sub for b in sub if a < b)
 
@@ -59,27 +58,27 @@ def test_all_graphs_count_order7():
 def test_triangle_free_counts_small():
     keep = lambda g: clique_number(g) <= 2
     for n in range(1, 6):
-        got = list(generate_triangle_free(n))
+        got = list(generate_graphs(n, TRIANGLE_FREE))
         assert len(got) == _oracle_class_count(n, keep)
-    assert len(list(generate_triangle_free(3))) == 3
+    assert len(list(generate_graphs(3, TRIANGLE_FREE))) == 3
 
 
 def test_triangle_free_count_order6():
     keep = lambda g: clique_number(g) <= 2
-    assert len(list(generate_triangle_free(6))) == _oracle_class_count(6, keep)
+    assert len(list(generate_graphs(6, TRIANGLE_FREE))) == _oracle_class_count(6, keep)
 
 
 def test_triangle_free_agrees_with_filtered_general_stream():
     # independent pipelines: filter the all-graphs stream vs native mode
-    direct = sum(1 for _ in generate_triangle_free(7))
+    direct = sum(1 for _ in generate_graphs(7, TRIANGLE_FREE))
     filtered = sum(1 for g in generate_graphs(7) if clique_number(g) <= 2)
     assert direct == filtered == 107
 
 
 @pytest.mark.slow
 def test_triangle_free_counts_order8_9():
-    assert sum(1 for _ in generate_triangle_free(8)) == 410
-    assert sum(1 for _ in generate_triangle_free(9)) == 1897
+    assert sum(1 for _ in generate_graphs(8, TRIANGLE_FREE)) == 410
+    assert sum(1 for _ in generate_graphs(9, TRIANGLE_FREE)) == 1897
 
 
 # ===== degree-bounded generation =====
@@ -170,7 +169,7 @@ def test_handed_down_generators_give_the_same_children():
 
 def test_no_triangles_and_no_duplicate_codes():
     seen = set()
-    for g in generate_triangle_free(8):
+    for g in generate_graphs(8, TRIANGLE_FREE):
         assert clique_number(g) <= 2
         code = canonical_form(g)
         assert code not in seen
@@ -184,13 +183,13 @@ def test_all_mode_no_duplicate_codes():
 
 def test_complements_have_alpha_two():
     from kcrit.graph import complement
-    for g in generate_triangle_free(7):
+    for g in generate_graphs(7, TRIANGLE_FREE):
         assert independence_number(complement(g)) <= 2
 
 
 def test_deterministic_streams():
-    a = [g.adj for g in generate_triangle_free(7)]
-    b = [g.adj for g in generate_triangle_free(7)]
+    a = [g.adj for g in generate_graphs(7, TRIANGLE_FREE)]
+    b = [g.adj for g in generate_graphs(7, TRIANGLE_FREE)]
     assert a == b
 
 
@@ -208,7 +207,7 @@ def test_generate_level_matches_stream():
     lvl = [Graph(1, (0,))]
     for _ in range(4):
         lvl = generate_level(lvl, TRIANGLE_FREE)
-    assert len(lvl) == len(list(generate_triangle_free(5)))
+    assert len(lvl) == len(list(generate_graphs(5, TRIANGLE_FREE)))
 
 
 def test_order_range_errors():

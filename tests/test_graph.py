@@ -56,6 +56,19 @@ def test_graph_invariants_enforced():
         Graph(1, (0b10,))            # bit above n
 
 
+def test_graph_stores_adjacency_as_a_tuple():
+    g = Graph(2, [2, 1])
+    assert g.adj == (2, 1) and g == Graph(2, (2, 1))
+    assert hash(g) == hash(Graph(2, (2, 1)))
+    assert join(g, g) == complete(4)
+
+
+@pytest.mark.parametrize("adj, vertex", [((2.0, 1), 0), ((2, "1"), 1), ((2, None), 1)])
+def test_graph_rejects_rows_that_are_not_ints(adj, vertex):
+    with pytest.raises(ValueError, match=f"vertex {vertex} is not an int"):
+        Graph(2, adj)
+
+
 # ===== transformations =====
 
 def test_complement_k4():
@@ -127,6 +140,13 @@ def test_join_order_overflow():
 def test_relabel_reverses():
     g = relabel(C5, [4, 3, 2, 1, 0])
     assert g.edge_count() == 5 and all(g.degree(v) == 2 for v in range(5))
+
+
+@pytest.mark.parametrize("perm", [[2, 1, 0, 3], [0, 0, 1], [0, 1], [0, 1, -1], [0.0, 1, 2]])
+def test_relabel_rejects_non_permutations(perm):
+    p3 = from_edge_list(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="not a permutation of 0..2"):
+        relabel(p3, perm)
 
 
 def test_mask_helpers():

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 import oracles
 from kcrit.graph import Graph, complement, delete_vertex, from_edge_list
 from kcrit.invariants import (Coloring, chromatic_number, clique_number,
-                              coloring_with_min_class_size, gallai_edmonds_d_raw,
-                              independence_number, is_k_colorable,
-                              is_proper_coloring, matching_mates_raw,
-                              matching_raw, max_matching, triangle_free_raw)
+                              gallai_edmonds_d_raw, independence_number,
+                              is_k_colorable, is_proper_coloring,
+                              matching_mates_raw, matching_raw,
+                              triangle_free_raw)
+from lemmas import coloring_with_min_class_size
 from util import graphs, random_graph, random_triangle_free
 
 
@@ -51,29 +52,29 @@ def test_alpha_omega_against_oracle_all_n5():
 # ===== matching =====
 
 def test_matching_examples():
-    assert max_matching(complete(4)) == 2
-    assert max_matching(C5) == 2
-    assert max_matching(Graph(3, (0, 0, 0))) == 0
+    assert matching_raw(4, complete(4).adj, 0b1111) == 2
+    assert matching_raw(5, C5.adj, 0b11111) == 2
+    assert matching_raw(3, (0, 0, 0), 0b111) == 0
 
 
 def test_matching_against_oracle_all_n5():
     for g in oracles.all_labeled_graphs(5):
-        assert max_matching(g) == oracles.max_matching(g)
+        assert matching_raw(g.n, g.adj, (1 << g.n) - 1) == oracles.max_matching(g)
 
 
 def test_matching_against_oracle_random_n10():
     rng = random.Random(97)
     for _ in range(150):
         g = random_graph(rng, 10, p=rng.choice([0.2, 0.4, 0.6, 0.8]))
-        assert max_matching(g) == oracles.max_matching(g)
+        assert matching_raw(g.n, g.adj, (1 << g.n) - 1) == oracles.max_matching(g)
 
 
 def test_matching_blossom_heavy():
     # odd components force blossom contraction
     from kcrit.graph import disjoint_union
     g = disjoint_union(cycle(5), cycle(7))
-    assert max_matching(g) == 2 + 3
-    assert max_matching(cycle(9)) == 4
+    assert matching_raw(g.n, g.adj, (1 << g.n) - 1) == 2 + 3
+    assert matching_raw(9, cycle(9).adj, (1 << 9) - 1) == 4
 
 
 # ===== the Gallai-Edmonds set D =====
@@ -213,7 +214,8 @@ def test_fast_path_matches_matching_identity():
             adj[tri[1]] |= 1 << tri[0]
             g = Graph(g.n, tuple(adj))
         assert chromatic_number(g) == oracles.chromatic_number(g)
-        assert chromatic_number(g) == g.n - max_matching(complement(g))
+        nu = matching_raw(g.n, complement(g).adj, (1 << g.n) - 1)
+        assert chromatic_number(g) == g.n - nu
         hits += 1
 
 
@@ -247,11 +249,11 @@ def test_min_class_size_examples():
     assert coloring_with_min_class_size(complete(4), 4, 2) is None
     col = coloring_with_min_class_size(cycle(6), 2, 3)
     assert col is not None and is_proper_coloring(cycle(6), col)
-    assert sorted(len(c) for c in col.classes()) == [3, 3]
+    assert col.colors.count(0) == col.colors.count(1) == 3
     for v in range(9):
         got = coloring_with_min_class_size(delete_vertex(C9BAR, v), 4, 2)
         assert got is not None
-        assert all(len(c) >= 2 for c in got.classes())
+        assert all(got.colors.count(c) >= 2 for c in range(4))
         assert is_proper_coloring(delete_vertex(C9BAR, v), got)
 
 

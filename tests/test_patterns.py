@@ -11,9 +11,9 @@ from kcrit.canon import canonical_form, is_isomorphic
 from kcrit.graph import (Graph, complement, from_edge_list, induced_subgraph,
                          join, mask_of, read_graph_file, relabel)
 from kcrit.patterns import (ORDER4_NAMES, JoinDecomposition, contains_induced,
-                            copaw_decompose, is_free, is_p2_lp1_free, is_p3p1,
-                            maximal_independent_set, named_graph,
-                            nonneighbor_profile, p2_lp1)
+                            copaw_decompose, is_free, is_p3p1, named_graph,
+                            p2_lp1)
+from lemmas import is_p2_lp1_free, maximal_independent_set, nonneighbor_profile
 from util import (canonical_reps, data_path, graphs, random_copaw_free,
                   random_graph)
 
