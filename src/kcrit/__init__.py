@@ -5,9 +5,9 @@ independence and clique numbers), induced-pattern detection, canonical
 forms, isomorph-free enumeration, criticality censuses, and a certifying
 k-colorability test for graphs with no induced P3+P1.  The package holds
 what the census, the criticality test, the certifier and the command
-line call, plus the general entry points ``generate_graphs``,
-``relabel`` and ``census_general``; the checkers for the lemmas behind
-the paper's proofs are test code (``tests/lemmas.py``).
+line call, plus the entry points ``generate_graphs``, ``relabel`` and
+``census_general``; the paper's lemma checkers are test code
+(``tests/lemmas.py``); the lists ``data/critical<k>.g6`` are read-only data.
 """
 
 from .graph import (
@@ -81,8 +81,6 @@ from .certify import (
     CriticalDatabase,
     build_database,
     certify_color,
-    load_database,
-    save_database,
     verify_certificate,
 )
 

@@ -1,25 +1,26 @@
 """Certifying k-colorability for graphs with no induced P3+P1.
 
 Because the k-vertex-critical graphs in this class form a finite list
-for each k, a database of those lists turns k-colorability into a
-certified decision: a Yes comes with a proper coloring found
-structurally from the join decomposition, a No comes with a vertex set
-inducing a (k+1)-vertex-critical graph, and inputs outside the class
-yield the offending induced P3+P1.  Every certificate is checkable
-without trusting the database or the search.
+for each k, the shipped lists (read-only ``data/critical<k>.g6``) turn
+k-colorability into a certified decision: a Yes comes with a proper
+coloring found structurally from the join decomposition, a No with a
+vertex set inducing a (k+1)-vertex-critical graph, and inputs outside
+the class with the offending induced P3+P1.  Every certificate is
+checkable without trusting the lists or the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
-from .canon import canonical_form, is_isomorphic
-from .census import census_copaw_critical
+from .canon import canonical_form
 from .critical import find_critical_subgraph, is_vertex_critical
-from .graph import Graph, bits, complement, from_graph6, induced_subgraph, mask_of
+from .graph import (Graph, bits, complement, from_graph6, induced_subgraph,
+                    mask_of, read_graph_list)
 from .invariants import Coloring, is_proper_coloring, matching_mates_raw
-from .patterns import contains_induced, copaw_decompose, named_graph
+from .patterns import contains_induced, copaw_decompose, is_p3p1, named_graph
 
 YES = "yes"
 NO = "no"
@@ -63,54 +64,26 @@ def _decode_members(codes: frozenset[str]) -> tuple[Graph, ...]:
     return tuple(sorted(decoded, key=lambda g: g.n))
 
 
-def _data_file(k: int):
-    from importlib.resources import files
-
-    return files("kcrit").joinpath(f"data/critical{k}.g6")
+_DATA = Path(__file__).with_name("data")
 
 
-def save_database(db: CriticalDatabase, path) -> None:
-    """Write "k=<level> count=<n>" then one canonical code per line."""
-    lines = [f"k={db.k} count={len(db.graphs)}"]
-    lines.extend(sorted(db.graphs))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_database(path_or_text) -> CriticalDatabase:
-    """Read a database file; validates the header against the body."""
-    if hasattr(path_or_text, "read_text"):
-        text = path_or_text.read_text(encoding="ascii")
-    else:
-        with open(path_or_text, encoding="ascii") as fh:
-            text = fh.read()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("k="):
-        raise ValueError("missing database header line 'k=<level> count=<n>'")
-    head = dict(part.split("=", 1) for part in lines[0].split())
-    k = int(head["k"])
-    count = int(head["count"])
-    codes = frozenset(lines[1:])
-    if len(codes) != count or count != len(lines) - 1:
-        raise ValueError(f"header says {count} graphs, body has {len(lines) - 1}")
-    return CriticalDatabase(k, codes)
-
-
-def build_database(k: int, from_census: bool = False,
-                   workers: int = 1) -> CriticalDatabase:
-    """The level-k database, loaded from shipped data or censused afresh.
-
-    Shipped files cover k in 4..6; from_census forces recomputation
-    (slow for k=6) and is how the shipped files were produced.
-    """
+def build_database(k: int) -> CriticalDatabase:
+    """The level-k database, read from the shipped ``data/critical<k>.g6``;
+    ValueError unless k is in 4..6 and the file is a level-k list with no repeats."""
     if not 4 <= k <= 6:
         raise ValueError("databases exist for k in 4..6")
-    if not from_census:
-        res = _data_file(k)
-        if res.is_file():
-            return load_database(res)
-    rows = census_copaw_critical(k, workers=workers)
-    return CriticalDatabase(k, frozenset(c for r in rows for c in r.codes))
+    path = _DATA / f"critical{k}.g6"
+    level, lines = read_graph_list(path)
+    if level is None:
+        raise ValueError(f"{path}: missing header line, expected level {k}")
+    if level != k:
+        raise ValueError(f"{path}: header names level {level}, expected {k}")
+    codes = frozenset(code for _, code in lines)
+    if len(codes) < len(lines):
+        seen = set()        # seen.add gives None: next() stops at the first repeat
+        lineno = next(ln for ln, code in lines if code in seen or seen.add(code))
+        raise ValueError(f"{path}:{lineno}: repeated code")
+    return CriticalDatabase(k, codes)
 
 
 # ===== structural coloring inside the class =====
@@ -195,5 +168,5 @@ def verify_certificate(g: Graph, k: int, answer: CertifiedAnswer) -> bool:
     if answer.verdict == NO:
         return is_vertex_critical(sub, k + 1).is_critical
     if answer.verdict == NOT_IN_CLASS:
-        return is_isomorphic(sub, _P3P1)
+        return is_p3p1(sub)
     return False

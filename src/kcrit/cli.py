@@ -15,7 +15,7 @@ from .census import census_copaw_critical, census_general
 from .certify import NO, NOT_IN_CLASS, YES, build_database, certify_color, verify_certificate
 from .critical import is_vertex_critical
 from .families import clique_substituted_odd_cycle, co_odd_cycle, odd_cycle
-from .graph import bits, format_edge_list, read_graph_file, to_graph6
+from .graph import bits, format_edge_list, read_graph_file, to_graph6, write_graph_list
 from .invariants import chromatic_number, clique_number, independence_number
 from .patterns import is_free, is_p3p1, named_graph
 
@@ -110,7 +110,7 @@ def _cmd_census(args) -> int:
         print(f"total {sum(r.count for r in rows)}")
         if fh is not None:
             fh.truncate(0)
-            fh.writelines(code + "\n" for row in rows for code in row.codes)
+            write_graph_list(fh, args.k, (code for row in rows for code in row.codes))
     return 0
 
 
@@ -147,14 +147,11 @@ def _cmd_color(args) -> int:
 def _cmd_convert(args) -> int:
     entries = _load(args.file)
     render = to_graph6 if args.to == "graph6" else format_edge_list
-    lines = [render(g) for _, g in entries]
+    lines = [render(g) + "\n" for _, g in entries]
     with _open_out(args.out) as fh:
         if fh is not None:
             fh.truncate(0)
-            fh.write("\n".join(lines) + "\n")
-        else:
-            for line in lines:
-                print(line)
+        (fh or sys.stdout).writelines(lines)
     return 0
 
 
@@ -212,7 +209,7 @@ def main(argv=None) -> int:
     p.add_argument("--alpha-le-2", action="store_true",
                    help="search only complements of triangle-free graphs")
     p.add_argument("--out", default=None,
-                   help="write census graphs here, one graph6 line each")
+                   help="write census graphs here: a header, then sorted graph6 codes")
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("color", help="certified k-colorability for "

@@ -50,8 +50,8 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"order must lie in 0..{MAX_VERTICES}, got {self.n}")
+        if type(self.n) is not int or not 0 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"order must be an int in 0..{MAX_VERTICES}, got {self.n!r}")
         # stored as a tuple, so a list argument still hashes and joins
         object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.n:
@@ -308,31 +308,46 @@ def parse_graph_line(line: str) -> Graph:
     return from_graph6(text)
 
 
-_HEADER = re.compile(r"k=\d+\s+count=(\d+)")
+# ===== graph list files =====
+
+_HEADER = re.compile(r"k=(\d+)\s+count=(\d+)")
+
+
+def read_graph_list(path) -> tuple[int | None, list[tuple[int, str]]]:
+    """(k, [(line number, graph line)]) of a file, skipping blanks and ``#`` comments.
+
+    A first line ``k=<k> count=<n>`` (as in ``critical<k>.g6``) must count
+    the lines that follow; without one, k is None.  Lines are not parsed.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [(lineno, line) for lineno, raw in enumerate(fh, start=1)
+                 if (line := raw.partition("#")[0].strip())]
+    if not lines or not lines[0][1].startswith("k="):
+        return None, lines
+    lineno, line = lines.pop(0)
+    header = _HEADER.fullmatch(line)
+    if header is None:
+        raise ValueError(f"{path}:{lineno}: bad header {line!r}")
+    k, count = map(int, header.groups())
+    if count != len(lines):
+        raise ValueError(f"{path}: header says {count} graphs, file has {len(lines)}")
+    return k, lines
+
+
+def write_graph_list(fh, k: int, codes) -> None:
+    """Write a ``k=<k> count=<n>`` header, then the codes sorted, one a line
+    (a graph6 code starts with its order, so the orders stay grouped)."""
+    codes = sorted(codes)
+    fh.write(f"k={k} count={len(codes)}\n")
+    fh.writelines(code + "\n" for code in codes)
 
 
 def read_graph_file(path) -> list[tuple[int, Graph]]:
-    """Read a text file of graphs, one per line; returns (line number, graph).
-
-    The first non-comment line may be a ``k=<k> count=<n>`` header, as in
-    the shipped ``critical<k>.g6`` files; the file must then hold n graphs.
-    """
+    """(line number, graph) for each line that ``read_graph_list`` keeps."""
     out = []
-    count = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if not out and count is None:
-                header = _HEADER.fullmatch(stripped)
-                if header:
-                    count = int(header.group(1))
-                    continue
-            try:
-                out.append((lineno, parse_graph_line(stripped)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if count is not None and count != len(out):
-        raise ValueError(f"{path}: header says {count} graphs, file has {len(out)}")
+    for lineno, line in read_graph_list(path)[1]:
+        try:
+            out.append((lineno, parse_graph_line(line)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

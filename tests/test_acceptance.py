@@ -7,6 +7,7 @@ shared between criteria; the wall-clock time of the first computation is
 the one charged against the budget.
 """
 
+import io
 import random
 import time
 
@@ -20,7 +21,7 @@ from kcrit.census import census_copaw_critical, census_general, verify_list
 from kcrit.certify import YES, build_database, certify_color, verify_certificate
 from kcrit.families import co_odd_cycle, odd_cycle
 from kcrit.generate import generate_graphs
-from kcrit.graph import Graph, read_graph_file, to_graph6
+from kcrit.graph import Graph, read_graph_file, to_graph6, write_graph_list
 from kcrit.invariants import (chromatic_number, clique_number,
                               independence_number, is_k_colorable,
                               matching_raw)
@@ -84,10 +85,15 @@ def test_criterion_03_census_k6():
     shipped = {to_graph6(g)
                for _, g in read_graph_file(data_path("critical6.g6"))}
     set_match = _codes(rows) == shipped
+    # the list writer turns the rows into the shipped file byte for byte
+    written = io.StringIO()
+    write_graph_list(written, 6, _codes(rows))
+    file_match = written.getvalue() == data_path("critical6.g6").read_text()
     ok = (counts == {6: 1, 7: 0, 8: 1, 9: 6, 10: 171, 11: 17828}
-          and set_match and secs < 3600.0)
-    _report(3, "6-critical census counts exact, set equals critical6.g6", ok,
-            f"counts={counts} set_match={set_match} "
+          and set_match and file_match and secs < 3600.0)
+    _report(3, "6-critical census counts exact, written list equals "
+               "critical6.g6", ok,
+            f"counts={counts} set_match={set_match} file_match={file_match} "
             f"time={secs:.1f}s budget=3600s single worker")
 
 

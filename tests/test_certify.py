@@ -1,4 +1,4 @@
-"""Tests for the certified k-colorability decision and its database."""
+"""Tests for the certified k-colorability decision and its shipped lists."""
 
 import random
 
@@ -6,6 +6,7 @@ import pytest
 
 from kcrit.canon import canonical_form, is_isomorphic
 from kcrit.census import census_copaw_critical
+import kcrit.certify
 import kcrit.invariants
 import kcrit.patterns
 from kcrit.certify import (
@@ -17,15 +18,13 @@ from kcrit.certify import (
     _structural_coloring,
     build_database,
     certify_color,
-    load_database,
-    save_database,
     verify_certificate,
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
 from kcrit.graph import Graph, induced_subgraph, join
 from kcrit.invariants import Coloring, is_k_colorable
-from kcrit.patterns import copaw_decompose, is_free, named_graph
+from kcrit.patterns import copaw_decompose, is_free, is_p3p1, named_graph
 
 import oracles
 from util import random_copaw_free
@@ -54,9 +53,10 @@ def test_database_range():
             build_database(bad)
 
 
-def test_shipped_matches_census(db4):
-    fresh = build_database(4, from_census=True)
-    assert fresh == db4
+def test_shipped_matches_census(db4, db5):
+    for db in (db4, db5):
+        assert db.graphs == {c for row in census_copaw_critical(db.k)
+                             for c in row.codes}
 
 
 def test_database_members_pass_definition(db4, db5):
@@ -67,22 +67,35 @@ def test_database_members_pass_definition(db4, db5):
             assert canonical_form(g) in db.graphs
 
 
-def test_database_round_trip(tmp_path, db5):
-    path = tmp_path / "db.g6"
-    save_database(db5, path)
-    again = load_database(path)
-    assert again == db5
-    assert path.read_text().splitlines()[0] == "k=5 count=178"
+def test_build_database_takes_only_k():
+    with pytest.raises(TypeError):
+        build_database(4, from_census=True)
+    for gone in ("load_database", "save_database", "_data_file"):
+        assert not hasattr(kcrit.certify, gone) and not hasattr(kcrit, gone)
 
 
-def test_load_database_errors(tmp_path):
-    bad = tmp_path / "bad.g6"
-    bad.write_text("no header here\n")
-    with pytest.raises(ValueError):
-        load_database(bad)
-    bad.write_text("k=4 count=3\nC~\n")
-    with pytest.raises(ValueError):
-        load_database(bad)
+def _shipped(monkeypatch, tmp_path, k, text):
+    # build_database(k) reads the text as data/critical<k>.g6
+    (tmp_path / f"critical{k}.g6").write_text(text)
+    monkeypatch.setattr(kcrit.certify, "_DATA", tmp_path)
+
+
+def test_build_database_skips_comment_lines(monkeypatch, tmp_path):
+    _shipped(monkeypatch, tmp_path, 4, "# K4 only\nk=4 count=1\n\nC~  # K4\n")
+    assert build_database(4) == CriticalDatabase(4, frozenset({"C~"}))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("C~\n", "missing header"),
+    ("k=4\nC~\n", ":1: bad header 'k=4'"),
+    ("k=5 count=1\nC~\n", "header names level 5, expected 4"),
+    ("k=4 count=2\nC~\nC~\n", ":3: repeated code"),
+    ("k=4 count=3\nC~\nDhc\n", "header says 3 graphs, file has 2"),
+])
+def test_build_database_rejects_bad_files(monkeypatch, tmp_path, text, message):
+    _shipped(monkeypatch, tmp_path, 4, text)
+    with pytest.raises(ValueError, match=message):
+        build_database(4)
 
 
 # ===== certified answers on known graphs =====
@@ -157,6 +170,20 @@ def test_verify_rejects_tampering(db5):
     assert not verify_certificate(co9, 5, CertifiedAnswer(YES, witness=1))
     assert not verify_certificate(co9, 4, CertifiedAnswer(NO, coloring=yes.coloring))
     assert not verify_certificate(co9, 4, CertifiedAnswer("maybe", witness=3))
+
+
+def test_p3p1_witness_check_agrees_with_isomorphism():
+    # verify_certificate recognises P3+P1 by its degrees; on every
+    # labelled 4-vertex graph that agrees with canonical labeling
+    p3p1 = named_graph("P3+P1")
+    hits = 0
+    for g in oracles.all_labeled_graphs(4):
+        iso = is_isomorphic(g, p3p1)
+        hits += iso
+        assert is_p3p1(g) == iso
+        answer = CertifiedAnswer(NOT_IN_CLASS, witness=0b1111)
+        assert verify_certificate(g, 3, answer) == iso
+    assert hits == 12
 
 
 # ===== structural coloring =====

@@ -109,9 +109,9 @@ def test_census_general_pattern(capsys, tmp_path):
                 "--max-order", "5", "--out", str(out_file)])
     out = capsys.readouterr().out
     assert code == 0 and "total 2" in out
-    lines = out_file.read_text().split()
-    assert len(lines) == 2
-    got = [parse_graph_line(l) for l in lines]
+    assert out_file.read_text().startswith("k=3 count=2\n")
+    got = [g for _, g in read_graph_file(out_file)]
+    assert len(got) == 2
     assert any(is_isomorphic(g, named_graph("C5")) for g in got)
 
 
@@ -152,7 +152,14 @@ def test_census_out_file_replaced_and_kept_on_usage_error(tmp_path, capsys):
     assert run(["census", "--k", "9", "--out", str(out_file)]) == 2
     assert out_file.read_text() == "old line\nanother\n"
     assert run(["census", "--k", "3", "--out", str(out_file)]) == 0
-    assert len(out_file.read_text().split()) == 2
+    assert len(read_graph_file(out_file)) == 2
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_census_out_reproduces_the_shipped_list(tmp_path, capsys, k):
+    out_file = tmp_path / f"critical{k}.g6"
+    assert run(["census", "--k", str(k), "--out", str(out_file)]) == 0
+    assert out_file.read_bytes() == data_path(f"critical{k}.g6").read_bytes()
 
 
 def test_census_deterministic(capsys):
@@ -222,6 +229,17 @@ def test_convert_bad_out_path_is_usage_error(tmp_path, capsys):
                 "--out", str(bad)]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("to", ["graph6", "edges"])
+def test_convert_out_with_no_graphs_writes_nothing(tmp_path, capsys, to):
+    src = tmp_path / "empty.g6"
+    src.write_text("# nothing here\n")
+    out_file = tmp_path / "out.txt"
+    assert run(["convert", str(src), "--to", to, "--out", str(out_file)]) == 0
+    assert out_file.read_text() == ""
+    assert run(["convert", str(src), "--to", to]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_convert_parse_error():

@@ -10,7 +10,8 @@ import oracles
 from kcrit.graph import (Graph, bits, complement, delete_vertex, disjoint_union,
                          format_edge_list, from_edge_list, from_graph6,
                          induced_subgraph, join, mask_of, parse_edge_list,
-                         parse_graph_line, relabel, to_graph6)
+                         parse_graph_line, read_graph_list, relabel, to_graph6,
+                         write_graph_list)
 from util import data_path, graphs, random_graph
 
 K4 = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -54,6 +55,12 @@ def test_graph_invariants_enforced():
         Graph(2, (0b10, 0b00))       # asymmetric
     with pytest.raises(ValueError):
         Graph(1, (0b10,))            # bit above n
+
+
+@pytest.mark.parametrize("n, adj", [(2.0, (2, 1)), (True, (0,)), ("1", (0,))])
+def test_graph_rejects_an_order_that_is_not_an_int(n, adj):
+    with pytest.raises(ValueError, match="order must be an int"):
+        Graph(n, adj)
 
 
 def test_graph_stores_adjacency_as_a_tuple():
@@ -197,8 +204,7 @@ def test_graph6_malformed():
 def test_graph6_decoder_equals_bitwise_oracle():
     # the one-integer decoder against the bit-at-a-time decoder it replaced
     for name in ("critical4.g6", "critical5.g6", "critical6.g6"):
-        lines = data_path(name).read_text().split()
-        codes = [c for c in lines if not c.startswith(("k=", "count="))]
+        codes = [c for _, c in read_graph_list(data_path(name))[1]]
         assert codes
         for c in codes:
             assert from_graph6(c) == oracles.from_graph6(c)
@@ -276,6 +282,40 @@ def test_read_graph_file_header(tmp_path):
     p.write_text("C~\nk=4 count=1\n")           # only as the first line
     with pytest.raises(ValueError, match=":2:"):
         read_graph_file(p)
+
+
+def test_read_graph_list(tmp_path):
+    p = tmp_path / "list.g6"
+    p.write_text("# a comment\nk=4 count=2  # header\n\nC~\n# skipped\nDhc # K1+C4\n")
+    assert read_graph_list(p) == (4, [(4, "C~"), (6, "Dhc")])
+    p.write_text("C~\n\nDhc\n")
+    assert read_graph_list(p) == (None, [(1, "C~"), (3, "Dhc")])
+    p.write_text("")
+    assert read_graph_list(p) == (None, [])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("k=4\nC~\n", ":1: bad header 'k=4'"),
+    ("\nk=4 count=two\nC~\n", ":2: bad header"),
+    ("k=4 count=1\n# C~\n", "header says 1 graphs, file has 0"),
+    ("k=4 count=1\nC~\nC~\n", "header says 1 graphs, file has 2"),
+])
+def test_read_graph_list_errors(tmp_path, text, message):
+    p = tmp_path / "list.g6"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_graph_list(p)
+
+
+def test_write_graph_list_sorts_under_a_header(tmp_path):
+    p = tmp_path / "list.g6"
+    with open(p, "w") as fh:
+        write_graph_list(fh, 5, ["Dhc", "C~", "B?"])
+    assert p.read_text() == "k=5 count=3\nB?\nC~\nDhc\n"
+    assert read_graph_list(p) == (5, [(2, "B?"), (3, "C~"), (4, "Dhc")])
+    with open(p, "w") as fh:
+        write_graph_list(fh, 3, [])
+    assert p.read_text() == "k=3 count=0\n"
 
 
 def test_read_shipped_databases():
