@@ -22,7 +22,7 @@ from kcrit.certify import (
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
-from kcrit.graph import Graph, induced_subgraph, join
+from kcrit.graph import Graph, induced_subgraph, join, write_graph_list
 from kcrit.invariants import Coloring, is_k_colorable
 from kcrit.patterns import copaw_decompose, is_free, is_p3p1, named_graph
 
@@ -85,17 +85,29 @@ def test_build_database_skips_comment_lines(monkeypatch, tmp_path):
     assert build_database(4) == CriticalDatabase(4, frozenset({"C~"}))
 
 
-@pytest.mark.parametrize("text, message", [
-    ("C~\n", "missing header"),
-    ("k=4\nC~\n", ":1: bad header 'k=4'"),
-    ("k=5 count=1\nC~\n", "header names level 5, expected 4"),
-    ("k=4 count=2\nC~\nC~\n", ":3: repeated code"),
-    ("k=4 count=3\nC~\nDhc\n", "header says 3 graphs, file has 2"),
-])
-def test_build_database_rejects_bad_files(monkeypatch, tmp_path, text, message):
-    _shipped(monkeypatch, tmp_path, 4, text)
-    with pytest.raises(ValueError, match=message):
-        build_database(4)
+def test_database_round_trip(monkeypatch, tmp_path, db5):
+    # the writer's output loads back as the same database, byte for byte
+    shipped = (kcrit.certify._DATA / "critical5.g6").read_text()
+    with open(tmp_path / "critical5.g6", "w", encoding="utf-8") as fh:
+        write_graph_list(fh, 5, db5.graphs)
+    monkeypatch.setattr(kcrit.certify, "_DATA", tmp_path)
+    assert build_database(5) == db5
+    text = (tmp_path / "critical5.g6").read_text()
+    assert text.splitlines()[0] == "k=5 count=178"
+    assert text == shipped
+
+
+def test_load_database_errors(monkeypatch, tmp_path):
+    for text, message in [
+        ("C~\n", "missing header"),
+        ("k=4\nC~\n", ":1: bad header 'k=4'"),
+        ("k=5 count=1\nC~\n", "header names level 5, expected 4"),
+        ("k=4 count=2\nC~\nC~\n", ":3: repeated code"),
+        ("k=4 count=3\nC~\nDhc\n", "header says 3 graphs, file has 2"),
+    ]:
+        _shipped(monkeypatch, tmp_path, 4, text)
+        with pytest.raises(ValueError, match=message):
+            build_database(4)
 
 
 # ===== certified answers on known graphs =====
