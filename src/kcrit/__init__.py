@@ -29,10 +29,7 @@ from .graph import (
     relabel,
     to_graph6,
 )
-from .canon import (
-    canonical_form,
-    is_isomorphic,
-)
+from .canon import canonical_form
 from .invariants import (
     Coloring,
     chromatic_number,
@@ -64,7 +61,6 @@ from .generate import (
     TRIANGLE_FREE,
     child_graphs,
     generate_graphs,
-    generate_level,
 )
 from .census import (
     CensusRow,

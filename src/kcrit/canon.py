@@ -1,4 +1,4 @@
-"""Canonical labeling, automorphism generators, and isomorphism testing.
+"""Canonical labeling, canonical graph6 codes and automorphism generators.
 
 Individualization-refinement search sized for n <= 31: refine an ordered
 partition to equitability, branch on the first non-singleton cell, and keep
@@ -15,12 +15,14 @@ The encoding of a vertex order is the upper triangle of the permuted
 adjacency matrix read column by column, one int per column with the row-0
 bit most significant.  Columns only depend on the already-placed prefix of
 the order, so partial encodings of the leading singleton cells compare
-against the current best leaf and prune early.
+against the current best leaf and prune early.  Read in column order,
+these bits are the graph6 bit stream, so ``graph6_from_cols`` writes the
+canonical code straight from them.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph, bits, graph6_from_cols
 
 # ===== equitable refinement =====
 
@@ -205,35 +207,10 @@ def canon_raw(n, adj):
     return s.best_order, s.best_cols, s.gens, [s._find(v) for v in range(n)]
 
 
-def _graph6_from_cols(n, cols):
-    out = [chr(n + 63)]
-    acc = nb = 0
-    for j in range(1, n):
-        c = cols[j]
-        for i in range(j):
-            acc = acc << 1 | (c >> (j - 1 - i) & 1)
-            nb += 1
-            if nb == 6:
-                out.append(chr(acc + 63))
-                acc = nb = 0
-    if nb:
-        out.append(chr((acc << (6 - nb)) + 63))
-    return "".join(out)
-
-
 # ===== public API =====
 
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 code: equal codes exactly for isomorphic graphs."""
     _, cols, _, _ = canon_raw(g.n, g.adj)
-    return _graph6_from_cols(g.n, cols)
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Isomorphism test via canonical codes, after cheap screens."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return canonical_form(g) == canonical_form(h)
+    return graph6_from_cols(g.n, cols)

@@ -45,9 +45,6 @@ class CensusRow:
     def count(self) -> int:
         return len(self.codes)
 
-    def graphs(self) -> list[Graph]:
-        return [from_graph6(c) for c in self.codes]
-
 
 @contextmanager
 def _mapper(workers: int):

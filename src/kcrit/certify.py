@@ -1,11 +1,15 @@
 """Certifying k-colorability for graphs with no induced P3+P1.
 
-Because the k-vertex-critical graphs in this class form a finite list
-for each k, the shipped lists (read-only ``data/critical<k>.g6``) turn
-k-colorability into a certified decision: a Yes comes with a proper
-coloring found structurally from the join decomposition, a No with a
-vertex set inducing a (k+1)-vertex-critical graph, and inputs outside
-the class with the offending induced P3+P1.  Every certificate is
+Each query makes one join decomposition (``copaw_decompose``).  It
+decides membership in the class: when it fails, the input is outside
+the class, and only then does an embedding search find the offending
+induced P3+P1.  Otherwise it gives chi and an optimal coloring, factor
+by factor.  Because the k-vertex-critical graphs in the class form a
+finite list for each k, the shipped lists (read-only
+``data/critical<k>.g6``) turn k-colorability into a certified decision:
+a Yes comes with the structural coloring, a No with a vertex set
+inducing a (k+1)-vertex-critical graph found in the list, and an input
+outside the class with its induced P3+P1.  Every certificate is
 checkable without trusting the lists or the search.
 """
 
@@ -20,7 +24,8 @@ from .critical import find_critical_subgraph, is_vertex_critical
 from .graph import (Graph, bits, complement, from_graph6, induced_subgraph,
                     mask_of, read_graph_list)
 from .invariants import Coloring, is_proper_coloring, matching_mates_raw
-from .patterns import contains_induced, copaw_decompose, is_p3p1, named_graph
+from .patterns import (JoinDecomposition, contains_induced, copaw_decompose, is_p3p1,
+                       named_graph)
 
 YES = "yes"
 NO = "no"
@@ -88,11 +93,10 @@ def build_database(k: int) -> CriticalDatabase:
 
 # ===== structural coloring inside the class =====
 
-def _structural_coloring(g: Graph) -> Coloring:
-    # optimal coloring of a P3+P1-free graph from its join decomposition,
-    # on raw masks; factors take disjoint palettes, so the total is the
-    # sum of exact factor chromatic numbers
-    dec = copaw_decompose(g)
+def _structural_coloring(g: Graph, dec: JoinDecomposition) -> Coloring:
+    # optimal coloring of a P3+P1-free graph from its join decomposition
+    # dec, on raw masks; factors take disjoint palettes, so the total is
+    # the sum of exact factor chromatic numbers
     co = complement(g).adj
     colors = [-1] * g.n
     offset = 0
@@ -126,15 +130,21 @@ def certify_color(g: Graph, k: int, db: CriticalDatabase) -> CertifiedAnswer:
     """Decide k-colorability of g with an independently checkable witness.
 
     Requires the database one level up (db.k == k + 1) and k in 3..5.
+    One join decomposition decides membership in the class and, inside
+    it, gives the coloring; an input outside the class gets the
+    lexicographically first embedding of P3+P1 as its witness.  When
+    chi(g) > k, the first database member, smallest order first, that
+    embeds in g gives the witness.
     """
     if k not in (3, 4, 5):
         raise ValueError("certified coloring supports k in 3..5")
     if db.k != k + 1:
         raise ValueError(f"need the level-{k + 1} database, got level {db.k}")
-    hit = contains_induced(g, _P3P1)
-    if hit is not None:
+    dec = copaw_decompose(g)
+    if dec is None:
+        hit = contains_induced(g, _P3P1)
         return CertifiedAnswer(NOT_IN_CLASS, witness=mask_of(hit))
-    coloring = _structural_coloring(g)
+    coloring = _structural_coloring(g, dec)
     if coloring.k <= k:
         return CertifiedAnswer(YES, coloring=coloring)
     # chi(g) > k, so some induced subgraph is (k+1)-vertex-critical and

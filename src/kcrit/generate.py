@@ -74,6 +74,15 @@ def _mask_orbit_reps(masks, gens) -> list[int]:
     return reps
 
 
+def _check_args(mode: str, max_degree: int | None = None,
+                min_degree: int | None = None) -> None:
+    if mode not in (ALL_GRAPHS, TRIANGLE_FREE):
+        raise ValueError(f"unknown generation mode {mode!r}")
+    for name, bound in (("max_degree", max_degree), ("min_degree", min_degree)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must be >= 0, got {bound}")
+
+
 # ===== the canonical-extension acceptance rule =====
 
 def _canonical_extension(n, adj, deg, below, s):
@@ -125,8 +134,8 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
                  gens=None, child_gens: list | None = None) -> list[Graph]:
     """Accepted one-vertex extensions of parent, one per child class.
 
-    With max_degree (>= 0), only children of maximum degree <= max_degree
-    are produced.  Since a parent is an induced subgraph of its children, a
+    With max_degree, only children of maximum degree <= max_degree are
+    produced.  Since a parent is an induced subgraph of its children, a
     level-by-level run with the bound yields exactly the classes with
     maximum degree <= max_degree, in the order of the unbounded run.
 
@@ -145,8 +154,9 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
     and spare the parent's labeling.  When child_gens is a list, one entry
     per returned child is appended to it: the generators of Aut(child)
     that the canonicity test found, or None where it did not label the
-    child.
+    child.  ValueError on an unknown mode or a negative degree bound.
     """
+    _check_args(mode, max_degree, min_degree)
     n = parent.n
     adj = parent.adj
     deg = [a.bit_count() for a in adj]
@@ -159,11 +169,9 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
         avail, room = below[min(max_degree, n)], min(max_degree, n)
     if mode == TRIANGLE_FREE:
         masks = _independent_masks(adj, avail, room)
-    elif mode == ALL_GRAPHS:
+    else:
         masks = [s for s in range(1 << n)
                  if not s & ~avail and s.bit_count() <= room]
-    else:
-        raise ValueError(f"unknown generation mode {mode!r}")
     if min_degree is not None:
         need = sum(1 << v for v, d in enumerate(deg) if d < min_degree)
         masks = [s for s in masks if s & need == need and s.bit_count() >= min_degree]
@@ -181,11 +189,6 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
 
 # ===== order-n streams =====
 
-def generate_level(parents: list[Graph], mode: str = ALL_GRAPHS) -> list[Graph]:
-    """All order-(n+1) classes obtained from the order-n class list."""
-    return [c for p in parents for c in child_graphs(p, mode)]
-
-
 def generate_graphs(n: int, mode: str = ALL_GRAPHS) -> Iterator[Graph]:
     """One representative per isomorphism class of order-n graphs.
 
@@ -194,11 +197,12 @@ def generate_graphs(n: int, mode: str = ALL_GRAPHS) -> Iterator[Graph]:
     """
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError("order out of range")
+    _check_args(mode)
     level = [Graph(1, (0,))]
     if n == 1:
         yield from level
         return
     for _ in range(n - 2):
-        level = generate_level(level, mode)
+        level = [c for p in level for c in child_graphs(p, mode)]
     for p in level:
         yield from child_graphs(p, mode)

@@ -79,12 +79,6 @@ class Graph:
         object.__setattr__(g, "adj", adj)
         return g
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (i, j) pairs with i < j, lexicographic."""
         out = []
@@ -92,12 +86,6 @@ class Graph:
             for j in bits(self.adj[i] >> (i + 1) << (i + 1)):
                 out.append((i, j))
         return out
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.adj))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self.edges()!r})"
@@ -127,8 +115,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def complement(g: Graph) -> Graph:
     # valid by construction when g is, so the checks are skipped
     full = (1 << g.n) - 1
-    return Graph._unchecked(g.n, tuple(full & ~row & ~(1 << v)
-                                       for v, row in enumerate(g.adj)))
+    rows = [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]
+    return Graph._unchecked(g.n, tuple(rows))
 
 
 def _check_vertex(g: Graph, v: int) -> None:
@@ -196,22 +184,29 @@ def join(g: Graph, h: Graph) -> Graph:
 
 # ===== graph6 codec =====
 
+def graph6_from_cols(n: int, cols) -> str:
+    """graph6 of the order-n graph whose upper triangle is given column
+    by column: cols[j] holds x(0,j) .. x(j-1,j), row 0 most significant
+    (the column encoding ``canon_raw`` returns)."""
+    stream = 0
+    for j in range(1, n):
+        stream = stream << j | cols[j]
+    size = n * (n - 1) // 2
+    pad = -size % 6
+    stream <<= pad
+    return chr(n + 63) + "".join([chr((stream >> s & 63) + 63)
+                                  for s in range(size + pad - 6, -1, -6)])
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as graph6 (n <= 62 header form; here always n <= 31)."""
-    out = [chr(g.n + 63)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
+    cols = []
+    for j, row in enumerate(g.adj):
+        col = 0
         for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+            col = col << 1 | (row >> i & 1)
+        cols.append(col)
+    return graph6_from_cols(g.n, cols)
 
 
 _G6_BAD_BYTE = re.compile(r"[^?-~]")

@@ -11,8 +11,10 @@ exposed), which decides every vertex deletion in one pass.
 ``alpha_le_2_chi`` is the structural shortcut when alpha(G) <= 2, i.e. when
 the complement is triangle-free: color classes then have at most two
 vertices, so an optimal coloring pairs up nonadjacent vertices and
-chi(G) = n - nu(complement(G)).  Everything else goes through
-saturation-ordered branch and bound with a greedy clique lower bound.
+chi(G) = n - nu(complement(G)).  Its triangle test, ``triangle_free_raw``,
+is the package's only one; the join decomposition runs it on each
+factor.  Everything else goes through saturation-ordered branch and
+bound with a greedy clique lower bound.
 """
 
 from __future__ import annotations
@@ -302,19 +304,28 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
     return best[1]
 
 
-def triangle_free_raw(adj) -> bool:
-    """True iff the graph with adjacency masks ``adj`` has no triangle."""
-    return not any(row & adj[u] for v, row in enumerate(adj)
-                   for u in bits(row >> v << v))
+def triangle_free_raw(adj, active: int) -> bool:
+    """True iff no triangle lies on the ``active`` vertices, whose rows
+    ``adj`` stay inside ``active``."""
+    for v in bits(active):
+        row = adj[v]
+        later = row >> v << v
+        while later:
+            low = later & -later
+            if row & adj[low.bit_length() - 1]:
+                return False
+            later ^= low
+    return True
 
 
 def alpha_le_2_chi(g: Graph):
     """(chi, complement adjacency, mates of a maximum matching of the
     complement, -1 exposed) when alpha(G) <= 2, else None."""
     co = complement(g).adj
-    if not triangle_free_raw(co):
+    full = (1 << g.n) - 1
+    if not triangle_free_raw(co, full):
         return None
-    mates = matching_mates_raw(g.n, co, (1 << g.n) - 1)
+    mates = matching_mates_raw(g.n, co, full)
     return (g.n + mates.count(-1)) // 2, co, mates
 
 

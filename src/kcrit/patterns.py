@@ -22,7 +22,10 @@ import re
 from dataclasses import dataclass
 
 from .graph import Graph, bits, complement, disjoint_union, from_edge_list
-from .invariants import independence_number  # for the perfbench span of that name
+from .invariants import (
+    independence_number,  # for the perfbench span of that name
+    triangle_free_raw,
+)
 
 
 # ===== named graphs =====
@@ -106,9 +109,8 @@ def contains_induced(g: Graph, h: Graph):
         return None
     if h.n == 0:
         return ()
-    full = (1 << g.n) - 1
     adj = g.adj
-    nadj = [full ^ row ^ 1 << v for v, row in enumerate(adj)]
+    nadj = complement(g).adj
     gdeg = [row.bit_count() for row in adj]
     deg_ok = []
     for hrow in h.adj:
@@ -186,27 +188,9 @@ def _components(rows) -> list[int]:
     return comps
 
 
-def _complement_rows(g: Graph) -> list[int]:
-    full = (1 << g.n) - 1
-    return [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]
-
-
 _ALPHA_LE_2 = frozenset({"alpha_le_2"})
 _CLIQUES = frozenset({"union_of_cliques"})
 _BOTH = _ALPHA_LE_2 | _CLIQUES
-
-
-def _triangle_free_on(rows, mask: int) -> bool:
-    # no triangle on the vertices of ``mask``, whose rows stay inside it
-    for v in bits(mask):
-        row = rows[v]
-        later = row >> v << v
-        while later:
-            low = later & -later
-            if row & rows[low.bit_length() - 1]:
-                return False
-            later ^= low
-    return True
 
 
 def _union_of_cliques_on(adj, mask: int) -> bool:
@@ -235,12 +219,12 @@ def _copaw_factors(g: Graph):
     factor's complement, and the triangle test (alpha <= 2) reads them
     directly.
     """
-    co = _complement_rows(g)
+    co = complement(g).adj
     factors = []
     kinds = []
     for comp in _components(co):
         cliques = _union_of_cliques_on(g.adj, comp)
-        if _triangle_free_on(co, comp):
+        if triangle_free_raw(co, comp):
             kinds.append(_BOTH if cliques else _ALPHA_LE_2)
         elif cliques:
             kinds.append(_CLIQUES)

@@ -10,9 +10,10 @@ serves.
 from __future__ import annotations
 
 from kcrit.critical import is_vertex_critical
-from kcrit.graph import MAX_VERTICES, Graph, bits, delete_vertex, from_edge_list, join, mask_of
+from kcrit.graph import (MAX_VERTICES, Graph, bits, complement, delete_vertex, from_edge_list,
+                         join, mask_of)
 from kcrit.invariants import Coloring
-from kcrit.patterns import _complement_rows, _components
+from kcrit.patterns import _components
 
 
 # ===== criterion 8: the nonneighbor bound on a maximal independent set =====
@@ -85,7 +86,7 @@ def nonneighbor_profile(g: Graph, s) -> dict[int, int]:
 def co_components(g: Graph) -> list[int]:
     """Criterion 9 (precondition): vertex masks of the connected
     components of the complement."""
-    return _components(_complement_rows(g))
+    return _components(complement(g).adj)
 
 
 def coloring_with_min_class_size(g: Graph, k: int, m: int) -> Coloring | None:
@@ -182,6 +183,6 @@ def substitute_clique(g: Graph, v: int, q: int) -> Graph:
     edges = [(pos[a], pos[b]) for a, b in g.edges() if v not in (a, b)]
     base = g.n - 1
     for i in range(q):
-        edges.extend((pos[u], base + i) for u in old if g.has_edge(u, v))
+        edges.extend((pos[u], base + i) for u in old if g.adj[u] >> v & 1)
         edges.extend((base + j, base + i) for j in range(i))
     return from_edge_list(n, edges)

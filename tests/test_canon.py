@@ -5,8 +5,9 @@ import random
 from hypothesis import given, settings
 
 import oracles
-from kcrit.canon import canon_raw, canonical_form, is_isomorphic
+from kcrit.canon import canon_raw, canonical_form
 from kcrit.graph import Graph, from_edge_list, from_graph6, relabel
+from oracles import is_isomorphic
 from util import graph_with_permutation, random_graph
 
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])

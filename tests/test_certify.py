@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kcrit.canon import canonical_form, is_isomorphic
+from kcrit.canon import canonical_form
 from kcrit.census import census_copaw_critical
 import kcrit.certify
 import kcrit.invariants
@@ -22,12 +22,13 @@ from kcrit.certify import (
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
-from kcrit.graph import Graph, induced_subgraph, join, write_graph_list
+from kcrit.graph import Graph, induced_subgraph, join, mask_of, write_graph_list
 from kcrit.invariants import Coloring, is_k_colorable
-from kcrit.patterns import copaw_decompose, is_free, is_p3p1, named_graph
+from kcrit.patterns import contains_induced, copaw_decompose, is_free, is_p3p1, named_graph
 
 import oracles
-from util import random_copaw_free
+from oracles import is_isomorphic
+from util import random_copaw_free, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -211,29 +212,82 @@ def _coloring_inputs():
 def test_structural_coloring_equals_the_induced_subgraph_path():
     checked = 0
     for g in _coloring_inputs():
-        assert _structural_coloring(g) == oracles.structural_coloring(g), g
+        assert _structural_coloring(g, copaw_decompose(g)) == oracles.structural_coloring(g), g
         checked += 1
     assert checked == 3000 + 8 + 178 + 2000
 
 
 def test_structural_coloring_tests_each_factor_for_triangles_once(monkeypatch):
-    # the decomposition's triangle test is the only one: the alpha <= 2
-    # kernel, which would repeat it, is never entered
-    def kernel_entered(adj):
-        raise AssertionError("triangle test repeated")
-
+    # one triangle kernel serves the decomposition and the alpha <= 2
+    # kernel; a decomposition and the coloring built on it run it once
+    # per factor, and never again on the whole graph
     calls = []
-    real = kcrit.patterns._triangle_free_on
-    monkeypatch.setattr(kcrit.invariants, "triangle_free_raw", kernel_entered)
-    monkeypatch.setattr(kcrit.patterns, "_triangle_free_on",
-                        lambda rows, mask: calls.append(mask) or real(rows, mask))
+    real = kcrit.invariants.triangle_free_raw
+    for module in (kcrit.invariants, kcrit.patterns):
+        monkeypatch.setattr(module, "triangle_free_raw",
+                            lambda rows, mask: calls.append(mask) or real(rows, mask))
     rng = random.Random(2)
     for _ in range(200):
         g = random_copaw_free(rng, 12)
         calls.clear()
-        _structural_coloring(g)
+        _structural_coloring(g, copaw_decompose(g))
         tested = list(calls)
         assert tested == list(copaw_decompose(g).factors)
+
+
+# ===== one decomposition per query =====
+
+def test_certify_searches_for_p3p1_only_outside_the_class(monkeypatch, db4, db5):
+    # every query decomposes once; an in-class query (YES, or NO by the
+    # database scan) never searches for P3+P1, a NOT-IN-CLASS query once
+    searches, decompositions = [], []
+    search, decompose = kcrit.certify.contains_induced, kcrit.certify.copaw_decompose
+    monkeypatch.setattr(kcrit.certify, "contains_induced",
+                        lambda g, h: searches.append(h) or search(g, h))
+    monkeypatch.setattr(kcrit.certify, "copaw_decompose",
+                        lambda g: decompositions.append(g) or decompose(g))
+    db6 = build_database(6)
+    queries = [(co_odd_cycle(5), 5, db6, YES), (co_odd_cycle(5), 4, db5, NO),
+               (join(named_graph("K5"), named_graph("K1")), 3, db4, NO),
+               (named_graph("C5"), 3, db4, YES), (named_graph("C7"), 3, db4, NOT_IN_CLASS),
+               (named_graph("P3+P1"), 5, db6, NOT_IN_CLASS)]
+    for g, k, db, verdict in queries:
+        searches.clear()
+        decompositions.clear()
+        ans = certify_color(g, k, db)
+        assert ans.verdict == verdict
+        assert decompositions == [g]
+        p3p1_searches = [h for h in searches if is_p3p1(h)]
+        assert len(p3p1_searches) == (verdict == NOT_IN_CLASS)
+        if verdict == NOT_IN_CLASS:
+            assert len(searches) == 1
+        elif verdict == YES:
+            assert searches == []
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_not_in_class_witness_is_the_first_embedding(k, db4, db5):
+    # on random graphs and P3+P1-free joins the decomposition decides the
+    # class as the brute-force oracle does, and a NOT-IN-CLASS witness is
+    # the lexicographically first embedding of P3+P1
+    db = {3: db4, 4: db5}.get(k) or build_database(6)
+    p3p1 = named_graph("P3+P1")
+    rng = random.Random(3_000 + k)
+    corpus = [random_graph(rng, rng.randint(4, 12), rng.choice((0.3, 0.5, 0.8)))
+              for _ in range(80)]
+    corpus += [random_copaw_free(rng, 10) for _ in range(80)]
+    outside = 0
+    for g in corpus:
+        ans = certify_color(g, k, db)
+        hit = contains_induced(g, p3p1)
+        assert (ans.verdict != NOT_IN_CLASS) == oracles.is_p3p1_free(g)
+        if hit is None:
+            assert ans.verdict in (YES, NO)
+        else:
+            outside += 1
+            assert ans == CertifiedAnswer(NOT_IN_CLASS, witness=mask_of(hit))
+        assert verify_certificate(g, k, ans)
+    assert outside >= 40
 
 
 # ===== randomized soundness and agreement =====

@@ -2,13 +2,13 @@
 
 import pytest
 
-from kcrit.canon import is_isomorphic
 from kcrit.critical import is_vertex_critical
 from kcrit.families import clique_substituted_odd_cycle, co_odd_cycle, odd_cycle
 from kcrit.graph import join, read_graph_file
 from kcrit.invariants import clique_number, independence_number
 from kcrit.patterns import is_free, named_graph
 
+from oracles import is_isomorphic
 from lemmas import is_p2_lp1_free, substitute_clique, verify_join_criticality
 from util import data_path
 

@@ -10,7 +10,6 @@ from kcrit.generate import (
     _independent_masks,
     child_graphs,
     generate_graphs,
-    generate_level,
 )
 from kcrit.graph import Graph, from_edge_list
 from kcrit.invariants import clique_number, independence_number
@@ -36,7 +35,7 @@ def test_independent_set_masks_are_independent():
     g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     for s in _independent_masks(g.adj, 0b11111, 5):
         sub = [v for v in range(5) if s >> v & 1]
-        assert not any(g.has_edge(a, b) for a in sub for b in sub if a < b)
+        assert not any(g.adj[a] >> b & 1 for a in sub for b in sub if a < b)
 
 
 # ===== class counts against brute-force dedup =====
@@ -198,7 +197,7 @@ def test_deterministic_streams():
 def test_child_graphs_modes():
     k1 = Graph(1, (0,))
     kids = child_graphs(k1)
-    assert {g.edge_count() for g in kids} == {0, 1}
+    assert {len(g.edges()) for g in kids} == {0, 1}
     with pytest.raises(ValueError):
         child_graphs(k1, "nonsense")
 
@@ -206,7 +205,7 @@ def test_child_graphs_modes():
 def test_generate_level_matches_stream():
     lvl = [Graph(1, (0,))]
     for _ in range(4):
-        lvl = generate_level(lvl, TRIANGLE_FREE)
+        lvl = [c for p in lvl for c in child_graphs(p, TRIANGLE_FREE)]
     assert len(lvl) == len(list(generate_graphs(5, TRIANGLE_FREE)))
 
 
@@ -215,3 +214,23 @@ def test_order_range_errors():
         list(generate_graphs(0))
     with pytest.raises(ValueError):
         list(generate_graphs(32))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unknown_mode_is_rejected_at_every_order(n):
+    # order 1 needs no augmentation step, and used to yield K1 for any mode
+    with pytest.raises(ValueError, match="unknown generation mode 'bogus'"):
+        list(generate_graphs(n, "bogus"))
+
+
+@pytest.mark.parametrize("mode", [TRIANGLE_FREE, ALL_GRAPHS])
+@pytest.mark.parametrize("bound", ["max_degree", "min_degree"])
+def test_negative_degree_bound_is_rejected(mode, bound):
+    # a negative max_degree used to mean no bound for triangle-free
+    # children and no children at all for the other mode
+    p3 = named_graph("P3")
+    with pytest.raises(ValueError, match=f"{bound} must be >= 0, got -1"):
+        child_graphs(p3, mode, **{bound: -1})
+    # zero is a bound: only the isolated new vertex, or no bound at all
+    zero = child_graphs(p3, mode, **{bound: 0})
+    assert len(zero) == (1 if bound == "max_degree" else len(child_graphs(p3, mode)))

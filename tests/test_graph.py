@@ -26,17 +26,17 @@ def complete(n):
 
 def test_from_edge_list_k4():
     assert K4.n == 4
-    assert K4.edge_count() == 6
-    assert all(K4.degree(v) == 3 for v in range(4))
+    assert len(K4.edges()) == 6
+    assert all(K4.adj[v].bit_count() == 3 for v in range(4))
 
 
 def test_from_edge_list_empty():
     g = from_edge_list(3, [])
-    assert g.n == 3 and g.edge_count() == 0
+    assert g.n == 3 and len(g.edges()) == 0
 
 
 def test_from_edge_list_c5_degrees():
-    assert all(C5.degree(v) == 2 for v in range(5))
+    assert all(C5.adj[v].bit_count() == 2 for v in range(5))
 
 
 def test_from_edge_list_rejects_bad_input():
@@ -79,7 +79,7 @@ def test_graph_rejects_rows_that_are_not_ints(adj, vertex):
 # ===== transformations =====
 
 def test_complement_k4():
-    assert complement(K4).edge_count() == 0
+    assert len(complement(K4).edges()) == 0
 
 
 def test_complement_involution_exact():
@@ -101,7 +101,7 @@ def test_induced_of_complete():
 
 def test_delete_vertex():
     p4 = delete_vertex(C5, 0)
-    assert p4.n == 4 and p4.edge_count() == 3 and sorted(p4.degree_sequence()) == [1, 1, 2, 2]
+    assert p4.n == 4 and len(p4.edges()) == 3 and sorted(r.bit_count() for r in p4.adj) == [1, 1, 2, 2]
     assert delete_vertex(K4, 2) == complete(3)
 
 
@@ -134,9 +134,9 @@ def test_induced_subgraph_is_valid(g, s):
 def test_join_and_union():
     assert join(complete(1), complete(1)) == complete(2)
     p2_2p1 = disjoint_union(from_edge_list(2, [(0, 1)]), Graph(2, (0, 0)))
-    assert p2_2p1.n == 4 and p2_2p1.edge_count() == 1
+    assert p2_2p1.n == 4 and len(p2_2p1.edges()) == 1
     w = join(C5, complete(1))
-    assert w.n == 6 and w.degree(5) == 5 and w.edge_count() == 10
+    assert w.n == 6 and w.adj[5].bit_count() == 5 and len(w.edges()) == 10
 
 
 def test_join_order_overflow():
@@ -146,7 +146,7 @@ def test_join_order_overflow():
 
 def test_relabel_reverses():
     g = relabel(C5, [4, 3, 2, 1, 0])
-    assert g.edge_count() == 5 and all(g.degree(v) == 2 for v in range(5))
+    assert len(g.edges()) == 5 and all(g.adj[v].bit_count() == 2 for v in range(5))
 
 
 @pytest.mark.parametrize("perm", [[2, 1, 0, 3], [0, 0, 1], [0, 1], [0, 1, -1], [0.0, 1, 2]])

@@ -162,10 +162,10 @@ def test_d_leaves_mates_alone_and_rejects_non_maximum():
 
 
 def test_triangle_free_raw():
-    assert triangle_free_raw(C5.adj) and triangle_free_raw(())
-    assert not triangle_free_raw(cycle(3).adj)
+    assert triangle_free_raw(C5.adj, 0b11111) and triangle_free_raw((), 0)
+    assert not triangle_free_raw(cycle(3).adj, 0b111)
     for g in oracles.all_labeled_graphs(5):
-        assert triangle_free_raw(g.adj) == (oracles.clique_number(g) <= 2)
+        assert triangle_free_raw(g.adj, 0b11111) == (oracles.clique_number(g) <= 2)
 
 
 # ===== chromatic number =====

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from kcrit.canon import canonical_form, is_isomorphic
+from oracles import is_isomorphic
+from kcrit.canon import canonical_form
 from kcrit.graph import (Graph, complement, from_edge_list, induced_subgraph,
                          join, mask_of, read_graph_file, relabel)
 from kcrit.patterns import (ORDER4_NAMES, JoinDecomposition, contains_induced,
@@ -26,9 +27,9 @@ def cycle(n):
 
 def test_named_graph_basics():
     p3p1 = named_graph("P3+P1")
-    assert p3p1.n == 4 and p3p1.edge_count() == 2
-    assert max(p3p1.degree(v) for v in range(4)) == 2
-    assert named_graph("P2+2P1").edge_count() == 1
+    assert p3p1.n == 4 and len(p3p1.edges()) == 2
+    assert max(p3p1.adj[v].bit_count() for v in range(4)) == 2
+    assert len(named_graph("P2+2P1").edges()) == 1
     assert named_graph("P2+2P1").n == 4
     assert is_isomorphic(complement(named_graph("paw")), p3p1)
 
@@ -41,7 +42,7 @@ def test_named_graph_parsing_variants():
     assert is_isomorphic(named_graph("co-C7"), complement(cycle(7)))
     assert named_graph("P2+P1").n == 3
     assert named_graph("p2+3p1").n == 5
-    assert named_graph("2K2").edge_count() == 2
+    assert len(named_graph("2K2").edges()) == 2
     for spelling in ("p3p1", "P3P1", "P3 + P1", "p3++p1"):
         assert named_graph(spelling) == named_graph("P3+P1")
     assert named_graph("co-p3p1") == named_graph("co-P3+P1")
