@@ -11,11 +11,22 @@ shared with that path.  Orbit pruning only at first-path nodes is what
 keeps it sound: while the search sits inside such a node's subtree, every
 generator found so far fixes the individualized prefix pointwise.
 
+Refinement skips two kinds of splitter that provably split nothing, so
+every cell, its place and every later split are as they would be with
+every splitter processed.  A split queues every part but the last: once
+the cell it came from and its other parts have been processed, the last
+one splits nothing (the "all parts but one" rule, Hopcroft 1971; McKay &
+Piperno 2014).  A child node refines from the individualized vertex
+alone: its parent's cells are equitable, refining keeps them so, and the
+rest of the branching cell splits nothing that the whole cell and the
+vertex do not.
+
 The encoding of a vertex order is the upper triangle of the permuted
 adjacency matrix read column by column, one int per column with the row-0
 bit most significant.  Columns only depend on the already-placed prefix of
 the order, so partial encodings of the leading singleton cells compare
-against the current best leaf and prune early.  Read in column order,
+against the current best leaf and prune early; a child's prefix extends
+its parent's, so it computes only its new columns.  Read in column order,
 these bits are the graph6 bit stream, so ``graph6_from_cols`` writes the
 canonical code straight from them.
 """
@@ -27,15 +38,18 @@ from .graph import Graph, bits, graph6_from_cols
 # ===== equitable refinement =====
 
 
-def _refine(adj, cells):
+def _refine(adj, cells, queue=None):
     """Coarsest equitable refinement of a list of cell bit masks.
 
-    Each splitter from the queue splits every cell by neighbour count into
-    the splitter; the subcells replace the cell in place, ordered by
-    descending count, and join the queue.
+    Each splitter from the FIFO queue (default: every cell) splits every
+    cell by neighbour count into the splitter; the subcells replace the
+    cell in place, ordered by descending count, and all but the last join
+    the queue.  The last would split nothing: by its turn the cell it came
+    from (queued earlier, or equitable already) and its other subcells
+    have been processed.
     """
     n = len(adj)
-    queue = list(cells)
+    queue = list(cells) if queue is None else queue
     qi = 0
     # a discrete partition splits no further
     while qi < len(queue) and len(cells) < n:
@@ -48,9 +62,8 @@ def _refine(adj, cells):
             for cell in cells:
                 hit = cell & nbrs
                 if hit and hit != cell:
-                    parts = (hit, cell ^ hit)
-                    out += parts
-                    queue += parts
+                    out += (hit, cell ^ hit)
+                    queue.append(hit)
                 else:
                     out.append(cell)
         else:
@@ -70,7 +83,7 @@ def _refine(adj, cells):
                     continue
                 parts = [groups[c] for c in sorted(groups, reverse=True)]
                 out += parts
-                queue += parts
+                queue += parts[:-1]
         cells = out
     return cells
 
@@ -116,10 +129,12 @@ class _Search:
             if a != b:
                 self.parent[max(a, b)] = min(a, b)
 
-    def _cols(self, prefix):
+    def _cols(self, prefix, cols):
+        # cols, the columns of a leading part of prefix, extended to all
+        # of it: a column depends only on the prefix up to it
         adj = self.adj
-        out = [0]
-        for j in range(1, len(prefix)):
+        out = cols[:]
+        for j in range(len(cols), len(prefix)):
             row = adj[prefix[j]]
             c = 0
             for i in range(j):
@@ -132,18 +147,23 @@ class _Search:
             self.best_order = ()
             self.best_cols = []
             return
-        self._node([(1 << self.n) - 1], [])
+        # column 0 is empty whichever vertex comes first
+        self._node([(1 << self.n) - 1], [], None, [0])
 
-    def _node(self, cells, path):
-        """Process one node; returns the depth the caller should resume at."""
+    def _node(self, cells, path, queue, cols):
+        """Process one node; returns the depth the caller should resume at.
+
+        cells are refined from queue (None: every cell); cols are the
+        parent's columns, which this node's extend.
+        """
         depth = len(path)
-        cells = _refine(self.adj, cells)
+        cells = _refine(self.adj, cells, queue)
         prefix = []
         for c in cells:
             if c & (c - 1):
                 break
             prefix.append(c.bit_length() - 1)
-        cols = self._cols(prefix)
+        cols = self._cols(prefix, cols)
         # keep a subtree if it can still reach the first leaf's encoding (for
         # automorphism discovery) or can still beat the best leaf's encoding
         eq_first = (self.first_cols is not None
@@ -178,8 +198,10 @@ class _Search:
         ci = len(prefix)
         rest = cells[ci]
         tried: list[int] = []
+        # the same for every child: a first leaf not yet found turns up
+        # below the first child, on a path that extends this one
+        on_first = self.first_order is None or path == self.first_path[:depth]
         for v in bits(rest):
-            on_first = self.first_order is None or path == self.first_path[:depth]
             if on_first and tried:
                 r = self._find(v)
                 if any(self._find(u) == r for u in tried):
@@ -187,7 +209,8 @@ class _Search:
             tried.append(v)
             child = cells[:ci] + [1 << v, rest ^ 1 << v] + cells[ci + 1:]
             path.append(v)
-            jump = self._node(child, path)
+            # only {v} can split the parent's equitable cells (module docstring)
+            jump = self._node(child, path, [1 << v], cols)
             path.pop()
             if jump < depth:
                 return jump

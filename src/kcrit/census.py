@@ -14,6 +14,7 @@ pipeline and to run small censuses for other forbidden patterns.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,8 +50,13 @@ class CensusRow:
 @contextmanager
 def _mapper(workers: int):
     # an order-preserving map, over one process pool for the whole run
+    if type(workers) is not int:
+        raise ValueError(f"workers must be an int, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise ValueError(f"workers must be at most the CPU count {cpus}, got {workers}")
     if workers == 1:
         yield map
         return
@@ -218,8 +224,8 @@ def census_copaw_critical(k: int, n_max: int | None = None,
     from one run to order 2(n_max - k) + 1.  The order-(2k-1) row lists
     P_k in discovery order, the lower rows their joins in assembly order.
     Joins of smaller censuses, assembled from the same pieces, are
-    checked to be present.  ``workers`` (at least 1) is the number of
-    processes that expand the pieces.
+    checked to be present.  ``workers`` (1 to the CPU count) is the number
+    of processes that expand the pieces.
     """
     if not 3 <= k <= 6:
         raise ValueError("k must be in 3..6 (k = 7 would take hours; its "
@@ -246,7 +252,8 @@ def census_general(k: int, pattern: str | Graph | None, n_max: int,
     graph class (n_max <= 9); alpha_le_2 restricts the search space to
     graphs with independence number two via triangle-free complements
     (n_max <= 11) and is only exhaustive for targets known to force
-    alpha <= 2.  ``workers`` (at least 1) is the number of processes.
+    alpha <= 2.  ``workers`` (1 to the CPU count) is the number of
+    processes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

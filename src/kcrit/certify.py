@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .canon import canonical_form
 from .critical import find_critical_subgraph, is_vertex_critical
-from .graph import (Graph, bits, complement, from_graph6, induced_subgraph,
-                    mask_of, read_graph_list)
+from .graph import (Graph, bits, from_graph6, induced_subgraph, mask_of,
+                    read_graph_list)
 from .invariants import Coloring, is_proper_coloring, matching_mates_raw
 from .patterns import (JoinDecomposition, contains_induced, copaw_decompose, is_p3p1,
                        named_graph)
@@ -97,7 +97,7 @@ def _structural_coloring(g: Graph, dec: JoinDecomposition) -> Coloring:
     # optimal coloring of a P3+P1-free graph from its join decomposition
     # dec, on raw masks; factors take disjoint palettes, so the total is
     # the sum of exact factor chromatic numbers
-    co = complement(g).adj
+    co = dec.co
     colors = [-1] * g.n
     offset = 0
     for factor, kind in zip(dec.factors, dec.kinds):

@@ -58,7 +58,7 @@ class Graph:
             raise ValueError("adjacency tuple length differs from order")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
-            if not isinstance(row, int):
+            if type(row) is not int:
                 raise ValueError(f"adjacency row of vertex {v} is not an int: {row!r}")
             if row & ~full:
                 raise ValueError(f"vertex {v} has a neighbor bit at or above n={self.n}")

@@ -163,11 +163,13 @@ class JoinDecomposition:
     """Join factors of a (P3+P1)-free graph, as vertex masks plus kinds.
 
     kinds[i] is the subset of {"alpha_le_2", "union_of_cliques"} holding
-    for factor i; both are recorded when both hold.
+    for factor i; both are recorded when both hold.  co holds the
+    complement's adjacency rows, which the decomposition is built from.
     """
 
     factors: tuple[int, ...]
     kinds: tuple[frozenset, ...]
+    co: tuple[int, ...]
 
 
 def _components(rows) -> list[int]:
@@ -211,8 +213,8 @@ def _union_of_cliques_on(adj, mask: int) -> bool:
 
 
 def _copaw_factors(g: Graph):
-    """(factor masks, kinds) of the join decomposition, or None at the
-    first factor that has neither kind.
+    """(factor masks, kinds, complement rows) of the join decomposition,
+    or None at the first factor that has neither kind.
 
     Works on raw masks: a co-component is closed under complement
     adjacency, so the complement rows of its vertices are the rows of the
@@ -231,7 +233,7 @@ def _copaw_factors(g: Graph):
         else:
             return None
         factors.append(comp)
-    return tuple(factors), tuple(kinds)
+    return tuple(factors), tuple(kinds), co
 
 
 def copaw_decompose(g: Graph):

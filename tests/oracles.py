@@ -318,7 +318,7 @@ def copaw_decompose(g: Graph):
             return None
         factors.append(comp)
         kinds.append(frozenset(kind))
-    return JoinDecomposition(tuple(factors), tuple(kinds))
+    return JoinDecomposition(tuple(factors), tuple(kinds), complement(g).adj)
 
 
 def structural_coloring(g: Graph):
@@ -357,3 +357,53 @@ def structural_coloring(g: Graph):
             colors[u] = offset + c
         offset += max(local) + 1
     return Coloring(tuple(colors), offset)
+
+
+def refine(adj, cells):
+    """Coarsest equitable refinement of a list of cell bit masks, with the
+    full queue canonical labeling used before it skipped the splitters
+    that split nothing.
+
+    Each splitter from the queue splits every cell by neighbour count into
+    the splitter; the subcells replace the cell in place, ordered by
+    descending count, and join the queue.
+    """
+    n = len(adj)
+    queue = list(cells)
+    qi = 0
+    # a discrete partition splits no further
+    while qi < len(queue) and len(cells) < n:
+        splitter = queue[qi]
+        qi += 1
+        out = []
+        if splitter & (splitter - 1) == 0:
+            # one-vertex splitter: neighbours (count 1) before the rest
+            nbrs = adj[splitter.bit_length() - 1]
+            for cell in cells:
+                hit = cell & nbrs
+                if hit and hit != cell:
+                    parts = (hit, cell ^ hit)
+                    out += parts
+                    queue += parts
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                if cell & (cell - 1) == 0:
+                    out.append(cell)
+                    continue
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c = (adj[low.bit_length() - 1] & splitter).bit_count()
+                    groups[c] = groups.get(c, 0) | low
+                if len(groups) == 1:
+                    out.append(cell)
+                    continue
+                parts = [groups[c] for c in sorted(groups, reverse=True)]
+                out += parts
+                queue += parts
+        cells = out
+    return cells

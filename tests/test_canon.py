@@ -4,11 +4,12 @@ import random
 
 from hypothesis import given, settings
 
+import kcrit.canon
 import oracles
 from kcrit.canon import canon_raw, canonical_form
-from kcrit.graph import Graph, from_edge_list, from_graph6, relabel
+from kcrit.graph import Graph, from_edge_list, from_graph6, read_graph_file, relabel
 from oracles import is_isomorphic
-from util import graph_with_permutation, random_graph
+from util import data_path, graph_with_permutation, random_graph
 
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 
@@ -105,3 +106,61 @@ def test_highly_symmetric_graphs():
     empty = Graph(8, (0,) * 8)
     assert canon_raw(empty.n, empty.adj)[3] == [0] * 8
     assert canonical_form(empty) == oracles.graph6_encode(empty)
+
+
+# ===== refinement against the full-queue oracle =====
+
+def _refinement_inputs():
+    # every shipped critical graph with a seeded relabelling, seeded random
+    # graphs, and the empty, complete and cycle graphs, K3,3 and Petersen
+    rng = random.Random(41)
+    for k in (4, 5, 6):
+        for _, g in read_graph_file(data_path(f"critical{k}.g6")):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            yield g
+            yield relabel(g, perm)
+    for _ in range(2000):
+        yield random_graph(rng, rng.randint(0, 14), p=rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+    for n in range(16):
+        yield Graph(n, (0,) * n)
+        yield Graph(n, tuple((1 << n) - 1 ^ 1 << v for v in range(n)))
+        if n >= 3:
+            yield from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+    yield from_edge_list(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    yield from_edge_list(10, [(v, (v + 1) % 5) for v in range(5)]
+                         + [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
+                         + [(v, v + 5) for v in range(5)])
+
+
+def test_refine_from_the_individualized_vertex_matches_the_full_queue(monkeypatch):
+    # at every node the search reaches, refining from its queue (the root's
+    # cells, or a child's individualized vertex alone) with every split
+    # part but the last queued gives the cells of the full-queue refinement
+    refine = kcrit.canon._refine
+    calls = [0, 0]
+
+    def checked(adj, cells, queue=None):
+        calls[queue is None] += 1
+        out = refine(adj, cells, queue)
+        assert out == oracles.refine(adj, cells), (adj, cells, queue)
+        return out
+
+    monkeypatch.setattr(kcrit.canon, "_refine", checked)
+    graphs = nonempty = 0
+    for g in _refinement_inputs():
+        canon_raw(g.n, g.adj)
+        graphs += 1
+        nonempty += g.n > 0
+    assert graphs == 2 * (8 + 178 + 18007) + 2000 + 16 + 16 + 13 + 2
+    assert calls[1] == nonempty  # one root refinement per nonempty graph
+    assert calls[0] > calls[1]
+
+
+def test_canon_raw_matches_the_search_with_full_queue_refinement(monkeypatch):
+    inputs = list(_refinement_inputs())
+    fast = [canon_raw(g.n, g.adj) for g in inputs]
+    monkeypatch.setattr(kcrit.canon, "_refine",
+                        lambda adj, cells, queue=None: oracles.refine(adj, cells))
+    for g, got in zip(inputs, fast):
+        assert got == canon_raw(g.n, g.adj), g

@@ -1,7 +1,10 @@
 """Tests for the census pipelines and list verification."""
 
+import os
+
 import pytest
 
+import kcrit.census
 import oracles
 from kcrit.canon import canon_raw, canonical_form
 from kcrit.census import (
@@ -98,6 +101,24 @@ def test_census_rejects_workers_below_one(workers):
     with pytest.raises(ValueError, match="workers"):
         census_copaw_critical(4, workers=workers)
     with pytest.raises(ValueError, match="workers"):
+        census_general(3, None, 5, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [True, 1.5])
+def test_census_rejects_workers_that_are_not_ints(workers):
+    with pytest.raises(ValueError, match="workers must be an int"):
+        census_copaw_critical(3, workers=workers)
+    with pytest.raises(ValueError, match="workers must be an int"):
+        census_general(3, None, 5, workers=workers)
+
+
+def test_census_rejects_workers_above_cpu_count(monkeypatch):
+    # checked before any pool is made, so this starts no process
+    monkeypatch.setattr(kcrit.census, "Pool", lambda *a: pytest.fail("pool made"))
+    workers = (os.cpu_count() or 1) + 1
+    with pytest.raises(ValueError, match="at most the CPU count"):
+        census_copaw_critical(4, workers=workers)
+    with pytest.raises(ValueError, match="at most the CPU count"):
         census_general(3, None, 5, workers=workers)
 
 

@@ -7,6 +7,7 @@ import pytest
 from kcrit.canon import canonical_form
 from kcrit.census import census_copaw_critical
 import kcrit.certify
+import kcrit.graph
 import kcrit.invariants
 import kcrit.patterns
 from kcrit.certify import (
@@ -233,6 +234,25 @@ def test_structural_coloring_tests_each_factor_for_triangles_once(monkeypatch):
         _structural_coloring(g, copaw_decompose(g))
         tested = list(calls)
         assert tested == list(copaw_decompose(g).factors)
+
+
+def test_yes_query_builds_the_complement_once(monkeypatch, db5):
+    # the structural coloring reads the complement rows that the join
+    # decomposition built, so a YES query makes one complement
+    calls = []
+    real = kcrit.graph.complement
+    for module in (kcrit.graph, kcrit.patterns, kcrit.certify):
+        if hasattr(module, "complement"):
+            monkeypatch.setattr(module, "complement", lambda g: calls.append(g) or real(g))
+    rng = random.Random(3)
+    answered = 0
+    for _ in range(200):
+        g = random_copaw_free(rng, 12)
+        calls.clear()
+        if certify_color(g, 4, db5).verdict == YES:
+            answered += 1
+            assert calls == [g]
+    assert answered >= 50
 
 
 # ===== one decomposition per query =====

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
+import kcrit.census
 from kcrit.cli import main
 from kcrit.graph import parse_graph_line, read_graph_file, to_graph6
 from kcrit.families import co_odd_cycle, odd_cycle
@@ -127,6 +130,16 @@ def test_census_rejects_workers_below_one(capsys, workers, extra):
     assert run(["census", "--k", "3", "--workers", workers] + extra) == 2
     out, err = capsys.readouterr()
     assert "workers must be at least 1" in err and out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--pattern", "claw", "--max-order", "5"]])
+def test_census_rejects_workers_above_cpu_count(monkeypatch, capsys, extra):
+    # checked before any pool is made, so this starts no process
+    monkeypatch.setattr(kcrit.census, "Pool", lambda *a: pytest.fail("pool made"))
+    workers = str((os.cpu_count() or 1) + 1)
+    assert run(["census", "--k", "3", "--workers", workers] + extra) == 2
+    out, err = capsys.readouterr()
+    assert "workers must be at most the CPU count" in err and out == ""
 
 
 def test_census_alpha_flag_needs_exhaustive_pipeline(capsys):

@@ -70,7 +70,8 @@ def test_graph_stores_adjacency_as_a_tuple():
     assert join(g, g) == complete(4)
 
 
-@pytest.mark.parametrize("adj, vertex", [((2.0, 1), 0), ((2, "1"), 1), ((2, None), 1)])
+@pytest.mark.parametrize("adj, vertex", [((2.0, 1), 0), ((2, "1"), 1), ((2, None), 1),
+                                         ((2, True), 1)])
 def test_graph_rejects_rows_that_are_not_ints(adj, vertex):
     with pytest.raises(ValueError, match=f"vertex {vertex} is not an int"):
         Graph(2, adj)
