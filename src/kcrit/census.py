@@ -7,9 +7,9 @@ chi(G) = n - matching(F).  By Gallai's lemma G is then k-vertex-critical
 exactly when every component of F is factor-critical and F has 2k - n
 components.  So the census generates only the prime pieces (connected F
 of odd order) and builds every other graph as a join of pieces.  The
-general one enumerates all graphs up to a small order cap and filters
-with the exact invariants directly; it exists to cross-check the fast
-pipeline and to run small censuses for other forbidden patterns.
+general one enumerates every graph up to order 9 and filters with the
+exact invariants directly; it cross-checks the fast pipeline and runs
+small censuses for other forbidden patterns, or for none.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from multiprocessing import Pool
 
 from .canon import canonical_form
 from .critical import is_vertex_critical
-from .generate import ALL_GRAPHS, TRIANGLE_FREE, Graph, child_graphs
+from .generate import TRIANGLE_FREE, Graph, child_graphs
 from .graph import complement, from_graph6, join, read_graph_file
 from .invariants import gallai_edmonds_d_raw, matching_mates_raw, matching_raw
 from .patterns import is_free, named_graph
@@ -245,36 +245,31 @@ def census_copaw_critical(k: int, n_max: int | None = None,
 # ===== general pipeline: all graphs of bounded order =====
 
 def census_general(k: int, pattern: str | Graph | None, n_max: int,
-                   alpha_le_2: bool = False, workers: int = 1) -> list[CensusRow]:
+                   workers: int = 1) -> list[CensusRow]:
     """Census of k-vertex-critical pattern-free graphs of order <= n_max.
 
-    pattern None means no freeness filter.  Default mode enumerates every
-    graph class (n_max <= 9); alpha_le_2 restricts the search space to
-    graphs with independence number two via triangle-free complements
-    (n_max <= 11) and is only exhaustive for targets known to force
-    alpha <= 2.  ``workers`` (1 to the CPU count) is the number of
-    processes.
+    pattern None means no freeness filter.  Every graph class of order
+    k..n_max is tested, so n_max is capped at 9 (order 10 alone has
+    about 1.2e7 classes).  ``workers`` (1 to the CPU count) is the number
+    of processes.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cap = 11 if alpha_le_2 else 9
-    if not k <= n_max <= cap:
-        raise ValueError(f"n_max must be in {k}..{cap} for this mode")
+    if not k <= n_max <= 9:
+        raise ValueError(f"n_max must be in {k}..9")
     if isinstance(pattern, str):
         pattern = named_graph(pattern)
-    expand = partial(child_graphs, mode=TRIANGLE_FREE if alpha_le_2 else ALL_GRAPHS)
     survives = partial(_general_survivor, k=k, pattern=pattern)
     rows = []
     level = [Graph(1, (0,))]
     with _mapper(workers) as mapper:
         for n in range(1, n_max + 1):
             if n > 1:
-                level = [c for kids in mapper(expand, level) for c in kids]
+                level = [c for kids in mapper(child_graphs, level) for c in kids]
             if n < k:
                 continue
-            cands = [complement(g) for g in level] if alpha_le_2 else level
             rows.append(CensusRow(n, tuple(
-                canonical_form(g) for g, ok in zip(cands, mapper(survives, cands)) if ok)))
+                canonical_form(g) for g, ok in zip(level, mapper(survives, level)) if ok)))
     return rows
 
 

@@ -8,8 +8,9 @@ deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 from .census import census_copaw_critical, census_general
 from .certify import NO, NOT_IN_CLASS, YES, build_database, certify_color, verify_certificate
@@ -28,18 +29,29 @@ def _load(path):
         sys.exit(2)
 
 
+@contextmanager
 def _open_out(path):
     # the --out file, opened before any work so that a bad path is a
     # usage error, and for appending so that a usage error found later
-    # leaves an existing file as it was: truncate it before writing.  A
-    # context that yields None without --out
+    # leaves an existing file as it was: truncate it before writing.  An
+    # error raised inside the context removes the file again if the
+    # context created it.  Yields None without --out
     if path is None:
-        return nullcontext()
+        yield None
+        return
+    created = not os.path.exists(path)
     try:
-        return open(path, "a")
+        fh = open(path, "a")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 # ===== check =====
@@ -85,32 +97,27 @@ def _cmd_census(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    fast = pattern is not None and is_p3p1(pattern) and not args.all_graphs
-    if fast and args.alpha_le_2:
-        print("error: --alpha-le-2 applies to the exhaustive pipeline only; "
-              "add --all-graphs or pick another pattern", file=sys.stderr)
-        return 2
+    fast = pattern is not None and is_p3p1(pattern)
     if not fast and args.max_order is None:
-        print("error: --max-order is required for this mode", file=sys.stderr)
+        print("error: --max-order is required for this pattern", file=sys.stderr)
         return 2
-    with _open_out(args.out) as fh:
-        try:
+    try:
+        with _open_out(args.out) as fh:
             if fast:
                 rows = census_copaw_critical(args.k, args.max_order,
                                              workers=args.workers)
             else:
                 rows = census_general(args.k, pattern, args.max_order,
-                                      alpha_le_2=args.alpha_le_2,
                                       workers=args.workers)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for row in rows:
-            print(f"{args.k},{row.n},{row.count}")
-        print(f"total {sum(r.count for r in rows)}")
-        if fh is not None:
-            fh.truncate(0)
-            write_graph_list(fh, args.k, (code for row in rows for code in row.codes))
+            for row in rows:
+                print(f"{args.k},{row.n},{row.count}")
+            print(f"total {sum(r.count for r in rows)}")
+            if fh is not None:
+                fh.truncate(0)
+                write_graph_list(fh, args.k, (code for row in rows for code in row.codes))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -204,10 +211,6 @@ def main(argv=None) -> int:
     p.add_argument("--pattern", default="P3+P1")
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--all-graphs", action="store_true",
-                   help="force the exhaustive pipeline even for P3+P1")
-    p.add_argument("--alpha-le-2", action="store_true",
-                   help="search only complements of triangle-free graphs")
     p.add_argument("--out", default=None,
                    help="write census graphs here: a header, then sorted graph6 codes")
     p.set_defaults(func=_cmd_census)

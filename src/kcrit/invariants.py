@@ -200,16 +200,6 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
     return all(coloring.colors[i] != coloring.colors[j] for i, j in g.edges())
 
 
-def _normalized(colors) -> Coloring:
-    remap: dict[int, int] = {}
-    out = []
-    for c in colors:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return Coloring(tuple(out), len(remap))
-
-
 def _greedy_clique(n: int, adj) -> list[int]:
     order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
     clique: list[int] = []
@@ -221,30 +211,18 @@ def _greedy_clique(n: int, adj) -> list[int]:
     return clique
 
 
-def _dsatur_order_greedy(n: int, adj) -> list[int]:
-    """Plain DSATUR greedy coloring; returns the color list."""
-    colors = [-1] * n
-    nmask = [0] * n
-    degs = [adj[v].bit_count() for v in range(n)]
-    for _ in range(n):
-        v = max((u for u in range(n) if colors[u] == -1),
-                key=lambda u: (nmask[u].bit_count(), degs[u], -u))
-        c = 0
-        while nmask[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        for u in bits(adj[v]):
-            nmask[u] |= 1 << c
-    return colors
-
-
 def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
     """Branch and bound for a proper coloring with fewer than ``bound``
-    colors.  Returns the best (fewest-colors) coloring found, or None.
-    With first_hit, returns the first full coloring found under the bound.
+    colors, or None when there is none.
 
-    Vertex choice: maximum saturation, then maximum degree, then lowest
-    index — fixed so runs are reproducible.
+    The search precolors a greedy clique and then descends by DSATUR
+    (Brelaz 1979): it colors the vertex of maximum saturation, then
+    maximum degree, then lowest index (fixed so runs are reproducible),
+    trying the lowest free color first.  Each complete coloring lowers
+    the bound to its count, and the search backtracks to find one with
+    fewer colors; it returns the last, which uses chi colors.  With
+    first_hit it returns the first complete coloring instead.  Colors
+    are 0..c-1 in order of first use.
     """
     clique = _greedy_clique(n, adj)
     if len(clique) >= bound:
@@ -279,7 +257,7 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
                 if key is None or k > key:
                     key = k
                     v = u
-        limit = min(used + 1, best[0] if not first_hit else bound)
+        limit = min(used + 1, best[0])
         for c in range(limit):
             if nmask[v] >> c & 1:
                 continue
@@ -299,8 +277,6 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
         return False
 
     rec(len(uncolored), len(clique))
-    if best[1] is None:
-        return None
     return best[1]
 
 
@@ -330,11 +306,9 @@ def alpha_le_2_chi(g: Graph):
 
 
 def _chi_branch_and_bound(g: Graph) -> int:
-    """chi(G), exact, by DSATUR and then branch and bound below it; for
-    callers that already know alpha(G) > 2."""
-    greedy = _normalized(_dsatur_order_greedy(g.n, g.adj))
-    better = _bb_coloring(g.n, g.adj, greedy.k, first_hit=False)
-    return greedy.k if better is None else max(better) + 1
+    """chi(G), exact, by DSATUR branch and bound; for callers that
+    already know alpha(G) > 2."""
+    return max(_bb_coloring(g.n, g.adj, g.n + 1, first_hit=False)) + 1
 
 
 def chromatic_number(g: Graph) -> int:
@@ -347,12 +321,5 @@ def is_k_colorable(g: Graph, k: int) -> Coloring | None:
     """A proper coloring with at most k classes, or None iff chi(G) > k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if g.n == 0:
-        return Coloring((), 0)
-    if k == 0:
-        return None
-    greedy = _normalized(_dsatur_order_greedy(g.n, g.adj))
-    if greedy.k <= k:
-        return greedy
     found = _bb_coloring(g.n, g.adj, k + 1, first_hit=True)
-    return None if found is None else _normalized(found)
+    return None if found is None else Coloring(tuple(found), len(set(found)))

@@ -152,7 +152,7 @@ def is_free(g: Graph, pattern: str | Graph) -> bool:
     """
     h = named_graph(pattern) if isinstance(pattern, str) else pattern
     if is_p3p1(h):
-        return _copaw_factors(g) is not None
+        return copaw_decompose(g) is not None
     return contains_induced(g, h) is None
 
 
@@ -212,9 +212,9 @@ def _union_of_cliques_on(adj, mask: int) -> bool:
     return True
 
 
-def _copaw_factors(g: Graph):
-    """(factor masks, kinds, complement rows) of the join decomposition,
-    or None at the first factor that has neither kind.
+def copaw_decompose(g: Graph):
+    """The join decomposition, or None exactly when g contains P3+P1,
+    found at the first factor that has neither kind.
 
     Works on raw masks: a co-component is closed under complement
     adjacency, so the complement rows of its vertices are the rows of the
@@ -233,10 +233,4 @@ def _copaw_factors(g: Graph):
         else:
             return None
         factors.append(comp)
-    return tuple(factors), tuple(kinds), co
-
-
-def copaw_decompose(g: Graph):
-    """The join decomposition, or None exactly when g contains P3+P1."""
-    parts = _copaw_factors(g)
-    return None if parts is None else JoinDecomposition(*parts)
+    return JoinDecomposition(tuple(factors), tuple(kinds), co)

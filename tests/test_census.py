@@ -258,12 +258,6 @@ def test_general_vs_fast_pipeline_small():
     assert fast == general
 
 
-def test_general_alpha_restricted_mode():
-    fast = _codes(census_copaw_critical(4))
-    restricted = _codes(census_general(4, "P3+P1", 7, alpha_le_2=True))
-    assert fast == restricted
-
-
 def test_general_3critical_unrestricted():
     rows = census_general(3, None, 7)
     assert [(r.n, r.count) for r in rows] == [
@@ -281,10 +275,9 @@ def test_general_p2lp1_censuses():
         assert max(r.n for r in rows if r.count) == 2 * l + 1
 
 
-@pytest.mark.parametrize("alpha_le_2", [False, True])
-def test_general_workers_match_serial(alpha_le_2):
-    serial = census_general(4, "P3+P1", 7, alpha_le_2=alpha_le_2)
-    parallel = census_general(4, "P3+P1", 7, alpha_le_2=alpha_le_2, workers=2)
+def test_general_workers_match_serial():
+    serial = census_general(4, "P3+P1", 7)
+    parallel = census_general(4, "P3+P1", 7, workers=2)
     assert parallel == serial
     assert [r.count for r in serial] == [1, 0, 1, 6]
 
@@ -299,8 +292,6 @@ def test_general_args():
         census_general(0, None, 5)
     with pytest.raises(ValueError):
         census_general(3, None, 10)  # over the all-graphs cap
-    with pytest.raises(ValueError):
-        census_general(3, None, 12, alpha_le_2=True)
 
 
 # ===== verify_list =====

@@ -92,13 +92,6 @@ def test_census_fast_path_for_every_p3p1_spelling(capsys, spelling):
     assert capsys.readouterr().out == expected
 
 
-def test_census_co_paw_exhaustive(capsys):
-    code = run(["census", "--k", "3", "--pattern", "co-paw", "--all-graphs",
-                "--max-order", "5"])
-    out = capsys.readouterr().out
-    assert code == 0 and "total 2" in out
-
-
 def test_census_unknown_pattern_is_usage_error(capsys):
     assert run(["census", "--k", "3", "--pattern", "triangle?",
                 "--max-order", "5"]) == 2
@@ -142,12 +135,13 @@ def test_census_rejects_workers_above_cpu_count(monkeypatch, capsys, extra):
     assert "workers must be at most the CPU count" in err and out == ""
 
 
-def test_census_alpha_flag_needs_exhaustive_pipeline(capsys):
-    assert run(["census", "--k", "4", "--alpha-le-2", "--max-order", "6"]) == 2
-    assert "--alpha-le-2" in capsys.readouterr().err
-    assert run(["census", "--k", "4", "--alpha-le-2", "--max-order", "6",
-                "--all-graphs"]) == 0
-    assert "total 2" in capsys.readouterr().out
+@pytest.mark.parametrize("flag", ["--all-graphs", "--alpha-le-2"])
+def test_census_pipeline_flags_are_gone(capsys, flag):
+    # the pattern alone picks the pipeline
+    assert run(["census", "--k", "3", "--pattern", "claw", "--max-order", "5",
+                flag]) == 2
+    out, err = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in err and out == ""
 
 
 def test_census_bad_out_path_is_usage_error(tmp_path, capsys):
@@ -166,6 +160,18 @@ def test_census_out_file_replaced_and_kept_on_usage_error(tmp_path, capsys):
     assert out_file.read_text() == "old line\nanother\n"
     assert run(["census", "--k", "3", "--out", str(out_file)]) == 0
     assert len(read_graph_file(out_file)) == 2
+
+
+@pytest.mark.parametrize("argv", [["--k", "9"],
+                                  ["--k", "3", "--pattern", "claw", "--max-order", "12"]])
+def test_census_usage_error_creates_no_out_file(tmp_path, capsys, argv):
+    # the fast and the general pipeline each reject their arguments
+    # after the file is opened; the file they would have written is gone
+    out_file = tmp_path / "new.g6"
+    assert run(["census"] + argv + ["--out", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == ""
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("k", [4, 5])

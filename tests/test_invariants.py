@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from kcrit.graph import Graph, complement, delete_vertex, from_edge_list
-from kcrit.invariants import (Coloring, chromatic_number, clique_number,
+from kcrit.graph import Graph, complement, delete_vertex, from_edge_list, from_graph6
+from kcrit.invariants import (Coloring, _bb_coloring, chromatic_number, clique_number,
                               gallai_edmonds_d_raw, independence_number,
                               is_k_colorable, is_proper_coloring,
                               matching_mates_raw, matching_raw,
@@ -230,6 +230,30 @@ def test_is_k_colorable_examples():
 def test_is_k_colorable_zero():
     assert is_k_colorable(Graph(0, ()), 0) == Coloring((), 0)
     assert is_k_colorable(Graph(1, (0,)), 0) is None
+
+
+# Graphs whose first complete coloring in the branch and bound (the
+# DSATUR descent from the greedy clique) uses more than chi colors, so
+# only the search's improvement step finds chi: the one such class of
+# order 7 with alpha > 2 and the 20 of order 8, labelled as
+# generate_graphs emits them.
+PAST_FIRST_LEAF = (
+    "F}_gw", "G{dPX_", "G{S}?k", "G{S{`S", "G}_gw?", "G}_g{?", "G}_gy?",
+    "G}_g}?", "G}_gz?", "G}_gwO", "G}_g{O", "G}_gyO", "G}GWWW", "G}gqG[",
+    "G}goW[", "G}MCG[", "G}M?W[", "G}Kg[K", "G}l@Gk", "G}kqG[", "G~zCk[",
+)
+
+
+@pytest.mark.parametrize("code", PAST_FIRST_LEAF)
+def test_coloring_search_past_its_first_leaf(code):
+    g = from_graph6(code)
+    chi = oracles.chromatic_number(g)
+    first = _bb_coloring(g.n, g.adj, g.n + 1, first_hit=True)
+    assert max(first) + 1 > chi
+    assert chromatic_number(g) == chi
+    assert is_k_colorable(g, chi - 1) is None
+    col = is_k_colorable(g, chi)
+    assert col is not None and col.k == chi and is_proper_coloring(g, col)
 
 
 @settings(max_examples=80)
