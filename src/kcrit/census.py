@@ -26,7 +26,7 @@ from .canon import canonical_form
 from .critical import is_vertex_critical
 from .generate import TRIANGLE_FREE, Graph, child_graphs
 from .graph import complement, from_graph6, join, read_graph_file
-from .invariants import gallai_edmonds_d_raw, matching_mates_raw, matching_raw
+from .invariants import gallai_edmonds_raw, matching_raw
 from .patterns import is_free, named_graph
 
 
@@ -72,13 +72,13 @@ def _piece_expand(item, max_degree: int, leaf: bool):
     # <= max_degree with their generators (none at the leaf, the last
     # order, where only pieces are wanted) and, at an odd order 2j-1, the
     # canonical codes of the complements of the children that are pieces,
-    # i.e. factor-critical: a maximum matching leaves one vertex exposed
-    # and the Gallai-Edmonds set D (the vertices some maximum matching
-    # leaves exposed) is every vertex.  Cheap necessary conditions go
-    # first: F has maximum degree <= j-1 (its complement is j-critical,
-    # so of minimum degree >= j-1) and minimum degree >= 2 (deleting a
-    # leaf's neighbour would strand the leaf); at the leaf the children
-    # are generated with that minimum degree
+    # i.e. factor-critical: one blossom pass finds a maximum matching that
+    # leaves one vertex exposed and the Gallai-Edmonds set D (the vertices
+    # some maximum matching leaves exposed) to be every vertex.  Cheap
+    # necessary conditions go first: F has maximum degree <= j-1 (its
+    # complement is j-critical, so of minimum degree >= j-1) and minimum
+    # degree >= 2 (deleting a leaf's neighbour would strand the leaf); at
+    # the leaf the children are generated with that minimum degree
     parent, gens = item
     kid_gens: list = []
     kids = child_graphs(parent, TRIANGLE_FREE, max_degree,
@@ -91,8 +91,8 @@ def _piece_expand(item, max_degree: int, leaf: bool):
         for f in kids:
             if not all(2 <= a.bit_count() < j for a in f.adj):
                 continue
-            mates = matching_mates_raw(n, f.adj, full)
-            if mates.count(-1) == 1 and gallai_edmonds_d_raw(n, f.adj, full, mates) == full:
+            mates, d = gallai_edmonds_raw(n, f.adj, full)
+            if mates.count(-1) == 1 and d == full:
                 codes.append(canonical_form(complement(f)))
     if leaf:
         return [], [], codes

@@ -23,7 +23,7 @@ from .canon import canonical_form
 from .critical import find_critical_subgraph, is_vertex_critical
 from .graph import (Graph, bits, from_graph6, induced_subgraph, mask_of,
                     read_graph_list)
-from .invariants import Coloring, is_proper_coloring, matching_mates_raw
+from .invariants import Coloring, gallai_edmonds_raw, is_proper_coloring
 from .patterns import (JoinDecomposition, contains_induced, copaw_decompose, is_p3p1,
                        named_graph)
 
@@ -104,7 +104,7 @@ def _structural_coloring(g: Graph, dec: JoinDecomposition) -> Coloring:
         if "alpha_le_2" in kind:
             # pair up nonadjacent vertices via a maximum matching in the
             # complement; pairs share a color, leftovers get their own
-            mates = matching_mates_raw(g.n, co, factor)
+            mates = gallai_edmonds_raw(g.n, co, factor)[0]
             for v in bits(factor):
                 if colors[v] < 0:
                     colors[v] = offset
@@ -164,14 +164,18 @@ def certify_color(g: Graph, k: int, db: CriticalDatabase) -> CertifiedAnswer:
 
 
 def verify_certificate(g: Graph, k: int, answer: CertifiedAnswer) -> bool:
-    """Check an answer using only direct recomputation, never the database."""
+    """Check an answer using only direct recomputation, never the
+    database; False on a payload of the wrong type (a bool is no int)."""
     if answer.verdict == YES:
-        if answer.coloring is None or answer.witness is not None:
+        c = answer.coloring
+        if (answer.witness is not None or not isinstance(c, Coloring)
+                or type(c.k) is not int or type(c.colors) is not tuple
+                or any(type(x) is not int for x in c.colors)):
             return False
-        return answer.coloring.k <= k and is_proper_coloring(g, answer.coloring)
-    if answer.coloring is not None or answer.witness is None:
-        return False
+        return c.k <= k and is_proper_coloring(g, c)
     s = answer.witness
+    if answer.coloring is not None or type(s) is not int:
+        return False
     if s <= 0 or s >> g.n:
         return False
     sub = induced_subgraph(g, s)

@@ -3,10 +3,10 @@
 A graph is k-vertex-critical when its chromatic number is k and deleting
 any single vertex lowers it.  When alpha(g) <= 2 (the complement F is
 triangle-free) chi(g) = n - nu(F), and deleting v lowers chi exactly
-when some maximum matching of F leaves v exposed (v is in D(F)).  So one
-maximum matching and one Gallai-Edmonds pass over F decide criticality,
-and a peel needs one per deletion.  Otherwise every deletion is
-checked with an exact coloring.
+when some maximum matching of F leaves v exposed (v is in D(F)).  One
+blossom pass over F gives both the maximum matching and D, so it
+decides criticality, and a peel needs one per deletion.  Otherwise
+every deletion is checked with an exact coloring.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from .invariants import (
     _chi_branch_and_bound,
     alpha_le_2_chi,
     chromatic_number,  # for the perfbench span invariants.chromatic_number
-    gallai_edmonds_d_raw,
+    gallai_edmonds_raw,
     independence_number,  # for the perfbench span invariants.independence_number
     is_k_colorable,
-    matching_mates_raw,
     matching_raw,  # for the perfbench span invariants.matching_raw
 )
 
@@ -57,9 +56,7 @@ def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
         return CriticalityReport(k=chi, is_critical=False, witness=None)
     if small is not None:
         # deleting v keeps chi iff every maximum matching of co covers v
-        full = (1 << g.n) - 1
-        _, co, mates = small
-        keeps = bits(full & ~gallai_edmonds_d_raw(g.n, co, full, mates))
+        keeps = bits((1 << g.n) - 1 & ~small[2])
     else:
         keeps = (v for v in range(g.n)
                  if is_k_colorable(delete_vertex(g, v), k - 1) is None)
@@ -89,13 +86,11 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
             if is_k_colorable(induced_subgraph(g, active ^ 1 << v), k - 1) is None:
                 active ^= 1 << v
         return active
-    _, co, mates = small
-    d = gallai_edmonds_d_raw(g.n, co, active, mates)
+    _, co, d = small
     for v in range(g.n):
         in_d = d >> v & 1
         if chi > k or not in_d:
             chi -= in_d
             active ^= 1 << v
-            mates = matching_mates_raw(g.n, co, active)
-            d = gallai_edmonds_d_raw(g.n, co, active, mates)
+            d = gallai_edmonds_raw(g.n, co, active)[1]
     return active

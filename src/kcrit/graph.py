@@ -120,6 +120,8 @@ def complement(g: Graph) -> Graph:
 
 
 def _check_vertex(g: Graph, v: int) -> None:
+    if type(v) is not int:
+        raise ValueError(f"vertex must be an int, got {v!r}")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
 
@@ -127,9 +129,12 @@ def _check_vertex(g: Graph, v: int) -> None:
 def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
     """Subgraph induced on s (mask or iterable), relabeled in ascending index order.
 
-    Raises ValueError naming a vertex of s outside 0..n-1.
+    Raises ValueError naming a vertex of s outside 0..n-1, or on a
+    vertex or mask that is not an int (a bool is not).
     """
     if isinstance(s, int):
+        if type(s) is not int:
+            raise ValueError(f"vertex mask must be an int, got {s!r}")
         high = s >> g.n                 # negative masks have every high bit
         if high:
             _check_vertex(g, g.n + (high & -high).bit_length() - 1)
@@ -156,10 +161,10 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     """Apply a permutation; perm[v] is the new index of old vertex v.
 
-    Raises ValueError unless perm is a permutation of 0..n-1.
+    Raises ValueError unless perm is a permutation of 0..n-1 by ints.
     """
     p = list(perm)
-    if not all(isinstance(x, int) for x in p) or sorted(p) != list(range(g.n)):
+    if not all(type(x) is int for x in p) or sorted(p) != list(range(g.n)):
         raise ValueError(f"not a permutation of 0..{g.n - 1}: {p!r}")
     adj = [0] * g.n
     for v in range(g.n):

@@ -3,10 +3,10 @@
 All routines are exact.  Sizes are capped at 31 vertices by the Graph type,
 so branch and bound with bitmask state is always sufficient; the only
 polynomial algorithm that matters for throughput is the blossom matching,
-which the census and the criticality test call once per graph.  The same
-alternating-forest search, grown from every exposed vertex at once, gives
-the Gallai-Edmonds set D (the vertices some maximum matching leaves
-exposed), which decides every vertex deletion in one pass.
+which the census and the criticality test call once per graph.  The
+same pass gives the Gallai-Edmonds set D (the vertices some maximum
+matching leaves exposed): it is the union of the even vertices of the
+searches that fail, and it decides every vertex deletion at once.
 
 ``alpha_le_2_chi`` is the structural shortcut when alpha(G) <= 2, i.e. when
 the complement is triangle-free: color classes then have at most two
@@ -56,8 +56,8 @@ def clique_number(g: Graph) -> int:
 # ===== maximum matching (blossom) =====
 
 def _lca(match, p, base, a: int, b: int) -> int:
-    # base of the lowest common even ancestor of even vertices a and b,
-    # or -1 when they lie in different trees of the forest
+    # base of the lowest common even ancestor of even vertices a and b
+    # of one alternating tree
     seen = 0
     while True:
         a = base[a]
@@ -69,8 +69,6 @@ def _lca(match, p, base, a: int, b: int) -> int:
         b = base[b]
         if seen >> b & 1:
             return b
-        if match[b] == -1:
-            return -1
         b = p[match[b]]
 
 
@@ -86,22 +84,18 @@ def _mark_path(match, p, base, v: int, b: int, child: int, in_blossom: list) -> 
 
 
 def _alternating_forest(n: int, adj, active: int, verts: list, match: list,
-                        roots: list) -> list | None:
-    """Grow an alternating forest from the exposed ``roots``.
+                        root: int) -> int | None:
+    """Grow an alternating tree from the exposed ``root``.
 
-    Blossoms are contracted through base pointers.  Reaching an exposed
-    vertex that is not a root closes an augmenting path: ``match`` is
-    augmented along it and None returned.  Otherwise the result flags
-    the even (outer) vertices, blossom members included.  An even-even
-    edge between two trees (only possible with several roots) would
-    close an augmenting path too; it raises ValueError.
+    Blossoms are contracted through base pointers.  Reaching another
+    exposed vertex closes an augmenting path: ``match`` is augmented
+    along it and None returned.  Otherwise the result is the mask of the
+    even (outer) vertices, blossom members included.
     """
     p = [-1] * n
     base = list(range(n))
-    used = [False] * n
-    for r in roots:
-        used[r] = True
-    queue = list(roots)
+    even = 1 << root
+    queue = [root]
     qi = 0
     while qi < len(queue):
         v = queue[qi]
@@ -109,19 +103,17 @@ def _alternating_forest(n: int, adj, active: int, verts: list, match: list,
         for to in bits(adj[v] & active):
             if base[v] == base[to] or match[v] == to:
                 continue
-            if used[to] if match[to] == -1 else p[match[to]] != -1:
+            if to == root or match[to] != -1 and p[match[to]] != -1:
                 # to is even: an odd cycle, contracted at its lca
                 cur = _lca(match, p, base, v, to)
-                if cur == -1:
-                    raise ValueError("matching is not maximum")
                 in_blossom = [False] * n
                 _mark_path(match, p, base, v, cur, to, in_blossom)
                 _mark_path(match, p, base, to, cur, v, in_blossom)
                 for u in verts:
                     if in_blossom[base[u]]:
                         base[u] = cur
-                        if not used[u]:
-                            used[u] = True
+                        if not even >> u & 1:
+                            even |= 1 << u
                             queue.append(u)
             elif p[to] == -1:
                 p[to] = v
@@ -135,45 +127,46 @@ def _alternating_forest(n: int, adj, active: int, verts: list, match: list,
                         match[pw] = w
                         w = nxt
                     return None
-                used[match[to]] = True
+                even |= 1 << match[to]
                 queue.append(match[to])
-    return used
+    return even
 
 
-def matching_mates_raw(n: int, adj, active: int) -> list[int]:
-    """Mate array of a maximum matching on the ``active`` mask (-1 exposed).
+def gallai_edmonds_raw(n: int, adj, active: int) -> tuple[list[int], int]:
+    """(mates, D) on the ``active`` mask: a maximum matching (-1 exposed)
+    and the mask of D, the vertices v some maximum matching leaves
+    exposed, i.e. with nu(F - v) = nu(F).
 
-    Classic augmenting-path search from one exposed vertex at a time;
-    O(V^3) worst case, microseconds at census sizes.
+    One search per exposed vertex, in ascending order; a vertex with an
+    exposed neighbour takes the lowest, as its search would.  No later
+    augmenting path enters a failed search's tree (Edmonds 1965), so D
+    is the union of the failed searches' even vertices.
     """
     match = [-1] * n
     verts = list(bits(active))
+    free = active
+    d = 0
     for v in verts:
-        if match[v] == -1:
-            _alternating_forest(n, adj, active, verts, match, [v])
-    return match
-
-
-def gallai_edmonds_d_raw(n: int, adj, active: int, mates) -> int:
-    """Mask of D: the ``active`` vertices that some maximum matching leaves
-    exposed.
-
-    ``mates`` must be a maximum matching on ``active`` (as from
-    ``matching_mates_raw``; it is not modified).  D is the set of even
-    vertices of one alternating forest grown from every exposed vertex
-    at once (Gallai-Edmonds), so v is in D iff nu(F - v) = nu(F).
-    Raises ValueError when the matching is not maximum.
-    """
-    verts = list(bits(active))
-    match = list(mates)
-    used = _alternating_forest(n, adj, active, verts, match,
-                               [v for v in verts if match[v] == -1])
-    return sum(1 << v for v in verts if used[v])
+        if not free >> v & 1:
+            continue
+        near = adj[v] & free
+        if near:
+            u = (near & -near).bit_length() - 1
+            match[v] = u
+            match[u] = v
+            free ^= 1 << v | 1 << u
+            continue
+        even = _alternating_forest(n, adj, active, verts, match, v)
+        if even is None:
+            free = sum(1 << u for u in bits(free) if match[u] == -1)
+        else:
+            d |= even
+    return match, d
 
 
 def matching_raw(n: int, adj, active: int) -> int:
     """Maximum matching size on the vertices in the ``active`` mask."""
-    mates = matching_mates_raw(n, adj, active)
+    mates = gallai_edmonds_raw(n, adj, active)[0]
     return sum(1 for v, m in enumerate(mates) if m > v)
 
 
@@ -295,14 +288,14 @@ def triangle_free_raw(adj, active: int) -> bool:
 
 
 def alpha_le_2_chi(g: Graph):
-    """(chi, complement adjacency, mates of a maximum matching of the
-    complement, -1 exposed) when alpha(G) <= 2, else None."""
+    """(chi, complement adjacency, Gallai-Edmonds set D of the complement)
+    when alpha(G) <= 2, else None."""
     co = complement(g).adj
     full = (1 << g.n) - 1
     if not triangle_free_raw(co, full):
         return None
-    mates = matching_mates_raw(g.n, co, full)
-    return (g.n + mates.count(-1)) // 2, co, mates
+    mates, d = gallai_edmonds_raw(g.n, co, full)
+    return (g.n + mates.count(-1)) // 2, co, d
 
 
 def _chi_branch_and_bound(g: Graph) -> int:

@@ -323,11 +323,11 @@ def copaw_decompose(g: Graph):
 
 def structural_coloring(g: Graph):
     """The certifier's structural coloring before it moved onto raw
-    masks: one induced subgraph per join factor, colored through the
-    alpha <= 2 kernel (which repeats the factor's triangle test) or by
-    numbering each clique.  Returns the library's Coloring."""
-    from kcrit.graph import induced_subgraph
-    from kcrit.invariants import Coloring, alpha_le_2_chi
+    masks: one induced subgraph per join factor, colored by pairing the
+    mates of a maximum matching of its complement or by numbering each
+    clique.  Returns the library's Coloring."""
+    from kcrit.graph import complement, induced_subgraph
+    from kcrit.invariants import Coloring
     from kcrit.patterns import copaw_decompose
 
     if g.n == 0:
@@ -341,7 +341,7 @@ def structural_coloring(g: Graph):
         nxt = 0
         if "alpha_le_2" in kind:
             # pairs of a maximum matching in the complement share a color
-            _, _, mates = alpha_le_2_chi(sub)
+            mates = matching_mates_raw(sub.n, complement(sub).adj, (1 << sub.n) - 1)
             for v in range(sub.n):
                 if local[v] < 0:
                     local[v] = nxt
@@ -407,3 +407,95 @@ def refine(adj, cells):
                 queue += parts
         cells = out
     return cells
+
+
+def _forest_lca(match, p, base, a: int, b: int) -> int:
+    # base of the lowest common even ancestor of even vertices a and b,
+    # or -1 when they lie in different trees of the forest
+    seen = 0
+    while True:
+        a = base[a]
+        seen |= 1 << a
+        if match[a] == -1:
+            break
+        a = p[match[a]]
+    while True:
+        b = base[b]
+        if seen >> b & 1:
+            return b
+        if match[b] == -1:
+            return -1
+        b = p[match[b]]
+
+
+def alternating_forest(n: int, adj, active: int, verts: list, match: list,
+                       roots: list) -> list | None:
+    """The matching's alternating forest before it took one root: grown
+    from every exposed vertex in ``roots`` at once.  Reaching an exposed
+    non-root augments ``match`` and returns None; otherwise the result
+    flags the even vertices.  An even-even edge between two trees raises
+    ValueError, as the matching was not maximum."""
+    from kcrit.invariants import _mark_path
+
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    for r in roots:
+        used[r] = True
+    queue = list(roots)
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for to in bits(adj[v] & active):
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if used[to] if match[to] == -1 else p[match[to]] != -1:
+                cur = _forest_lca(match, p, base, v, to)
+                if cur == -1:
+                    raise ValueError("matching is not maximum")
+                in_blossom = [False] * n
+                _mark_path(match, p, base, v, cur, to, in_blossom)
+                _mark_path(match, p, base, to, cur, v, in_blossom)
+                for u in verts:
+                    if in_blossom[base[u]]:
+                        base[u] = cur
+                        if not used[u]:
+                            used[u] = True
+                            queue.append(u)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    w = to
+                    while w != -1:
+                        pw = p[w]
+                        nxt = match[pw]
+                        match[w] = pw
+                        match[pw] = w
+                        w = nxt
+                    return None
+                used[match[to]] = True
+                queue.append(match[to])
+    return used
+
+
+def matching_mates_raw(n: int, adj, active: int) -> list[int]:
+    """The mate array before one pass gave it with D: a full search from
+    every vertex still exposed at its turn, in ascending order."""
+    match = [-1] * n
+    verts = list(bits(active))
+    for v in verts:
+        if match[v] == -1:
+            alternating_forest(n, adj, active, verts, match, [v])
+    return match
+
+
+def gallai_edmonds_d_raw(n: int, adj, active: int, mates) -> int:
+    """D as a second pass: the even vertices of one forest grown from
+    every vertex the maximum matching ``mates`` leaves exposed (not
+    modified).  Raises ValueError when the matching is not maximum."""
+    verts = list(bits(active))
+    match = list(mates)
+    used = alternating_forest(n, adj, active, verts, match,
+                              [v for v in verts if match[v] == -1])
+    return sum(1 << v for v in verts if used[v])

@@ -186,6 +186,27 @@ def test_verify_rejects_tampering(db5):
     assert not verify_certificate(co9, 4, CertifiedAnswer("maybe", witness=3))
 
 
+@pytest.mark.parametrize("answer", [
+    CertifiedAnswer(NO, witness=3.0),
+    CertifiedAnswer(NO, witness="7"),
+    CertifiedAnswer(NO, witness=True),
+    CertifiedAnswer(NOT_IN_CLASS, witness=15.0),
+    CertifiedAnswer(YES, coloring=Coloring((0, 1, None), 2)),
+    CertifiedAnswer(YES, coloring=Coloring((0, 1, 0), "2")),
+    CertifiedAnswer(YES, coloring=Coloring((0, 1, 0), True)),
+    CertifiedAnswer(YES, coloring=Coloring((0, 1, False), 2)),
+    CertifiedAnswer(YES, coloring=Coloring(None, 2)),
+    CertifiedAnswer(YES, coloring=Coloring([0, 1, 0], 2)),
+    CertifiedAnswer(YES, coloring=((0, 1, 0), 2)),
+], ids=["witness-float", "witness-str", "witness-bool", "p3p1-witness-float",
+        "color-none", "k-str", "k-bool", "color-bool", "colors-none", "colors-list",
+        "bare-tuple"])
+def test_verify_rejects_malformed_payloads(answer):
+    # a payload of the wrong type is a wrong answer, not an error
+    p3 = named_graph("P3")
+    assert not verify_certificate(p3, 3, answer)
+
+
 def test_p3p1_witness_check_agrees_with_isomorphism():
     # verify_certificate recognises P3+P1 by its degrees; on every
     # labelled 4-vertex graph that agrees with canonical labeling

@@ -303,12 +303,12 @@ def test_peel_oracle_on_random_graphs():
 
 
 def test_peel_matching_count(monkeypatch):
-    # the alpha <= 2 peel: one matching up front and one per deletion,
-    # never a matching size alone
+    # the alpha <= 2 peel: one blossom pass up front and one per
+    # deletion, never a matching size alone
     import kcrit.critical
     import kcrit.invariants
     calls = {"mates": 0, "size": 0}
-    real = kcrit.invariants.matching_mates_raw
+    real = kcrit.invariants.gallai_edmonds_raw
 
     def mates(*args):
         calls["mates"] += 1
@@ -319,7 +319,7 @@ def test_peel_matching_count(monkeypatch):
         return 0
 
     for mod in (kcrit.critical, kcrit.invariants):
-        monkeypatch.setattr(mod, "matching_mates_raw", mates)
+        monkeypatch.setattr(mod, "gallai_edmonds_raw", mates)
         monkeypatch.setattr(mod, "matching_raw", size)
     peeled = 0
     for g in _critical6_extended(89)[:60]:

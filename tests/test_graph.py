@@ -16,6 +16,7 @@ from util import data_path, graphs, random_graph
 
 K4 = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+P3 = from_edge_list(3, [(0, 1), (1, 2)])
 
 
 def complete(n):
@@ -143,6 +144,21 @@ def test_join_and_union():
 def test_join_order_overflow():
     with pytest.raises(ValueError):
         join(complete(20), complete(20))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: relabel(P3, [True, False, 2]), "not a permutation"),
+    (lambda: relabel(P3, [1, 0, 2.0]), "not a permutation"),
+    (lambda: delete_vertex(P3, True), "vertex must be an int, got True"),
+    (lambda: delete_vertex(P3, 1.0), "vertex must be an int, got 1.0"),
+    (lambda: induced_subgraph(P3, [False, 2]), "vertex must be an int, got False"),
+    (lambda: induced_subgraph(P3, True), "vertex mask must be an int, got True"),
+], ids=["relabel-bool", "relabel-float", "delete-bool", "delete-float",
+        "induced-iterable-bool", "induced-mask-bool"])
+def test_vertex_indices_must_be_ints(call, message):
+    # a bool is an int but names no vertex, as in Graph's order check
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_relabel_reverses():

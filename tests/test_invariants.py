@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from kcrit.graph import Graph, complement, delete_vertex, from_edge_list, from_graph6
+import kcrit.invariants
+from kcrit.critical import is_vertex_critical
+from kcrit.graph import (Graph, bits, complement, delete_vertex, from_edge_list,
+                         from_graph6, read_graph_file, relabel)
 from kcrit.invariants import (Coloring, _bb_coloring, chromatic_number, clique_number,
-                              gallai_edmonds_d_raw, independence_number,
-                              is_k_colorable, is_proper_coloring,
-                              matching_mates_raw, matching_raw,
+                              gallai_edmonds_raw, independence_number,
+                              is_k_colorable, is_proper_coloring, matching_raw,
                               triangle_free_raw)
 from lemmas import coloring_with_min_class_size
-from util import graphs, random_graph, random_triangle_free
+from util import data_path, graphs, random_graph, random_triangle_free
 
 
 def cycle(n):
@@ -88,8 +90,7 @@ def _brute_d(g, active):
 
 def _d(g, active=None):
     active = (1 << g.n) - 1 if active is None else active
-    return gallai_edmonds_d_raw(g.n, g.adj, active,
-                                matching_mates_raw(g.n, g.adj, active))
+    return gallai_edmonds_raw(g.n, g.adj, active)[1]
 
 
 def _with_pendant_paths(core, lengths):
@@ -150,15 +151,110 @@ def test_d_against_brute_force_random():
 
 
 def test_d_leaves_mates_alone_and_rejects_non_maximum():
+    # the two-pass oracle: D from a second forest over a given matching
     g = cycle(7)
-    mates = matching_mates_raw(7, g.adj, 0b1111111)
+    mates = oracles.matching_mates_raw(7, g.adj, 0b1111111)
     before = list(mates)
-    gallai_edmonds_d_raw(7, g.adj, 0b1111111, mates)
+    assert oracles.gallai_edmonds_d_raw(7, g.adj, 0b1111111, mates) == 0b1111111
     assert mates == before
     p4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     for bad in ([-1, 2, 1, -1], [-1] * 4):
         with pytest.raises(ValueError, match="not maximum"):
-            gallai_edmonds_d_raw(4, p4.adj, 0b1111, bad)
+            oracles.gallai_edmonds_d_raw(4, p4.adj, 0b1111, bad)
+
+
+# ===== one blossom pass against the two-pass oracle =====
+
+def _critical6_sample(seed, size):
+    gs = [g for _, g in read_graph_file(data_path("critical6.g6"))]
+    return random.Random(seed).sample(gs, size)
+
+
+def _oracle_inputs():
+    # (g, active): seeded random graphs with n <= 18 under the full mask
+    # and a random one (rows then reach outside it), the complement of
+    # every critical4/5 member, and the complements of a seeded critical6
+    # sample, whole and after each single-vertex deletion
+    rng = random.Random(47)
+    for _ in range(500):
+        n = rng.randint(0, 18)
+        if rng.random() < 0.5:
+            g = random_graph(rng, n, p=rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+        else:
+            g = random_triangle_free(rng, n, p=rng.choice([0.2, 0.4, 0.6]))
+        yield g, (1 << n) - 1
+        yield g, rng.getrandbits(n) if n else 0
+    for k in (4, 5):
+        for _, g in read_graph_file(data_path(f"critical{k}.g6")):
+            yield complement(g), (1 << g.n) - 1
+    for g in _critical6_sample(53, 40):
+        full = (1 << g.n) - 1
+        yield complement(g), full
+        for v in range(g.n):
+            yield complement(g), full ^ 1 << v
+
+
+def test_one_pass_equals_the_two_pass_oracle():
+    seen = 0
+    for g, active in _oracle_inputs():
+        mates, d = gallai_edmonds_raw(g.n, g.adj, active)
+        old = oracles.matching_mates_raw(g.n, g.adj, active)
+        assert mates == old, (g, active)
+        assert d == oracles.gallai_edmonds_d_raw(g.n, g.adj, active, old), (g, active)
+        assert d == _brute_d(g, active), (g, active)
+        seen += 1
+    assert seen > 1500
+
+
+def _count_forests(monkeypatch):
+    # counts every alternating-forest search and the failed ones, which
+    # return the even vertices instead of None
+    real = kcrit.invariants._alternating_forest
+    calls = {"all": 0, "failed": 0}
+
+    def counted(*args):
+        even = real(*args)
+        calls["all"] += 1
+        calls["failed"] += even is not None
+        return even
+
+    monkeypatch.setattr(kcrit.invariants, "_alternating_forest", counted)
+    return calls
+
+
+def test_one_failed_search_per_exposed_vertex(monkeypatch):
+    # D comes from the failed searches themselves: no second forest
+    calls = _count_forests(monkeypatch)
+    for g, active in _oracle_inputs():
+        calls["failed"] = 0
+        mates, _ = gallai_edmonds_raw(g.n, g.adj, active)
+        assert calls["failed"] == sum(mates[v] == -1 for v in bits(active)), (g, active)
+
+
+def test_criticality_test_fails_one_search_per_component(monkeypatch):
+    # a 6-critical P3+P1-free G of order n: its complement has 12 - n
+    # factor-critical components, each leaving one vertex exposed, so the
+    # order-11 members (nearly all) take exactly one failed search
+    calls = _count_forests(monkeypatch)
+    rng = random.Random(59)
+    orders = set()
+    for g in _critical6_sample(61, 150):
+        g = relabel(g, rng.sample(range(g.n), g.n))
+        calls["failed"] = 0
+        assert is_vertex_critical(g, 6).is_critical
+        assert calls["failed"] == 12 - g.n, g
+        orders.add(g.n)
+    assert 11 in orders
+
+
+def test_perfect_pairs_grow_no_forest(monkeypatch):
+    # a root with an exposed neighbour is matched to it without a search
+    calls = _count_forests(monkeypatch)
+    for n in (0, 2, 8, 30):
+        g = from_edge_list(n, [(v, v + 1) for v in range(0, n, 2)])
+        mates, d = gallai_edmonds_raw(n, g.adj, (1 << n) - 1)
+        assert mates == [v ^ 1 for v in range(n)] and d == 0
+    assert calls["all"] == 0
 
 
 def test_triangle_free_raw():
