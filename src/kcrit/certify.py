@@ -65,8 +65,9 @@ class CriticalDatabase:
 
 @lru_cache(maxsize=8)
 def _decode_members(codes: frozenset[str]) -> tuple[Graph, ...]:
-    decoded = [from_graph6(c) for c in sorted(codes)]
-    return tuple(sorted(decoded, key=lambda g: g.n))
+    # a graph6 code starts with chr(n + 63), so sorting the codes groups
+    # the members by order, smallest first
+    return tuple([from_graph6(c) for c in sorted(codes)])
 
 
 _DATA = Path(__file__).with_name("data")
@@ -168,11 +169,10 @@ def verify_certificate(g: Graph, k: int, answer: CertifiedAnswer) -> bool:
     database; False on a payload of the wrong type (a bool is no int)."""
     if answer.verdict == YES:
         c = answer.coloring
-        if (answer.witness is not None or not isinstance(c, Coloring)
-                or type(c.k) is not int or type(c.colors) is not tuple
-                or any(type(x) is not int for x in c.colors)):
+        if answer.witness is not None or not isinstance(c, Coloring):
             return False
-        return c.k <= k and is_proper_coloring(g, c)
+        # is_proper_coloring rejects a c.k that is not an int first
+        return is_proper_coloring(g, c) and c.k <= k
     s = answer.witness
     if answer.coloring is not None or type(s) is not int:
         return False

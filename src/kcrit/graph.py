@@ -11,12 +11,21 @@ note: header byte n+63, upper-triangle column-major bit stream, 6 bits per
 byte, +63, zero padded) and a plain edge-list line format
 ``"n: i j, i j, ..."``.  The two-digit-pair form ``"01 02 ..."`` is
 accepted as input only, for graphs with n <= 10.
+
+The graph6 decoder reads a body byte at a time from a lookup table.
+Body byte p always covers stream bits 6p..6p+5, whatever the order, so
+one table serves every order: entry v of row p is the symmetric
+adjacency those six bits set when the byte's value is v, with vertex
+i's row at bit 32*i.  Decoding ORs one entry per byte and cuts the rows
+out of the sum.  The table grows on first use to the longest code seen;
+an order-11 code needs 10 positions, the order-31 cap 78.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 31
@@ -33,9 +42,12 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex indices into a bit mask."""
+    """Pack an iterable of vertex indices into a bit mask; ValueError on a
+    vertex that is not a nonnegative int (a bool is not an int here)."""
     m = 0
     for v in vertices:
+        if type(v) is not int:
+            raise ValueError(f"vertex must be an int, got {v!r}")
         m |= 1 << v
     return m
 
@@ -92,10 +104,13 @@ class Graph:
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from vertex pairs; rejects loops, duplicates, bad indices."""
+    """Build a graph from vertex pairs; rejects loops, duplicates, bad indices
+    (an index that is not an int, a bool included) with ValueError."""
     adj = [0] * n
     seen = set()
     for i, j in edges:
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"edge ({i!r},{j!r}) has a vertex that is not an int")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
@@ -215,13 +230,38 @@ def to_graph6(g: Graph) -> str:
 
 
 _G6_BAD_BYTE = re.compile(r"[^?-~]")
-# a graph6 byte's six bits, last bit first: the body read backwards turns
-# into one integer whose bit i is bit i of the upper-triangle stream
-_G6_BITS_REVERSED = {v + 63: format(v, "06b")[::-1] for v in range(64)}
+# _G6_TABLE[p][v]: the adjacency, row i at bit 32*i, that body byte p
+# sets when its value is v.  Empty at import; growth rebinds it to a
+# longer tuple, so a table a caller holds never changes under it.
+_G6_TABLE: tuple[tuple[int, ...], ...] = ()
+
+
+def _grow_g6_table(need: int) -> tuple[tuple[int, ...], ...]:
+    global _G6_TABLE
+    rows = list(_G6_TABLE)
+    while len(rows) < need:
+        first = 6 * len(rows)
+        entries = [0]
+        for b in range(6):
+            # value bit b is stream bit k = first + 5 - b, which is
+            # x(i, j) for the column j with j(j-1)/2 <= k < j(j+1)/2
+            k = first + 5 - b
+            j = (1 + isqrt(8 * k + 1)) // 2
+            i = k - j * (j - 1) // 2
+            pair = 1 << (32 * i + j) | 1 << (32 * j + i)
+            entries += [e | pair for e in entries]
+        rows.append(tuple(entries))
+    _G6_TABLE = table = tuple(rows)
+    return table
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode a graph6 string; strict about length and zero padding."""
+    """Decode a graph6 string; strict about length and zero padding.
+
+    One table lookup and one OR per body byte build every row at once
+    (see the module docstring); the pad bits, the low -n(n-1)/2 mod 6
+    bits of the last byte, are checked before any are read.
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty graph6 string")
@@ -233,22 +273,20 @@ def from_graph6(text: str) -> Graph:
         raise ValueError("extended graph6 headers (n > 62) not supported")
     if n > MAX_VERTICES:
         raise ValueError(f"graph6 order {n} exceeds cap {MAX_VERTICES}")
-    need = (n * (n - 1) // 2 + 5) // 6
+    size = n * (n - 1) // 2
+    need = (size + 5) // 6
     if len(s) - 1 != need:
         raise ValueError(f"graph6 body has {len(s) - 1} bytes, expected {need}")
-    stream = int(s[:0:-1].translate(_G6_BITS_REVERSED) or "0", 2)
-    # column j holds the bits x(0,j) .. x(j-1,j), row 0 lowest
-    adj = [0] * n
-    for j in range(1, n):
-        col = stream & ((1 << j) - 1)
-        stream >>= j
-        adj[j] = col
-        for i in bits(col):
-            adj[i] |= 1 << j
-    # trailing pad bits must be zero
-    if stream:
+    # with no body, s[-1] is the header and the pad is empty
+    if (ord(s[-1]) - 63) & ((1 << -size % 6) - 1):
         raise ValueError("nonzero padding bits in graph6 string")
-    return Graph._unchecked(n, tuple(adj))
+    table = _G6_TABLE
+    if len(table) < need:
+        table = _grow_g6_table(need)
+    acc = 0
+    for entries, byte in zip(table, s[1:].encode()):
+        acc |= entries[byte - 63]
+    return Graph._unchecked(n, tuple([acc >> 32 * i & 0xFFFFFFFF for i in range(n)]))
 
 
 # ===== edge-list text format =====

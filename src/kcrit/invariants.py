@@ -181,7 +181,11 @@ class Coloring:
 
 
 def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
-    """Independent properness check used by certificate verification."""
+    """Independent properness check used by certificate verification;
+    False unless colors is a tuple of ints and k an int (a bool is not)."""
+    if (type(coloring.k) is not int or type(coloring.colors) is not tuple
+            or any(type(c) is not int for c in coloring.colors)):
+        return False
     if len(coloring.colors) != g.n:
         return False
     if any(not 0 <= c < coloring.k for c in coloring.colors):

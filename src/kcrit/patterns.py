@@ -98,10 +98,13 @@ def contains_induced(g: Graph, h: Graph):
     """An injective map phi with uv in E(h) iff phi(u)phi(v) in E(g), or None.
 
     Backtracking over candidate bitmasks: pattern vertex u may go to any
-    host vertex of degree >= deg_h(u) that is adjacent to phi(i) exactly
-    when u is adjacent to i, for every i < u.  Pattern vertices are placed
-    in the order 0..h.n-1 and each domain is tried lowest host vertex
-    first, so the result is the lexicographically first embedding.  Used
+    host vertex v with deg_h(u) <= deg_g(v) <= deg_h(u) + g.n - h.n (its
+    neighbours and its non-neighbours both map injectively) that is
+    adjacent to phi(i) exactly when u is adjacent to i, for every i < u.
+    An empty degree window answers None before any search.  Pattern
+    vertices are placed in the order 0..h.n-1 and each domain is tried
+    lowest host vertex first, so the result is the lexicographically
+    first embedding; the window only cuts branches that hold none.  Used
     for patterns of any size, from P3+P1 to the critical graphs of up to
     11 vertices that the certifier scans for.
     """
@@ -111,11 +114,20 @@ def contains_induced(g: Graph, h: Graph):
         return ()
     adj = g.adj
     nadj = complement(g).adj
-    gdeg = [row.bit_count() for row in adj]
+    # at_least[d]: the host vertices of degree >= d
+    at_least = [0] * (g.n + 1)
+    for v, row in enumerate(adj):
+        at_least[row.bit_count()] |= 1 << v
+    for d in range(g.n - 1, 0, -1):
+        at_least[d - 1] |= at_least[d]
+    slack = g.n - h.n
     deg_ok = []
     for hrow in h.adj:
         d = hrow.bit_count()
-        deg_ok.append(sum(1 << v for v in range(g.n) if gdeg[v] >= d))
+        dom = at_least[d] & ~at_least[d + slack + 1]
+        if not dom:
+            return None
+        deg_ok.append(dom)
     last = h.n - 1
     phi = [0] * h.n
 

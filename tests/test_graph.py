@@ -1,11 +1,16 @@
 """Graph representation, transformations, and serialization."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kcrit.graph as kcrit_graph
 import oracles
 from kcrit.graph import (Graph, bits, complement, delete_vertex, disjoint_union,
                          format_edge_list, from_edge_list, from_graph6,
@@ -47,6 +52,16 @@ def test_from_edge_list_rejects_bad_input():
         from_edge_list(3, [(1, 1)])
     with pytest.raises(ValueError):
         from_edge_list(3, [(0, 1), (1, 0)])
+
+
+def test_from_edge_list_rejects_bool_vertex():
+    with pytest.raises(ValueError, match="not an int"):
+        from_edge_list(2, [(True, False)])
+
+
+def test_from_edge_list_rejects_float_vertex():
+    with pytest.raises(ValueError, match="not an int"):
+        from_edge_list(3, [(0, 1.0)])
 
 
 def test_graph_invariants_enforced():
@@ -178,6 +193,12 @@ def test_mask_helpers():
     assert list(bits(0b10101)) == [0, 2, 4]
 
 
+@pytest.mark.parametrize("vertices", [[True], [0, False], [1.0], ["1"], [None]])
+def test_mask_of_rejects_non_int_vertices(vertices):
+    with pytest.raises(ValueError, match="must be an int"):
+        mask_of(vertices)
+
+
 # ===== graph6 =====
 
 def test_graph6_k4():
@@ -241,6 +262,45 @@ def _error(decode, text):
 @pytest.mark.parametrize("text", ["B~", "Ab", "C~~", "~", "`", "A\x7f", ""])
 def test_graph6_errors_equal_oracle(text):
     assert _error(from_graph6, text) == _error(oracles.from_graph6, text)
+
+
+def test_graph6_each_pad_bit_is_rejected():
+    # every order with pad bits, each pad bit set alone on an empty body
+    checked = 0
+    for n in range(2, 32):
+        size = n * (n - 1) // 2
+        pad = -size % 6
+        if not pad:
+            continue
+        need = (size + 5) // 6
+        for bit in range(pad):
+            text = chr(n + 63) + "?" * (need - 1) + chr(63 + (1 << bit))
+            assert _error(from_graph6, text) == _error(oracles.from_graph6, text)
+            assert "padding" in _error(from_graph6, text)
+            checked += 1
+    assert checked == sum(-(n * (n - 1) // 2) % 6 for n in range(2, 32))
+
+
+@pytest.mark.parametrize("order", ["descending", "ascending"])
+def test_graph6_table_grows_in_either_order(monkeypatch, order):
+    # a fresh table, grown first by the longest code or step by step
+    monkeypatch.setattr(kcrit_graph, "_G6_TABLE", ())
+    rng = Random(15)
+    orders = sorted((rng.randint(0, 31) for _ in range(60)),
+                    reverse=order == "descending")
+    for n in orders:
+        code = to_graph6(random_graph(rng, n, rng.random()))
+        assert from_graph6(code) == oracles.from_graph6(code)
+    longest = (max(orders) * (max(orders) - 1) // 2 + 5) // 6
+    assert len(kcrit_graph._G6_TABLE) == longest
+
+
+def test_graph6_table_is_not_built_at_import():
+    script = ("import kcrit, kcrit.graph; "
+              "assert kcrit.graph._G6_TABLE == (), len(kcrit.graph._G6_TABLE)")
+    src = str(pathlib.Path(kcrit_graph.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 # ===== edge-list text =====

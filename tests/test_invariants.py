@@ -323,6 +323,18 @@ def test_is_k_colorable_examples():
     assert col is not None and is_proper_coloring(C5, col) and col.k <= 3
 
 
+@pytest.mark.parametrize("coloring", [
+    Coloring((0, None), 2), Coloring((0, 1.0), 2), Coloring((0, True), 2),
+    Coloring((0, 1), "2"), Coloring((0, 1), True), Coloring((0, 1), None),
+    Coloring([0, 1], 2), Coloring(None, 2),
+], ids=["color-none", "color-float", "color-bool", "k-str", "k-bool", "k-none",
+        "colors-list", "colors-none"])
+def test_is_proper_coloring_is_false_on_a_malformed_coloring(coloring):
+    edge = from_edge_list(2, [(0, 1)])
+    assert is_proper_coloring(edge, Coloring((0, 1), 2))
+    assert not is_proper_coloring(edge, coloring)
+
+
 def test_is_k_colorable_zero():
     assert is_k_colorable(Graph(0, ()), 0) == Coloring((), 0)
     assert is_k_colorable(Graph(1, (0,)), 0) is None

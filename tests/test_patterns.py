@@ -122,6 +122,23 @@ def test_embedding_induces_pattern():
                            for i in range(h.n) for j in range(i + 1, h.n))
 
 
+def test_degree_window_keeps_the_oracle_embedding():
+    # the degree window deg_h(u) <= deg_g(phi(u)) <= deg_h(u) + g.n - h.n
+    # prunes only dead branches: the first embedding, or None, is the
+    # oracle's, equal orders included
+    rng = random.Random(17)
+    found = same_order = 0
+    for _ in range(3000):
+        n = rng.randint(0, 7)
+        g = random_graph(rng, n, rng.random())
+        h = random_graph(rng, rng.choice((n, rng.randint(0, n))), rng.random())
+        phi = contains_induced(g, h)
+        assert phi == oracles.contains_induced(g, h), (g, h)
+        found += phi is not None
+        same_order += h.n == g.n
+    assert 500 < found < 2500 and same_order > 1000
+
+
 def test_same_embedding_as_backtracking_on_random_pairs():
     rng = random.Random(8)
     found = 0
