@@ -1,8 +1,10 @@
 """Command-line front end: check, census, color, convert, family.
 
 Exit status contract: 0 when everything asserted holds, 1 when a
-property check fails, 2 on usage or parse errors.  Output is
-deterministic for fixed inputs and flags.
+property check fails, 2 on a usage, parse or I/O error: the commands
+raise ValueError or OSError, and ``main`` alone reports it as one
+``error: <message>`` line on stderr.  Output is deterministic for fixed
+inputs and flags.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from .invariants import chromatic_number, clique_number, independence_number
 from .patterns import is_free, is_p3p1, named_graph
 
 
-def _load(path):
-    try:
-        return read_graph_file(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
-
-
 @contextmanager
 def _open_out(path):
     # the --out file, opened before any work so that a bad path is a
@@ -40,11 +34,7 @@ def _open_out(path):
         yield None
         return
     created = not os.path.exists(path)
-    try:
-        fh = open(path, "a")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    fh = open(path, "a")
     try:
         with fh:
             yield fh
@@ -58,16 +48,9 @@ def _open_out(path):
 
 def _cmd_check(args) -> int:
     if args.k is not None and args.k < 1:
-        print("error: --k must be at least 1", file=sys.stderr)
-        return 2
-    entries = _load(args.file)
-    patterns = []
-    for name in args.pattern or []:
-        try:
-            patterns.append((name, named_graph(name)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        raise ValueError("--k must be at least 1")
+    entries = read_graph_file(args.file)
+    patterns = [(name, named_graph(name)) for name in args.pattern or []]
     passed = 0
     for lineno, g in entries:
         fields = [f"line {lineno}: n={g.n}", f"chi={chromatic_number(g)}",
@@ -90,34 +73,23 @@ def _cmd_check(args) -> int:
 # ===== census =====
 
 def _cmd_census(args) -> int:
-    pattern = None
-    if args.pattern.lower() != "none":
-        try:
-            pattern = named_graph(args.pattern)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    pattern = None if args.pattern.lower() == "none" else named_graph(args.pattern)
     fast = pattern is not None and is_p3p1(pattern)
     if not fast and args.max_order is None:
-        print("error: --max-order is required for this pattern", file=sys.stderr)
-        return 2
-    try:
-        with _open_out(args.out) as fh:
-            if fast:
-                rows = census_copaw_critical(args.k, args.max_order,
-                                             workers=args.workers)
-            else:
-                rows = census_general(args.k, pattern, args.max_order,
-                                      workers=args.workers)
-            for row in rows:
-                print(f"{args.k},{row.n},{row.count}")
-            print(f"total {sum(r.count for r in rows)}")
-            if fh is not None:
-                fh.truncate(0)
-                write_graph_list(fh, args.k, (code for row in rows for code in row.codes))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--max-order is required for this pattern")
+    with _open_out(args.out) as fh:
+        if fast:
+            rows = census_copaw_critical(args.k, args.max_order,
+                                         workers=args.workers)
+        else:
+            rows = census_general(args.k, pattern, args.max_order,
+                                  workers=args.workers)
+        for row in rows:
+            print(f"{args.k},{row.n},{row.count}")
+        print(f"total {sum(r.count for r in rows)}")
+        if fh is not None:
+            fh.truncate(0)
+            write_graph_list(fh, args.k, (code for row in rows for code in row.codes))
     return 0
 
 
@@ -125,9 +97,8 @@ def _cmd_census(args) -> int:
 
 def _cmd_color(args) -> int:
     if args.k not in (3, 4, 5):
-        print("error: --k must be 3, 4, or 5", file=sys.stderr)
-        return 2
-    entries = _load(args.file)
+        raise ValueError("--k must be 3, 4, or 5")
+    entries = read_graph_file(args.file)
     db = build_database(args.k + 1)
     failed = 0
     for lineno, g in entries:
@@ -152,7 +123,7 @@ def _cmd_color(args) -> int:
 # ===== convert =====
 
 def _cmd_convert(args) -> int:
-    entries = _load(args.file)
+    entries = read_graph_file(args.file)
     render = to_graph6 if args.to == "graph6" else format_edge_list
     lines = [render(g) + "\n" for _, g in entries]
     with _open_out(args.out) as fh:
@@ -175,14 +146,9 @@ _FAMILIES = {
 def _cmd_family(args) -> int:
     build, names = _FAMILIES[args.name]
     if len(args.params) != len(names):
-        print(f"error: {args.name} takes {len(names)} parameter(s) "
-              f"({' '.join(names)}), got {len(args.params)}", file=sys.stderr)
-        return 2
-    try:
-        g = build(*args.params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.name} takes {len(names)} parameter(s) "
+                         f"({' '.join(names)}), got {len(args.params)}")
+    g = build(*args.params)
     print(to_graph6(g) if args.to == "graph6" else format_edge_list(g))
     return 0
 
@@ -234,7 +200,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_family)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -54,6 +54,13 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 # ===== the graph type =====
 
+def check_order(n) -> int:
+    """n, if it is an int in 0..MAX_VERTICES (a bool is not); else ValueError."""
+    if type(n) is not int or not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"order must be an int in 0..{MAX_VERTICES}, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph on n <= 31 vertices, adjacency as bit masks."""
@@ -62,8 +69,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"order must be an int in 0..{MAX_VERTICES}, got {self.n!r}")
+        check_order(self.n)
         # stored as a tuple, so a list argument still hashes and joins
         object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.n:
@@ -104,9 +110,10 @@ class Graph:
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from vertex pairs; rejects loops, duplicates, bad indices
-    (an index that is not an int, a bool included) with ValueError."""
-    adj = [0] * n
+    """Build a graph from vertex pairs; rejects a bad order (checked before
+    anything is allocated), loops, duplicates and bad indices (an index
+    that is not an int, a bool included) with ValueError."""
+    adj = [0] * check_order(n)
     seen = set()
     for i, j in edges:
         if type(i) is not int or type(j) is not int:

@@ -190,9 +190,7 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
         return False
     if any(not 0 <= c < coloring.k for c in coloring.colors):
         return False
-    if set(coloring.colors) != set(range(coloring.k)) and g.n > 0:
-        return False
-    if g.n == 0 and coloring.k != 0:
+    if len(set(coloring.colors)) != coloring.k:  # every class used
         return False
     return all(coloring.colors[i] != coloring.colors[j] for i, j in g.edges())
 
@@ -219,8 +217,10 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
     the bound to its count, and the search backtracks to find one with
     fewer colors; it returns the last, which uses chi colors.  With
     first_hit it returns the first complete coloring instead.  Colors
-    are 0..c-1 in order of first use.
+    are 0..c-1 in order of first use.  A bound above n + 1 acts as
+    n + 1, so its size costs nothing.
     """
+    bound = min(bound, n + 1)
     clique = _greedy_clique(n, adj)
     if len(clique) >= bound:
         return None

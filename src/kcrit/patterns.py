@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import Graph, bits, complement, disjoint_union, from_edge_list
+from .graph import Graph, bits, check_order, complement, from_edge_list
 from .invariants import (
     independence_number,  # for the perfbench span of that name
     triangle_free_raw,
@@ -46,7 +46,7 @@ def p2_lp1(l: int) -> Graph:
     """One edge plus l isolated vertices (order l + 2)."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    return disjoint_union(_path(2), Graph(l, (0,) * l))
+    return from_edge_list(l + 2, [(0, 1)])
 
 
 _FIXED = {
@@ -60,31 +60,37 @@ _FIXED = {
 
 
 def named_graph(name: str) -> Graph:
-    """Build the graph for a pattern name; raises ValueError on bad names."""
-    s = name.strip().lower().replace(" ", "").replace("_", "")
+    """Build the graph for a pattern name; raises ValueError on a bad name
+    or, before building anything, on an order above MAX_VERTICES."""
+    g = _parse_name(name.strip().lower().replace(" ", "").replace("_", ""))
+    if g is None:
+        raise ValueError(f"unknown pattern name {name!r}")
+    return g
+
+
+def _parse_name(s: str) -> Graph | None:
+    # the graph a normalized pattern name spells, or None for no name
     if s.replace("+", "") == "p3p1":    # "p3p1" spells P3+P1 too
         s = "p3+p1"
     if s in _FIXED:
         return _FIXED[s]()
-    if s.startswith("co-") or s.startswith("co"):
-        base = s[3:] if s.startswith("co-") else s[2:]
-        try:
-            return complement(named_graph(base))
-        except ValueError:
-            pass  # not a co- form after all (e.g. nothing sensible follows)
+    if s.startswith("co"):
+        base = _parse_name(s[3:] if s.startswith("co-") else s[2:])
+        if base is not None:
+            return complement(base)
     m = re.fullmatch(r"p2\+(\d*)p1", s)
     if m:
         return p2_lp1(int(m.group(1)) if m.group(1) else 1)
     m = re.fullmatch(r"([kpc])(\d+)", s)
     if m:
-        kind, t = m.group(1), int(m.group(2))
+        kind, t = m.group(1), check_order(int(m.group(2)))
         if kind == "k" and t >= 1:
             return _complete(t)
         if kind == "p" and t >= 1:
             return _path(t)
         if kind == "c" and t >= 3:
             return _cycle(t)
-    raise ValueError(f"unknown pattern name {name!r}")
+    return None
 
 
 # the 11 unlabeled graphs on 4 vertices

@@ -65,6 +65,37 @@ def test_check_reports_invariants(tmp_path, capsys):
     assert "chi=5" in out and "alpha=2" in out and "omega=4" in out
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["check", "{f}"], "100000000000000000000:"),
+    (["check", "{f}", "--k", "4"], "10000000:"),
+    (["check", "{f}", "--pattern", "K1000000000"], "3: 0 1"),
+    (["census", "--k", "3", "--pattern", "P1000000000", "--max-order", "5"], None),
+    (["color", "{f}", "--k", "3"], "40:"),
+], ids=["order-overflow", "order-huge", "check-pattern", "census-pattern", "color-order"])
+def test_oversized_orders_are_usage_errors(tmp_path, capsys, argv, line):
+    f = tmp_path / "g.edges"
+    f.write_text(f"{line}\n")
+    assert run([a.format(f=f) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "order must be an int in 0..31, got " in err
+
+
+def test_out_write_error_is_reported_and_removes_the_new_file(tmp_path, capsys,
+                                                             monkeypatch):
+    import kcrit.cli as cli
+
+    def disk_full(*args):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "write_graph_list", disk_full)
+    out_file = tmp_path / "new.g6"
+    assert run(["census", "--k", "4", "--out", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: No space left on device\n" and "total 8" in out
+    assert not out_file.exists()
+
+
 # ===== census =====
 
 def test_census_table(capsys):

@@ -17,7 +17,7 @@ from kcrit.graph import (Graph, bits, complement, delete_vertex, disjoint_union,
                          induced_subgraph, join, mask_of, parse_edge_list,
                          parse_graph_line, read_graph_list, relabel, to_graph6,
                          write_graph_list)
-from util import data_path, graphs, random_graph
+from util import data_path, graphs, peak_traced, random_graph
 
 K4 = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -62,6 +62,15 @@ def test_from_edge_list_rejects_bool_vertex():
 def test_from_edge_list_rejects_float_vertex():
     with pytest.raises(ValueError, match="not an int"):
         from_edge_list(3, [(0, 1.0)])
+
+
+@pytest.mark.parametrize("n", [2.0, "3", None, True, -1, 10**20, 10**7],
+                         ids=["float", "str", "none", "bool", "negative", "overflow", "huge"])
+def test_from_edge_list_checks_the_order_before_allocating(n):
+    # rejected with Graph's own message and no list of n entries made
+    with peak_traced() as peak, pytest.raises(ValueError, match=r"must be an int in 0\.\.31, got"):
+        from_edge_list(n, [])
+    assert peak[0] < 100_000
 
 
 def test_graph_invariants_enforced():

@@ -15,7 +15,7 @@ from kcrit.invariants import (Coloring, _bb_coloring, chromatic_number, clique_n
                               is_k_colorable, is_proper_coloring, matching_raw,
                               triangle_free_raw)
 from lemmas import coloring_with_min_class_size
-from util import data_path, graphs, random_graph, random_triangle_free
+from util import data_path, graphs, peak_traced, random_graph, random_triangle_free
 
 
 def cycle(n):
@@ -333,6 +333,26 @@ def test_is_proper_coloring_is_false_on_a_malformed_coloring(coloring):
     edge = from_edge_list(2, [(0, 1)])
     assert is_proper_coloring(edge, Coloring((0, 1), 2))
     assert not is_proper_coloring(edge, coloring)
+
+
+def test_is_proper_coloring_cost_does_not_grow_with_k():
+    # every class must be used, which a claimed k of 10**12 cannot be
+    edge = from_edge_list(2, [(0, 1)])
+    with peak_traced() as peak:
+        assert not is_proper_coloring(edge, Coloring((0, 1), 10**12))
+        assert not is_proper_coloring(Graph(0, ()), Coloring((), 10**12))
+    assert peak[0] < 100_000
+    assert is_proper_coloring(Graph(0, ()), Coloring((), 0))
+
+
+def test_is_k_colorable_with_a_huge_k_is_the_search_at_k_equal_n():
+    rng = random.Random(1701)
+    gs = [random_graph(rng, n, rng.choice((0.3, 0.5, 0.8)))
+          for n in range(9) for _ in range(6)]
+    with peak_traced() as peak:
+        huge = [is_k_colorable(g, 10**9) for g in gs]
+    assert peak[0] < 100_000
+    assert huge == [is_k_colorable(g, g.n) for g in gs]
 
 
 def test_is_k_colorable_zero():

@@ -15,7 +15,7 @@ from kcrit.patterns import (ORDER4_NAMES, JoinDecomposition, contains_induced,
                             copaw_decompose, is_free, is_p3p1, named_graph,
                             p2_lp1)
 from lemmas import is_p2_lp1_free, maximal_independent_set, nonneighbor_profile
-from util import (canonical_reps, data_path, graphs, random_copaw_free,
+from util import (canonical_reps, data_path, graphs, peak_traced, random_copaw_free,
                   random_graph)
 
 
@@ -52,6 +52,23 @@ def test_named_graph_rejects():
     for bad in ["K0", "C2", "P0", "co-", "triangle?", "P2+P2"]:
         with pytest.raises(ValueError):
             named_graph(bad)
+
+
+@pytest.mark.parametrize("name", ["K1000000000", "P1000000000", "C1000000000",
+                                  "P2+1000000000P1", "co-K1000000000", "coC1000000000"])
+def test_named_graph_rejects_a_huge_order_before_building(name):
+    with peak_traced() as peak, pytest.raises(ValueError, match=r"in 0\.\.31, got 100000000"):
+        named_graph(name)
+    assert peak[0] < 100_000
+
+
+def test_named_graph_orders_at_the_cap():
+    assert named_graph("K31").n == named_graph("co-C31").n == 31
+    assert p2_lp1(29) == from_edge_list(31, [(0, 1)])
+    with pytest.raises(ValueError, match="got 32"):
+        named_graph("P32")
+    with pytest.raises(ValueError, match="got 32"):
+        named_graph("P2+30P1")
 
 
 def test_order4_names_pairwise_distinct():

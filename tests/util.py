@@ -1,13 +1,28 @@
-"""Shared test helpers: seeded random graphs and a hypothesis strategy."""
+"""Shared test helpers: seeded random graphs, a hypothesis strategy and
+an allocation tracer."""
 
 from __future__ import annotations
 
 import pathlib
+import tracemalloc
+from contextlib import contextmanager
 from functools import lru_cache
 
 from hypothesis import strategies as st
 
 from kcrit.graph import Graph
+
+
+@contextmanager
+def peak_traced():
+    """Trace the block's allocations; the yielded list then holds the peak in bytes."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 def data_path(name: str) -> pathlib.Path:
