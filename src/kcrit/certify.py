@@ -101,8 +101,8 @@ def _structural_coloring(g: Graph, dec: JoinDecomposition) -> Coloring:
     co = dec.co
     colors = [-1] * g.n
     offset = 0
-    for factor, kind in zip(dec.factors, dec.kinds):
-        if "alpha_le_2" in kind:
+    for factor, small in zip(dec.factors, dec.alpha_le_2):
+        if small:
             # pair up nonadjacent vertices via a maximum matching in the
             # complement; pairs share a color, leftovers get their own
             mates = gallai_edmonds_raw(g.n, co, factor)[0]

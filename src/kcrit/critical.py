@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, bits, delete_vertex, induced_subgraph
 from .invariants import (
-    _chi_branch_and_bound,
-    alpha_le_2_chi,
+    chi_with_d,
     chromatic_number,  # for the perfbench span invariants.chromatic_number
     gallai_edmonds_raw,
     independence_number,  # for the perfbench span invariants.independence_number
@@ -50,13 +49,12 @@ def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    small = alpha_le_2_chi(g)
-    chi = _chi_branch_and_bound(g) if small is None else small[0]
+    chi, _, d = chi_with_d(g)
     if chi != k:
         return CriticalityReport(k=chi, is_critical=False, witness=None)
-    if small is not None:
+    if d is not None:
         # deleting v keeps chi iff every maximum matching of co covers v
-        keeps = bits((1 << g.n) - 1 & ~small[2])
+        keeps = bits((1 << g.n) - 1 & ~d)
     else:
         keeps = (v for v in range(g.n)
                  if is_k_colorable(delete_vertex(g, v), k - 1) is None)
@@ -76,17 +74,15 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    small = alpha_le_2_chi(g)
-    chi = _chi_branch_and_bound(g) if small is None else small[0]
+    chi, co, d = chi_with_d(g)
     if chi < k:
         raise ValueError("graph is not even k-chromatic; nothing to extract")
     active = (1 << g.n) - 1
-    if small is None:
+    if d is None:
         for v in range(g.n):
             if is_k_colorable(induced_subgraph(g, active ^ 1 << v), k - 1) is None:
                 active ^= 1 << v
         return active
-    _, co, d = small
     for v in range(g.n):
         in_d = d >> v & 1
         if chi > k or not in_d:

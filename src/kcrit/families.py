@@ -10,24 +10,25 @@ substitution (``tests/lemmas.py``).
 
 from __future__ import annotations
 
-from .graph import MAX_VERTICES, Graph, complement, from_edge_list
+from .graph import Graph, check_order, complement, from_edge_list
+
+
+def _at_least(name: str, x, low: int) -> int:
+    # x, if it is an int (a bool is not) of at least low; else ValueError
+    if type(x) is not int or x < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {x!r}")
+    return x
 
 
 def odd_cycle(m: int) -> Graph:
     """The cycle on 2m+1 vertices, m >= 1."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    n = 2 * m + 1
-    if n > MAX_VERTICES:
-        raise ValueError("cycle order exceeds the vertex cap")
+    n = check_order(2 * _at_least("m", m, 1) + 1)
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def co_odd_cycle(k: int) -> Graph:
     """Complement of the cycle on 2k-1 vertices; 3 <= k <= 16."""
-    if not 3 <= k <= 16:
-        raise ValueError("k must be in 3..16")
-    return complement(odd_cycle(k - 1))
+    return complement(odd_cycle(_at_least("k", k, 3) - 1))
 
 
 def clique_substituted_odd_cycle(t: int, k: int) -> Graph:
@@ -36,13 +37,9 @@ def clique_substituted_odd_cycle(t: int, k: int) -> Graph:
     Order (t+1) + t*(k-2); t >= 2, k >= 3.  Labels appear in ascending
     order, each expanded group occupying consecutive vertices.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    if k < 3:
-        raise ValueError("k must be at least 3")
-    n = (t + 1) + t * (k - 2)
-    if n > MAX_VERTICES:
-        raise ValueError("result exceeds the vertex cap")
+    _at_least("t", t, 2)
+    _at_least("k", k, 3)
+    n = check_order((t + 1) + t * (k - 2))
     groups = []
     base = 0
     for label in range(1, 2 * t + 2):

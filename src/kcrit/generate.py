@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .canon import canon_raw
-from .graph import MAX_VERTICES, Graph, bits
+from .graph import Graph, bits, check_order
 
 TRIANGLE_FREE = "triangle-free"
 ALL_GRAPHS = "all"
@@ -195,8 +195,8 @@ def generate_graphs(n: int, mode: str = ALL_GRAPHS) -> Iterator[Graph]:
     mode ALL_GRAPHS streams every class, TRIANGLE_FREE only the
     triangle-free ones.  Deterministic order.
     """
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError("order out of range")
+    if check_order(n) < 1:
+        raise ValueError("order must be at least 1, got 0")
     _check_args(mode)
     level = [Graph(1, (0,))]
     if n == 1:

@@ -195,9 +195,8 @@ def relabel(g: Graph, perm: Iterable[int]) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    if g.n + h.n > MAX_VERTICES:
-        raise ValueError(f"combined order {g.n + h.n} exceeds {MAX_VERTICES}")
-    return Graph._unchecked(g.n + h.n, g.adj + tuple(row << g.n for row in h.adj))
+    n = check_order(g.n + h.n)
+    return Graph._unchecked(n, g.adj + tuple(row << g.n for row in h.adj))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -278,8 +277,7 @@ def from_graph6(text: str) -> Graph:
     n = ord(s[0]) - 63
     if n == 63:
         raise ValueError("extended graph6 headers (n > 62) not supported")
-    if n > MAX_VERTICES:
-        raise ValueError(f"graph6 order {n} exceeds cap {MAX_VERTICES}")
+    check_order(n)
     size = n * (n - 1) // 2
     need = (size + 5) // 6
     if len(s) - 1 != need:

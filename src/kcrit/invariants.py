@@ -8,13 +8,14 @@ same pass gives the Gallai-Edmonds set D (the vertices some maximum
 matching leaves exposed): it is the union of the even vertices of the
 searches that fail, and it decides every vertex deletion at once.
 
-``alpha_le_2_chi`` is the structural shortcut when alpha(G) <= 2, i.e. when
-the complement is triangle-free: color classes then have at most two
-vertices, so an optimal coloring pairs up nonadjacent vertices and
-chi(G) = n - nu(complement(G)).  Its triangle test, ``triangle_free_raw``,
-is the package's only one; the join decomposition runs it on each
-factor.  Everything else goes through saturation-ordered branch and
-bound with a greedy clique lower bound.
+``chi_with_d`` is the one chromatic-number kernel.  When alpha(G) <= 2,
+i.e. when the complement is triangle-free, color classes have at most
+two vertices, so an optimal coloring pairs up nonadjacent vertices and
+chi(G) = n - nu(complement(G)); one blossom pass then gives chi and D
+together.  Otherwise chi comes from saturation-ordered branch and bound
+with a greedy clique lower bound.  Its triangle test,
+``triangle_free_raw``, is the package's only one; the join decomposition
+runs it on each factor.
 """
 
 from __future__ import annotations
@@ -291,27 +292,25 @@ def triangle_free_raw(adj, active: int) -> bool:
     return True
 
 
-def alpha_le_2_chi(g: Graph):
-    """(chi, complement adjacency, Gallai-Edmonds set D of the complement)
-    when alpha(G) <= 2, else None."""
+def chi_with_d(g: Graph):
+    """(chi(G), complement rows, Gallai-Edmonds set D of the complement).
+
+    When alpha(G) <= 2 one triangle test and one blossom pass give all
+    three; otherwise chi comes from DSATUR branch and bound, and the
+    rows and D are None.
+    """
     co = complement(g).adj
     full = (1 << g.n) - 1
     if not triangle_free_raw(co, full):
-        return None
+        chi = max(_bb_coloring(g.n, g.adj, g.n + 1, first_hit=False)) + 1
+        return chi, None, None
     mates, d = gallai_edmonds_raw(g.n, co, full)
     return (g.n + mates.count(-1)) // 2, co, d
 
 
-def _chi_branch_and_bound(g: Graph) -> int:
-    """chi(G), exact, by DSATUR branch and bound; for callers that
-    already know alpha(G) > 2."""
-    return max(_bb_coloring(g.n, g.adj, g.n + 1, first_hit=False)) + 1
-
-
 def chromatic_number(g: Graph) -> int:
     """chi(G), exact; alpha <= 2 fast path, else DSATUR branch and bound."""
-    small = alpha_le_2_chi(g)
-    return _chi_branch_and_bound(g) if small is None else small[0]
+    return chi_with_d(g)[0]
 
 
 def is_k_colorable(g: Graph, k: int) -> Coloring | None:

@@ -178,15 +178,16 @@ def is_free(g: Graph, pattern: str | Graph) -> bool:
 
 @dataclass(frozen=True)
 class JoinDecomposition:
-    """Join factors of a (P3+P1)-free graph, as vertex masks plus kinds.
+    """Join factors of a (P3+P1)-free graph, as vertex masks plus flags.
 
-    kinds[i] is the subset of {"alpha_le_2", "union_of_cliques"} holding
-    for factor i; both are recorded when both hold.  co holds the
-    complement's adjacency rows, which the decomposition is built from.
+    alpha_le_2[i] is True when factor i has independence number at most
+    two; a factor flagged False is a disjoint union of cliques.  co holds
+    the complement's adjacency rows, which the decomposition is built
+    from.
     """
 
     factors: tuple[int, ...]
-    kinds: tuple[frozenset, ...]
+    alpha_le_2: tuple[bool, ...]
     co: tuple[int, ...]
 
 
@@ -208,11 +209,6 @@ def _components(rows) -> list[int]:
     return comps
 
 
-_ALPHA_LE_2 = frozenset({"alpha_le_2"})
-_CLIQUES = frozenset({"union_of_cliques"})
-_BOTH = _ALPHA_LE_2 | _CLIQUES
-
-
 def _union_of_cliques_on(adj, mask: int) -> bool:
     # the closed neighborhood of each vertex within ``mask`` is a clique
     # whose members all have that same closed neighborhood
@@ -232,23 +228,21 @@ def _union_of_cliques_on(adj, mask: int) -> bool:
 
 def copaw_decompose(g: Graph):
     """The join decomposition, or None exactly when g contains P3+P1,
-    found at the first factor that has neither kind.
+    found at the first factor with alpha > 2 that is not a union of
+    cliques.
 
     Works on raw masks: a co-component is closed under complement
     adjacency, so the complement rows of its vertices are the rows of the
     factor's complement, and the triangle test (alpha <= 2) reads them
-    directly.
+    directly.  Only a factor that fails it gets the union-of-cliques test.
     """
     co = complement(g).adj
     factors = []
-    kinds = []
+    alpha_le_2 = []
     for comp in _components(co):
-        cliques = _union_of_cliques_on(g.adj, comp)
-        if triangle_free_raw(co, comp):
-            kinds.append(_BOTH if cliques else _ALPHA_LE_2)
-        elif cliques:
-            kinds.append(_CLIQUES)
-        else:
+        small = triangle_free_raw(co, comp)
+        if not small and not _union_of_cliques_on(g.adj, comp):
             return None
         factors.append(comp)
-    return JoinDecomposition(tuple(factors), tuple(kinds), co)
+        alpha_le_2.append(small)
+    return JoinDecomposition(tuple(factors), tuple(alpha_le_2), co)

@@ -217,7 +217,7 @@ def from_graph6(text: str) -> Graph:
     if n == 63:
         raise ValueError("extended graph6 headers (n > 62) not supported")
     if n > 31:
-        raise ValueError(f"graph6 order {n} exceeds cap 31")
+        raise ValueError(f"order must be an int in 0..31, got {n}")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(vals) - 1 != need:
         raise ValueError(f"graph6 body has {len(vals) - 1} bytes, expected {need}")
@@ -305,20 +305,16 @@ def copaw_decompose(g: Graph):
         comps.append(comp)
         unseen &= ~comp
     factors = []
-    kinds = []
+    flags = []
     for comp in comps:
         sub = induced_subgraph(g, comp)
-        kind = set()
-        if triangle_free_raw(complement(sub).adj, (1 << sub.n) - 1):  # alpha(sub) <= 2
-            kind.add("alpha_le_2")
+        small = triangle_free_raw(complement(sub).adj, (1 << sub.n) - 1)  # alpha(sub) <= 2
         closed = [sub.adj[v] | 1 << v for v in range(sub.n)]
-        if all(closed[u] == closed[v] for u, v in sub.edges()):
-            kind.add("union_of_cliques")
-        if not kind:
+        if not small and not all(closed[u] == closed[v] for u, v in sub.edges()):
             return None
         factors.append(comp)
-        kinds.append(frozenset(kind))
-    return JoinDecomposition(tuple(factors), tuple(kinds), complement(g).adj)
+        flags.append(small)
+    return JoinDecomposition(tuple(factors), tuple(flags), complement(g).adj)
 
 
 def structural_coloring(g: Graph):
@@ -335,11 +331,11 @@ def structural_coloring(g: Graph):
     dec = copaw_decompose(g)
     colors = [0] * g.n
     offset = 0
-    for factor, kind in zip(dec.factors, dec.kinds):
+    for factor, small in zip(dec.factors, dec.alpha_le_2):
         sub = induced_subgraph(g, factor)
         local = [-1] * sub.n
         nxt = 0
-        if "alpha_le_2" in kind:
+        if small:
             # pairs of a maximum matching in the complement share a color
             mates = matching_mates_raw(sub.n, complement(sub).adj, (1 << sub.n) - 1)
             for v in range(sub.n):

@@ -84,6 +84,32 @@ def test_triangle_test_runs_once(monkeypatch, name, k):
     assert calls == [g.n, g.n]
 
 
+@pytest.mark.parametrize("name", ["C5", "C7", "K4", "C6", "P3+P1", "co-C9"])
+def test_chi_kernel_runs_once_per_call(monkeypatch, name):
+    # the criticality test and the peel take chi, the complement rows and
+    # D from one chi_with_d call, whichever branch it takes
+    # (alpha(C7) = alpha(P3+P1) = 3)
+    import kcrit.critical
+    g = named_graph(name)
+    chi = chromatic_number(g)
+    calls = []
+    real = kcrit.critical.chi_with_d
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(kcrit.critical, "chi_with_d", counted)
+    for k in range(1, chi + 2):
+        calls.clear()
+        is_vertex_critical(g, k)
+        assert calls == [g]
+    for k in range(1, chi + 1):
+        calls.clear()
+        find_critical_subgraph(g, k)
+        assert calls == [g]
+
+
 def test_wrong_chromatic_number_short_circuits():
     rep = is_vertex_critical(named_graph("C6"), 3)
     assert rep == CriticalityReport(2, False, None)

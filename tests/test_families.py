@@ -10,7 +10,7 @@ from kcrit.patterns import is_free, named_graph
 
 from oracles import is_isomorphic
 from lemmas import is_p2_lp1_free, substitute_clique, verify_join_criticality
-from util import data_path
+from util import data_path, peak_traced
 
 
 # ===== odd cycles =====
@@ -37,6 +37,20 @@ def test_odd_cycle_range():
     with pytest.raises(ValueError):
         odd_cycle(16)  # order 33 over the cap
     odd_cycle(15)
+
+
+@pytest.mark.parametrize("build, args", [
+    (odd_cycle, (2.5,)), (odd_cycle, (True,)), (odd_cycle, ("3",)), (odd_cycle, (10**20,)),
+    (co_odd_cycle, (3.5,)), (co_odd_cycle, (True,)), (co_odd_cycle, (10**20,)),
+    (clique_substituted_odd_cycle, (2.5, 4)), (clique_substituted_odd_cycle, (2, 4.0)),
+    (clique_substituted_odd_cycle, (True, 4)), (clique_substituted_odd_cycle, (2, 10**20)),
+], ids=["odd-float", "odd-bool", "odd-str", "odd-huge", "co-float", "co-bool", "co-huge",
+        "clique-t-float", "clique-k-float", "clique-t-bool", "clique-k-huge"])
+def test_family_parameters_are_ints_checked_before_building(build, args):
+    # a ValueError, never a TypeError, and no list sized by the parameter
+    with peak_traced() as peak, pytest.raises(ValueError, match=r"must be an int"):
+        build(*args)
+    assert peak[0] < 100_000
 
 
 # ===== complements of odd cycles =====

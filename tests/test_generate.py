@@ -216,6 +216,13 @@ def test_order_range_errors():
         list(generate_graphs(32))
 
 
+@pytest.mark.parametrize("n", [2.0, True, "3", 10**20],
+                         ids=["float", "bool", "str", "huge"])
+def test_order_must_be_an_int(n):
+    with pytest.raises(ValueError, match=r"order must be an int in 0\.\.31, got"):
+        list(generate_graphs(n))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_unknown_mode_is_rejected_at_every_order(n):
     # order 1 needs no augmentation step, and used to yield K1 for any mode

@@ -73,6 +73,16 @@ def test_from_edge_list_checks_the_order_before_allocating(n):
     assert peak[0] < 100_000
 
 
+@pytest.mark.parametrize("make", [
+    lambda: disjoint_union(Graph(20, (0,) * 20), Graph(12, (0,) * 12)),
+    lambda: join(Graph(16, (0,) * 16), Graph(16, (0,) * 16)),
+    lambda: from_graph6(chr(63 + 40) + "?" * 130),
+], ids=["disjoint-union", "join", "graph6"])
+def test_orders_over_the_cap_get_the_one_order_message(make):
+    with pytest.raises(ValueError, match=r"order must be an int in 0\.\.31, got (32|40)$"):
+        make()
+
+
 def test_graph_invariants_enforced():
     with pytest.raises(ValueError):
         Graph(2, (0b10,) * 2)        # self-loop at vertex 1

@@ -287,13 +287,13 @@ def test_decompose_k4():
     dec = copaw_decompose(named_graph("K4"))
     assert dec is not None and len(dec.factors) == 4
     assert all(f.bit_count() == 1 for f in dec.factors)
-    assert all(kind == {"alpha_le_2", "union_of_cliques"} for kind in dec.kinds)
+    assert dec.alpha_le_2 == (True,) * 4
 
 
 def test_decompose_c9bar():
     dec = copaw_decompose(complement(cycle(9)))
     assert dec is not None and len(dec.factors) == 1
-    assert dec.kinds[0] == frozenset({"alpha_le_2"})
+    assert dec.alpha_le_2 == (True,)
 
 
 def test_decompose_absent_on_c7():
@@ -345,8 +345,10 @@ def test_decompose_matches_oracle_on_copaw_free_joins():
         g = random_copaw_free(rng, max_n=12)
         dec = copaw_decompose(g)
         assert dec is not None and dec == oracles.copaw_decompose(g)
-        kinds.update(dec.kinds)
-    assert len(kinds) == 3   # alpha <= 2 only, cliques only, and both
+        for f, small in zip(dec.factors, dec.alpha_le_2):
+            kinds.add((small, is_free(induced_subgraph(g, f), "P3")))
+    # alpha <= 2 only, cliques only, and both
+    assert kinds == {(True, False), (False, True), (True, True)}
 
 
 def test_decompose_factor_kinds_hold():
@@ -357,14 +359,55 @@ def test_decompose_factor_kinds_hold():
         dec = copaw_decompose(g)
         if dec is None:
             continue
-        for f, kind in zip(dec.factors, dec.kinds):
+        for f, small in zip(dec.factors, dec.alpha_le_2):
             sub = induced_subgraph(g, f)
-            assert kind  # at least one kind per factor
-            if "alpha_le_2" in kind:
-                assert independence_number(sub) <= 2
-            if "union_of_cliques" in kind:
+            assert small == (independence_number(sub) <= 2)
+            if not small:
                 # P3-free means every component is a clique
                 assert is_free(sub, "P3")
+
+
+def test_decompose_tests_cliques_only_where_the_triangle_test_fails(monkeypatch):
+    import kcrit.patterns
+    from kcrit.invariants import independence_number
+    real = kcrit.patterns._union_of_cliques_on
+    called = []
+
+    def counting(adj, mask):
+        called.append(mask)
+        return real(adj, mask)
+
+    monkeypatch.setattr(kcrit.patterns, "_union_of_cliques_on", counting)
+    rng = random.Random(61)
+    tested = skipped = 0
+    for _ in range(300):
+        g = random_copaw_free(rng, max_n=12)
+        called.clear()
+        dec = copaw_decompose(g)
+        assert dec is not None
+        # one union-of-cliques test per factor with alpha > 2, none on the rest
+        assert called == [f for f, small in zip(dec.factors, dec.alpha_le_2)
+                          if not small]
+        assert all(independence_number(induced_subgraph(g, f)) > 2 for f in called)
+        tested += len(called)
+        skipped += dec.alpha_le_2.count(True)
+    assert tested > 50 and skipped > 50
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3])
+def test_random_copaw_free_small_orders(max_n):
+    rng = random.Random(67)
+    orders = set()
+    for _ in range(200):
+        g = random_copaw_free(rng, max_n=max_n)
+        assert copaw_decompose(g) is not None
+        orders.add(g.n)
+    assert orders == set(range(1, max_n + 1))
+
+
+def test_random_copaw_free_rejects_an_empty_order_range():
+    with pytest.raises(ValueError, match="max_n must be at least 1"):
+        random_copaw_free(random.Random(0), max_n=0)
 
 
 # ===== nonneighbor profile =====

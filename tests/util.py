@@ -80,10 +80,13 @@ def random_clique_union(rng, n: int) -> Graph:
 
 
 def random_copaw_free(rng, max_n: int = 12) -> Graph:
-    """Random join of alpha<=2 and clique-union factors; never has P3+P1."""
+    """Random join of alpha<=2 and clique-union factors, of order 1 to
+    max_n; never has P3+P1."""
     from kcrit.graph import complement, join
 
-    parts = rng.randint(1, 3)
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    parts = rng.randint(1, min(3, max_n))
     total = rng.randint(parts, max_n)
     cuts = sorted(rng.sample(range(1, total), parts - 1))
     sizes = [b - a for a, b in zip([0] + cuts, cuts + [total])]
