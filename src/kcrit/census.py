@@ -25,9 +25,9 @@ from multiprocessing import Pool
 from .canon import canonical_form
 from .critical import is_vertex_critical
 from .generate import TRIANGLE_FREE, Graph, child_graphs
-from .graph import complement, from_graph6, join, read_graph_file
+from .graph import check_int, complement, from_graph6, join, read_graph_file
 from .invariants import gallai_edmonds_raw, matching_raw
-from .patterns import is_free, named_graph
+from .patterns import as_pattern, is_free
 
 
 # ===== census rows =====
@@ -50,10 +50,7 @@ class CensusRow:
 @contextmanager
 def _mapper(workers: int):
     # an order-preserving map, over one process pool for the whole run
-    if type(workers) is not int:
-        raise ValueError(f"workers must be an int, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_int("workers", workers, 1)
     cpus = os.cpu_count() or 1
     if workers > cpus:
         raise ValueError(f"workers must be at most the CPU count {cpus}, got {workers}")
@@ -212,9 +209,9 @@ def census_copaw_critical(k: int, n_max: int | None = None,
                           workers: int = 1) -> list[CensusRow]:
     """Census of k-vertex-critical P3+P1-free graphs, one row per order.
 
-    Orders run from k to n_max (default 2k-1, which is the exact maximum
-    order such a graph can have).  Every survivor is recorded as the
-    canonical code of the graph itself (not of its triangle-free
+    Orders run from k, an int in 3..6, to n_max (default 2k-1, the exact
+    maximum order such a graph can have).  Every survivor is recorded as
+    the canonical code of the graph itself (not of its triangle-free
     complement).
 
     The order-n graphs are the joins of pieces P_j (see ``_pieces``) over
@@ -227,14 +224,13 @@ def census_copaw_critical(k: int, n_max: int | None = None,
     checked to be present.  ``workers`` (1 to the CPU count) is the number
     of processes that expand the pieces.
     """
-    if not 3 <= k <= 6:
+    check_int("k", k, 3)
+    if k > 6:
         raise ValueError("k must be in 3..6 (k = 7 would take hours; its "
                          "order-13 search space holds about 2e7 graphs)")
-    cap = 2 * k - 1
     if n_max is None:
-        n_max = cap
-    if not k <= n_max <= cap:
-        raise ValueError(f"n_max must be in {k}..{cap}")
+        n_max = 2 * k - 1
+    check_int("n_max", n_max, k, 2 * k - 1)
     with _mapper(workers) as mapper:
         pieces = _pieces(n_max - k + 1, mapper)
     rows = [CensusRow(n, tuple(_assembled(pieces, k, n))) for n in range(k, n_max + 1)]
@@ -248,17 +244,14 @@ def census_general(k: int, pattern: str | Graph | None, n_max: int,
                    workers: int = 1) -> list[CensusRow]:
     """Census of k-vertex-critical pattern-free graphs of order <= n_max.
 
-    pattern None means no freeness filter.  Every graph class of order
-    k..n_max is tested, so n_max is capped at 9 (order 10 alone has
-    about 1.2e7 classes).  ``workers`` (1 to the CPU count) is the number
-    of processes.
+    pattern is a name, a Graph or None (no freeness filter).  Every graph
+    class of order k..n_max is tested, so n_max is capped at 9 (order 10
+    alone has about 1.2e7 classes).  ``workers`` (1 to the CPU count) is
+    the number of processes.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not k <= n_max <= 9:
-        raise ValueError(f"n_max must be in {k}..9")
-    if isinstance(pattern, str):
-        pattern = named_graph(pattern)
+    check_int("k", k, 1, 9)
+    check_int("n_max", n_max, k, 9)
+    pattern = None if pattern is None else as_pattern(pattern)
     survives = partial(_general_survivor, k=k, pattern=pattern)
     rows = []
     level = [Graph(1, (0,))]
@@ -306,13 +299,14 @@ def verify_list(path, k: int, pattern: str | Graph | None = None,
                 census_codes=None) -> VerifyReport:
     """Check every graph in a file for freeness, criticality, novelty.
 
-    Each listed graph must be pattern-free (when a pattern is given),
-    k-vertex-critical, and not isomorphic to an earlier listed graph;
+    Each listed graph must be pattern-free (when a pattern, a name or a
+    Graph, is given), k-vertex-critical (k an int >= 1, checked before the
+    file is read), and not isomorphic to an earlier listed graph;
     offenders are reported by line number.  When census_codes is given,
     the file must also match it as a set of isomorphism classes.
     """
-    if isinstance(pattern, str):
-        pattern = named_graph(pattern)
+    check_int("k", k, 1)
+    pattern = None if pattern is None else as_pattern(pattern)
     failures: list[tuple[int, str]] = []
     codes: list[str] = []
     seen: dict[str, int] = {}

@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .canon import canonical_form
 from .critical import find_critical_subgraph, is_vertex_critical
-from .graph import (Graph, bits, from_graph6, induced_subgraph, mask_of,
-                    read_graph_list)
+from .graph import (Graph, bits, check_int, from_graph6, induced_subgraph,
+                    mask_of, read_graph_list)
 from .invariants import Coloring, gallai_edmonds_raw, is_proper_coloring
 from .patterns import (JoinDecomposition, contains_induced, copaw_decompose, is_p3p1,
                        named_graph)
@@ -75,9 +75,8 @@ _DATA = Path(__file__).with_name("data")
 
 def build_database(k: int) -> CriticalDatabase:
     """The level-k database, read from the shipped ``data/critical<k>.g6``;
-    ValueError unless k is in 4..6 and the file is a level-k list with no repeats."""
-    if not 4 <= k <= 6:
-        raise ValueError("databases exist for k in 4..6")
+    ValueError unless k is an int in 4..6 and the file is a level-k list, no repeats."""
+    check_int("k", k, 4, 6)
     path = _DATA / f"critical{k}.g6"
     level, lines = read_graph_list(path)
     if level is None:
@@ -130,15 +129,14 @@ def _structural_coloring(g: Graph, dec: JoinDecomposition) -> Coloring:
 def certify_color(g: Graph, k: int, db: CriticalDatabase) -> CertifiedAnswer:
     """Decide k-colorability of g with an independently checkable witness.
 
-    Requires the database one level up (db.k == k + 1) and k in 3..5.
+    Requires an int k in 3..5 and the database one level up (db.k == k + 1).
     One join decomposition decides membership in the class and, inside
     it, gives the coloring; an input outside the class gets the
     lexicographically first embedding of P3+P1 as its witness.  When
     chi(g) > k, the first database member, smallest order first, that
     embeds in g gives the witness.
     """
-    if k not in (3, 4, 5):
-        raise ValueError("certified coloring supports k in 3..5")
+    check_int("k", k, 3, 5)
     if db.k != k + 1:
         raise ValueError(f"need the level-{k + 1} database, got level {db.k}")
     dec = copaw_decompose(g)
@@ -165,8 +163,9 @@ def certify_color(g: Graph, k: int, db: CriticalDatabase) -> CertifiedAnswer:
 
 
 def verify_certificate(g: Graph, k: int, answer: CertifiedAnswer) -> bool:
-    """Check an answer using only direct recomputation, never the
-    database; False on a payload of the wrong type (a bool is no int)."""
+    """Check an answer by direct recomputation, never the database; False
+    on a payload of the wrong type (a bool is no int), ValueError on a bad k."""
+    check_int("k", k, 0)
     if answer.verdict == YES:
         c = answer.coloring
         if answer.witness is not None or not isinstance(c, Coloring):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, delete_vertex, induced_subgraph
+from .graph import Graph, bits, check_int, delete_vertex, induced_subgraph
 from .invariants import (
     chi_with_d,
     chromatic_number,  # for the perfbench span invariants.chromatic_number
@@ -42,13 +42,12 @@ class CriticalityReport:
 
 
 def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
-    """Exact k-vertex-criticality test.
+    """Exact k-vertex-criticality test, for an int k >= 1.
 
     Short-circuits when chi(g) != k; otherwise reports the lowest vertex
     whose deletion fails to lower the chromatic number.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_int("k", k, 1)
     chi, _, d = chi_with_d(g)
     if chi != k:
         return CriticalityReport(k=chi, is_critical=False, witness=None)
@@ -70,10 +69,9 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
     One ascending pass deletes each vertex whose removal keeps chi >= k;
     a kept vertex stays kept, as chi(S - v) < k implies chi(S' - v) < k
     for S' inside S.  When alpha(g) <= 2, only deleting a vertex of D
-    lowers chi (by one).  Requires chi(g) >= k.
+    lowers chi (by one).  Requires an int k >= 1 and chi(g) >= k.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_int("k", k, 1)
     chi, co, d = chi_with_d(g)
     if chi < k:
         raise ValueError("graph is not even k-chromatic; nothing to extract")

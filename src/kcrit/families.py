@@ -10,25 +10,20 @@ substitution (``tests/lemmas.py``).
 
 from __future__ import annotations
 
-from .graph import Graph, check_order, complement, from_edge_list
-
-
-def _at_least(name: str, x, low: int) -> int:
-    # x, if it is an int (a bool is not) of at least low; else ValueError
-    if type(x) is not int or x < low:
-        raise ValueError(f"{name} must be an int >= {low}, got {x!r}")
-    return x
+from .graph import Graph, check_int, check_order, complement, from_edge_list
 
 
 def odd_cycle(m: int) -> Graph:
     """The cycle on 2m+1 vertices, m >= 1."""
-    n = check_order(2 * _at_least("m", m, 1) + 1)
+    check_int("m", m, 1)
+    n = check_order(2 * m + 1)
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def co_odd_cycle(k: int) -> Graph:
     """Complement of the cycle on 2k-1 vertices; 3 <= k <= 16."""
-    return complement(odd_cycle(_at_least("k", k, 3) - 1))
+    check_int("k", k, 3)
+    return complement(odd_cycle(k - 1))
 
 
 def clique_substituted_odd_cycle(t: int, k: int) -> Graph:
@@ -37,8 +32,8 @@ def clique_substituted_odd_cycle(t: int, k: int) -> Graph:
     Order (t+1) + t*(k-2); t >= 2, k >= 3.  Labels appear in ascending
     order, each expanded group occupying consecutive vertices.
     """
-    _at_least("t", t, 2)
-    _at_least("k", k, 3)
+    check_int("t", t, 2)
+    check_int("k", k, 3)
     n = check_order((t + 1) + t * (k - 2))
     groups = []
     base = 0

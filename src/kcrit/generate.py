@@ -13,10 +13,11 @@ number two (their complements).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .canon import canon_raw
-from .graph import Graph, bits, check_order
+from .graph import Graph, bits, check_int, check_order
 
 TRIANGLE_FREE = "triangle-free"
 ALL_GRAPHS = "all"
@@ -78,9 +79,10 @@ def _check_args(mode: str, max_degree: int | None = None,
                 min_degree: int | None = None) -> None:
     if mode not in (ALL_GRAPHS, TRIANGLE_FREE):
         raise ValueError(f"unknown generation mode {mode!r}")
-    for name, bound in (("max_degree", max_degree), ("min_degree", min_degree)):
-        if bound is not None and bound < 0:
-            raise ValueError(f"{name} must be >= 0, got {bound}")
+    if max_degree is not None:
+        check_int("max_degree", max_degree, 0)
+    if min_degree is not None:
+        check_int("min_degree", min_degree, 0)
 
 
 # ===== the canonical-extension acceptance rule =====
@@ -154,7 +156,7 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
     and spare the parent's labeling.  When child_gens is a list, one entry
     per returned child is appended to it: the generators of Aut(child)
     that the canonicity test found, or None where it did not label the
-    child.  ValueError on an unknown mode or a negative degree bound.
+    child.  ValueError on an unknown mode or a degree bound not an int >= 0.
     """
     _check_args(mode, max_degree, min_degree)
     n = parent.n
@@ -193,16 +195,13 @@ def generate_graphs(n: int, mode: str = ALL_GRAPHS) -> Iterator[Graph]:
     """One representative per isomorphism class of order-n graphs.
 
     mode ALL_GRAPHS streams every class, TRIANGLE_FREE only the
-    triangle-free ones.  Deterministic order.
+    triangle-free ones, in a fixed order.  The arguments are checked at the
+    call; each level is expanded a parent at a time, as the stream is read.
     """
-    if check_order(n) < 1:
-        raise ValueError("order must be at least 1, got 0")
+    check_order(n)
+    check_int("order", n, 1)
     _check_args(mode)
-    level = [Graph(1, (0,))]
-    if n == 1:
-        yield from level
-        return
-    for _ in range(n - 2):
-        level = [c for p in level for c in child_graphs(p, mode)]
-    for p in level:
-        yield from child_graphs(p, mode)
+    level = iter([Graph(1, (0,))])
+    for _ in range(n - 1):
+        level = chain.from_iterable(child_graphs(p, mode) for p in level)
+    return level

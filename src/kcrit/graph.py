@@ -54,11 +54,17 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 # ===== the graph type =====
 
+def check_int(name: str, x, low: int, high: int | None = None) -> int:
+    """x, if it is an int (not a bool) in low..high, or >= low without high."""
+    if type(x) is not int or x < low or high is not None and x > high:
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an int {span}, got {x!r}")
+    return x
+
+
 def check_order(n) -> int:
-    """n, if it is an int in 0..MAX_VERTICES (a bool is not); else ValueError."""
-    if type(n) is not int or not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"order must be an int in 0..{MAX_VERTICES}, got {n!r}")
-    return n
+    """n, if it is an int in 0..MAX_VERTICES; else ValueError."""
+    return check_int("order", n, 0, MAX_VERTICES)
 
 
 @dataclass(frozen=True)
@@ -378,8 +384,9 @@ def read_graph_list(path) -> tuple[int | None, list[tuple[int, str]]]:
 
 
 def write_graph_list(fh, k: int, codes) -> None:
-    """Write a ``k=<k> count=<n>`` header, then the codes sorted, one a line
-    (a graph6 code starts with its order, so the orders stay grouped)."""
+    """Write a ``k=<k> count=<n>`` header (k an int >= 1), then the codes
+    sorted one a line: a code starts with its order, so orders stay grouped."""
+    check_int("k", k, 1)
     codes = sorted(codes)
     fh.write(f"k={k} count={len(codes)}\n")
     fh.writelines(code + "\n" for code in codes)

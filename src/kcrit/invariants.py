@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, complement
+from .graph import Graph, bits, check_int, complement
 
 
 # ===== independence and clique =====
@@ -314,8 +314,7 @@ def chromatic_number(g: Graph) -> int:
 
 
 def is_k_colorable(g: Graph, k: int) -> Coloring | None:
-    """A proper coloring with at most k classes, or None iff chi(G) > k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    """A proper coloring with at most k classes (k an int >= 0), or None iff chi(G) > k."""
+    check_int("k", k, 0)
     found = _bb_coloring(g.n, g.adj, k + 1, first_hit=True)
     return None if found is None else Coloring(tuple(found), len(set(found)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import Graph, bits, check_order, complement, from_edge_list
+from .graph import Graph, bits, check_int, check_order, complement, from_edge_list
 from .invariants import (
     independence_number,  # for the perfbench span of that name
     triangle_free_raw,
@@ -43,9 +43,8 @@ def _complete(t: int) -> Graph:
 
 
 def p2_lp1(l: int) -> Graph:
-    """One edge plus l isolated vertices (order l + 2)."""
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    """One edge plus l isolated vertices (order l + 2); l an int >= 0."""
+    check_int("l", l, 0)
     return from_edge_list(l + 2, [(0, 1)])
 
 
@@ -66,6 +65,15 @@ def named_graph(name: str) -> Graph:
     if g is None:
         raise ValueError(f"unknown pattern name {name!r}")
     return g
+
+
+def as_pattern(pattern: str | Graph) -> Graph:
+    """The graph of a pattern name or Graph; ValueError on anything else."""
+    if isinstance(pattern, str):
+        return named_graph(pattern)
+    if not isinstance(pattern, Graph):
+        raise ValueError(f"pattern must be a name or a Graph, got {pattern!r}")
+    return pattern
 
 
 def _parse_name(s: str) -> Graph | None:
@@ -168,7 +176,7 @@ def is_free(g: Graph, pattern: str | Graph) -> bool:
     P3+P1 is decided by the join decomposition (``copaw_decompose``);
     every other pattern by ``contains_induced``.
     """
-    h = named_graph(pattern) if isinstance(pattern, str) else pattern
+    h = as_pattern(pattern)
     if is_p3p1(h):
         return copaw_decompose(g) is not None
     return contains_induced(g, h) is None

@@ -153,7 +153,7 @@ def test_census_usage_errors(capsys):
 def test_census_rejects_workers_below_one(capsys, workers, extra):
     assert run(["census", "--k", "3", "--workers", workers] + extra) == 2
     out, err = capsys.readouterr()
-    assert "workers must be at least 1" in err and out == ""
+    assert f"workers must be an int >= 1, got {workers}" in err and out == ""
 
 
 @pytest.mark.parametrize("extra", [[], ["--pattern", "claw", "--max-order", "5"]])

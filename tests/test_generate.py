@@ -236,7 +236,7 @@ def test_negative_degree_bound_is_rejected(mode, bound):
     # a negative max_degree used to mean no bound for triangle-free
     # children and no children at all for the other mode
     p3 = named_graph("P3")
-    with pytest.raises(ValueError, match=f"{bound} must be >= 0, got -1"):
+    with pytest.raises(ValueError, match=f"{bound} must be an int >= 0, got -1"):
         child_graphs(p3, mode, **{bound: -1})
     # zero is a bound: only the isolated new vertex, or no bound at all
     zero = child_graphs(p3, mode, **{bound: 0})
