@@ -114,15 +114,12 @@ class _Search:
         return x
 
     def _record(self, other_order, order):
-        """Record the automorphism mapping other_order[i] -> order[i]."""
+        """Record the automorphism mapping other_order[i] -> order[i]; never
+        the identity, as the two leaves part at a node where they put
+        different vertices into the same singleton cell, which stays put."""
         gamma = [0] * self.n
-        ident = True
-        for i in range(self.n):
-            gamma[other_order[i]] = order[i]
-            if other_order[i] != order[i]:
-                ident = False
-        if ident:
-            return
+        for a, b in zip(other_order, order):
+            gamma[a] = b
         self.gens.append(tuple(gamma))
         for v in range(self.n):
             a, b = self._find(v), self._find(gamma[v])

@@ -153,24 +153,14 @@ def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
     return pieces
 
 
-def _partitions(total: int, parts: int, largest: int):
-    # the partitions of total into `parts` parts of size <= largest, as
-    # non-increasing tuples, largest first part first
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(largest, total - parts + 1), 0, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
 def _assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
     # codes of the order-n k-vertex-critical P3+P1-free graphs: one join
     # per multiset of pieces P_j whose sizes j form a partition of k into
-    # 2k - n parts
+    # 2k - n parts, taken as non-increasing tuples, largest first part first
     codes: list[str] = []
-    for parts in _partitions(k, 2 * k - n, k):
+    for parts in combinations_with_replacement(range(k, 0, -1), 2 * k - n):
+        if sum(parts) != k:
+            continue
         if len(parts) == 1:
             codes.extend(pieces[k])
             continue

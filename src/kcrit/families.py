@@ -14,15 +14,15 @@ from .graph import Graph, check_int, check_order, complement, from_edge_list
 
 
 def odd_cycle(m: int) -> Graph:
-    """The cycle on 2m+1 vertices, m >= 1."""
-    check_int("m", m, 1)
-    n = check_order(2 * m + 1)
+    """The cycle on 2m+1 vertices, 1 <= m <= 15."""
+    check_int("m", m, 1, 15)
+    n = 2 * m + 1
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def co_odd_cycle(k: int) -> Graph:
     """Complement of the cycle on 2k-1 vertices; 3 <= k <= 16."""
-    check_int("k", k, 3)
+    check_int("k", k, 3, 16)
     return complement(odd_cycle(k - 1))
 
 

@@ -120,7 +120,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     anything is allocated), loops, duplicates and bad indices (an index
     that is not an int, a bool included) with ValueError."""
     adj = [0] * check_order(n)
-    seen = set()
     for i, j in edges:
         if type(i) is not int or type(j) is not int:
             raise ValueError(f"edge ({i!r},{j!r}) has a vertex that is not an int")
@@ -130,9 +129,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop at vertex {i}")
         if i > j:
             i, j = j, i
-        if (i, j) in seen:
+        if adj[i] >> j & 1:
             raise ValueError(f"duplicate edge ({i},{j})")
-        seen.add((i, j))
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return Graph(n, tuple(adj))

@@ -219,14 +219,16 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
     fewer colors; it returns the last, which uses chi colors.  With
     first_hit it returns the first complete coloring instead.  Colors
     are 0..c-1 in order of first use.  A bound above n + 1 acts as
-    n + 1, so its size costs nothing.
+    n + 1, so its size costs nothing.  Saturation needs one mask per
+    color, ``seen[c]``, the vertices with a neighbour colored c: coloring
+    v with c saturates ``adj[v] & ~seen[c]``, and the undo that same set.
     """
     bound = min(bound, n + 1)
     clique = _greedy_clique(n, adj)
     if len(clique) >= bound:
         return None
     colors = [-1] * n
-    cnt = [[0] * (bound + 1) for _ in range(n)]
+    seen = [0] * bound
     nmask = [0] * n
     degs = [adj[v].bit_count() for v in range(n)]
     best: list = [bound, None]
@@ -234,11 +236,9 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
     # precolor the greedy clique: its vertices need pairwise distinct colors
     for c, v in enumerate(clique):
         colors[v] = c
+        seen[c] = adj[v]
         for u in bits(adj[v]):
-            cnt[u][c] += 1
             nmask[u] |= 1 << c
-
-    uncolored = [v for v in range(n) if colors[v] == -1]
 
     def rec(left: int, used: int) -> bool:
         if used >= best[0]:
@@ -260,21 +260,21 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
             if nmask[v] >> c & 1:
                 continue
             colors[v] = c
-            for u in bits(adj[v]):
-                cnt[u][c] += 1
-                if cnt[u][c] == 1:
-                    nmask[u] |= 1 << c
+            old = seen[c]
+            new = adj[v] & ~old
+            seen[c] |= new
+            for u in bits(new):
+                nmask[u] |= 1 << c
             done = rec(left - 1, max(used, c + 1))
             colors[v] = -1
-            for u in bits(adj[v]):
-                cnt[u][c] -= 1
-                if cnt[u][c] == 0:
-                    nmask[u] &= ~(1 << c)
+            seen[c] = old
+            for u in bits(new):
+                nmask[u] &= ~(1 << c)
             if done:
                 return True
         return False
 
-    rec(len(uncolored), len(clique))
+    rec(n - len(clique), len(clique))
     return best[1]
 
 

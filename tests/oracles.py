@@ -495,3 +495,104 @@ def gallai_edmonds_d_raw(n: int, adj, active: int, mates) -> int:
     used = alternating_forest(n, adj, active, verts, match,
                               [v for v in verts if match[v] == -1])
     return sum(1 << v for v in verts if used[v])
+
+
+def bb_coloring(n: int, adj, bound: int, first_hit: bool):
+    """The DSATUR branch and bound before it kept one mask per color:
+    an n x (bound+1) table counts, for each vertex and color, the
+    neighbours with that color, and bit c of a vertex's saturation mask
+    goes on at the first such neighbour and off at the last."""
+    from kcrit.invariants import _greedy_clique
+
+    bound = min(bound, n + 1)
+    clique = _greedy_clique(n, adj)
+    if len(clique) >= bound:
+        return None
+    colors = [-1] * n
+    cnt = [[0] * (bound + 1) for _ in range(n)]
+    nmask = [0] * n
+    degs = [adj[v].bit_count() for v in range(n)]
+    best: list = [bound, None]
+
+    for c, v in enumerate(clique):
+        colors[v] = c
+        for u in bits(adj[v]):
+            cnt[u][c] += 1
+            nmask[u] |= 1 << c
+
+    uncolored = [v for v in range(n) if colors[v] == -1]
+
+    def rec(left: int, used: int) -> bool:
+        if used >= best[0]:
+            return False
+        if left == 0:
+            best[0] = used
+            best[1] = list(colors)
+            return first_hit
+        v = -1
+        key = None
+        for u in range(n):
+            if colors[u] == -1:
+                k = (nmask[u].bit_count(), degs[u], -u)
+                if key is None or k > key:
+                    key = k
+                    v = u
+        limit = min(used + 1, best[0])
+        for c in range(limit):
+            if nmask[v] >> c & 1:
+                continue
+            colors[v] = c
+            for u in bits(adj[v]):
+                cnt[u][c] += 1
+                if cnt[u][c] == 1:
+                    nmask[u] |= 1 << c
+            done = rec(left - 1, max(used, c + 1))
+            colors[v] = -1
+            for u in bits(adj[v]):
+                cnt[u][c] -= 1
+                if cnt[u][c] == 0:
+                    nmask[u] &= ~(1 << c)
+            if done:
+                return True
+        return False
+
+    rec(len(uncolored), len(clique))
+    return best[1]
+
+
+def partitions(total: int, parts: int, largest: int):
+    """The census's partitions before it took them from
+    combinations_with_replacement: the partitions of total into `parts`
+    parts of size <= largest, as non-increasing tuples, largest first
+    part first."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(largest, total - parts + 1), 0, -1):
+        for rest in partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
+    """The census's order-n assembly over ``partitions``: one join per
+    multiset of pieces whose sizes form a partition of k into 2k - n
+    parts, as canonical codes in assembly order."""
+    from collections import Counter
+    from functools import reduce
+    from itertools import chain, combinations_with_replacement, product
+
+    from kcrit.canon import canonical_form
+    from kcrit.graph import from_graph6, join
+
+    codes: list[str] = []
+    for parts in partitions(k, 2 * k - n, k):
+        if len(parts) == 1:
+            codes.extend(pieces[k])
+            continue
+        picks = product(*(combinations_with_replacement(pieces[j], c)
+                          for j, c in Counter(parts).items()))
+        for pick in picks:
+            factors = [from_graph6(c) for c in chain.from_iterable(pick)]
+            codes.append(canonical_form(reduce(join, factors)))
+    return codes

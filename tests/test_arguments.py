@@ -29,8 +29,8 @@ MISSING = "no-such-list.g6"     # the k check comes before the file is read
 
 # (id, call taking the checked value, argument name, low, high or None)
 CHECKS = [
-    ("odd_cycle-m", odd_cycle, "m", 1, None),
-    ("co_odd_cycle-k", co_odd_cycle, "k", 3, None),
+    ("odd_cycle-m", odd_cycle, "m", 1, 15),
+    ("co_odd_cycle-k", co_odd_cycle, "k", 3, 16),
     ("clique_cycle-t", lambda x: clique_substituted_odd_cycle(x, 4), "t", 2, None),
     ("clique_cycle-k", lambda x: clique_substituted_odd_cycle(2, x), "k", 3, None),
     ("p2_lp1-l", p2_lp1, "l", 0, None),

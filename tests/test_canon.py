@@ -1,12 +1,14 @@
 """Canonical labeling against brute-force isomorphism oracles."""
 
 import random
+from itertools import chain
 
 from hypothesis import given, settings
 
 import kcrit.canon
 import oracles
 from kcrit.canon import canon_raw, canonical_form
+from kcrit.generate import generate_graphs
 from kcrit.graph import Graph, from_edge_list, from_graph6, read_graph_file, relabel
 from oracles import is_isomorphic
 from util import data_path, graph_with_permutation, random_graph
@@ -69,6 +71,20 @@ def test_generators_are_automorphisms():
         g = random_graph(rng, rng.randint(1, 9), p=rng.choice([0.2, 0.5, 0.8]))
         for gen in canon_raw(g.n, g.adj)[2]:
             assert relabel(g, gen) == g
+
+
+def test_no_generator_is_the_identity():
+    # two leaves that record a generator part at some node, where they put
+    # different vertices into the same singleton cell
+    rng = random.Random(47)
+    seeded = [random_graph(rng, rng.randint(2, 16), p=rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+              for _ in range(1000)]
+    gens = 0
+    for g in chain((g for n in range(1, 8) for g in generate_graphs(n)), seeded):
+        for gen in canon_raw(g.n, g.adj)[2]:
+            gens += 1
+            assert gen != tuple(range(g.n)), g
+    assert gens > 1000
 
 
 def test_orbits_match_bruteforce_group():

@@ -9,6 +9,7 @@ import oracles
 from kcrit.canon import canon_raw, canonical_form
 from kcrit.census import (
     CensusRow,
+    _assembled,
     _deficiency,
     _filtered_level,
     _mapper,
@@ -21,7 +22,7 @@ from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
 from kcrit.generate import TRIANGLE_FREE, child_graphs
 from kcrit.graph import (Graph, complement, format_edge_list, from_graph6, read_graph_file,
-                         to_graph6)
+                         read_graph_list, to_graph6)
 from kcrit.invariants import independence_number, matching_raw
 from kcrit.patterns import is_free, named_graph
 
@@ -239,6 +240,22 @@ def test_piece_filter_equals_per_vertex_filter(top):
     pieces, oracle = _pieces(top), _per_vertex_pieces(top)
     assert [pieces[j] for j in range(2, top + 1)] == \
         [oracle[j] for j in range(2, top + 1)]
+
+
+def test_assembly_equals_the_recursive_partition_assembly():
+    # the same joins in the same order as the assembly over the recursive
+    # partition generator; P_6 (order 11, only ever taken whole) is read
+    # from the shipped list instead of a 5 s piece run
+    pieces = _pieces(5)
+    pieces[6] = [code for _, code in read_graph_list(data_path("critical6.g6"))[1]
+                 if from_graph6(code).n == 11]
+    # with two stand-in codes (K1, 2K1) for every P_j, P_2 included, any
+    # change in the order of the partitions or of the picks would show
+    stand_ins = {j: ["@", "A?"] for j in range(1, 7)}
+    for k in range(3, 7):
+        for n in range(k, 2 * k):
+            for ps in (pieces, stand_ins):
+                assert _assembled(ps, k, n) == oracles.assembled(ps, k, n), (k, n)
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])

@@ -315,6 +315,9 @@ def test_family_outputs(capsys):
 def test_family_bad_params(capsys):
     assert run(["family", "odd-cycle", "0"]) == 2
     capsys.readouterr()
+    # the parameter is named, not the order it implies
+    assert run(["family", "odd-cycle", "16"]) == 2
+    assert capsys.readouterr().err == "error: m must be an int in 1..15, got 16\n"
     assert run(["family", "clique-cycle", "2"]) == 2
 
 

@@ -50,7 +50,7 @@ def test_from_edge_list_rejects_bad_input():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(ValueError):
         from_edge_list(3, [(1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0,1\)$"):
         from_edge_list(3, [(0, 1), (1, 0)])
 
 
@@ -90,6 +90,8 @@ def test_graph_invariants_enforced():
         Graph(2, (0b10, 0b00))       # asymmetric
     with pytest.raises(ValueError):
         Graph(1, (0b10,))            # bit above n
+    with pytest.raises(ValueError, match="^adjacency tuple length differs from order$"):
+        Graph(2, (0,))
 
 
 @pytest.mark.parametrize("n, adj", [(2.0, (2, 1)), (True, (0,)), ("1", (0,))])
@@ -336,6 +338,17 @@ def test_parse_edge_list_errors():
     for bad in ["", "x: 0 1", "3: 0", "3: 0 1 2", "001 02", "ab cd"]:
         with pytest.raises(ValueError):
             parse_edge_list(bad)
+
+
+@pytest.mark.parametrize("parse, line, message", [
+    (parse_edge_list, "{}", "no edges in compact line"),
+    (parse_edge_list, "", "blank graph line"),
+    (parse_graph_line, "  # note", "blank graph line"),
+], ids=["compact-empty", "edge-list-blank", "graph-line-comment"])
+def test_parse_errors_name_the_fault(parse, line, message):
+    with pytest.raises(ValueError) as info:
+        parse(line)
+    assert str(info.value) == message
 
 
 @given(graphs(max_n=10))

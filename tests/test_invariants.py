@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import oracles
 import kcrit.invariants
 from kcrit.critical import is_vertex_critical
+from kcrit.generate import generate_graphs
 from kcrit.graph import (Graph, bits, complement, delete_vertex, from_edge_list,
                          from_graph6, read_graph_file, relabel)
 from kcrit.invariants import (Coloring, _bb_coloring, chromatic_number, clique_number,
@@ -326,9 +327,9 @@ def test_is_k_colorable_examples():
 @pytest.mark.parametrize("coloring", [
     Coloring((0, None), 2), Coloring((0, 1.0), 2), Coloring((0, True), 2),
     Coloring((0, 1), "2"), Coloring((0, 1), True), Coloring((0, 1), None),
-    Coloring([0, 1], 2), Coloring(None, 2),
+    Coloring([0, 1], 2), Coloring(None, 2), Coloring((0,), 2), Coloring((0, 2), 2),
 ], ids=["color-none", "color-float", "color-bool", "k-str", "k-bool", "k-none",
-        "colors-list", "colors-none"])
+        "colors-list", "colors-none", "colors-short", "color-not-below-k"])
 def test_is_proper_coloring_is_false_on_a_malformed_coloring(coloring):
     edge = from_edge_list(2, [(0, 1)])
     assert is_proper_coloring(edge, Coloring((0, 1), 2))
@@ -382,6 +383,30 @@ def test_coloring_search_past_its_first_leaf(code):
     assert is_k_colorable(g, chi - 1) is None
     col = is_k_colorable(g, chi)
     assert col is not None and col.k == chi and is_proper_coloring(g, col)
+
+
+def _coloring_inputs():
+    # every class of order <= 7, then seeded graphs of order <= 16 over a
+    # spread of densities
+    for n in range(1, 8):
+        yield from generate_graphs(n)
+    rng = random.Random(2027)
+    for _ in range(300):
+        yield random_graph(rng, rng.randint(0, 16), p=rng.choice([0.2, 0.4, 0.6, 0.8]))
+
+
+def test_coloring_search_equals_the_counter_table_search():
+    # the same coloring, or None, as the search that kept a neighbour count
+    # per vertex and color: the optimum search, and the first hit under
+    # every bound from 2 to 6
+    graphs = 0
+    for g in _coloring_inputs():
+        graphs += 1
+        cases = [(g.n + 1, False)] + [(bound, True) for bound in range(2, 7)]
+        for bound, first_hit in cases:
+            assert _bb_coloring(g.n, g.adj, bound, first_hit) == \
+                oracles.bb_coloring(g.n, g.adj, bound, first_hit), (g, bound, first_hit)
+    assert graphs == 1 + 2 + 4 + 11 + 34 + 156 + 1044 + 300
 
 
 @settings(max_examples=80)
