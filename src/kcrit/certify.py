@@ -15,6 +15,7 @@ checkable without trusting the lists or the search.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -54,20 +55,60 @@ class CertifiedAnswer:
 
 @dataclass(frozen=True)
 class CriticalDatabase:
-    """All k-vertex-critical P3+P1-free graphs, as canonical codes."""
+    """All k-vertex-critical P3+P1-free graphs, as canonical codes.
+
+    The codes are checked for header, count and repeats when the list is
+    read; a member is decoded only when a read of ``members_by_order``
+    first reaches it.
+    """
 
     k: int
     graphs: frozenset[str]
 
-    def members_by_order(self) -> tuple[Graph, ...]:
+    def members_by_order(self) -> Sequence[Graph]:
+        """The members in code order, which groups them by order, smallest
+        first; a read-only sequence that decodes each member on first
+        read and keeps it (``len`` decodes nothing, a negative index or a
+        slice decodes all)."""
         return _decode_members(self.graphs)
 
 
+class _Members(Sequence):
+    # the decoded prefix of the sorted codes; a read past it decodes on
+    # up to the member asked for, so a scan that stops early decodes only
+    # what it read
+
+    def __init__(self, codes: frozenset[str]) -> None:
+        # a graph6 code starts with chr(n + 63), so sorting the codes
+        # groups the members by order, smallest first
+        self._codes = sorted(codes)
+        self._graphs: list[Graph] = []
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        graphs = self._graphs
+        stop = i + 1 if i >= 0 else len(self._codes)
+        graphs.extend(map(from_graph6, self._codes[len(graphs):stop]))
+        return graphs[i]
+
+    def __iter__(self):
+        graphs, codes = self._graphs, self._codes
+        # a list iterator also yields members that another reader
+        # appends meanwhile, so it stops exactly at the decoded end
+        yield from graphs
+        for i in range(len(graphs), len(codes)):
+            if i == len(graphs):
+                graphs.append(from_graph6(codes[i]))
+            yield graphs[i]
+
+
 @lru_cache(maxsize=8)
-def _decode_members(codes: frozenset[str]) -> tuple[Graph, ...]:
-    # a graph6 code starts with chr(n + 63), so sorting the codes groups
-    # the members by order, smallest first
-    return tuple([from_graph6(c) for c in sorted(codes)])
+def _decode_members(codes: frozenset[str]) -> _Members:
+    return _Members(codes)
 
 
 _DATA = Path(__file__).with_name("data")

@@ -67,6 +67,41 @@ def check_order(n) -> int:
     return check_int("order", n, 0, MAX_VERTICES)
 
 
+# The symmetry check packs the rows _SLOT bits apart into one _SLOT x
+# _SLOT bit matrix, which is symmetric iff it equals its transpose.
+# Delta swaps of block sizes _SLOT/2, ..., 2, 1 transpose it.
+_SLOT = MAX_VERTICES + 1        # a power of two
+
+
+def _transpose_swaps(w: int) -> tuple[tuple[int, int], ...]:
+    swaps = []
+    s = w // 2
+    while s:
+        # bit j of row i, with bit s set in j and clear in i, trades
+        # places with bit j - s of row i + s, s * (w - 1) bits higher
+        cols = sum(1 << j for j in range(w) if j & s)
+        rows = sum(1 << w * i for i in range(w) if not i & s)
+        swaps.append((s * (w - 1), cols * rows))
+        s //= 2
+    return tuple(swaps)
+
+
+_SWAPS = _transpose_swaps(_SLOT)
+_DIAGONAL = sum(1 << (_SLOT + 1) * i for i in range(_SLOT))
+
+
+def _symmetric_loopless(rows: tuple[int, ...]) -> bool:
+    # rows are ints in 0..2**n - 1 with n <= MAX_VERTICES
+    packed = 0
+    for v, row in enumerate(rows):
+        packed |= row << _SLOT * v
+    t = packed
+    for shift, mask in _SWAPS:
+        x = (t ^ t >> shift) & mask
+        t ^= x ^ x << shift
+    return t == packed and not packed & _DIAGONAL
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph on n <= 31 vertices, adjacency as bit masks."""
@@ -81,6 +116,11 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError("adjacency tuple length differs from order")
         full = (1 << self.n) - 1
+        adj = self.adj
+        if (all(type(row) is int and 0 <= row <= full for row in adj)
+                and _symmetric_loopless(adj)):
+            return
+        # rejected: the loops below name the first fault
         for v, row in enumerate(self.adj):
             if type(row) is not int:
                 raise ValueError(f"adjacency row of vertex {v} is not an int: {row!r}")

@@ -193,7 +193,11 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
         return False
     if len(set(coloring.colors)) != coloring.k:  # every class used
         return False
-    return all(coloring.colors[i] != coloring.colors[j] for i, j in g.edges())
+    # one mask per class: no vertex may have a neighbor in its own class
+    classes = [0] * coloring.k
+    for v, c in enumerate(coloring.colors):
+        classes[c] |= 1 << v
+    return not any(row & classes[c] for row, c in zip(g.adj, coloring.colors))
 
 
 def _greedy_clique(n: int, adj) -> list[int]:

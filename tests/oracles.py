@@ -596,3 +596,35 @@ def assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
             factors = [from_graph6(c) for c in chain.from_iterable(pick)]
             codes.append(canonical_form(reduce(join, factors)))
     return codes
+
+
+def adjacency_fault(n: int, adj: tuple) -> str | None:
+    """The message of ``Graph``'s checks on rows of the right count, one
+    row and then one pair at a time; None when the rows are valid."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if type(row) is not int:
+            return f"adjacency row of vertex {v} is not an int: {row!r}"
+        if row & ~full:
+            return f"vertex {v} has a neighbor bit at or above n={n}"
+        if row >> v & 1:
+            return f"self-loop at vertex {v}"
+    for v in range(n):
+        for u in bits(adj[v]):
+            if not adj[u] >> v & 1:
+                return f"asymmetric adjacency between {v} and {u}"
+    return None
+
+
+def is_proper_coloring(g: Graph, coloring) -> bool:
+    """Well-formed (int colors in 0..k-1, every class used) and no edge
+    inside a class, by a walk over the edge list."""
+    colors, k = coloring.colors, coloring.k
+    if (type(k) is not int or type(colors) is not tuple
+            or any(type(c) is not int for c in colors)):
+        return False
+    if len(colors) != g.n or any(not 0 <= c < k for c in colors):
+        return False
+    if len(set(colors)) != k:
+        return False
+    return all(colors[i] != colors[j] for i, j in g.edges())

@@ -23,7 +23,8 @@ from kcrit.certify import (
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
-from kcrit.graph import Graph, induced_subgraph, join, mask_of, write_graph_list
+from kcrit.graph import (Graph, from_graph6, induced_subgraph, join, mask_of, relabel,
+                         write_graph_list)
 from kcrit.invariants import Coloring, is_k_colorable
 from kcrit.patterns import contains_induced, copaw_decompose, is_free, is_p3p1, named_graph
 
@@ -110,6 +111,90 @@ def test_load_database_errors(monkeypatch, tmp_path):
         _shipped(monkeypatch, tmp_path, 4, text)
         with pytest.raises(ValueError, match=message):
             build_database(4)
+
+
+# ===== members decoded on first read =====
+
+def _eager(codes):
+    return tuple(from_graph6(c) for c in sorted(codes))
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    # the codes kcrit.certify decodes from now on, with a cold member cache
+    codes = []
+    real = kcrit.certify.from_graph6
+    monkeypatch.setattr(kcrit.certify, "from_graph6", lambda c: codes.append(c) or real(c))
+    kcrit.certify._decode_members.cache_clear()
+    yield codes
+    kcrit.certify._decode_members.cache_clear()
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_members_equal_the_eager_decode(k, decoded):
+    db = build_database(k)
+    eager = _eager(db.graphs)
+    decoded.clear()
+    members = db.members_by_order()
+    assert len(members) == len(eager) and not decoded
+    assert members[2] == eager[2] and len(decoded) == 3
+    rng = random.Random(k)
+    for i in sorted(rng.sample(range(3, len(eager)), 5)):
+        assert members[i] == eager[i] and len(decoded) == i + 1
+    assert members[-1] == eager[-1] and len(decoded) == len(eager)
+    for i in (0, 1, len(eager) - 1, -len(eager), -2):
+        assert members[i] == eager[i]
+    for part in (slice(None), slice(3, 7), slice(-5, None), slice(None, None, -3)):
+        assert members[part] == eager[part]
+    with pytest.raises(IndexError):
+        members[len(eager)]
+    assert tuple(members) == eager and len(decoded) == len(eager)
+    assert db.members_by_order() is members
+    assert random.Random(6).sample(members, 8) == random.Random(6).sample(eager, 8)
+
+
+def test_members_read_partway_in_any_order(decoded):
+    codes = build_database(5).graphs
+    eager = _eager(codes)
+    decoded.clear()
+    members = build_database(5).members_by_order()
+    head = iter(members)
+    first = [next(head) for _ in range(10)]
+    assert members[60] == eager[60] and len(decoded) == 61
+    assert first + list(head) == list(eager)
+    assert list(members) == list(eager) and len(decoded) == len(eager)
+    # two readers in step: each sees every member once, each decoded once
+    kcrit.certify._decode_members.cache_clear()
+    decoded.clear()
+    members = build_database(5).members_by_order()
+    pairs = list(zip(members, members))
+    assert pairs == [(g, g) for g in eager] and len(decoded) == len(eager)
+
+
+def test_a_no_query_decodes_only_the_members_it_reads(decoded):
+    db6 = build_database(6)
+    k6 = from_graph6("E~~w")
+    answer = certify_color(k6, 5, db6)
+    assert answer == CertifiedAnswer(NO, witness=0b111111)
+    assert decoded == ["E~~w"]
+    assert certify_color(k6, 5, db6) == answer and decoded == ["E~~w"]
+
+
+def test_lazy_and_eager_members_give_the_same_answers(monkeypatch, db4, db5):
+    db6 = build_database(6)
+    rng = random.Random(22)
+    queries = [(3, g) for g in db4.members_by_order()]
+    queries += [(4, g) for g in db5.members_by_order()]
+    for g in rng.sample(db6.members_by_order(), 6):
+        queries.append((5, relabel(g, rng.sample(range(g.n), g.n))))
+    queries += [(rng.choice((3, 4, 5)), random_copaw_free(rng, 11)) for _ in range(150)]
+    dbs = {4: db4, 5: db5, 6: db6}
+    lazy = [certify_color(g, k, dbs[k + 1]) for k, g in queries]
+    monkeypatch.setattr(kcrit.certify, "_decode_members", _eager)
+    eager = [certify_color(g, k, dbs[k + 1]) for k, g in queries]
+    assert lazy == eager
+    assert all(verify_certificate(g, k, ans) for (k, g), ans in zip(queries, lazy))
+    assert {ans.verdict for ans in lazy} == {YES, NO}
 
 
 # ===== certified answers on known graphs =====

@@ -114,6 +114,53 @@ def test_graph_rejects_rows_that_are_not_ints(adj, vertex):
         Graph(2, adj)
 
 
+def _adjacency_cases():
+    # seeded valid graphs, then each fault alone and in combination
+    rng = Random(22)
+    for _ in range(400):
+        n = rng.randint(0, 31)
+        adj = list(random_graph(rng, n, rng.random()).adj)
+        yield n, tuple(adj)
+        if n < 2:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            v, u = rng.randrange(n), rng.randrange(n)
+            if type(adj[v]) is not int:
+                continue
+            fault = rng.randrange(6)
+            if fault == 0:
+                adj[v] ^= 1 << u            # asymmetric pair, or a self-loop
+            elif fault == 1:
+                adj[v] |= 1 << v            # self-loop
+            elif fault == 2:
+                adj[v] |= 1 << rng.randint(n, 40)   # a bit at or above n
+            elif fault == 3:
+                adj[v] = -1 - adj[v]        # a negative row
+            elif fault == 4:
+                adj[v] = rng.choice((float(adj[v]), str(adj[v]), None))
+            else:
+                adj[v] = bool(adj[v] & 1)   # a bool row
+            yield n, tuple(adj)
+
+
+def test_graph_checks_equal_the_row_and_pair_loops():
+    accepted = rejected = 0
+    for n, adj in _adjacency_cases():
+        fault = oracles.adjacency_fault(n, adj)
+        if fault is None:
+            assert Graph(n, adj).adj == adj
+            accepted += 1
+        else:
+            with pytest.raises(ValueError) as exc:
+                Graph(n, adj)
+            assert str(exc.value) == fault
+            rejected += 1
+    assert accepted > 400 and rejected > 400
+    # a row that spills into the next 32-bit slot must not pass as that slot's edge
+    with pytest.raises(ValueError, match="neighbor bit at or above n=3"):
+        Graph(3, (1 << 34, 0, 1 << 1))
+
+
 # ===== transformations =====
 
 def test_complement_k4():

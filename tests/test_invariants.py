@@ -336,6 +336,34 @@ def test_is_proper_coloring_is_false_on_a_malformed_coloring(coloring):
     assert not is_proper_coloring(edge, coloring)
 
 
+def _colorings(rng, g):
+    # a proper coloring, then improper and malformed variants of it
+    col = is_k_colorable(g, g.n)
+    yield col
+    colors = list(col.colors)
+    if g.n:
+        v = rng.randrange(g.n)
+        for c in (rng.randrange(col.k), col.k, -1, None, True, 1.0):
+            yield Coloring(tuple(colors[:v] + [c] + colors[v + 1:]), col.k)
+    yield Coloring(tuple(colors), col.k + 1)       # a class left empty
+    yield Coloring(tuple(colors[1:]), col.k)       # too short
+    yield Coloring(colors, col.k)                  # a list, not a tuple
+    yield Coloring(tuple(colors), True)
+    yield Coloring(tuple(rng.randrange(3) for _ in range(g.n)), 3)
+
+
+def test_is_proper_coloring_equals_the_edge_walk():
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 16), rng.random())
+        for col in _colorings(rng, g):
+            got = is_proper_coloring(g, col)
+            assert got == oracles.is_proper_coloring(g, col), (g, col)
+            seen.add(got)
+    assert seen == {True, False}
+
+
 def test_is_proper_coloring_cost_does_not_grow_with_k():
     # every class must be used, which a claimed k of 10**12 cannot be
     edge = from_edge_list(2, [(0, 1)])
