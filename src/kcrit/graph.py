@@ -87,19 +87,6 @@ def _transpose_swaps(w: int) -> tuple[tuple[int, int], ...]:
 
 
 _SWAPS = _transpose_swaps(_SLOT)
-_DIAGONAL = sum(1 << (_SLOT + 1) * i for i in range(_SLOT))
-
-
-def _symmetric_loopless(rows: tuple[int, ...]) -> bool:
-    # rows are ints in 0..2**n - 1 with n <= MAX_VERTICES
-    packed = 0
-    for v, row in enumerate(rows):
-        packed |= row << _SLOT * v
-    t = packed
-    for shift, mask in _SWAPS:
-        x = (t ^ t >> shift) & mask
-        t ^= x ^ x << shift
-    return t == packed and not packed & _DIAGONAL
 
 
 @dataclass(frozen=True)
@@ -116,11 +103,7 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError("adjacency tuple length differs from order")
         full = (1 << self.n) - 1
-        adj = self.adj
-        if (all(type(row) is int and 0 <= row <= full for row in adj)
-                and _symmetric_loopless(adj)):
-            return
-        # rejected: the loops below name the first fault
+        packed = 0
         for v, row in enumerate(self.adj):
             if type(row) is not int:
                 raise ValueError(f"adjacency row of vertex {v} is not an int: {row!r}")
@@ -128,11 +111,17 @@ class Graph:
                 raise ValueError(f"vertex {v} has a neighbor bit at or above n={self.n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            row = self.adj[v]
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {u}")
+            packed |= row << _SLOT * v
+        t = packed
+        for shift, mask in _SWAPS:
+            x = (t ^ t >> shift) & mask
+            t ^= x ^ x << shift
+        # bit _SLOT*v + u of packed & ~t: u in adj[v] but v not in adj[u];
+        # the lowest is the first such pair in row-then-column order
+        one_way = packed & ~t
+        if one_way:
+            v, u = divmod((one_way & -one_way).bit_length() - 1, _SLOT)
+            raise ValueError(f"asymmetric adjacency between {v} and {u}")
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":

@@ -171,6 +171,19 @@ def test_members_read_partway_in_any_order(decoded):
     assert pairs == [(g, g) for g in eager] and len(decoded) == len(eager)
 
 
+def test_a_malformed_code_raises_when_a_read_reaches_it(monkeypatch, tmp_path, decoded):
+    _shipped(monkeypatch, tmp_path, 4, "k=4 count=2\nC~\nC~~\n")
+    members = build_database(4).members_by_order()
+    k4 = from_graph6("C~")
+    assert len(members) == 2 and members[0] == k4
+    for read in (lambda: members[1], lambda: members[-1], lambda: list(members)) * 2:
+        with pytest.raises(ValueError, match="graph6 body has 2 bytes"):
+            read()
+        # the decoded prefix is kept, and a retry fails on the same code
+        assert members[0] == k4 and next(iter(members)) == k4
+    assert decoded == ["C~"] + ["C~~"] * 6
+
+
 def test_a_no_query_decodes_only_the_members_it_reads(decoded):
     db6 = build_database(6)
     k6 = from_graph6("E~~w")
