@@ -10,12 +10,14 @@ finite list for each k, the shipped lists (read-only
 a Yes comes with the structural coloring, a No with a vertex set
 inducing a (k+1)-vertex-critical graph found in the list, and an input
 outside the class with its induced P3+P1.  Every certificate is
-checkable without trusting the lists or the search.
+checkable without trusting the lists or the search.  A list is read in
+code order through an iterator that decodes each member once, on first
+read, so a No query decodes only the members its scan reaches.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -58,57 +60,34 @@ class CriticalDatabase:
     """All k-vertex-critical P3+P1-free graphs, as canonical codes.
 
     The codes are checked for header, count and repeats when the list is
-    read; a member is decoded only when a read of ``members_by_order``
+    read; a member is decoded once, when a read of ``members_by_order``
     first reaches it.
     """
 
     k: int
     graphs: frozenset[str]
 
-    def members_by_order(self) -> Sequence[Graph]:
+    def members_by_order(self) -> Iterator[Graph]:
         """The members in code order, which groups them by order, smallest
-        first; a read-only sequence that decodes each member on first
-        read and keeps it (``len`` decodes nothing, a negative index or a
-        slice decodes all)."""
+        first; an iterator that decodes each member once, on first read,
+        so a scan that stops early decodes nothing past where it stopped."""
         return _decode_members(self.graphs)
 
 
-class _Members(Sequence):
-    # the decoded prefix of the sorted codes; a read past it decodes on
-    # up to the member asked for, so a scan that stops early decodes only
-    # what it read
-
-    def __init__(self, codes: frozenset[str]) -> None:
-        # a graph6 code starts with chr(n + 63), so sorting the codes
-        # groups the members by order, smallest first
-        self._codes = sorted(codes)
-        self._graphs: list[Graph] = []
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        graphs = self._graphs
-        stop = i + 1 if i >= 0 else len(self._codes)
-        graphs.extend(map(from_graph6, self._codes[len(graphs):stop]))
-        return graphs[i]
-
-    def __iter__(self):
-        graphs, codes = self._graphs, self._codes
-        # a list iterator also yields members that another reader
-        # appends meanwhile, so it stops exactly at the decoded end
-        yield from graphs
-        for i in range(len(graphs), len(codes)):
-            if i == len(graphs):
-                graphs.append(from_graph6(codes[i]))
-            yield graphs[i]
-
-
 @lru_cache(maxsize=8)
-def _decode_members(codes: frozenset[str]) -> _Members:
-    return _Members(codes)
+def _in_order(codes: frozenset[str]) -> list[str]:
+    # a graph6 code starts with chr(n + 63), so sorting the codes
+    # groups the members by order, smallest first
+    return sorted(codes)
+
+
+# a code that fails to decode is not memoized, so every read that
+# reaches it raises again
+_decode = lru_cache(maxsize=None)(from_graph6)
+
+
+def _decode_members(codes: frozenset[str]) -> Iterator[Graph]:
+    return map(_decode, _in_order(codes))
 
 
 _DATA = Path(__file__).with_name("data")

@@ -46,8 +46,8 @@ def mask_of(vertices: Iterable[int]) -> int:
     vertex that is not a nonnegative int (a bool is not an int here)."""
     m = 0
     for v in vertices:
-        if type(v) is not int:
-            raise ValueError(f"vertex must be an int, got {v!r}")
+        if type(v) is not int or v < 0:
+            raise ValueError(f"vertex must be an int >= 0, got {v!r}")
         m |= 1 << v
     return m
 
@@ -98,6 +98,10 @@ class Graph:
 
     def __post_init__(self) -> None:
         check_order(self.n)
+        try:
+            iter(self.adj)
+        except TypeError:
+            raise ValueError(f"adj must be an iterable of rows, got {self.adj!r}") from None
         # stored as a tuple, so a list argument still hashes and joins
         object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.n:
@@ -146,10 +150,15 @@ class Graph:
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from vertex pairs; rejects a bad order (checked before
-    anything is allocated), loops, duplicates and bad indices (an index
-    that is not an int, a bool included) with ValueError."""
+    anything is allocated), an edge that is not a pair, loops, duplicates
+    and bad indices (an index that is not an int, a bool included) with
+    ValueError."""
     adj = [0] * check_order(n)
-    for i, j in edges:
+    for edge in edges:
+        try:
+            i, j = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair of vertices") from None
         if type(i) is not int or type(j) is not int:
             raise ValueError(f"edge ({i!r},{j!r}) has a vertex that is not an int")
         if not (0 <= i < n and 0 <= j < n):
@@ -335,23 +344,28 @@ def format_edge_list(g: Graph) -> str:
     return f"{g.n}: {body}" if body else f"{g.n}:"
 
 
+def _is_decimal(tok: str) -> bool:
+    # int() alone would also take a sign, '_' separators and non-ASCII digits
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_edge_list(line: str) -> Graph:
-    """Parse one graph line: ``"n: i j, i j"`` or two-digit pairs ``"01 02"``."""
+    """Parse one graph line: ``"n: i j, i j"`` or two-digit pairs ``"01 02"``;
+    numbers are ASCII decimal digits only."""
     text = line.split("#", 1)[0].strip()
     if not text:
         raise ValueError("blank graph line")
     if ":" in text:
         head, _, body = text.partition(":")
-        try:
-            n = int(head)
-        except ValueError:
-            raise ValueError(f"bad order field {head!r}") from None
+        if not _is_decimal(head.strip()):
+            raise ValueError(f"bad order field {head!r}")
+        n = int(head)
         edges = []
         body = body.strip()
         if body:
             for part in body.split(","):
                 toks = part.split()
-                if len(toks) != 2:
+                if len(toks) != 2 or not all(map(_is_decimal, toks)):
                     raise ValueError(f"bad edge {part.strip()!r}")
                 edges.append((int(toks[0]), int(toks[1])))
         return from_edge_list(n, edges)
@@ -360,7 +374,7 @@ def parse_edge_list(line: str) -> Graph:
     edges = []
     hi = -1
     for tok in toks:
-        if len(tok) != 2 or not tok.isdigit():
+        if len(tok) != 2 or not _is_decimal(tok):
             raise ValueError(f"bad two-digit pair {tok!r}")
         i, j = int(tok[0]), int(tok[1])
         edges.append((i, j))

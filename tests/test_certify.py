@@ -116,81 +116,80 @@ def test_load_database_errors(monkeypatch, tmp_path):
 # ===== members decoded on first read =====
 
 def _eager(codes):
-    return tuple(from_graph6(c) for c in sorted(codes))
+    return [from_graph6(c) for c in sorted(codes)]
 
 
 @pytest.fixture
-def decoded(monkeypatch):
-    # the codes kcrit.certify decodes from now on, with a cold member cache
-    codes = []
-    real = kcrit.certify.from_graph6
-    monkeypatch.setattr(kcrit.certify, "from_graph6", lambda c: codes.append(c) or real(c))
-    kcrit.certify._decode_members.cache_clear()
-    yield codes
-    kcrit.certify._decode_members.cache_clear()
+def decodes():
+    # how many decodes kcrit.certify has made since its member memo was
+    # emptied; a read that fails counts each time it reaches the code
+    memo = kcrit.certify._decode
+    memo.cache_clear()
+    yield lambda: memo.cache_info().misses
+    memo.cache_clear()
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
-def test_members_equal_the_eager_decode(k, decoded):
+def test_members_equal_the_eager_decode(k, decodes):
     db = build_database(k)
     eager = _eager(db.graphs)
-    decoded.clear()
     members = db.members_by_order()
-    assert len(members) == len(eager) and not decoded
-    assert members[2] == eager[2] and len(decoded) == 3
-    rng = random.Random(k)
-    for i in sorted(rng.sample(range(3, len(eager)), 5)):
-        assert members[i] == eager[i] and len(decoded) == i + 1
-    assert members[-1] == eager[-1] and len(decoded) == len(eager)
-    for i in (0, 1, len(eager) - 1, -len(eager), -2):
-        assert members[i] == eager[i]
-    for part in (slice(None), slice(3, 7), slice(-5, None), slice(None, None, -3)):
-        assert members[part] == eager[part]
-    with pytest.raises(IndexError):
-        members[len(eager)]
-    assert tuple(members) == eager and len(decoded) == len(eager)
-    assert db.members_by_order() is members
-    assert random.Random(6).sample(members, 8) == random.Random(6).sample(eager, 8)
+    assert decodes() == 0
+    cut = random.Random(k).randrange(1, len(eager))
+    head = [next(members) for _ in range(cut)]
+    assert head == eager[:cut] and decodes() == cut
+    first = head + list(members)
+    assert first == eager and decodes() == len(eager)
+    # a second read decodes nothing and yields the very same objects
+    again = list(db.members_by_order())
+    assert decodes() == len(eager) and len(again) == len(first)
+    assert all(g is h for g, h in zip(again, first))
 
 
-def test_members_read_partway_in_any_order(decoded):
-    codes = build_database(5).graphs
-    eager = _eager(codes)
-    decoded.clear()
-    members = build_database(5).members_by_order()
-    head = iter(members)
-    first = [next(head) for _ in range(10)]
-    assert members[60] == eager[60] and len(decoded) == 61
-    assert first + list(head) == list(eager)
-    assert list(members) == list(eager) and len(decoded) == len(eager)
+def test_members_read_partway_in_any_order(decodes):
+    db = build_database(5)
+    eager = _eager(db.graphs)
     # two readers in step: each sees every member once, each decoded once
-    kcrit.certify._decode_members.cache_clear()
-    decoded.clear()
-    members = build_database(5).members_by_order()
-    pairs = list(zip(members, members))
-    assert pairs == [(g, g) for g in eager] and len(decoded) == len(eager)
+    pairs = list(zip(db.members_by_order(), db.members_by_order()))
+    assert pairs == [(g, g) for g in eager] and decodes() == len(eager)
+    assert all(g is h for g, h in pairs)
+    # a reader that starts late catches up without decoding again
+    first, late = db.members_by_order(), db.members_by_order()
+    ahead = [next(first) for _ in range(60)]
+    behind = [next(late) for _ in range(10)]
+    assert behind == ahead[:10]
+    assert ahead + list(first) == behind + list(late) == eager
+    assert decodes() == len(eager)
+    # a cold reader that stops partway decodes only what it read
+    kcrit.certify._decode.cache_clear()
+    members = db.members_by_order()
+    assert [next(members) for _ in range(61)] == eager[:61] and decodes() == 61
 
 
-def test_a_malformed_code_raises_when_a_read_reaches_it(monkeypatch, tmp_path, decoded):
+def test_a_malformed_code_raises_when_a_read_reaches_it(monkeypatch, tmp_path, decodes):
     _shipped(monkeypatch, tmp_path, 4, "k=4 count=2\nC~\nC~~\n")
-    members = build_database(4).members_by_order()
-    k4 = from_graph6("C~")
-    assert len(members) == 2 and members[0] == k4
-    for read in (lambda: members[1], lambda: members[-1], lambda: list(members)) * 2:
+    db = build_database(4)
+    members = db.members_by_order()
+    k4 = next(members)
+    assert k4 == from_graph6("C~") and decodes() == 1
+    with pytest.raises(ValueError, match="graph6 body has 2 bytes"):
+        next(members)
+    for _ in range(3):
+        # the member before it is kept, and each new read fails on the same code
+        assert next(db.members_by_order()) is k4
         with pytest.raises(ValueError, match="graph6 body has 2 bytes"):
-            read()
-        # the decoded prefix is kept, and a retry fails on the same code
-        assert members[0] == k4 and next(iter(members)) == k4
-    assert decoded == ["C~"] + ["C~~"] * 6
+            list(db.members_by_order())
+    # K4 once, then the bad code at each of the four reads that reached it
+    assert decodes() == 1 + 4 and kcrit.certify._decode.cache_info().currsize == 1
 
 
-def test_a_no_query_decodes_only_the_members_it_reads(decoded):
+def test_a_no_query_decodes_only_the_members_it_reads(decodes):
     db6 = build_database(6)
     k6 = from_graph6("E~~w")
     answer = certify_color(k6, 5, db6)
     assert answer == CertifiedAnswer(NO, witness=0b111111)
-    assert decoded == ["E~~w"]
-    assert certify_color(k6, 5, db6) == answer and decoded == ["E~~w"]
+    assert decodes() == 1
+    assert certify_color(k6, 5, db6) == answer and decodes() == 1
 
 
 def test_lazy_and_eager_members_give_the_same_answers(monkeypatch, db4, db5):
@@ -198,7 +197,7 @@ def test_lazy_and_eager_members_give_the_same_answers(monkeypatch, db4, db5):
     rng = random.Random(22)
     queries = [(3, g) for g in db4.members_by_order()]
     queries += [(4, g) for g in db5.members_by_order()]
-    for g in rng.sample(db6.members_by_order(), 6):
+    for g in rng.sample(list(db6.members_by_order()), 6):
         queries.append((5, relabel(g, rng.sample(range(g.n), g.n))))
     queries += [(rng.choice((3, 4, 5)), random_copaw_free(rng, 11)) for _ in range(150)]
     dbs = {4: db4, 5: db5, 6: db6}
@@ -326,7 +325,7 @@ def _coloring_inputs():
     yield from (random_copaw_free(rng, 12) for _ in range(3000))
     yield from build_database(4).members_by_order()
     yield from build_database(5).members_by_order()
-    yield from random.Random(6).sample(build_database(6).members_by_order(), 2000)
+    yield from random.Random(6).sample(list(build_database(6).members_by_order()), 2000)
 
 
 def test_structural_coloring_equals_the_induced_subgraph_path():

@@ -100,6 +100,18 @@ def test_graph_rejects_an_order_that_is_not_an_int(n, adj):
         Graph(n, adj)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(2, None), "adj must be an iterable of rows, got None"),
+    (lambda: Graph(2, 5), "adj must be an iterable of rows, got 5"),
+    (lambda: from_edge_list(3, [5]), "edge 5 is not a pair of vertices"),
+    (lambda: from_edge_list(3, [(0, 1, 2)]), r"edge \(0, 1, 2\) is not a pair of vertices"),
+    (lambda: from_edge_list(3, [(0, 1), [2]]), r"edge \[2\] is not a pair of vertices"),
+], ids=["adj-none", "adj-int", "edge-int", "edge-triple", "edge-single"])
+def test_malformed_arguments_raise_value_error_naming_them(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_graph_stores_adjacency_as_a_tuple():
     g = Graph(2, [2, 1])
     assert g.adj == (2, 1) and g == Graph(2, (2, 1))
@@ -261,7 +273,8 @@ def test_mask_helpers():
     assert list(bits(0b10101)) == [0, 2, 4]
 
 
-@pytest.mark.parametrize("vertices", [[True], [0, False], [1.0], ["1"], [None]])
+@pytest.mark.parametrize("vertices", [[True], [0, False], [1.0], ["1"], [None], [-1],
+                                      [0, -3]])
 def test_mask_of_rejects_non_int_vertices(vertices):
     with pytest.raises(ValueError, match="must be an int"):
         mask_of(vertices)
@@ -379,6 +392,7 @@ def test_parse_edge_list_forms():
     assert parse_edge_list("01 02 03 12 13 23") == K4
     assert parse_edge_list("{01, 02, 03, 12, 13, 23}") == K4
     assert parse_edge_list("4: 0 1 # a comment") == from_edge_list(4, [(0, 1)])
+    assert parse_edge_list(" 3 :\t0  1 ,1 2 ") == P3
 
 
 def test_parse_edge_list_errors():
@@ -391,7 +405,20 @@ def test_parse_edge_list_errors():
     (parse_edge_list, "{}", "no edges in compact line"),
     (parse_edge_list, "", "blank graph line"),
     (parse_graph_line, "  # note", "blank graph line"),
-], ids=["compact-empty", "edge-list-blank", "graph-line-comment"])
+    # numbers are ASCII decimal digits: no '_' separator, sign or other script
+    (parse_edge_list, "1_0: 0 9", "bad order field '1_0'"),
+    (parse_edge_list, "+3: 0 1", "bad order field '+3'"),
+    (parse_edge_list, "\u0663: 0 1", "bad order field '\u0663'"),
+    (parse_edge_list, "3: 0 -1", "bad edge '0 -1'"),
+    (parse_edge_list, "3: 0 +1", "bad edge '0 +1'"),
+    (parse_edge_list, "12: 1_0 2", "bad edge '1_0 2'"),
+    (parse_edge_list, "4: 0 \u0663", "bad edge '0 \u0663'"),
+    (parse_edge_list, "{0\u0663}", "bad two-digit pair '0\u0663'"),
+    (parse_graph_line, "01 \u00b9\u00b2", "bad two-digit pair '\u00b9\u00b2'"),
+], ids=["compact-empty", "edge-list-blank", "graph-line-comment", "order-underscore",
+        "order-sign", "order-arabic-indic", "edge-negative", "edge-sign",
+        "edge-underscore", "edge-arabic-indic", "compact-arabic-indic",
+        "compact-superscript"])
 def test_parse_errors_name_the_fault(parse, line, message):
     with pytest.raises(ValueError) as info:
         parse(line)
