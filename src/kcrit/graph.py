@@ -12,19 +12,21 @@ byte, +63, zero padded) and a plain edge-list line format
 ``"n: i j, i j, ..."``.  The two-digit-pair form ``"01 02 ..."`` is
 accepted as input only, for graphs with n <= 10.
 
-The graph6 decoder reads a body byte at a time from a lookup table.
-Body byte p always covers stream bits 6p..6p+5, whatever the order, so
-one table serves every order: entry v of row p is the symmetric
-adjacency those six bits set when the byte's value is v, with vertex
-i's row at bit 32*i.  Decoding ORs one entry per byte and cuts the rows
-out of the sum.  The table grows on first use to the longest code seen;
-an order-11 code needs 10 positions, the order-31 cap 78.
+The graph6 decoder reads a body byte at a time.  Body byte p always
+covers stream bits 6p..6p+5, whatever the order, so one set of entries
+serves every order: entry v of position p is the symmetric adjacency
+those six bits set when the byte's value is v, with vertex i's row at
+bit _SLOT*i, the layout the symmetry check packs.  Decoding ORs one
+entry per byte and cuts the rows out of the sum.  Each position's 64
+entries are built on first use and memoized; an order-11 code needs 10
+positions, the order-31 cap 78.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from typing import Iterable, Iterator
 
@@ -171,7 +173,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"duplicate edge ({i},{j})")
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    # the checks above leave only symmetric, loop-free rows inside n
+    return Graph._unchecked(n, tuple(adj))
 
 
 # ===== basic transformations =====
@@ -278,35 +281,29 @@ def to_graph6(g: Graph) -> str:
 
 
 _G6_BAD_BYTE = re.compile(r"[^?-~]")
-# _G6_TABLE[p][v]: the adjacency, row i at bit 32*i, that body byte p
-# sets when its value is v.  Empty at import; growth rebinds it to a
-# longer tuple, so a table a caller holds never changes under it.
-_G6_TABLE: tuple[tuple[int, ...], ...] = ()
+_ROW = (1 << _SLOT) - 1
 
 
-def _grow_g6_table(need: int) -> tuple[tuple[int, ...], ...]:
-    global _G6_TABLE
-    rows = list(_G6_TABLE)
-    while len(rows) < need:
-        first = 6 * len(rows)
-        entries = [0]
-        for b in range(6):
-            # value bit b is stream bit k = first + 5 - b, which is
-            # x(i, j) for the column j with j(j-1)/2 <= k < j(j+1)/2
-            k = first + 5 - b
-            j = (1 + isqrt(8 * k + 1)) // 2
-            i = k - j * (j - 1) // 2
-            pair = 1 << (32 * i + j) | 1 << (32 * j + i)
-            entries += [e | pair for e in entries]
-        rows.append(tuple(entries))
-    _G6_TABLE = table = tuple(rows)
-    return table
+@cache
+def _g6_entries(p: int) -> tuple[int, ...]:
+    # entry v: the adjacency, row i at bit _SLOT*i, that body byte p
+    # sets when its value is v
+    entries = [0]
+    for b in range(6):
+        # value bit b is stream bit k = 6p + 5 - b, which is x(i, j)
+        # for the column j with j(j-1)/2 <= k < j(j+1)/2
+        k = 6 * p + 5 - b
+        j = (1 + isqrt(8 * k + 1)) // 2
+        i = k - j * (j - 1) // 2
+        pair = 1 << (_SLOT * i + j) | 1 << (_SLOT * j + i)
+        entries += [e | pair for e in entries]
+    return tuple(entries)
 
 
 def from_graph6(text: str) -> Graph:
     """Decode a graph6 string; strict about length and zero padding.
 
-    One table lookup and one OR per body byte build every row at once
+    One entry lookup and one OR per body byte build every row at once
     (see the module docstring); the pad bits, the low -n(n-1)/2 mod 6
     bits of the last byte, are checked before any are read.
     """
@@ -327,13 +324,10 @@ def from_graph6(text: str) -> Graph:
     # with no body, s[-1] is the header and the pad is empty
     if (ord(s[-1]) - 63) & ((1 << -size % 6) - 1):
         raise ValueError("nonzero padding bits in graph6 string")
-    table = _G6_TABLE
-    if len(table) < need:
-        table = _grow_g6_table(need)
     acc = 0
-    for entries, byte in zip(table, s[1:].encode()):
-        acc |= entries[byte - 63]
-    return Graph._unchecked(n, tuple([acc >> 32 * i & 0xFFFFFFFF for i in range(n)]))
+    for p, byte in enumerate(s[1:].encode()):
+        acc |= _g6_entries(p)[byte - 63]
+    return Graph._unchecked(n, tuple([acc >> _SLOT * i & _ROW for i in range(n)]))
 
 
 # ===== edge-list text format =====
@@ -400,7 +394,7 @@ def parse_graph_line(line: str) -> Graph:
 
 # ===== graph list files =====
 
-_HEADER = re.compile(r"k=(\d+)\s+count=(\d+)")
+_HEADER = re.compile(r"k=(\d+)\s+count=(\d+)", re.ASCII)
 
 
 def read_graph_list(path) -> tuple[int | None, list[tuple[int, str]]]:

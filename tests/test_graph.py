@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 from random import Random
 
 import pytest
@@ -62,6 +63,15 @@ def test_from_edge_list_rejects_bool_vertex():
 def test_from_edge_list_rejects_float_vertex():
     with pytest.raises(ValueError, match="not an int"):
         from_edge_list(3, [(0, 1.0)])
+
+
+@given(graphs(max_n=10), st.randoms(use_true_random=False))
+def test_from_edge_list_builds_rows_graph_accepts(g, rng):
+    # any order and orientation of the edges gives rows that pass Graph's checks
+    edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in g.edges()]
+    rng.shuffle(edges)
+    h = from_edge_list(g.n, edges)
+    assert Graph(h.n, h.adj) == h == g
 
 
 @pytest.mark.parametrize("n", [2.0, "3", None, True, -1, 10**20, 10**7],
@@ -334,6 +344,39 @@ def test_graph6_decoder_equals_bitwise_oracle():
             assert from_graph6(to_graph6(g)) == oracles.from_graph6(to_graph6(g)) == g
 
 
+def test_graph6_follows_the_row_slot_when_the_cap_moves():
+    # graph.py with the cap at 63: rows sit 64 bits apart in the decoder
+    # and in the symmetry check alike
+    path = pathlib.Path(kcrit_graph.__file__)
+    source = path.read_text(encoding="utf-8")
+    assert source.count("\nMAX_VERTICES = 31\n") == 1
+    module = types.ModuleType("kcrit_graph_cap63")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module      # dataclass looks itself up here
+    try:
+        exec(compile(source.replace("\nMAX_VERTICES = 31\n", "\nMAX_VERTICES = 63\n"),
+                     str(path), "exec"), module.__dict__)
+        assert module._SLOT == 64
+        rng = Random(25)
+        for n in range(63):
+            adj = [0] * n
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
+            g = module.Graph(n, tuple(adj))
+            assert module.from_graph6(module.to_graph6(g)) == g, n
+        # two one-way pairs, the first in row-then-column order across bit 32
+        adj[30] |= 1 << 61
+        adj[61] = adj[61] & ~(1 << 30) | 1 << 60
+        adj[60] &= ~(1 << 61)
+        with pytest.raises(ValueError, match="^asymmetric adjacency between 30 and 61$"):
+            module.Graph(62, tuple(adj))
+    finally:
+        del sys.modules[module.__name__]
+
+
 def _error(decode, text):
     with pytest.raises(ValueError) as exc:
         decode(text)
@@ -363,9 +406,9 @@ def test_graph6_each_pad_bit_is_rejected():
 
 
 @pytest.mark.parametrize("order", ["descending", "ascending"])
-def test_graph6_table_grows_in_either_order(monkeypatch, order):
-    # a fresh table, grown first by the longest code or step by step
-    monkeypatch.setattr(kcrit_graph, "_G6_TABLE", ())
+def test_graph6_table_grows_in_either_order(order):
+    # a fresh memo, filled first by the longest code or step by step
+    kcrit_graph._g6_entries.cache_clear()
     rng = Random(15)
     orders = sorted((rng.randint(0, 31) for _ in range(60)),
                     reverse=order == "descending")
@@ -373,12 +416,13 @@ def test_graph6_table_grows_in_either_order(monkeypatch, order):
         code = to_graph6(random_graph(rng, n, rng.random()))
         assert from_graph6(code) == oracles.from_graph6(code)
     longest = (max(orders) * (max(orders) - 1) // 2 + 5) // 6
-    assert len(kcrit_graph._G6_TABLE) == longest
+    assert kcrit_graph._g6_entries.cache_info().currsize == longest
 
 
 def test_graph6_table_is_not_built_at_import():
     script = ("import kcrit, kcrit.graph; "
-              "assert kcrit.graph._G6_TABLE == (), len(kcrit.graph._G6_TABLE)")
+              "size = kcrit.graph._g6_entries.cache_info().currsize; "
+              "assert size == 0, size")
     src = str(pathlib.Path(kcrit_graph.__file__).parents[1])
     subprocess.run([sys.executable, "-c", script], check=True,
                    env={**os.environ, "PYTHONPATH": src})
@@ -482,6 +526,7 @@ def test_read_graph_list(tmp_path):
     ("\nk=4 count=two\nC~\n", ":2: bad header"),
     ("k=4 count=1\n# C~\n", "header says 1 graphs, file has 0"),
     ("k=4 count=1\nC~\nC~\n", "header says 1 graphs, file has 2"),
+    ("k=\u0664 count=1\nC~\n", ":1: bad header"),
 ])
 def test_read_graph_list_errors(tmp_path, text, message):
     p = tmp_path / "list.g6"
