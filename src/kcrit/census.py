@@ -63,10 +63,9 @@ def _mapper(workers: int):
 
 # ===== fast pipeline: prime pieces and their joins =====
 
-def _piece_expand(item, max_degree: int, leaf: bool):
-    # one augmentation step from item = (parent, its generators or None):
-    # the parent's accepted triangle-free children of maximum degree
-    # <= max_degree with their generators (none at the leaf, the last
+def _piece_expand(parent: Graph, max_degree: int, leaf: bool):
+    # one augmentation step from parent: its accepted triangle-free
+    # children of maximum degree <= max_degree (none at the leaf, the last
     # order, where only pieces are wanted) and, at an odd order 2j-1, the
     # canonical codes of the complements of the children that are pieces,
     # i.e. factor-critical: one blossom pass finds a maximum matching that
@@ -76,10 +75,8 @@ def _piece_expand(item, max_degree: int, leaf: bool):
     # complement is j-critical, so of minimum degree >= j-1) and minimum
     # degree >= 2 (deleting a leaf's neighbour would strand the leaf); at
     # the leaf the children are generated with that minimum degree
-    parent, gens = item
-    kid_gens: list = []
     kids = child_graphs(parent, TRIANGLE_FREE, max_degree,
-                        min_degree=2 if leaf else None, gens=gens, child_gens=kid_gens)
+                        min_degree=2 if leaf else None)
     n = parent.n + 1
     codes = []
     if n % 2:
@@ -91,32 +88,25 @@ def _piece_expand(item, max_degree: int, leaf: bool):
             mates, d = gallai_edmonds_raw(n, f.adj, full)
             if mates.count(-1) == 1 and d == full:
                 codes.append(canonical_form(complement(f)))
-    if leaf:
-        return [], [], codes
-    return kids, kid_gens, codes
+    return ([] if leaf else kids), codes
 
 
 def _filtered_level(parents: list[Graph], max_degree: int, mapper=map,
-                    gens: list | None = None, leaf: bool = False):
-    """Expand one order: ((children, their generators), piece codes).
+                    leaf: bool = False):
+    """Expand one order: (children, piece codes).
 
-    gens, parallel to parents, holds each parent's automorphism
-    generators or None (then the step labels the parent itself), and the
-    children's generators come back the same way.  At the leaf no
+    The children carry the automorphism generators their acceptance
+    found, so the next order need not label them again.  At the leaf no
     children are kept.  Everything comes in parent order whatever the
     mapper.
     """
-    if gens is None:
-        gens = [None] * len(parents)
     children: list[Graph] = []
-    child_gens: list = []
     codes: list[str] = []
     step = partial(_piece_expand, max_degree=max_degree, leaf=leaf)
-    for kids, kid_gens, found in mapper(step, zip(parents, gens)):
+    for kids, found in mapper(step, parents):
         children.extend(kids)
-        child_gens.extend(kid_gens)
         codes.extend(found)
-    return (children, child_gens), codes
+    return children, codes
 
 
 def _deficiency(f: Graph) -> int:
@@ -141,13 +131,12 @@ def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
     """
     last = 2 * top - 1
     pieces = {1: [canonical_form(Graph(1, (0,)))]}
-    level, gens = [Graph(1, (0,))], [None]
+    level = [Graph(1, (0,))]
     for n in range(2, last + 1):
         slack = last - n
         if slack < n - 1:       # a deficiency never exceeds the order
-            kept = [i for i, f in enumerate(level) if _deficiency(f) <= slack]
-            level, gens = [level[i] for i in kept], [gens[i] for i in kept]
-        (level, gens), codes = _filtered_level(level, top - 1, mapper, gens, n == last)
+            level = [f for f in level if _deficiency(f) <= slack]
+        level, codes = _filtered_level(level, top - 1, mapper, n == last)
         if n % 2:
             pieces[(n + 1) // 2] = codes
     return pieces

@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Iterator
 
 from .canon import canon_raw
-from .graph import Graph, bits, check_int, check_order
+from .graph import MAX_VERTICES, Graph, bits, check_int
 
 TRIANGLE_FREE = "triangle-free"
 ALL_GRAPHS = "all"
@@ -132,8 +132,8 @@ def _canonical_extension(n, adj, deg, below, s):
 
 
 def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
-                 max_degree: int | None = None, min_degree: int | None = None,
-                 gens=None, child_gens: list | None = None) -> list[Graph]:
+                 max_degree: int | None = None,
+                 min_degree: int | None = None) -> list[Graph]:
     """Accepted one-vertex extensions of parent, one per child class.
 
     With max_degree, only children of maximum degree <= max_degree are
@@ -152,11 +152,10 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
     are exactly the unbounded step's children that meet the bounds, in
     the same order.
 
-    gens, when given, generate Aut(parent) as ``canon_raw`` returns them
-    and spare the parent's labeling.  When child_gens is a list, one entry
-    per returned child is appended to it: the generators of Aut(child)
-    that the canonicity test found, or None where it did not label the
-    child.  ValueError on an unknown mode or a degree bound not an int >= 0.
+    A child that the canonicity test labelled carries the generators of
+    its automorphism group as ``_gens``; expanding it then reads them
+    instead of labelling it again.  ValueError on an unknown mode or a
+    degree bound not an int >= 0.
     """
     _check_args(mode, max_degree, min_degree)
     n = parent.n
@@ -177,15 +176,16 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
     if min_degree is not None:
         need = sum(1 << v for v, d in enumerate(deg) if d < min_degree)
         masks = [s for s in masks if s & need == need and s.bit_count() >= min_degree]
+    gens = parent._gens
     if gens is None:
         _, _, gens, _ = canon_raw(n, adj)
     out = []
     for s in _mask_orbit_reps(masks, gens):
         ext = _canonical_extension(n, adj, deg, below, s)
         if ext is not None:
-            out.append(Graph._unchecked(n + 1, tuple(ext[0])))
-            if child_gens is not None:
-                child_gens.append(ext[1])
+            child = Graph._unchecked(n + 1, tuple(ext[0]))
+            object.__setattr__(child, "_gens", ext[1])
+            out.append(child)
     return out
 
 
@@ -198,8 +198,7 @@ def generate_graphs(n: int, mode: str = ALL_GRAPHS) -> Iterator[Graph]:
     triangle-free ones, in a fixed order.  The arguments are checked at the
     call; each level is expanded a parent at a time, as the stream is read.
     """
-    check_order(n)
-    check_int("order", n, 1)
+    check_int("order", n, 1, MAX_VERTICES)
     _check_args(mode)
     level = iter([Graph(1, (0,))])
     for _ in range(n - 1):

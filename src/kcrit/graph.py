@@ -97,6 +97,10 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
+    # generators of Aut(self) as canon_raw returns them, set by
+    # child_graphs, or None; not a field, so equality, hashing and repr
+    # ignore it, and pickling keeps it
+    _gens = None
 
     def __post_init__(self) -> None:
         check_order(self.n)

@@ -74,7 +74,6 @@ OTHER = [
      "k must be an int in 4..6, got 4.0"),
     ("certify_color-k-4.0", lambda x: certify_color(co_odd_cycle(5), x, build_database(5)),
      4.0, "k must be an int in 3..5, got 4.0"),
-    ("generate_graphs-0", generate_graphs, 0, "order must be an int >= 1, got 0"),
     ("census_copaw-k-7", census_copaw_critical, 7,
      "k must be in 3..6 (k = 7 would take hours; its order-13 search space "
      "holds about 2e7 graphs)"),
@@ -98,9 +97,9 @@ def _cases():
             yield pytest.param(call, x, f"{arg} must be an int {span}, got {x!r}",
                                id=f"{name}-{x!r}")
     # generate_graphs returns its stream: every value raises at the call
-    for x in (True, 2.0, 2.5, "3", -1, 40):
+    for x in (True, 2.0, 2.5, "3", -1, 0, 40):
         yield pytest.param(generate_graphs, x,
-                           f"order must be an int in 0..31, got {x!r}",
+                           f"order must be an int in 1..31, got {x!r}",
                            id=f"generate_graphs-{x!r}")
     for name, call, x, message in OTHER:
         yield pytest.param(call, x, message, id=name)

@@ -12,6 +12,7 @@ from kcrit.census import (
     _assembled,
     _deficiency,
     _filtered_level,
+    _join_cross_check,
     _mapper,
     _pieces,
     census_copaw_critical,
@@ -21,8 +22,8 @@ from kcrit.census import (
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
 from kcrit.generate import TRIANGLE_FREE, child_graphs
-from kcrit.graph import (Graph, complement, format_edge_list, from_graph6, read_graph_file,
-                         read_graph_list, to_graph6)
+from kcrit.graph import (Graph, complement, format_edge_list, from_graph6, join,
+                         read_graph_file, read_graph_list, to_graph6)
 from kcrit.invariants import independence_number, matching_raw
 from kcrit.patterns import is_free, named_graph
 
@@ -132,22 +133,24 @@ def test_census_workers_match_serial():
 def test_filtered_level_workers_keep_degree_bound():
     # the pool path must expand with the same degree bound as the serial
     # one and hand down the same generators
-    parents, gens = [Graph(1, (0,))], None
+    parents = [Graph(1, (0,))]
     for _ in range(5):
-        (parents, gens), _ = _filtered_level(parents, 4, gens=gens)
-    serial = _filtered_level(parents, 4, gens=gens)
+        parents, _ = _filtered_level(parents, 4)
+    serial = _filtered_level(parents, 4)
     with _mapper(2) as mapper:
-        parallel = _filtered_level(parents, 4, mapper, gens)
-        parallel_leaf = _filtered_level(parents, 4, mapper, gens, leaf=True)
-    assert len(parents) >= 8 and any(g is not None for g in gens)
-    (kids, kid_gens), codes = serial
+        parallel = _filtered_level(parents, 4, mapper)
+        parallel_leaf = _filtered_level(parents, 4, mapper, leaf=True)
+    assert len(parents) >= 8 and any(p._gens is not None for p in parents)
+    kids, codes = serial
     assert parallel == serial
-    assert len(kid_gens) == len(kids) and any(g is not None for g in kid_gens)
+    # Graph equality ignores the generators, so compare them on their own
+    assert [g._gens for g in parallel[0]] == [g._gens for g in kids]
+    assert any(g._gens is not None for g in kids)
     assert len(codes) == 6                                   # P_4 at order 7
     assert max(a.bit_count() for g in kids for a in g.adj) <= 4
     # the leaf step keeps no children and finds the same pieces
-    assert parallel_leaf == _filtered_level(parents, 4, gens=gens, leaf=True)
-    assert parallel_leaf == (([], []), codes)
+    assert parallel_leaf == _filtered_level(parents, 4, leaf=True)
+    assert parallel_leaf == ([], codes)
 
 
 # ===== the prime-piece census against the level-by-level pipeline =====
@@ -192,7 +195,7 @@ def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
         drops += len(kept) < len(level)
         if n == last:       # the perfect-matching prune it generalises
             assert kept == [f for f in level if oracles.has_perfect_matching(f)]
-        (level, _), unpruned[n] = _filtered_level(level, top - 1)
+        level, unpruned[n] = _filtered_level(level, top - 1)
     assert drops and 0 < len(kept)
     assert any(min(a.bit_count() for a in f.adj) < 2 for f in level)
     pieces = _pieces(top)
@@ -207,15 +210,15 @@ def test_pieces_hand_generators_down(monkeypatch):
     import kcrit.census as census
     seen, expand = [], census.child_graphs
 
-    def spy(parent, *args, gens=None, **kwargs):
-        seen.append((parent, gens))
-        return expand(parent, *args, gens=gens, **kwargs)
+    def spy(parent, *args, **kwargs):
+        seen.append(parent)
+        return expand(parent, *args, **kwargs)
 
     monkeypatch.setattr(census, "child_graphs", spy)
     _pieces(5)
-    handed = [(p, g) for p, g in seen if g is not None]
+    handed = [p for p in seen if p._gens is not None]
     assert len(handed) > len(seen) // 4
-    assert all(g == canon_raw(p.n, p.adj)[2] for p, g in handed)
+    assert all(p._gens == canon_raw(p.n, p.adj)[2] for p in handed)
 
 
 def _per_vertex_pieces(top):
@@ -240,6 +243,20 @@ def test_piece_filter_equals_per_vertex_filter(top):
     pieces, oracle = _pieces(top), _per_vertex_pieces(top)
     assert [pieces[j] for j in range(2, top + 1)] == \
         [oracle[j] for j in range(2, top + 1)]
+
+
+def test_join_cross_check_names_a_missing_join():
+    # the census must hold every join of smaller critical graphs: with
+    # C5 v K1, the join of a 1- and a 3-critical factor, taken out of the
+    # k=4 codes, the check raises and names the factors and the code
+    pieces = _pieces(4)
+    found = {c for row in census_copaw_critical(4) for c in row.codes}
+    code = canonical_form(join(named_graph("C5"), Graph(1, (0,))))
+    _join_cross_check(4, 7, pieces, found)
+    with pytest.raises(RuntimeError) as info:
+        _join_cross_check(4, 7, pieces, found - {code})
+    assert str(info.value) == ("census for k=4 is missing the join of a 1- and "
+                               f"a 3-critical factor ({code})")
 
 
 def test_assembly_equals_the_recursive_partition_assembly():

@@ -1,5 +1,7 @@
 """Tests for isomorph-free generation by canonical augmentation."""
 
+import pickle
+
 import pytest
 
 import oracles
@@ -142,26 +144,38 @@ def test_min_degree_equals_post_filter(mode, top, max_degree, monkeypatch):
 # ===== handed-down automorphism generators =====
 
 def test_handed_down_generators_give_the_same_children():
-    # on every triangle-free parent up to order 8: the generators found
-    # while accepting a child are its canon_raw generators, and expanding
-    # with them gives the same children (and generators) as labelling it
-    level, gens = [Graph(1, (0,))], [None]
+    # on every triangle-free parent up to order 8: the generators a child
+    # carries from its acceptance are its canon_raw generators, and
+    # expanding it gives the same children (and generators) as expanding
+    # a copy that carries none
+    level = [Graph(1, (0,))]
     handed = 0
     while level[0].n <= 8:
-        next_level, next_gens = [], []
-        for p, g in zip(level, gens):
-            if g is not None:
+        next_level = []
+        for p in level:
+            if p._gens is not None:
                 handed += 1
-                assert g == canon_raw(p.n, p.adj)[2]
-            mine, fresh = [], []
-            kids = child_graphs(p, TRIANGLE_FREE, gens=g, child_gens=mine)
-            assert [c.adj for c in kids] == \
-                [c.adj for c in child_graphs(p, TRIANGLE_FREE, child_gens=fresh)]
-            assert mine == fresh and len(mine) == len(kids)
+                assert p._gens == canon_raw(p.n, p.adj)[2]
+            kids = child_graphs(p, TRIANGLE_FREE)
+            fresh = child_graphs(Graph(p.n, p.adj), TRIANGLE_FREE)
+            assert [c.adj for c in kids] == [c.adj for c in fresh]
+            assert [c._gens for c in kids] == [c._gens for c in fresh]
             next_level += kids
-            next_gens += mine
-        level, gens = next_level, next_gens
+        level = next_level
     assert len(level) == 1897 and handed > 200
+
+
+def test_generators_are_not_part_of_the_graph():
+    # _gens is no dataclass field: a child carrying generators equals,
+    # hashes and prints like a fresh Graph of the same rows, and a pickle
+    # round trip, the process pool's path, keeps them
+    g = next(c for p in generate_graphs(5) for c in child_graphs(p)
+             if c._gens is not None)
+    fresh = Graph(g.n, g.adj)
+    assert fresh._gens is None and g._gens
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and back._gens == g._gens
 
 
 # ===== emitted-stream invariants =====
@@ -219,7 +233,7 @@ def test_order_range_errors():
 @pytest.mark.parametrize("n", [2.0, True, "3", 10**20],
                          ids=["float", "bool", "str", "huge"])
 def test_order_must_be_an_int(n):
-    with pytest.raises(ValueError, match=r"order must be an int in 0\.\.31, got"):
+    with pytest.raises(ValueError, match=r"order must be an int in 1\.\.31, got"):
         list(generate_graphs(n))
 
 
