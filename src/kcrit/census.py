@@ -17,10 +17,9 @@ from __future__ import annotations
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, combinations_with_replacement, product
-from multiprocessing import Pool
+from typing import NamedTuple
 
 from .canon import canonical_form
 from .critical import is_vertex_critical
@@ -32,8 +31,7 @@ from .patterns import as_pattern, is_free
 
 # ===== census rows =====
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """Isomorphism classes of the order-n census survivors.
 
     codes holds one canonical graph6 code per class.
@@ -45,6 +43,12 @@ class CensusRow:
     @property
     def count(self) -> int:
         return len(self.codes)
+
+
+def Pool(processes: int):
+    # multiprocessing is imported by the first pool, not with kcrit
+    from multiprocessing import Pool
+    return Pool(processes)
 
 
 @contextmanager
@@ -255,8 +259,7 @@ def _general_survivor(g: Graph, k: int, pattern: Graph | None) -> bool:
 
 # ===== verifying shipped or user-supplied lists =====
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of checking a graph list file.
 
     failures pairs a line number with what went wrong there; codes holds

@@ -18,9 +18,9 @@ read, so a No query decodes only the members its scan reaches.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .canon import canonical_form
 from .critical import find_critical_subgraph, is_vertex_critical
@@ -39,8 +39,7 @@ _P3P1 = named_graph("P3+P1")
 
 # ===== certificates =====
 
-@dataclass(frozen=True)
-class CertifiedAnswer:
+class CertifiedAnswer(NamedTuple):
     """Verdict plus exactly one matching payload.
 
     coloring is present iff the verdict is yes; witness is a vertex mask
@@ -55,8 +54,7 @@ class CertifiedAnswer:
 
 # ===== the critical-graph database =====
 
-@dataclass(frozen=True)
-class CriticalDatabase:
+class CriticalDatabase(NamedTuple):
     """All k-vertex-critical P3+P1-free graphs, as canonical codes.
 
     The codes are checked for header, count and repeats when the list is

@@ -11,7 +11,7 @@ every deletion is checked with an exact coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, bits, check_int, delete_vertex, induced_subgraph
 from .invariants import (
@@ -26,8 +26,7 @@ from .invariants import (
 
 # ===== criticality reports =====
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     """Outcome of a k-vertex-criticality test.
 
     k is the chromatic number of the graph examined.  When the graph has

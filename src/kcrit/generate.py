@@ -168,6 +168,10 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
     if max_degree is not None:
         # attach to at most max_degree vertices, none already at the bound
         avail, room = below[min(max_degree, n)], min(max_degree, n)
+    if n:
+        # stage 1 of _canonical_extension wants |S| = the child's minimum
+        # degree <= min(deg) + 1; a size cap keeps the family Aut-closed
+        room = min(room, min(deg) + 1)
     if mode == TRIANGLE_FREE:
         masks = _independent_masks(adj, avail, room)
     else:

@@ -20,7 +20,7 @@ runs it on each factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, bits, check_int, complement
 
@@ -173,8 +173,7 @@ def matching_raw(n: int, adj, active: int) -> int:
 
 # ===== colorings =====
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """A proper coloring witness: colors[v] in 0..k-1, all k classes used."""
 
     colors: tuple[int, ...]

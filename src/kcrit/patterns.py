@@ -19,7 +19,7 @@ P3+P1 that way instead of searching for an embedding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, bits, check_int, check_order, complement, from_edge_list
 from .invariants import (
@@ -184,8 +184,7 @@ def is_free(g: Graph, pattern: str | Graph) -> bool:
 
 # ===== (P3+P1)-free join decomposition =====
 
-@dataclass(frozen=True)
-class JoinDecomposition:
+class JoinDecomposition(NamedTuple):
     """Join factors of a (P3+P1)-free graph, as vertex masks plus flags.
 
     alpha_le_2[i] is True when factor i has independence number at most

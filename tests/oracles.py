@@ -628,3 +628,32 @@ def is_proper_coloring(g: Graph, coloring) -> bool:
     if len(set(colors)) != k:
         return False
     return all(colors[i] != colors[j] for i, j in g.edges())
+
+
+def uncapped_child_graphs(parent: Graph, mode: str, max_degree=None, min_degree=None):
+    """``child_graphs`` before it capped the attachment sets at the
+    parent's minimum degree plus one: every set the degree bounds allow
+    reaches the orbit step and the canonicity test.  (rows, generators)
+    of each accepted child, in order."""
+    from kcrit.canon import canon_raw
+    from kcrit.generate import (TRIANGLE_FREE, _canonical_extension, _independent_masks,
+                                _mask_orbit_reps)
+
+    n, adj = parent.n, parent.adj
+    deg = [a.bit_count() for a in adj]
+    if min_degree is not None and any(d < min_degree - 1 for d in deg):
+        return []
+    below = [sum(1 << v for v, d in enumerate(deg) if d < e) for e in range(n + 2)]
+    avail, room = (1 << n) - 1, n
+    if max_degree is not None:
+        avail, room = below[min(max_degree, n)], min(max_degree, n)
+    if mode == TRIANGLE_FREE:
+        masks = _independent_masks(adj, avail, room)
+    else:
+        masks = [s for s in range(1 << n) if not s & ~avail and s.bit_count() <= room]
+    if min_degree is not None:
+        need = sum(1 << v for v, d in enumerate(deg) if d < min_degree)
+        masks = [s for s in masks if s & need == need and s.bit_count() >= min_degree]
+    gens = canon_raw(n, adj)[2]
+    exts = (_canonical_extension(n, adj, deg, below, s) for s in _mask_orbit_reps(masks, gens))
+    return [(tuple(ext[0]), ext[1]) for ext in exts if ext is not None]

@@ -1,6 +1,7 @@
 """Tests for isomorph-free generation by canonical augmentation."""
 
 import pickle
+from random import Random
 
 import pytest
 
@@ -16,6 +17,7 @@ from kcrit.generate import (
 from kcrit.graph import Graph, from_edge_list
 from kcrit.invariants import clique_number, independence_number
 from kcrit.patterns import named_graph
+from util import random_graph, random_triangle_free
 
 
 def _oracle_class_count(n, keep=lambda g: True):
@@ -139,6 +141,46 @@ def test_min_degree_equals_post_filter(mode, top, max_degree, monkeypatch):
                 need = sum(1 << v for v, a in enumerate(p.adj) if a.bit_count() < d)
                 assert all(s & need == need and s.bit_count() >= d
                            for masks in offered for s in masks)
+
+
+# ===== attachment sets capped at the parent's minimum degree plus one =====
+
+def _seeded_parents(mode, seed):
+    # random parents of order 1..9, sparse to dense
+    rng = Random(seed)
+    make = random_triangle_free if mode == TRIANGLE_FREE else random_graph
+    return [make(rng, rng.randint(1, 9), p) for p in (0.15, 0.3, 0.5, 0.8) for _ in range(8)]
+
+
+@pytest.mark.parametrize("mode", [TRIANGLE_FREE, ALL_GRAPHS])
+def test_orbit_step_sees_no_set_above_min_degree_plus_one(mode, monkeypatch):
+    # the new vertex must have the child's minimum degree, at most
+    # min(deg) + 1, so no larger set reaches the orbit representatives
+    import kcrit.generate as generate
+    offered, reps = [], generate._mask_orbit_reps
+
+    def spy(masks, gens):
+        offered.extend(masks)
+        return reps(masks, gens)
+
+    monkeypatch.setattr(generate, "_mask_orbit_reps", spy)
+    parents = _seeded_parents(mode, 2701) + [p for level in _levels(mode, 6) for p in level]
+    for p in parents:
+        offered.clear()
+        child_graphs(p, mode)
+        assert offered and max(s.bit_count() for s in offered) <= _min_degree(p) + 1
+
+
+@pytest.mark.parametrize("mode", [TRIANGLE_FREE, ALL_GRAPHS])
+def test_capped_children_equal_the_uncapped_enumeration(mode):
+    # the same children, rows and generators, in the same order as when
+    # every set the degree bounds allow was offered to the canonicity test
+    for p in _seeded_parents(mode, 2702):
+        for max_degree in (None, 2, 4):
+            for min_degree in (None, 1, 2, 3):
+                got = child_graphs(p, mode, max_degree, min_degree)
+                assert ([(c.adj, c._gens) for c in got]
+                        == oracles.uncapped_child_graphs(p, mode, max_degree, min_degree))
 
 
 # ===== handed-down automorphism generators =====
