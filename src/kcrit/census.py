@@ -67,55 +67,44 @@ def _mapper(workers: int):
 
 # ===== fast pipeline: prime pieces and their joins =====
 
-def _piece_expand(parent: Graph, max_degree: int, leaf: bool):
-    # one augmentation step from parent: its accepted triangle-free
-    # children of maximum degree <= max_degree (none at the leaf, the last
-    # order, where only pieces are wanted) and, at an odd order 2j-1, the
-    # canonical codes of the complements of the children that are pieces,
-    # i.e. factor-critical: one blossom pass finds a maximum matching that
-    # leaves one vertex exposed and the Gallai-Edmonds set D (the vertices
-    # some maximum matching leaves exposed) to be every vertex.  Cheap
-    # necessary conditions go first: F has maximum degree <= j-1 (its
-    # complement is j-critical, so of minimum degree >= j-1) and minimum
-    # degree >= 2 (deleting a leaf's neighbour would strand the leaf); at
-    # the leaf the children are generated with that minimum degree
-    kids = child_graphs(parent, TRIANGLE_FREE, max_degree,
-                        min_degree=2 if leaf else None)
+def _piece_expand(parent: Graph, last: int):
+    # one augmentation step from parent in a run to the last order N (see
+    # _pieces for the bounds): the children kept for the next step and,
+    # at an odd order, the codes of the complements of the children that
+    # are pieces.  Each child gets one blossom pass; its exposed count
+    # decides the deficiency prune, and at an odd order, with D, the
+    # piece test
     n = parent.n + 1
-    codes = []
-    if n % 2:
-        j = (n + 1) // 2
-        full = (1 << n) - 1
-        for f in kids:
-            if not all(2 <= a.bit_count() < j for a in f.adj):
-                continue
+    full = (1 << n) - 1
+    kept, codes = [], []
+    for f in child_graphs(parent, TRIANGLE_FREE, (last - 1) // 2,
+                          min_degree=2 if n == last else None):
+        if n % 2:
             mates, d = gallai_edmonds_raw(n, f.adj, full)
-            if mates.count(-1) == 1 and d == full:
+            exposed = mates.count(-1)
+            if exposed == 1 and d == full:
                 codes.append(canonical_form(complement(f)))
-    return ([] if leaf else kids), codes
+        else:
+            exposed = n - 2 * matching_raw(n, f.adj, full)
+        if exposed <= last - 1 - n:
+            kept.append(f)
+    return kept, codes
 
 
-def _filtered_level(parents: list[Graph], max_degree: int, mapper=map,
-                    leaf: bool = False):
-    """Expand one order: (children, piece codes).
+def _filtered_level(parents: list[Graph], last: int, mapper=map):
+    """Expand one order of a piece run to order last: (children, piece codes).
 
     The children carry the automorphism generators their acceptance
-    found, so the next order need not label them again.  At the leaf no
-    children are kept.  Everything comes in parent order whatever the
-    mapper.
+    found, so the next order need not label them again.  At the last
+    order no children are kept.  Everything comes in parent order
+    whatever the mapper.
     """
     children: list[Graph] = []
     codes: list[str] = []
-    step = partial(_piece_expand, max_degree=max_degree, leaf=leaf)
-    for kids, found in mapper(step, parents):
+    for kids, found in mapper(partial(_piece_expand, last=last), parents):
         children.extend(kids)
         codes.extend(found)
     return children, codes
-
-
-def _deficiency(f: Graph) -> int:
-    # vertices a maximum matching of f leaves exposed
-    return f.n - 2 * matching_raw(f.n, f.adj, (1 << f.n) - 1)
 
 
 def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
@@ -124,23 +113,28 @@ def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
     P_j holds the j-vertex-critical P3+P1-free graphs of order 2j-1,
     i.e. the complements of the factor-critical triangle-free graphs of
     order 2j-1.  P_1 is K1 and P_2 is empty (K2 = K1 v K1).  One
-    canonical-augmentation run to order N = 2*top-1 finds them all: a
-    piece of P_j has maximum degree <= j-1 <= top-1, so the run keeps to
-    that bound.  Before expanding order m it drops the graphs of
-    deficiency above N-1-m: every F - v of a factor-critical F on
-    N' <= N vertices has a perfect matching, and each further deleted
-    vertex raises the deficiency by at most one, so an order-m ancestor
-    of a piece has deficiency <= N'-1-m.  The last step generates
-    minimum degree >= 2 only, and keeps no children.
+    canonical-augmentation run to order N = 2*top-1 finds them all, and
+    every bound it keeps follows from N, since each ancestor of a piece
+    is an induced subgraph of it:
+
+    - a factor-critical F on 2j-1 >= 3 vertices has minimum degree >= 2
+      (deleting a leaf's neighbour would strand the leaf), and its
+      complement is j-critical, so of minimum degree >= j-1: F has
+      degrees 2..j-1, which the piece test implies, and the run keeps
+      to maximum degree (N-1)//2;
+    - every F - v of a factor-critical F on N' <= N vertices has a
+      perfect matching, and each further deleted vertex raises the
+      deficiency (vertices a maximum matching leaves exposed) by at most
+      one, so an order-n ancestor of a piece has deficiency <= N-1-n,
+      and the run keeps no other order-n graph;
+    - at order N only pieces are wanted: the children are generated
+      with minimum degree 2 and none is kept.
     """
     last = 2 * top - 1
     pieces = {1: [canonical_form(Graph(1, (0,)))]}
     level = [Graph(1, (0,))]
     for n in range(2, last + 1):
-        slack = last - n
-        if slack < n - 1:       # a deficiency never exceeds the order
-            level = [f for f in level if _deficiency(f) <= slack]
-        level, codes = _filtered_level(level, top - 1, mapper, n == last)
+        level, codes = _filtered_level(level, last, mapper)
         if n % 2:
             pieces[(n + 1) // 2] = codes
     return pieces

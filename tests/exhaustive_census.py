@@ -7,15 +7,27 @@ structure that ``census_copaw_critical`` is built on.  At k = 5 it must
 find the same graphs order by order (the paper's appendix list); at
 k = 4 the orders past 2k - 1 = 7 must be empty, as claim (ii) says.
 
-The two checks take about 25 s of wall time with two processes, so the
-file name keeps them out of the default collection.  Run them with
+At k = 6, order 11, every triangle-free graph F of that order is kept
+when ``is_vertex_critical`` finds its complement 6-critical; this
+assumes independence number two only, none of the piece run's degree
+bound, deficiency prune or leaf step.  The complements must be P_6 and
+the order-11 graphs of the shipped 6-critical list.
+
+The three checks take about 50 s of wall time with two processes, so
+the file name keeps them out of the default collection.  Run them with
 
     PYTHONPATH=src python -m pytest -q tests/exhaustive_census.py
 """
 
 import os
 
-from kcrit.census import census_copaw_critical, census_general
+from kcrit.canon import canonical_form
+from kcrit.census import _pieces, census_copaw_critical, census_general
+from kcrit.critical import is_vertex_critical
+from kcrit.generate import TRIANGLE_FREE, generate_graphs
+from kcrit.graph import complement, from_graph6, read_graph_list
+
+from util import data_path
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -34,3 +46,15 @@ def test_exhaustive_k4_census_is_empty_past_order_7():
     general = census_general(4, "P3+P1", 9, workers=WORKERS)
     assert [(r.n, r.count) for r in general] == \
         [(4, 1), (5, 0), (6, 1), (7, 6), (8, 0), (9, 0)]
+
+
+def test_exhaustive_order_11_equals_p6():
+    found = set()
+    for f in generate_graphs(11, TRIANGLE_FREE):
+        g = complement(f)
+        if is_vertex_critical(g, 6).is_critical:
+            found.add(canonical_form(g))
+    shipped = {code for _, code in read_graph_list(data_path("critical6.g6"))[1]
+               if from_graph6(code).n == 11}
+    assert len(shipped) == 17828
+    assert found == set(_pieces(6)[6]) == shipped

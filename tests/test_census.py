@@ -10,7 +10,6 @@ from kcrit.canon import canon_raw, canonical_form
 from kcrit.census import (
     CensusRow,
     _assembled,
-    _deficiency,
     _filtered_level,
     _join_cross_check,
     _mapper,
@@ -24,7 +23,7 @@ from kcrit.families import co_odd_cycle
 from kcrit.generate import TRIANGLE_FREE, child_graphs
 from kcrit.graph import (Graph, complement, format_edge_list, from_graph6, join,
                          read_graph_file, read_graph_list, to_graph6)
-from kcrit.invariants import independence_number, matching_raw
+from kcrit.invariants import gallai_edmonds_raw, independence_number, matching_raw
 from kcrit.patterns import is_free, named_graph
 
 from lemmas import co_components
@@ -132,14 +131,15 @@ def test_census_workers_match_serial():
 
 def test_filtered_level_workers_keep_degree_bound():
     # the pool path must expand with the same degree bound as the serial
-    # one and hand down the same generators
+    # one and hand down the same generators; a run to order 9 keeps to
+    # maximum degree 4
     parents = [Graph(1, (0,))]
     for _ in range(5):
-        parents, _ = _filtered_level(parents, 4)
-    serial = _filtered_level(parents, 4)
+        parents, _ = _filtered_level(parents, 9)
+    serial = _filtered_level(parents, 9)
     with _mapper(2) as mapper:
-        parallel = _filtered_level(parents, 4, mapper)
-        parallel_leaf = _filtered_level(parents, 4, mapper, leaf=True)
+        parallel = _filtered_level(parents, 9, mapper)
+        parallel_leaf = _filtered_level(parents, 7, mapper)
     assert len(parents) >= 8 and any(p._gens is not None for p in parents)
     kids, codes = serial
     assert parallel == serial
@@ -148,8 +148,9 @@ def test_filtered_level_workers_keep_degree_bound():
     assert any(g._gens is not None for g in kids)
     assert len(codes) == 6                                   # P_4 at order 7
     assert max(a.bit_count() for g in kids for a in g.adj) <= 4
-    # the leaf step keeps no children and finds the same pieces
-    assert parallel_leaf == _filtered_level(parents, 4, leaf=True)
+    # the leaf step (order 7 of a run to order 7) keeps no children and
+    # finds the same pieces
+    assert parallel_leaf == _filtered_level(parents, 7)
     assert parallel_leaf == ([], codes)
 
 
@@ -182,6 +183,13 @@ def test_piece_census_equals_level_filter_census(k, n_max):
     assert all(len(set(r.codes)) == r.count for r in rows)
 
 
+def _is_piece(f):
+    # factor-critical: one vertex exposed, and D is every vertex
+    full = (1 << f.n) - 1
+    mates, d = gallai_edmonds_raw(f.n, f.adj, full)
+    return mates.count(-1) == 1 and d == full
+
+
 @pytest.mark.parametrize("top", [3, 4, 5])
 def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
     # an unpruned run that keeps every child at every order finds the same
@@ -191,17 +199,44 @@ def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
     last = 2 * top - 1
     level, unpruned, drops = [Graph(1, (0,))], {}, 0
     for n in range(2, last + 1):
-        kept = [f for f in level if _deficiency(f) <= last - n]
+        kept = [f for f in level
+                if f.n - 2 * matching_raw(f.n, f.adj, (1 << f.n) - 1) <= last - n]
         drops += len(kept) < len(level)
         if n == last:       # the perfect-matching prune it generalises
             assert kept == [f for f in level if oracles.has_perfect_matching(f)]
-        level, unpruned[n] = _filtered_level(level, top - 1)
+        level = [c for p in level for c in child_graphs(p, TRIANGLE_FREE, top - 1)]
+        if n % 2:
+            unpruned[n] = [canonical_form(complement(f)) for f in level if _is_piece(f)]
     assert drops and 0 < len(kept)
     assert any(min(a.bit_count() for a in f.adj) < 2 for f in level)
     pieces = _pieces(top)
     assert [pieces[j] for j in range(2, top + 1)] == \
         [unpruned[2 * j - 1] for j in range(2, top + 1)]
     assert [len(pieces[j]) for j in range(1, top + 1)] == [1, 0, 1, 6, 170][:top]
+
+
+def test_piece_run_makes_one_blossom_pass_per_child(monkeypatch):
+    # each child of the piece run gets exactly one blossom pass, which
+    # decides both the deficiency prune and the piece test: matching_raw
+    # at even orders (through invariants.gallai_edmonds_raw), and
+    # gallai_edmonds_raw at odd ones
+    import kcrit.invariants as invariants
+    tally = {"passes": 0, "children": 0}
+
+    def counting(module, name, key, size):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            tally[key] += size(result)
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(kcrit.census, "gallai_edmonds_raw", "passes", lambda r: 1)
+    counting(invariants, "gallai_edmonds_raw", "passes", lambda r: 1)
+    counting(kcrit.census, "child_graphs", "children", len)
+    _pieces(5)
+    assert tally["passes"] == tally["children"] > 0          # 717 at top = 5
 
 
 def test_pieces_hand_generators_down(monkeypatch):
@@ -282,6 +317,14 @@ def test_shipped_graphs_are_joins_of_odd_pieces(k):
         comps = co_components(g)
         assert g.n + len(comps) == 2 * k
         assert all(c.bit_count() % 2 == 1 for c in comps)
+        # a co-component of order 2j-1 >= 3 has degrees 2..j-1 in the
+        # complement: the piece test implies them, so the piece run does
+        # not test them apart
+        co = complement(g).adj
+        for c in comps:
+            j = (c.bit_count() + 1) // 2
+            assert j == 1 or all(2 <= (co[v] & c).bit_count() <= j - 1
+                                 for v in range(g.n) if c >> v & 1)
 
 
 # ===== the general pipeline =====
