@@ -21,19 +21,19 @@ alone: its parent's cells are equitable, refining keeps them so, and the
 rest of the branching cell splits nothing that the whole cell and the
 vertex do not.
 
-The encoding of a vertex order is the upper triangle of the permuted
-adjacency matrix read column by column, one int per column with the row-0
-bit most significant.  Columns only depend on the already-placed prefix of
-the order, so partial encodings of the leading singleton cells compare
-against the current best leaf and prune early; a child's prefix extends
-its parent's, so it computes only its new columns.  Read in column order,
-these bits are the graph6 bit stream, so ``graph6_from_cols`` writes the
-canonical code straight from them.
+The encoding of a vertex order is the graph6 bit stream of the permuted
+graph, x(0,1) x(0,2) x(1,2) x(0,3) ..., in one int, first bit most
+significant.  A column depends only on the order up to it, so the
+leading singleton cells fix a prefix of every leaf encoding below a
+node, and a child extends its parent's with the columns of the vertices
+it places.  A p-vertex prefix compares against a stored leaf shifted
+right by n(n-1)/2 - p(p-1)/2 bits and prunes early; ``graph6_from_stream``
+writes the canonical code straight from the best leaf's int.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits, graph6_from_cols
+from .graph import Graph, bits, graph6_from_stream
 
 # ===== equitable refinement =====
 
@@ -92,17 +92,18 @@ def _refine(adj, cells, queue=None):
 
 
 class _Search:
-    __slots__ = ("n", "adj", "first_order", "first_cols", "first_path",
-                 "best_order", "best_cols", "gens", "parent")
+    __slots__ = ("n", "adj", "size", "first_order", "first_code", "first_path",
+                 "best_order", "best_code", "gens", "parent")
 
     def __init__(self, n, adj):
         self.n = n
         self.adj = adj
+        self.size = n * (n - 1) // 2
         self.first_order = None
-        self.first_cols = None
+        self.first_code = None
         self.first_path: list[int] = []
         self.best_order = None
-        self.best_cols = None
+        self.best_code = None
         self.gens: list[tuple[int, ...]] = []
         self.parent = list(range(n))
 
@@ -126,32 +127,18 @@ class _Search:
             if a != b:
                 self.parent[max(a, b)] = min(a, b)
 
-    def _cols(self, prefix, cols):
-        # cols, the columns of a leading part of prefix, extended to all
-        # of it: a column depends only on the prefix up to it
-        adj = self.adj
-        out = cols[:]
-        for j in range(len(cols), len(prefix)):
-            row = adj[prefix[j]]
-            c = 0
-            for i in range(j):
-                c = c << 1 | (row >> prefix[i] & 1)
-            out.append(c)
-        return out
-
     def run(self):
         if self.n == 0:
             self.best_order = ()
-            self.best_cols = []
+            self.best_code = 0
             return
-        # column 0 is empty whichever vertex comes first
-        self._node([(1 << self.n) - 1], [], None, [0])
+        self._node([(1 << self.n) - 1], [], None, 0, 0)
 
-    def _node(self, cells, path, queue, cols):
+    def _node(self, cells, path, queue, code, done):
         """Process one node; returns the depth the caller should resume at.
 
-        cells are refined from queue (None: every cell); cols are the
-        parent's columns, which this node's extend.
+        cells are refined from queue (None: every cell); code encodes the
+        parent's first done vertices, which lead this node's order too.
         """
         depth = len(path)
         cells = _refine(self.adj, cells, queue)
@@ -160,23 +147,31 @@ class _Search:
             if c & (c - 1):
                 break
             prefix.append(c.bit_length() - 1)
-        cols = self._cols(prefix, cols)
+        adj = self.adj
+        p = len(prefix)
+        for j in range(done, p):
+            # a column as a small int, so the long code shifts once per column
+            row = adj[prefix[j]]
+            col = 0
+            for i in range(j):
+                col = col << 1 | (row >> prefix[i] & 1)
+            code = code << j | col
         # keep a subtree if it can still reach the first leaf's encoding (for
         # automorphism discovery) or can still beat the best leaf's encoding
-        eq_first = (self.first_cols is not None
-                    and cols == self.first_cols[:len(cols)])
-        if self.best_cols is not None:
-            bc = self.best_cols[:len(cols)]
-            if cols < bc and not eq_first:
-                return depth
-            better = cols > bc
+        shift = self.size - p * (p - 1) // 2
+        if self.best_code is None:
+            eq_first = better = False
         else:
-            better = False
-        if len(prefix) == self.n:
+            eq_first = code == self.first_code >> shift
+            bc = self.best_code >> shift
+            if code < bc and not eq_first:
+                return depth
+            better = code > bc
+        if p == self.n:
             order = tuple(prefix)
             if self.first_order is None:
                 self.first_order = self.best_order = order
-                self.first_cols = self.best_cols = cols
+                self.first_code = self.best_code = code
                 self.first_path = list(path)
                 return depth
             if eq_first:
@@ -188,12 +183,11 @@ class _Search:
                 return d
             if better:
                 self.best_order = order
-                self.best_cols = cols
-            elif cols == self.best_cols:
+                self.best_code = code
+            elif code == self.best_code:
                 self._record(self.best_order, order)
             return depth
-        ci = len(prefix)
-        rest = cells[ci]
+        rest = cells[p]
         tried: list[int] = []
         # the same for every child: a first leaf not yet found turns up
         # below the first child, on a path that extends this one
@@ -204,10 +198,10 @@ class _Search:
                 if any(self._find(u) == r for u in tried):
                     continue
             tried.append(v)
-            child = cells[:ci] + [1 << v, rest ^ 1 << v] + cells[ci + 1:]
+            child = cells[:p] + [1 << v, rest ^ 1 << v] + cells[p + 1:]
             path.append(v)
             # only {v} can split the parent's equitable cells (module docstring)
-            jump = self._node(child, path, [1 << v], cols)
+            jump = self._node(child, path, [1 << v], code, p)
             path.pop()
             if jump < depth:
                 return jump
@@ -217,14 +211,15 @@ class _Search:
 def canon_raw(n, adj):
     """Canonicalize a raw (n, adjacency-masks) pair.
 
-    Returns (order, cols, gens, orbit) where order[i] is the vertex placed
-    at canonical position i, cols is the canonical column encoding, gens
-    generate the automorphism group as vertex maps, and orbit[v] is the
-    smallest vertex in v's orbit.
+    Returns (order, code, gens, orbit) where order[i] is the vertex placed
+    at canonical position i, code is the canonical encoding (the graph6
+    bit stream of the relabelled graph as an n(n-1)/2-bit int, first
+    stream bit most significant), gens generate the automorphism group as
+    vertex maps, and orbit[v] is the smallest vertex in v's orbit.
     """
     s = _Search(n, adj)
     s.run()
-    return s.best_order, s.best_cols, s.gens, [s._find(v) for v in range(n)]
+    return s.best_order, s.best_code, s.gens, [s._find(v) for v in range(n)]
 
 
 # ===== public API =====
@@ -232,5 +227,4 @@ def canon_raw(n, adj):
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 code: equal codes exactly for isomorphic graphs."""
-    _, cols, _, _ = canon_raw(g.n, g.adj)
-    return graph6_from_cols(g.n, cols)
+    return graph6_from_stream(g.n, canon_raw(g.n, g.adj)[1])

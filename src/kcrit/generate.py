@@ -26,7 +26,8 @@ ALL_GRAPHS = "all"
 # ===== attachment subsets =====
 
 def _independent_masks(adj, avail: int, room: int) -> list[int]:
-    # independent sets inside avail with at most room vertices
+    # subsets of avail with at most room vertices, independent in adj
+    # (every such subset when adj is all zeros), in depth-first order
     res: list[int] = []
 
     def rec(cur: int, avail: int, room: int) -> None:
@@ -172,11 +173,8 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
         # stage 1 of _canonical_extension wants |S| = the child's minimum
         # degree <= min(deg) + 1; a size cap keeps the family Aut-closed
         room = min(room, min(deg) + 1)
-    if mode == TRIANGLE_FREE:
-        masks = _independent_masks(adj, avail, room)
-    else:
-        masks = [s for s in range(1 << n)
-                 if not s & ~avail and s.bit_count() <= room]
+    masks = _independent_masks(adj if mode == TRIANGLE_FREE else [0] * n,
+                               avail, room)
     if min_degree is not None:
         need = sum(1 << v for v, d in enumerate(deg) if d < min_degree)
         masks = [s for s in masks if s & need == need and s.bit_count() >= min_degree]

@@ -12,6 +12,10 @@ byte, +63, zero padded) and a plain edge-list line format
 ``"n: i j, i j, ..."``.  The two-digit-pair form ``"01 02 ..."`` is
 accepted as input only, for graphs with n <= 10.
 
+The graph6 writer takes the bit stream as one n(n-1)/2-bit int, first
+stream bit most significant: ``to_graph6`` builds it from the rows and
+canonical labeling hands it over as its search holds it.
+
 The graph6 decoder reads a body byte at a time.  Body byte p always
 covers stream bits 6p..6p+5, whatever the order, so one set of entries
 serves every order: entry v of position p is the symmetric adjacency
@@ -259,13 +263,10 @@ def join(g: Graph, h: Graph) -> Graph:
 
 # ===== graph6 codec =====
 
-def graph6_from_cols(n: int, cols) -> str:
-    """graph6 of the order-n graph whose upper triangle is given column
-    by column: cols[j] holds x(0,j) .. x(j-1,j), row 0 most significant
-    (the column encoding ``canon_raw`` returns)."""
-    stream = 0
-    for j in range(1, n):
-        stream = stream << j | cols[j]
+def graph6_from_stream(n: int, stream: int) -> str:
+    """graph6 of the order-n graph whose upper triangle, read column by
+    column (x(0,1) x(0,2) x(1,2) x(0,3) ...), is the n(n-1)/2-bit int
+    stream, first bit most significant (the code ``canon_raw`` returns)."""
     size = n * (n - 1) // 2
     pad = -size % 6
     stream <<= pad
@@ -275,13 +276,11 @@ def graph6_from_cols(n: int, cols) -> str:
 
 def to_graph6(g: Graph) -> str:
     """Encode as graph6 (n <= 62 header form; here always n <= 31)."""
-    cols = []
+    stream = 0
     for j, row in enumerate(g.adj):
-        col = 0
         for i in range(j):
-            col = col << 1 | (row >> i & 1)
-        cols.append(col)
-    return graph6_from_cols(g.n, cols)
+            stream = stream << 1 | (row >> i & 1)
+    return graph6_from_stream(g.n, stream)
 
 
 _G6_BAD_BYTE = re.compile(r"[^?-~]")

@@ -56,6 +56,7 @@ def test_canonical_labeling_realizes_code():
         for i, v in enumerate(order):
             pos[v] = i
         assert relabel(g, pos) == from_graph6(canonical_form(g))
+        assert canonical_form(g) == oracles.graph6_encode(relabel(g, pos))
 
 
 @settings(max_examples=150)

@@ -308,6 +308,12 @@ def test_graph6_single_vertex():
 def test_graph6_matches_reference_encoder():
     for g in oracles.all_labeled_graphs(5):
         assert to_graph6(g) == oracles.graph6_encode(g)
+    # every order up to the cap: every pad length, multi-byte bodies
+    rng = Random(6)
+    for n in range(0, 32):
+        for _ in range(3):
+            g = random_graph(rng, n, rng.random())
+            assert to_graph6(g) == oracles.graph6_encode(g), n
 
 
 @given(graphs(max_n=12))
