@@ -6,10 +6,12 @@ k-vertex-critical such graph G has independence number two and at most
 chi(G) = n - matching(F).  By Gallai's lemma G is then k-vertex-critical
 exactly when every component of F is factor-critical and F has 2k - n
 components.  So the census generates only the prime pieces (connected F
-of odd order) and builds every other graph as a join of pieces.  The
-general one enumerates every graph up to order 9 and filters with the
-exact invariants directly; it cross-checks the fast pipeline and runs
-small censuses for other forbidden patterns, or for none.
+of odd order) and builds every other graph as a join of pieces; each
+rule of that run is decided on the parent's matching structure, per
+attachment set, before the canonicity test.  The general one
+enumerates every graph up to order 9 and filters with the exact
+invariants directly; it cross-checks the fast pipeline and runs small
+censuses for other forbidden patterns, or for none.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 from .canon import canonical_form
 from .critical import is_vertex_critical
 from .generate import TRIANGLE_FREE, Graph, child_graphs
-from .graph import check_int, complement, from_graph6, join, read_graph_file
+from .graph import bits, check_int, complement, from_graph6, join, read_graph_file
 from .invariants import gallai_edmonds_raw, matching_raw
 from .patterns import as_pattern, is_free
 
@@ -68,27 +70,51 @@ def _mapper(workers: int):
 # ===== fast pipeline: prime pieces and their joins =====
 
 def _piece_expand(parent: Graph, last: int):
-    # one augmentation step from parent in a run to the last order N (see
-    # _pieces for the bounds): the children kept for the next step and,
-    # at an odd order, the codes of the complements of the children that
-    # are pieces.  Each child gets one blossom pass; its exposed count
-    # decides the deficiency prune, and at an odd order, with D, the
-    # piece test
-    n = parent.n + 1
-    full = (1 << n) - 1
-    kept, codes = [], []
-    for f in child_graphs(parent, TRIANGLE_FREE, (last - 1) // 2,
-                          min_degree=2 if n == last else None):
-        if n % 2:
-            mates, d = gallai_edmonds_raw(n, f.adj, full)
-            exposed = mates.count(-1)
-            if exposed == 1 and d == full:
-                codes.append(canonical_form(complement(f)))
-        else:
-            exposed = n - 2 * matching_raw(n, f.adj, full)
-        if exposed <= last - 1 - n:
-            kept.append(f)
-    return kept, codes
+    """One augmentation step from parent P in a run to the last order N.
+
+    Returns the children kept for the next step and, at an odd order,
+    the codes of the complements of the children that are pieces.  One
+    predicate on the set S that the new vertex p is joined to decides
+    every rule on P, before any canonicity test:
+
+    - degree cap: a piece of P_j has a j-critical complement, so maximum
+      degree <= j-1; S holds at most (N-1)//2 vertices, none of that
+      degree in P;
+    - deficiency: an order-n ancestor of a piece leaves at most N-1-n
+      vertices exposed; F = P + p leaves e(P) - 1 if S meets D(P) (p
+      matched to such an s grows a maximum matching), e(P) + 1
+      otherwise, so only a parent at e(P) = N-n has sets to drop;
+    - piece test: at an odd order, F is factor-critical iff P has a
+      perfect matching and the D(P - s), s in S, cover P (F - u has one
+      iff p is matched to some s with P - s - u perfectly matchable).
+      At order N it is the predicate's last rule, which implies minimum
+      degree 2, and no child is kept.
+    """
+    p, adj = parent.n, parent.adj
+    n, full, cap = p + 1, (1 << p) - 1, (last - 1) // 2
+    low = sum(1 << v for v, a in enumerate(adj) if a.bit_count() < cap)
+    exposed = p - 2 * matching_raw(p, adj, full)
+    d = gallai_edmonds_raw(p, adj, full)[1] if n < last and exposed == last - n else 0
+    # reach[s]: the u for which P - s - u has a perfect matching; all 0
+    # where no child can be a piece
+    reach = [0] * p
+    if n % 2 and not exposed:
+        reach = [gallai_edmonds_raw(p, adj, full ^ 1 << s)[1] for s in range(p)]
+
+    def is_piece(s: int) -> bool:
+        r = 0
+        for v in bits(s):
+            r |= reach[v]
+        return r == full
+
+    def admit(s: int) -> bool:
+        if s & ~low or s.bit_count() > cap:
+            return False
+        return is_piece(s) if n == last else exposed < last - n or s & d != 0
+
+    kids = child_graphs(parent, TRIANGLE_FREE, admit)
+    codes = [canonical_form(complement(f)) for f in kids if is_piece(f.adj[-1])]
+    return ([] if n == last else kids), codes
 
 
 def _filtered_level(parents: list[Graph], last: int, mapper=map):
@@ -113,22 +139,9 @@ def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
     P_j holds the j-vertex-critical P3+P1-free graphs of order 2j-1,
     i.e. the complements of the factor-critical triangle-free graphs of
     order 2j-1.  P_1 is K1 and P_2 is empty (K2 = K1 v K1).  One
-    canonical-augmentation run to order N = 2*top-1 finds them all, and
-    every bound it keeps follows from N, since each ancestor of a piece
-    is an induced subgraph of it:
-
-    - a factor-critical F on 2j-1 >= 3 vertices has minimum degree >= 2
-      (deleting a leaf's neighbour would strand the leaf), and its
-      complement is j-critical, so of minimum degree >= j-1: F has
-      degrees 2..j-1, which the piece test implies, and the run keeps
-      to maximum degree (N-1)//2;
-    - every F - v of a factor-critical F on N' <= N vertices has a
-      perfect matching, and each further deleted vertex raises the
-      deficiency (vertices a maximum matching leaves exposed) by at most
-      one, so an order-n ancestor of a piece has deficiency <= N-1-n,
-      and the run keeps no other order-n graph;
-    - at order N only pieces are wanted: the children are generated
-      with minimum degree 2 and none is kept.
+    canonical-augmentation run to order N = 2*top-1 finds them all.  Its
+    rules (see _piece_expand) follow from N, and they hold for every
+    ancestor of a piece, an induced subgraph of it.
     """
     last = 2 * top - 1
     pieces = {1: [canonical_form(Graph(1, (0,)))]}

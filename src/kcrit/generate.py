@@ -76,14 +76,9 @@ def _mask_orbit_reps(masks, gens) -> list[int]:
     return reps
 
 
-def _check_args(mode: str, max_degree: int | None = None,
-                min_degree: int | None = None) -> None:
+def _check_args(mode: str) -> None:
     if mode not in (ALL_GRAPHS, TRIANGLE_FREE):
         raise ValueError(f"unknown generation mode {mode!r}")
-    if max_degree is not None:
-        check_int("max_degree", max_degree, 0)
-    if min_degree is not None:
-        check_int("min_degree", min_degree, 0)
 
 
 # ===== the canonical-extension acceptance rule =====
@@ -132,52 +127,39 @@ def _canonical_extension(n, adj, deg, below, s):
     raise AssertionError("unreachable: n attains the minimum")
 
 
-def child_graphs(parent: Graph, mode: str = ALL_GRAPHS,
-                 max_degree: int | None = None,
-                 min_degree: int | None = None) -> list[Graph]:
+def child_graphs(parent: Graph, mode: str = ALL_GRAPHS, admit=None) -> list[Graph]:
     """Accepted one-vertex extensions of parent, one per child class.
 
-    With max_degree, only children of maximum degree <= max_degree are
-    produced.  Since a parent is an induced subgraph of its children, a
-    level-by-level run with the bound yields exactly the classes with
-    maximum degree <= max_degree, in the order of the unbounded run.
-
-    With min_degree, only children of minimum degree >= min_degree are
-    produced: the new vertex gets at least min_degree neighbours, among
-    them every parent vertex of degree min_degree - 1, and a parent with
-    a vertex of lower degree has no such child.  Unlike the maximum
-    degree, the minimum degree is not hereditary (a child of minimum
-    degree 2 may have a parent with a leaf), so this bound can only
-    filter the last step of a run.  Both bounds select attachment sets
-    by degrees, a family closed under Aut(parent), so the children kept
-    are exactly the unbounded step's children that meet the bounds, in
-    the same order.
+    With admit, a predicate on attachment masks (bit v set when the new
+    vertex is joined to parent vertex v), only the children whose mask
+    it accepts are produced.  The masks are filtered before their orbit
+    representatives are taken, so admit must give the same answer on
+    masks that an automorphism of parent maps onto each other; the
+    children kept are then exactly the unfiltered step's children that
+    admit accepts, in the same order.  A rule on degrees is such a
+    predicate, as is any rule read off invariants of parent.
 
     A child that the canonicity test labelled carries the generators of
     its automorphism group as ``_gens``; expanding it then reads them
-    instead of labelling it again.  ValueError on an unknown mode or a
-    degree bound not an int >= 0.
+    instead of labelling it again.  ValueError on an unknown mode or an
+    admit that is not callable.
     """
-    _check_args(mode, max_degree, min_degree)
+    _check_args(mode)
+    if admit is not None and not callable(admit):
+        raise ValueError(f"admit must be callable, got {admit!r}")
     n = parent.n
     adj = parent.adj
     deg = [a.bit_count() for a in adj]
-    if min_degree is not None and any(d < min_degree - 1 for d in deg):
-        return []
     below = [sum(1 << v for v, d in enumerate(deg) if d < e) for e in range(n + 2)]
-    avail, room = (1 << n) - 1, n
-    if max_degree is not None:
-        # attach to at most max_degree vertices, none already at the bound
-        avail, room = below[min(max_degree, n)], min(max_degree, n)
+    room = n
     if n:
         # stage 1 of _canonical_extension wants |S| = the child's minimum
         # degree <= min(deg) + 1; a size cap keeps the family Aut-closed
         room = min(room, min(deg) + 1)
     masks = _independent_masks(adj if mode == TRIANGLE_FREE else [0] * n,
-                               avail, room)
-    if min_degree is not None:
-        need = sum(1 << v for v, d in enumerate(deg) if d < min_degree)
-        masks = [s for s in masks if s & need == need and s.bit_count() >= min_degree]
+                               (1 << n) - 1, room)
+    if admit is not None:
+        masks = [s for s in masks if admit(s)]
     gens = parent._gens
     if gens is None:
         _, _, gens, _ = canon_raw(n, adj)

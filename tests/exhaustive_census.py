@@ -9,18 +9,28 @@ k = 4 the orders past 2k - 1 = 7 must be empty, as claim (ii) says.
 
 At k = 6, order 11, every triangle-free graph F of that order is kept
 when ``is_vertex_critical`` finds its complement 6-critical; this
-assumes independence number two only, none of the piece run's degree
-bound, deficiency prune or leaf step.  The complements must be P_6 and
-the order-11 graphs of the shipped 6-critical list.
+assumes independence number two only, none of the rules of the piece
+run's attachment predicate (degree cap, deficiency prune, piece test).
+The enumeration must see all 105,071 triangle-free classes of order 11
+(OEIS A006785), and the complements kept must be P_6 and the order-11
+graphs of the shipped 6-critical list.
 
-The three checks take about 50 s of wall time with two processes, so
+That enumeration still runs through the census's canonical
+augmentation.  The last check shares only ``canon_raw`` and ``Graph``
+with it: odd ear decompositions from K1 (Lovász 1972) grow every
+triangle-free factor-critical graph to order 11, and their complements
+must be P_1..P_6 as sets.
+
+The four checks take about 60 s of wall time with two processes, so
 the file name keeps them out of the default collection.  Run them with
 
     PYTHONPATH=src python -m pytest -q tests/exhaustive_census.py
 """
 
 import os
+from functools import cache
 
+import oracles
 from kcrit.canon import canonical_form
 from kcrit.census import _pieces, census_copaw_critical, census_general
 from kcrit.critical import is_vertex_critical
@@ -30,6 +40,11 @@ from kcrit.graph import complement, from_graph6, read_graph_list
 from util import data_path
 
 WORKERS = min(2, os.cpu_count() or 1)
+
+
+@cache
+def _p6():
+    return _pieces(6)
 
 
 def _by_order(rows):
@@ -49,12 +64,21 @@ def test_exhaustive_k4_census_is_empty_past_order_7():
 
 
 def test_exhaustive_order_11_equals_p6():
-    found = set()
+    found, classes = set(), 0
     for f in generate_graphs(11, TRIANGLE_FREE):
+        classes += 1
         g = complement(f)
         if is_vertex_critical(g, 6).is_critical:
             found.add(canonical_form(g))
     shipped = {code for _, code in read_graph_list(data_path("critical6.g6"))[1]
                if from_graph6(code).n == 11}
+    assert classes == 105071
     assert len(shipped) == 17828
-    assert found == set(_pieces(6)[6]) == shipped
+    assert found == set(_p6()[6]) == shipped
+
+
+def test_ear_decompositions_give_the_pieces_to_order_11():
+    pieces, ears = _p6(), oracles.ear_pieces(11)
+    assert [len(ears[m]) for m in (1, 3, 5, 7, 9, 11)] == [1, 0, 1, 6, 170, 17828]
+    for j in range(1, 7):
+        assert set(pieces[j]) == {canonical_form(complement(f)) for f in ears[2 * j - 1]}

@@ -630,9 +630,9 @@ def is_proper_coloring(g: Graph, coloring) -> bool:
     return all(colors[i] != colors[j] for i, j in g.edges())
 
 
-def uncapped_child_graphs(parent: Graph, mode: str, max_degree=None, min_degree=None):
+def uncapped_child_graphs(parent: Graph, mode: str, admit=None):
     """``child_graphs`` before it capped the attachment sets at the
-    parent's minimum degree plus one: every set the degree bounds allow
+    parent's minimum degree plus one: every set that admit accepts
     reaches the orbit step and the canonicity test.  (rows, generators)
     of each accepted child, in order."""
     from kcrit.canon import canon_raw
@@ -641,19 +641,94 @@ def uncapped_child_graphs(parent: Graph, mode: str, max_degree=None, min_degree=
 
     n, adj = parent.n, parent.adj
     deg = [a.bit_count() for a in adj]
-    if min_degree is not None and any(d < min_degree - 1 for d in deg):
-        return []
     below = [sum(1 << v for v, d in enumerate(deg) if d < e) for e in range(n + 2)]
-    avail, room = (1 << n) - 1, n
-    if max_degree is not None:
-        avail, room = below[min(max_degree, n)], min(max_degree, n)
     if mode == TRIANGLE_FREE:
-        masks = _independent_masks(adj, avail, room)
+        masks = _independent_masks(adj, (1 << n) - 1, n)
     else:
-        masks = [s for s in range(1 << n) if not s & ~avail and s.bit_count() <= room]
-    if min_degree is not None:
-        need = sum(1 << v for v, d in enumerate(deg) if d < min_degree)
-        masks = [s for s in masks if s & need == need and s.bit_count() >= min_degree]
+        masks = range(1 << n)
+    if admit is not None:
+        masks = [s for s in masks if admit(s)]
     gens = canon_raw(n, adj)[2]
     exts = (_canonical_extension(n, adj, deg, below, s) for s in _mask_orbit_reps(masks, gens))
     return [(tuple(ext[0]), ext[1]) for ext in exts if ext is not None]
+
+
+def per_child_piece_expand(parent: Graph, last: int):
+    """``census._piece_expand`` before its rules moved onto the parent:
+    the children under the degree cap (N-1)//2, of minimum degree 2 at
+    the last order N, each given one blossom pass after the canonicity
+    test; its exposed count decides the deficiency prune and, with D,
+    the piece test.  (children kept, piece codes)."""
+    from kcrit.canon import canonical_form
+    from kcrit.generate import TRIANGLE_FREE, child_graphs
+    from kcrit.graph import complement
+    from kcrit.invariants import gallai_edmonds_raw
+    from util import degree_rule
+
+    n = parent.n + 1
+    full = (1 << n) - 1
+    admit = degree_rule(parent, (last - 1) // 2, 2 if n == last else None)
+    kept, codes = [], []
+    for f in child_graphs(parent, TRIANGLE_FREE, admit):
+        mates, d = gallai_edmonds_raw(n, f.adj, full)
+        exposed = mates.count(-1)
+        if n % 2 and exposed == 1 and d == full:
+            codes.append(canonical_form(complement(f)))
+        if exposed <= last - 1 - n:
+            kept.append(f)
+    return kept, codes
+
+
+def ear_pieces(last: int) -> dict[int, list[Graph]]:
+    """The triangle-free factor-critical graphs of every odd order m <=
+    last, one per isomorphism class, grown by odd ear decompositions.
+
+    A graph is factor-critical iff it has an odd ear decomposition from
+    one vertex (Lovász 1972), and every graph on the way is then a
+    factor-critical subgraph, so triangle-free with the end result.  From
+    K1, each order m in turn is closed under adding one edge that makes
+    no triangle (an ear of length 1), and then every odd open ear of
+    length 2r + 1 >= 3 between u != v and every odd closed ear of length
+    2r + 1 >= 5 at u with m + 2r <= last is added.  Classes are told
+    apart by ``canon_raw`` codes; nothing else of the census is used.
+    The complements of the order-(2j-1) graphs are the pieces P_j.
+    """
+    from kcrit.canon import canon_raw
+
+    found: dict[int, dict[int, Graph]] = {m: {} for m in range(1, last + 1, 2)}
+
+    def add(rows) -> Graph | None:
+        m = len(rows)
+        code = canon_raw(m, rows)[1]
+        if code in found[m]:
+            return None
+        g = found[m][code] = Graph(m, tuple(rows))
+        return g
+
+    def with_path(adj, u: int, v: int, k: int) -> list[int]:
+        # adj plus a path u, m, m+1, ..., m+k-1, v through k new vertices
+        rows = list(adj) + [0] * k
+        path = [u, *range(len(adj), len(adj) + k), v]
+        for a, b in zip(path, path[1:]):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        return rows
+
+    add([0])
+    for m in found:
+        stack = list(found[m].values())
+        while stack:
+            g = stack.pop()
+            for u, v in combinations(range(m), 2):
+                if not g.adj[u] >> v & 1 and not g.adj[u] & g.adj[v]:
+                    h = add(with_path(g.adj, u, v, 0))
+                    if h is not None:
+                        stack.append(h)
+        for g in list(found[m].values()):
+            for r in range(1, (last - m) // 2 + 1):
+                for u, v in combinations(range(m), 2):
+                    add(with_path(g.adj, u, v, 2 * r))
+                if r >= 2:
+                    for u in range(m):
+                        add(with_path(g.adj, u, u, 2 * r))
+    return {m: list(graphs.values()) for m, graphs in found.items()}

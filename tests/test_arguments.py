@@ -36,11 +36,6 @@ CHECKS = [
     ("p2_lp1-l", p2_lp1, "l", 0, None),
     ("Graph-order", lambda x: Graph(x, ()), "order", 0, 31),
     ("from_edge_list-order", lambda x: from_edge_list(x, []), "order", 0, 31),
-    ("max_degree-all", lambda x: child_graphs(C5, ALL_GRAPHS, max_degree=x),
-     "max_degree", 0, None),
-    ("max_degree-tf", lambda x: child_graphs(C5, TRIANGLE_FREE, max_degree=x),
-     "max_degree", 0, None),
-    ("min_degree", lambda x: child_graphs(C5, min_degree=x), "min_degree", 0, None),
     ("is_vertex_critical-k", lambda x: is_vertex_critical(Graph(1, (0,)), x), "k", 1, None),
     ("find_critical_subgraph-k", lambda x: find_critical_subgraph(C5, x), "k", 1, None),
     ("is_k_colorable-k", lambda x: is_k_colorable(C5, x), "k", 0, None),
@@ -83,6 +78,10 @@ OTHER = [
      _CPUS + 1, f"workers must be at most the CPU count {_CPUS}, got {_CPUS + 1}"),
     ("generate_graphs-mode", lambda x: generate_graphs(3, x), "bogus",
      "unknown generation mode 'bogus'"),
+    ("child_graphs-admit-all", lambda x: child_graphs(C5, ALL_GRAPHS, x), 3,
+     "admit must be callable, got 3"),
+    ("child_graphs-admit-tf", lambda x: child_graphs(C5, TRIANGLE_FREE, x), 3,
+     "admit must be callable, got 3"),
     ("is_free-pattern", lambda x: is_free(C5, x), 5, _PATTERN),
     ("census_general-pattern", lambda x: census_general(3, x, 7), 5, _PATTERN),
     ("verify_list-pattern", lambda x: verify_list(MISSING, 3, x), 5, _PATTERN),

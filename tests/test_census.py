@@ -1,6 +1,7 @@
 """Tests for the census pipelines and list verification."""
 
 import os
+from random import Random
 
 import pytest
 
@@ -20,14 +21,14 @@ from kcrit.census import (
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
-from kcrit.generate import TRIANGLE_FREE, child_graphs
+from kcrit.generate import TRIANGLE_FREE, _independent_masks, child_graphs
 from kcrit.graph import (Graph, complement, format_edge_list, from_graph6, join,
                          read_graph_file, read_graph_list, to_graph6)
 from kcrit.invariants import gallai_edmonds_raw, independence_number, matching_raw
 from kcrit.patterns import is_free, named_graph
 
 from lemmas import co_components
-from util import data_path
+from util import data_path, degree_rule, random_triangle_free
 
 
 def _codes(rows):
@@ -164,7 +165,8 @@ def _level_filter_census(k, n_max):
     rows = {}
     level = [Graph(1, (0,))]
     for n in range(2, n_max + 1):
-        level = [c for p in level for c in child_graphs(p, TRIANGLE_FREE, n_max - k)]
+        level = [c for p in level
+                 for c in child_graphs(p, TRIANGLE_FREE, degree_rule(p, n_max - k))]
         if n < k:
             continue
         full = (1 << n) - 1
@@ -194,8 +196,8 @@ def _is_piece(f):
 def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
     # an unpruned run that keeps every child at every order finds the same
     # pieces in the same order, and both prunes drop something: the
-    # deficiency prune some graph at some order, the leaf step (minimum
-    # degree >= 2 at the last order) some child
+    # deficiency prune some graph at some order, the leaf step (only
+    # pieces at the last order) some child, for one of minimum degree < 2
     last = 2 * top - 1
     level, unpruned, drops = [Graph(1, (0,))], {}, 0
     for n in range(2, last + 1):
@@ -204,7 +206,8 @@ def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
         drops += len(kept) < len(level)
         if n == last:       # the perfect-matching prune it generalises
             assert kept == [f for f in level if oracles.has_perfect_matching(f)]
-        level = [c for p in level for c in child_graphs(p, TRIANGLE_FREE, top - 1)]
+        level = [c for p in level
+                 for c in child_graphs(p, TRIANGLE_FREE, degree_rule(p, top - 1))]
         if n % 2:
             unpruned[n] = [canonical_form(complement(f)) for f in level if _is_piece(f)]
     assert drops and 0 < len(kept)
@@ -215,28 +218,98 @@ def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
     assert [len(pieces[j]) for j in range(1, top + 1)] == [1, 0, 1, 6, 170][:top]
 
 
-def test_piece_run_makes_one_blossom_pass_per_child(monkeypatch):
-    # each child of the piece run gets exactly one blossom pass, which
-    # decides both the deficiency prune and the piece test: matching_raw
-    # at even orders (through invariants.gallai_edmonds_raw), and
-    # gallai_edmonds_raw at odd ones
+def _predicted(parent, s):
+    # (e(F), F is a piece) for F = parent + vertex p attached to s, read
+    # off the parent alone: e(F) = e(P) - 1 if s meets D(P), e(P) + 1
+    # otherwise; F is a piece iff P has a perfect matching and the
+    # D(P - v) over v in s cover P
+    p, adj = parent.n, parent.adj
+    full = (1 << p) - 1
+    mates, d = gallai_edmonds_raw(p, adj, full)
+    exposed = mates.count(-1)
+    reach = 0
+    for v in range(p):
+        if s >> v & 1:
+            reach |= gallai_edmonds_raw(p, adj, full ^ 1 << v)[1]
+    return exposed - 1 if s & d else exposed + 1, not exposed and reach == full
+
+
+def _extended(parent, s):
+    p = parent.n
+    rows = [a | (s >> v & 1) << p for v, a in enumerate(parent.adj)]
+    return Graph(p + 1, (*rows, s))
+
+
+def test_parent_decides_the_childs_deficiency_and_piece_verdict():
+    # the lemmas behind the piece run's attachment predicate, on every
+    # independent set of seeded triangle-free parents of orders 1..10,
+    # against a direct blossom pass on each child
+    rng = Random(3101)
+    parents = [random_triangle_free(rng, n, q) for n in range(1, 11)
+               for q in (0.2, 0.35, 0.5) for _ in range(3)]
+    kinds = set()
+    for parent in parents:
+        p = parent.n
+        e_p = p - 2 * oracles.max_matching(parent)
+        full = (1 << p + 1) - 1
+        for s in _independent_masks(parent.adj, (1 << p) - 1, p):
+            mates, d = gallai_edmonds_raw(p + 1, _extended(parent, s).adj, full)
+            exposed = mates.count(-1)
+            piece = exposed == 1 and d == full
+            assert _predicted(parent, s) == (exposed, piece)
+            kinds.add((p % 2, exposed < e_p, piece))
+    # parents of both parities, sets that lower e and sets that raise it,
+    # and pieces, which need an even parent with a perfect matching
+    assert {k[0] for k in kinds} == {k[1] for k in kinds} == {0, 1}
+    assert (0, False, True) in kinds and not any(k[2] for k in kinds if k[0])
+
+
+@pytest.mark.parametrize("top", [3, 4, 5])
+def test_piece_expand_equals_the_per_child_blossom_path(top):
+    # on every parent of the run to order 2*top - 1: the same children,
+    # generators included, and the same piece codes, in the same order,
+    # as the old path that gave each accepted child its own blossom pass
+    last = 2 * top - 1
+    level = [Graph(1, (0,))]
+    while level and level[0].n < last:
+        step = []
+        for parent in level:
+            kids, codes = kcrit.census._piece_expand(parent, last)
+            old_kids, old_codes = oracles.per_child_piece_expand(parent, last)
+            assert codes == old_codes
+            assert [(f.adj, f._gens) for f in kids] == [(f.adj, f._gens) for f in old_kids]
+            step += kids
+        level = step
+
+
+def test_piece_run_counts_its_blossom_passes_exactly(monkeypatch):
+    # each parent of the piece run gets one blossom pass for its exposed
+    # count (matching_raw), one for D when the deficiency prune needs it
+    # (e(P) = N - n below the last order N), and, when its children have
+    # odd order and it has a perfect matching, one per vertex v for
+    # D(P - v); no child gets a pass of its own
     import kcrit.invariants as invariants
-    tally = {"passes": 0, "children": 0}
+    passes, want, parents = [0], [0], [0]
+    real = invariants.gallai_edmonds_raw
 
-    def counting(module, name, key, size):
-        inner = getattr(module, name)
+    def counting(*args):
+        passes[0] += 1
+        return real(*args)
 
-        def wrapper(*args, **kwargs):
-            result = inner(*args, **kwargs)
-            tally[key] += size(result)
-            return result
-        monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(kcrit.census, "gallai_edmonds_raw", counting)
+    monkeypatch.setattr(invariants, "gallai_edmonds_raw", counting)
+    expand = kcrit.census._piece_expand
 
-    counting(kcrit.census, "gallai_edmonds_raw", "passes", lambda r: 1)
-    counting(invariants, "gallai_edmonds_raw", "passes", lambda r: 1)
-    counting(kcrit.census, "child_graphs", "children", len)
+    def spy(parent, last):
+        p, n = parent.n, parent.n + 1
+        exposed = p - 2 * oracles.max_matching(parent)
+        want[0] += 1 + (n < last and exposed == last - n) + (p if n % 2 and not exposed else 0)
+        parents[0] += 1
+        return expand(parent, last)
+
+    monkeypatch.setattr(kcrit.census, "_piece_expand", spy)
     _pieces(5)
-    assert tally["passes"] == tally["children"] > 0          # 717 at top = 5
+    assert passes == want and (parents[0], want[0]) == (295, 1822)
 
 
 def test_pieces_hand_generators_down(monkeypatch):
@@ -263,7 +336,8 @@ def _per_vertex_pieces(top):
     # perfect matching, in discovery order
     pieces, level = {}, [Graph(1, (0,))]
     for n in range(2, 2 * top):
-        level = [c for p in level for c in child_graphs(p, TRIANGLE_FREE, top - 1)]
+        level = [c for p in level
+                 for c in child_graphs(p, TRIANGLE_FREE, degree_rule(p, top - 1))]
         if n % 2:
             full = (1 << n) - 1
             pieces[(n + 1) // 2] = [
@@ -278,6 +352,17 @@ def test_piece_filter_equals_per_vertex_filter(top):
     pieces, oracle = _pieces(top), _per_vertex_pieces(top)
     assert [pieces[j] for j in range(2, top + 1)] == \
         [oracle[j] for j in range(2, top + 1)]
+
+
+def test_ear_decompositions_give_the_pieces():
+    # P_1..P_5 as sets against the complements of the triangle-free
+    # factor-critical graphs that odd ear decompositions grow to order 9,
+    # an oracle that shares only canon_raw and Graph with the piece run
+    pieces, ears = _pieces(5), oracles.ear_pieces(9)
+    for j in range(1, 6):
+        assert len(set(pieces[j])) == len(pieces[j])
+        assert set(pieces[j]) == {canonical_form(complement(f)) for f in ears[2 * j - 1]}
+    assert [len(ears[m]) for m in (1, 3, 5, 7, 9)] == [1, 0, 1, 6, 170]
 
 
 def test_join_cross_check_names_a_missing_join():

@@ -67,6 +67,24 @@ def random_triangle_free(rng, n: int, p: float = 0.4) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def degree_rule(parent: Graph, max_degree=None, min_degree=None):
+    """An ``admit`` predicate for ``child_graphs``: the attachment masks
+    whose child has maximum degree <= max_degree and minimum degree >=
+    min_degree (None: no bound).  Both are read off the parent's degrees,
+    so the family is closed under Aut(parent)."""
+    deg = [a.bit_count() for a in parent.adj]
+    d_max = parent.n if max_degree is None else max_degree
+    d_min = 0 if min_degree is None else min_degree
+    room = sum(1 << v for v, d in enumerate(deg) if d < d_max)  # may gain an edge
+    need = sum(1 << v for v, d in enumerate(deg) if d < d_min)  # must gain one
+    stranded = any(d < d_min - 1 for d in deg)                  # cannot reach d_min
+
+    def admit(s: int) -> bool:
+        return (not stranded and d_min <= s.bit_count() <= d_max
+                and not s & ~room and s & need == need)
+    return admit
+
+
 def random_clique_union(rng, n: int) -> Graph:
     """Disjoint cliques over a random partition of n vertices."""
     labels = [rng.randrange(max(1, n // 2 + 1)) for _ in range(n)]
