@@ -78,8 +78,8 @@ def _piece_expand(parent: Graph, last: int):
     every rule on P, before any canonicity test:
 
     - degree cap: a piece of P_j has a j-critical complement, so maximum
-      degree <= j-1; S holds at most (N-1)//2 vertices, none of that
-      degree in P;
+      degree <= j-1; S holds no vertex of that degree in P (so |S| <=
+      min(deg) + 1 <= (N-1)//2, or S is empty);
     - deficiency: an order-n ancestor of a piece leaves at most N-1-n
       vertices exposed; F = P + p leaves e(P) - 1 if S meets D(P) (p
       matched to such an s grows a maximum matching), e(P) + 1
@@ -108,7 +108,7 @@ def _piece_expand(parent: Graph, last: int):
         return r == full
 
     def admit(s: int) -> bool:
-        if s & ~low or s.bit_count() > cap:
+        if s & ~low:
             return False
         return is_piece(s) if n == last else exposed < last - n or s & d != 0
 

@@ -25,9 +25,9 @@ ALL_GRAPHS = "all"
 
 # ===== attachment subsets =====
 
-def _independent_masks(adj, avail: int, room: int) -> list[int]:
-    # subsets of avail with at most room vertices, independent in adj
-    # (every such subset when adj is all zeros), in depth-first order
+def _independent_masks(adj, room: int) -> list[int]:
+    # sets of at most room vertices, independent in adj (every such set
+    # when adj is all zeros), in depth-first order
     res: list[int] = []
 
     def rec(cur: int, avail: int, room: int) -> None:
@@ -39,7 +39,7 @@ def _independent_masks(adj, avail: int, room: int) -> list[int]:
             avail ^= low
             rec(cur | low, avail & ~adj[low.bit_length() - 1], room - 1)
 
-    rec(0, avail, room)
+    rec(0, (1 << len(adj)) - 1, room)
     return res
 
 
@@ -83,31 +83,27 @@ def _check_args(mode: str) -> None:
 
 # ===== the canonical-extension acceptance rule =====
 
-def _canonical_extension(n, adj, deg, below, s):
+def _canonical_extension(n, adj, deg, eq, s):
     """(adjacency, generators) of parent + vertex n attached to s, or None.
 
     The deletion vertex of a child is the one with the smallest (degree,
     sorted neighbour degrees) invariant that sits at the latest canonical
     position; the child is accepted iff the new vertex n shares its orbit.
-    The test runs from cheap to costly.  deg holds the parent's degrees
-    and below[d] the mask of parent vertices of degree < d.  The
-    generators are those of Aut(child) when stage 4 labelled the child,
-    None when an earlier stage decided.
+    s gives n the child's minimum degree t = |s| (child_graphs keeps no
+    other set).  deg holds the parent's degrees and eq[d] the mask of
+    parent vertices of degree d.  The generators are those of Aut(child)
+    when stage 3 labelled the child, None when an earlier stage decided.
     """
     t = s.bit_count()
-    # 1. n must have the child's minimum degree t: no vertex outside s
-    #    below t, none inside s below t - 1
-    if t and (below[t] & ~s or below[t - 1] & s):
-        return None
-    # 2. compare neighbour-degree lists among the child's degree-t vertices
+    # 1. compare neighbour-degree lists among the child's degree-t vertices
     child = [a | (s >> v & 1) << n for v, a in enumerate(adj)]
     child.append(s)
     cdeg = [d + (s >> v & 1) for v, d in enumerate(deg)]
     cdeg.append(t)
     mine = sorted(cdeg[u] for u in bits(s))
-    peers = (below[t + 1] ^ below[t]) & ~s
+    peers = eq[t] & ~s
     if t:
-        peers |= (below[t] ^ below[t - 1]) & s
+        peers |= eq[t - 1] & s
     ties = 0
     for v in bits(peers):
         theirs = sorted(cdeg[u] for u in bits(child[v]))
@@ -115,10 +111,10 @@ def _canonical_extension(n, adj, deg, below, s):
             return None
         if theirs == mine:
             ties |= 1 << v
-    # 3. n alone attains the minimum invariant: it is the deletion vertex
+    # 2. n alone attains the minimum invariant: it is the deletion vertex
     if not ties:
         return child, None
-    # 4. the latest tied vertex in canonical order must share n's orbit
+    # 3. the latest tied vertex in canonical order must share n's orbit
     order, _, gens, orbit = canon_raw(n + 1, child)
     ties |= 1 << n
     for v in reversed(order):
@@ -139,6 +135,11 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS, admit=None) -> list[Grap
     admit accepts, in the same order.  A rule on degrees is such a
     predicate, as is any rule read off invariants of parent.
 
+    The new vertex must have the child's minimum degree |S|: S holds at
+    most m = min(deg) vertices (0 if parent is empty), or m + 1 holding
+    every vertex of degree m.  Like admit, the rule drops whole orbits
+    before the orbit step; a parent with no set left is not labelled.
+
     A child that the canonicity test labelled carries the generators of
     its automorphism group as ``_gens``; expanding it then reads them
     instead of labelling it again.  ValueError on an unknown mode or an
@@ -150,22 +151,20 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS, admit=None) -> list[Grap
     n = parent.n
     adj = parent.adj
     deg = [a.bit_count() for a in adj]
-    below = [sum(1 << v for v, d in enumerate(deg) if d < e) for e in range(n + 2)]
-    room = n
-    if n:
-        # stage 1 of _canonical_extension wants |S| = the child's minimum
-        # degree <= min(deg) + 1; a size cap keeps the family Aut-closed
-        room = min(room, min(deg) + 1)
-    masks = _independent_masks(adj if mode == TRIANGLE_FREE else [0] * n,
-                               (1 << n) - 1, room)
+    eq = [sum(1 << v for v, d in enumerate(deg) if d == e) for e in range(n + 1)]
+    m = min(deg, default=0)
+    masks = [s for s in _independent_masks(adj if mode == TRIANGLE_FREE else [0] * n, m + 1)
+             if s.bit_count() <= m or s & eq[m] == eq[m]]
     if admit is not None:
         masks = [s for s in masks if admit(s)]
+    if not masks:
+        return []
     gens = parent._gens
     if gens is None:
         _, _, gens, _ = canon_raw(n, adj)
     out = []
     for s in _mask_orbit_reps(masks, gens):
-        ext = _canonical_extension(n, adj, deg, below, s)
+        ext = _canonical_extension(n, adj, deg, eq, s)
         if ext is not None:
             child = Graph._unchecked(n + 1, tuple(ext[0]))
             object.__setattr__(child, "_gens", ext[1])

@@ -631,10 +631,12 @@ def is_proper_coloring(g: Graph, coloring) -> bool:
 
 
 def uncapped_child_graphs(parent: Graph, mode: str, admit=None):
-    """``child_graphs`` before it capped the attachment sets at the
-    parent's minimum degree plus one: every set that admit accepts
-    reaches the orbit step and the canonicity test.  (rows, generators)
-    of each accepted child, in order."""
+    """``child_graphs`` before it applied the new vertex's degree rule to
+    the attachment sets: every set that admit accepts reaches the orbit
+    step, and each orbit representative s is then dropped unless the
+    child's minimum degree is |s| (no vertex outside s of degree below
+    |s|, none inside s below |s| - 1).  (rows, generators) of each
+    accepted child, in order."""
     from kcrit.canon import canon_raw
     from kcrit.generate import (TRIANGLE_FREE, _canonical_extension, _independent_masks,
                                 _mask_orbit_reps)
@@ -642,15 +644,23 @@ def uncapped_child_graphs(parent: Graph, mode: str, admit=None):
     n, adj = parent.n, parent.adj
     deg = [a.bit_count() for a in adj]
     below = [sum(1 << v for v, d in enumerate(deg) if d < e) for e in range(n + 2)]
+    eq = [below[d + 1] ^ below[d] for d in range(n + 1)]
     if mode == TRIANGLE_FREE:
-        masks = _independent_masks(adj, (1 << n) - 1, n)
+        masks = _independent_masks(adj, n)
     else:
         masks = range(1 << n)
     if admit is not None:
         masks = [s for s in masks if admit(s)]
     gens = canon_raw(n, adj)[2]
-    exts = (_canonical_extension(n, adj, deg, below, s) for s in _mask_orbit_reps(masks, gens))
-    return [(tuple(ext[0]), ext[1]) for ext in exts if ext is not None]
+    out = []
+    for s in _mask_orbit_reps(masks, gens):
+        t = s.bit_count()
+        if t and (below[t] & ~s or below[t - 1] & s):
+            continue
+        ext = _canonical_extension(n, adj, deg, eq, s)
+        if ext is not None:
+            out.append((tuple(ext[0]), ext[1]))
+    return out
 
 
 def per_child_piece_expand(parent: Graph, last: int):

@@ -252,7 +252,7 @@ def test_parent_decides_the_childs_deficiency_and_piece_verdict():
         p = parent.n
         e_p = p - 2 * oracles.max_matching(parent)
         full = (1 << p + 1) - 1
-        for s in _independent_masks(parent.adj, (1 << p) - 1, p):
+        for s in _independent_masks(parent.adj, p):
             mates, d = gallai_edmonds_raw(p + 1, _extended(parent, s).adj, full)
             exposed = mates.count(-1)
             piece = exposed == 1 and d == full
@@ -287,10 +287,27 @@ def test_piece_run_counts_its_blossom_passes_exactly(monkeypatch):
     # count (matching_raw), one for D when the deficiency prune needs it
     # (e(P) = N - n below the last order N), and, when its children have
     # odd order and it has a perfect matching, one per vertex v for
-    # D(P - v); no child gets a pass of its own
+    # D(P - v); no child gets a pass of its own.  The same run offers
+    # 1,556 attachment sets to the orbit step and 841 representatives
+    # to the canonicity test (2,566 and 1,327 when the new vertex's
+    # degree rule was checked on each representative)
+    import kcrit.generate as generate
     import kcrit.invariants as invariants
     passes, want, parents = [0], [0], [0]
     real = invariants.gallai_edmonds_raw
+    offered, tested = [0], [0]
+    reps, test = generate._mask_orbit_reps, generate._canonical_extension
+
+    def reps_spy(masks, gens):
+        offered[0] += len(masks)
+        return reps(masks, gens)
+
+    def test_spy(*args):
+        tested[0] += 1
+        return test(*args)
+
+    monkeypatch.setattr(generate, "_mask_orbit_reps", reps_spy)
+    monkeypatch.setattr(generate, "_canonical_extension", test_spy)
 
     def counting(*args):
         passes[0] += 1
@@ -310,10 +327,11 @@ def test_piece_run_counts_its_blossom_passes_exactly(monkeypatch):
     monkeypatch.setattr(kcrit.census, "_piece_expand", spy)
     _pieces(5)
     assert passes == want and (parents[0], want[0]) == (295, 1822)
+    assert (offered[0], tested[0]) == (1556, 841)
 
 
 def test_pieces_hand_generators_down(monkeypatch):
-    # a parent that stage 4 labelled when it was accepted comes with its
+    # a parent that stage 3 labelled when it was accepted comes with its
     # own generators, so the next step does not label it again
     import kcrit.census as census
     seen, expand = [], census.child_graphs

@@ -28,16 +28,16 @@ def _oracle_class_count(n, keep=lambda g: True):
 
 def test_independent_set_masks_examples():
     c5 = named_graph("C5")
-    masks = _independent_masks(c5.adj, 0b11111, 5)
+    masks = _independent_masks(c5.adj, 5)
     assert len(masks) == len(set(masks)) == 11  # 1 empty + 5 singles + 5 pairs
     assert 0 in masks
     k3 = named_graph("K3")
-    assert sorted(_independent_masks(k3.adj, 0b111, 3)) == [0, 1, 2, 4]
+    assert sorted(_independent_masks(k3.adj, 3)) == [0, 1, 2, 4]
 
 
 def test_independent_set_masks_are_independent():
     g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    for s in _independent_masks(g.adj, 0b11111, 5):
+    for s in _independent_masks(g.adj, 5):
         sub = [v for v in range(5) if s >> v & 1]
         assert not any(g.adj[a] >> b & 1 for a in sub for b in sub if a < b)
 
@@ -147,7 +147,7 @@ def test_min_degree_equals_post_filter(mode, top, max_degree, monkeypatch):
                            for masks in offered for s in masks)
 
 
-# ===== attachment sets capped at the parent's minimum degree plus one =====
+# ===== attachment sets that give the new vertex the minimum degree =====
 
 def _seeded_parents(mode, seed):
     # random parents of order 1..9, sparse to dense
@@ -157,9 +157,9 @@ def _seeded_parents(mode, seed):
 
 
 @pytest.mark.parametrize("mode", [TRIANGLE_FREE, ALL_GRAPHS])
-def test_orbit_step_sees_no_set_above_min_degree_plus_one(mode, monkeypatch):
-    # the new vertex must have the child's minimum degree, at most
-    # min(deg) + 1, so no larger set reaches the orbit representatives
+def test_orbit_step_sees_only_sets_that_give_the_minimum_degree(mode, monkeypatch):
+    # the new vertex must have the child's minimum degree |S|, at most
+    # min(deg) + 1, so no other set reaches the orbit representatives
     import kcrit.generate as generate
     offered, reps = [], generate._mask_orbit_reps
 
@@ -173,6 +173,8 @@ def test_orbit_step_sees_no_set_above_min_degree_plus_one(mode, monkeypatch):
         offered.clear()
         child_graphs(p, mode)
         assert offered and max(s.bit_count() for s in offered) <= _min_degree(p) + 1
+        assert all(a.bit_count() + (s >> v & 1) >= s.bit_count()
+                   for s in offered for v, a in enumerate(p.adj))
 
 
 @pytest.mark.parametrize("mode", [TRIANGLE_FREE, ALL_GRAPHS])
