@@ -27,7 +27,7 @@ from .canon import canonical_form
 from .critical import is_vertex_critical
 from .generate import TRIANGLE_FREE, Graph, child_graphs
 from .graph import bits, check_int, complement, from_graph6, join, read_graph_file
-from .invariants import gallai_edmonds_raw, matching_raw
+from .invariants import alternating_forest, gallai_edmonds_raw, matching_raw
 from .patterns import as_pattern, is_free
 
 
@@ -85,21 +85,22 @@ def _piece_expand(parent: Graph, last: int):
       matched to such an s grows a maximum matching), e(P) + 1
       otherwise, so only a parent at e(P) = N-n has sets to drop;
     - piece test: at an odd order, F is factor-critical iff P has a
-      perfect matching and the D(P - s), s in S, cover P (F - u has one
-      iff p is matched to some s with P - s - u perfectly matchable).
-      At order N it is the predicate's last rule, which implies minimum
-      degree 2, and no child is kept.
+      perfect matching M and the D(P - s), s in S, cover P (F - u has
+      one iff p is matched to some s with P - s - u perfectly
+      matchable); D(P - s) is the even set of a search from M(s) under
+      M less the edge at s.  At order N it is the last rule (it implies
+      minimum degree 2), and no child is kept.
     """
     p, adj = parent.n, parent.adj
     n, full, cap = p + 1, (1 << p) - 1, (last - 1) // 2
     low = sum(1 << v for v, a in enumerate(adj) if a.bit_count() < cap)
     exposed = p - 2 * matching_raw(p, adj, full)
-    d = gallai_edmonds_raw(p, adj, full)[1] if n < last and exposed == last - n else 0
-    # reach[s]: the u for which P - s - u has a perfect matching; all 0
-    # where no child can be a piece
+    mates, d = gallai_edmonds_raw(p, adj, full) if exposed in (0, last - n) else ([], 0)
+    # reach[s]: the u for which P - s - u has a perfect matching, for the
+    # s in low (admit reads no other); all 0 where no child can be a piece
     reach = [0] * p
-    if n % 2 and not exposed:
-        reach = [gallai_edmonds_raw(p, adj, full ^ 1 << s)[1] for s in range(p)]
+    for s in bits(low if n % 2 and not exposed else 0):
+        reach[s] = alternating_forest(p, adj, full ^ 1 << s, mates, mates[s])
 
     def is_piece(s: int) -> bool:
         r = 0

@@ -151,8 +151,8 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS, admit=None) -> list[Grap
     n = parent.n
     adj = parent.adj
     deg = [a.bit_count() for a in adj]
-    eq = [sum(1 << v for v, d in enumerate(deg) if d == e) for e in range(n + 1)]
     m = min(deg, default=0)
+    eq = [sum(1 << v for v, d in enumerate(deg) if d == e) for e in range(m + 2)]
     masks = [s for s in _independent_masks(adj if mode == TRIANGLE_FREE else [0] * n, m + 1)
              if s.bit_count() <= m or s & eq[m] == eq[m]]
     if admit is not None:

@@ -3,10 +3,10 @@
 All routines are exact.  Sizes are capped at 31 vertices by the Graph type,
 so branch and bound with bitmask state is always sufficient; the only
 polynomial algorithm that matters for throughput is the blossom matching,
-which the census and the criticality test call once per graph.  The
-same pass gives the Gallai-Edmonds set D (the vertices some maximum
-matching leaves exposed): it is the union of the even vertices of the
-searches that fail, and it decides every vertex deletion at once.
+run once per graph by the criticality test, once per parent by the piece
+census.  One pass gives the Gallai-Edmonds set D (the vertices some
+maximum matching leaves exposed), the union of the failed searches' even
+sets, and so decides every vertex deletion at once.
 
 ``chi_with_d`` is the one chromatic-number kernel.  When alpha(G) <= 2,
 i.e. when the complement is triangle-free, color classes have at most
@@ -58,12 +58,12 @@ def clique_number(g: Graph) -> int:
 
 def _lca(match, p, base, a: int, b: int) -> int:
     # base of the lowest common even ancestor of even vertices a and b
-    # of one alternating tree
+    # of one alternating tree; its root is exposed or matched outside it
     seen = 0
     while True:
         a = base[a]
         seen |= 1 << a
-        if match[a] == -1:
+        if match[a] == -1 or p[match[a]] == -1:
             break
         a = p[match[a]]
     while True:
@@ -84,14 +84,13 @@ def _mark_path(match, p, base, v: int, b: int, child: int, in_blossom: list) -> 
         v = p[match[v]]
 
 
-def _alternating_forest(n: int, adj, active: int, verts: list, match: list,
-                        root: int) -> int | None:
-    """Grow an alternating tree from the exposed ``root``.
-
-    Blossoms are contracted through base pointers.  Reaching another
-    exposed vertex closes an augmenting path: ``match`` is augmented
-    along it and None returned.  Otherwise the result is the mask of the
-    even (outer) vertices, blossom members included.
+def alternating_forest(n: int, adj, active: int, match: list, root: int) -> int | None:
+    """Grow an alternating tree from ``root``, contracting blossoms through
+    base pointers.  The root is exposed, or matched to a vertex outside
+    ``active`` with ``match`` maximum on ``active``, so no path augments.
+    Reaching another exposed vertex closes an augmenting path: ``match``
+    is augmented along it and None returned.  Otherwise the result is the
+    mask of the even (outer) vertices, blossom members included.
     """
     p = [-1] * n
     base = list(range(n))
@@ -110,7 +109,7 @@ def _alternating_forest(n: int, adj, active: int, verts: list, match: list,
                 in_blossom = [False] * n
                 _mark_path(match, p, base, v, cur, to, in_blossom)
                 _mark_path(match, p, base, to, cur, v, in_blossom)
-                for u in verts:
+                for u in range(n):
                     if in_blossom[base[u]]:
                         base[u] = cur
                         if not even >> u & 1:
@@ -157,7 +156,7 @@ def gallai_edmonds_raw(n: int, adj, active: int) -> tuple[list[int], int]:
             match[u] = v
             free ^= 1 << v | 1 << u
             continue
-        even = _alternating_forest(n, adj, active, verts, match, v)
+        even = alternating_forest(n, adj, active, match, v)
         if even is None:
             free = sum(1 << u for u in bits(free) if match[u] == -1)
         else:

@@ -16,12 +16,17 @@ The enumeration must see all 105,071 triangle-free classes of order 11
 graphs of the shipped 6-critical list.
 
 That enumeration still runs through the census's canonical
-augmentation.  The last check shares only ``canon_raw`` and ``Graph``
+augmentation.  The fourth check shares only ``canon_raw`` and ``Graph``
 with it: odd ear decompositions from K1 (Lovász 1972) grow every
 triangle-free factor-critical graph to order 11, and their complements
 must be P_1..P_6 as sets.
 
-The four checks take about 60 s of wall time with two processes, so
+The fifth check covers the piece test of the k = 6 piece run's last
+step: on each of its order-10 parents, the search that reads D(P - s)
+off the parent's perfect matching must equal a fresh blossom pass on
+P - s.
+
+The five checks take about 60 s of wall time with two processes, so
 the file name keeps them out of the default collection.  Run them with
 
     PYTHONPATH=src python -m pytest -q tests/exhaustive_census.py
@@ -32,10 +37,11 @@ from functools import cache
 
 import oracles
 from kcrit.canon import canonical_form
-from kcrit.census import _pieces, census_copaw_critical, census_general
+from kcrit.census import _filtered_level, _pieces, census_copaw_critical, census_general
 from kcrit.critical import is_vertex_critical
 from kcrit.generate import TRIANGLE_FREE, generate_graphs
-from kcrit.graph import complement, from_graph6, read_graph_list
+from kcrit.graph import Graph, bits, complement, from_graph6, read_graph_list
+from kcrit.invariants import alternating_forest, gallai_edmonds_raw
 
 from util import data_path
 
@@ -82,3 +88,27 @@ def test_ear_decompositions_give_the_pieces_to_order_11():
     assert [len(ears[m]) for m in (1, 3, 5, 7, 9, 11)] == [1, 0, 1, 6, 170, 17828]
     for j in range(1, 7):
         assert set(pieces[j]) == {canonical_form(complement(f)) for f in ears[2 * j - 1]}
+
+
+def test_search_from_a_mate_equals_a_fresh_pass_at_order_11():
+    # the piece test of the k = 6 run's last step: on every order-10
+    # parent with a perfect matching M, for every s under the degree
+    # cap, the search from M(s) in P - s gives D(P - s) as a fresh
+    # blossom pass on P - s does
+    level = [Graph(1, (0,))]
+    for _ in range(2, 11):
+        level = _filtered_level(level, 11)[0]
+    parents = searches = 0
+    for parent in level:
+        p, adj = parent.n, parent.adj
+        full = (1 << p) - 1
+        mates = gallai_edmonds_raw(p, adj, full)[0]
+        if -1 in mates:
+            continue
+        parents += 1
+        for s in bits(sum(1 << v for v, a in enumerate(adj) if a.bit_count() < 5)):
+            searches += 1
+            assert alternating_forest(p, adj, full ^ 1 << s, mates, mates[s]) == \
+                gallai_edmonds_raw(p, adj, full ^ 1 << s)[1], (parent, s)
+    # the deficiency prune leaves only perfectly matchable parents here
+    assert (len(level), parents, searches) == (6211, 6211, 59674)

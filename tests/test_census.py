@@ -284,17 +284,19 @@ def test_piece_expand_equals_the_per_child_blossom_path(top):
 
 def test_piece_run_counts_its_blossom_passes_exactly(monkeypatch):
     # each parent of the piece run gets one blossom pass for its exposed
-    # count (matching_raw), one for D when the deficiency prune needs it
-    # (e(P) = N - n below the last order N), and, when its children have
-    # odd order and it has a perfect matching, one per vertex v for
-    # D(P - v); no child gets a pass of its own.  The same run offers
-    # 1,556 attachment sets to the orbit step and 841 representatives
-    # to the canonicity test (2,566 and 1,327 when the new vertex's
-    # degree rule was checked on each representative)
+    # count (matching_raw), and one for D(P) and a maximum matching M when
+    # e(P) is 0 or N - n (N the last order); when its children have odd
+    # order and e(P) = 0, one alternating search from M(v) in P - v for
+    # D(P - v), per vertex v under the degree cap.  No child gets a pass
+    # of its own: 573 passes and 1,288 searches, where a fresh pass on
+    # every P - v made 1,822 passes.  The same run offers 1,556
+    # attachment sets to the orbit step and 841 representatives to the
+    # canonicity test (2,566 and 1,327 when the new vertex's degree rule
+    # was checked on each representative)
     import kcrit.generate as generate
     import kcrit.invariants as invariants
-    passes, want, parents = [0], [0], [0]
-    real = invariants.gallai_edmonds_raw
+    passes, searches, want, parents = [0], [0], [0, 0], [0]
+    real, search = invariants.gallai_edmonds_raw, kcrit.census.alternating_forest
     offered, tested = [0], [0]
     reps, test = generate._mask_orbit_reps, generate._canonical_extension
 
@@ -313,20 +315,28 @@ def test_piece_run_counts_its_blossom_passes_exactly(monkeypatch):
         passes[0] += 1
         return real(*args)
 
+    def searching(*args):
+        searches[0] += 1
+        return search(*args)
+
     monkeypatch.setattr(kcrit.census, "gallai_edmonds_raw", counting)
     monkeypatch.setattr(invariants, "gallai_edmonds_raw", counting)
+    monkeypatch.setattr(kcrit.census, "alternating_forest", searching)
     expand = kcrit.census._piece_expand
 
     def spy(parent, last):
         p, n = parent.n, parent.n + 1
         exposed = p - 2 * oracles.max_matching(parent)
-        want[0] += 1 + (n < last and exposed == last - n) + (p if n % 2 and not exposed else 0)
+        low = sum(a.bit_count() < (last - 1) // 2 for a in parent.adj)
+        want[0] += 1 + (exposed in (0, last - n))
+        want[1] += low if n % 2 and not exposed else 0
         parents[0] += 1
         return expand(parent, last)
 
     monkeypatch.setattr(kcrit.census, "_piece_expand", spy)
     _pieces(5)
-    assert passes == want and (parents[0], want[0]) == (295, 1822)
+    assert [passes[0], searches[0]] == want
+    assert (parents[0], *want) == (295, 573, 1288)
     assert (offered[0], tested[0]) == (1556, 841)
 
 

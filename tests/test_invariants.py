@@ -11,8 +11,8 @@ from kcrit.critical import is_vertex_critical
 from kcrit.generate import generate_graphs
 from kcrit.graph import (Graph, bits, complement, delete_vertex, from_edge_list,
                          from_graph6, read_graph_file, relabel)
-from kcrit.invariants import (Coloring, _bb_coloring, chromatic_number, clique_number,
-                              gallai_edmonds_raw, independence_number,
+from kcrit.invariants import (Coloring, _bb_coloring, alternating_forest, chromatic_number,
+                              clique_number, gallai_edmonds_raw, independence_number,
                               is_k_colorable, is_proper_coloring, matching_raw,
                               triangle_free_raw)
 from lemmas import coloring_with_min_class_size
@@ -210,7 +210,7 @@ def test_one_pass_equals_the_two_pass_oracle():
 def _count_forests(monkeypatch):
     # counts every alternating-forest search and the failed ones, which
     # return the even vertices instead of None
-    real = kcrit.invariants._alternating_forest
+    real = kcrit.invariants.alternating_forest
     calls = {"all": 0, "failed": 0}
 
     def counted(*args):
@@ -219,7 +219,7 @@ def _count_forests(monkeypatch):
         calls["failed"] += even is not None
         return even
 
-    monkeypatch.setattr(kcrit.invariants, "_alternating_forest", counted)
+    monkeypatch.setattr(kcrit.invariants, "alternating_forest", counted)
     return calls
 
 
@@ -256,6 +256,55 @@ def test_perfect_pairs_grow_no_forest(monkeypatch):
         mates, d = gallai_edmonds_raw(n, g.adj, (1 << n) - 1)
         assert mates == [v ^ 1 for v in range(n)] and d == 0
     assert calls["all"] == 0
+
+
+def _perfectly_matchable_inputs():
+    # seeded graphs, most with a perfect matching: the complements of
+    # critical6 members less one vertex (a piece-run parent is such a
+    # graph), random graphs of orders 2..14, and odd cycles laid over a
+    # perfect matching, so that blossoms form around the search's root
+    rng = random.Random(71)
+    for g in _critical6_sample(73, 80):
+        for v in range(g.n):
+            yield delete_vertex(complement(g), v)
+    for _ in range(1500):
+        n = rng.randint(2, 14)
+        yield random_graph(rng, n, p=rng.choice([0.15, 0.3, 0.5, 0.8]))
+    for _ in range(600):
+        n = rng.randrange(4, 15, 2)
+        edges = {(v, v + 1) for v in range(0, n, 2)}
+        for _ in range(rng.randint(1, 3)):
+            c = rng.sample(range(n), rng.choice([c for c in (3, 5, 7) if c <= n]))
+            edges |= {tuple(sorted(e)) for e in zip(c, c[1:] + c[:1])}
+        yield relabel(from_edge_list(n, sorted(edges)), rng.sample(range(n), n))
+
+
+def test_search_from_a_mate_equals_a_fresh_pass(monkeypatch):
+    # with a perfect matching M of G, M less the edge at s is maximum on
+    # G - s and leaves M(s) alone exposed: one search from M(s) gives
+    # D(G - s) without augmenting, and leaves M as it was
+    paths, graphs, grown = [0], 0, 0
+    mark = kcrit.invariants._mark_path
+
+    def counted(*args):
+        paths[0] += 1
+        return mark(*args)
+
+    monkeypatch.setattr(kcrit.invariants, "_mark_path", counted)
+    for g in _perfectly_matchable_inputs():
+        full = (1 << g.n) - 1
+        mates = gallai_edmonds_raw(g.n, g.adj, full)[0]
+        if -1 in mates:
+            continue
+        graphs += 1
+        before = list(mates)
+        for s in range(g.n):
+            marked = paths[0]
+            d = alternating_forest(g.n, g.adj, full ^ 1 << s, mates, mates[s])
+            grown += paths[0] > marked
+            assert d == gallai_edmonds_raw(g.n, g.adj, full ^ 1 << s)[1], (g, s)
+            assert mates == before, (g, s)
+    assert graphs > 1500 and grown > 5000
 
 
 def test_triangle_free_raw():
