@@ -8,9 +8,10 @@ exactly when every component of F is factor-critical and F has 2k - n
 components.  So the census generates only the prime pieces (connected F
 of odd order) and builds every other graph as a join of pieces; each
 rule of that run is decided on the parent's matching structure, per
-attachment set, before the canonicity test.  The general one
-enumerates every graph up to order 9 and filters with the exact
-invariants directly; it cross-checks the fast pipeline and runs small
+attachment set, before the canonicity test.  The general one grows
+complements up to order 9 through the same level step, under the degree
+bound every k-critical graph obeys and the pattern alone, and tests
+criticality directly; it cross-checks the fast pipeline and runs small
 censuses for other forbidden patterns, or for none.
 """
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from .canon import canonical_form
 from .critical import is_vertex_critical
-from .generate import TRIANGLE_FREE, Graph, child_graphs
+from .generate import ALL_GRAPHS, TRIANGLE_FREE, Graph, child_graphs
 from .graph import bits, check_int, complement, from_graph6, join, read_graph_file
 from .invariants import alternating_forest, gallai_edmonds_raw, matching_raw
 from .patterns import as_pattern, is_free
@@ -118,17 +119,17 @@ def _piece_expand(parent: Graph, last: int):
     return ([] if n == last else kids), codes
 
 
-def _filtered_level(parents: list[Graph], last: int, mapper=map):
-    """Expand one order of a piece run to order last: (children, piece codes).
+def _filtered_level(parents: list[Graph], expand, mapper=map):
+    """Expand one order of a run: (children, codes found).
 
-    The children carry the automorphism generators their acceptance
-    found, so the next order need not label them again.  At the last
-    order no children are kept.  Everything comes in parent order
-    whatever the mapper.
+    expand maps a parent to (children kept, codes), as ``_piece_expand``
+    and ``_general_expand`` do.  The children carry the automorphism
+    generators their acceptance found, so the next order need not label
+    them again.  Everything comes in parent order whatever the mapper.
     """
     children: list[Graph] = []
     codes: list[str] = []
-    for kids, found in mapper(partial(_piece_expand, last=last), parents):
+    for kids, found in mapper(expand, parents):
         children.extend(kids)
         codes.extend(found)
     return children, codes
@@ -145,10 +146,11 @@ def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
     ancestor of a piece, an induced subgraph of it.
     """
     last = 2 * top - 1
+    expand = partial(_piece_expand, last=last)
     pieces = {1: [canonical_form(Graph(1, (0,)))]}
     level = [Graph(1, (0,))]
     for n in range(2, last + 1):
-        level, codes = _filtered_level(level, last, mapper)
+        level, codes = _filtered_level(level, expand, mapper)
         if n % 2:
             pieces[(n + 1) // 2] = codes
     return pieces
@@ -229,40 +231,52 @@ def census_copaw_critical(k: int, n_max: int | None = None,
     return rows
 
 
-# ===== general pipeline: all graphs of bounded order =====
+# ===== general pipeline: bounded order, any pattern =====
+
+def _general_expand(parent: Graph, k: int, last: int, pattern: Graph | None):
+    """One step of a general run to order last, over complements F.
+
+    A k-critical G of order <= last has minimum degree >= k-1, so F and
+    every induced subgraph of it have maximum degree <= cap = last - k;
+    and no descendant of a child whose complement holds the pattern is
+    free.  (children kept, none at order last; codes of the complements
+    of order >= k that are k-vertex-critical)
+    """
+    n, cap = parent.n + 1, last - k
+    heavy = sum(1 << v for v, a in enumerate(parent.adj) if a.bit_count() >= cap)
+    kids, codes = [], []
+    for f in child_graphs(parent, ALL_GRAPHS,
+                          lambda s: not s & heavy and s.bit_count() <= cap):
+        g = complement(f)
+        if pattern is None or is_free(g, pattern):
+            kids.append(f)
+            if n >= k and is_vertex_critical(g, k).is_critical:
+                codes.append(canonical_form(g))
+    return ([] if n == last else kids), codes
+
 
 def census_general(k: int, pattern: str | Graph | None, n_max: int,
                    workers: int = 1) -> list[CensusRow]:
     """Census of k-vertex-critical pattern-free graphs of order <= n_max.
 
-    pattern is a name, a Graph or None (no freeness filter).  Every graph
-    class of order k..n_max is tested, so n_max is capped at 9 (order 10
-    alone has about 1.2e7 classes).  ``workers`` (1 to the CPU count) is
-    the number of processes.
+    pattern is a name, a Graph or None (no freeness filter).  One run
+    grows the complements from the empty graph (see ``_general_expand``).
+    n_max is capped at 9, as the cap and a loose pattern prune little of
+    the 1.2e7 classes of order 10: (5, "co-K4", 10) takes 200 s of CPU,
+    (3, None, 10) far longer.  ``workers`` (1 to the CPU count) is the
+    number of processes.
     """
     check_int("k", k, 1, 9)
     check_int("n_max", n_max, k, 9)
     pattern = None if pattern is None else as_pattern(pattern)
-    survives = partial(_general_survivor, k=k, pattern=pattern)
-    rows = []
-    level = [Graph(1, (0,))]
+    expand = partial(_general_expand, k=k, last=n_max, pattern=pattern)
+    rows, level = [], [Graph(0, ())]
     with _mapper(workers) as mapper:
         for n in range(1, n_max + 1):
-            if n > 1:
-                level = [c for kids in mapper(child_graphs, level) for c in kids]
-            if n < k:
-                continue
-            rows.append(CensusRow(n, tuple(
-                canonical_form(g) for g, ok in zip(level, mapper(survives, level)) if ok)))
+            level, codes = _filtered_level(level, expand, mapper)
+            if n >= k:
+                rows.append(CensusRow(n, tuple(codes)))
     return rows
-
-
-def _general_survivor(g: Graph, k: int, pattern: Graph | None) -> bool:
-    if min(a.bit_count() for a in g.adj) < k - 1:
-        return False
-    if pattern is not None and not is_free(g, pattern):
-        return False
-    return is_vertex_critical(g, k).is_critical
 
 
 # ===== verifying shipped or user-supplied lists =====

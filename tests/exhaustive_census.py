@@ -1,51 +1,66 @@
-"""The piece census reproduced by exhaustion, with no structural assumption.
+"""The censuses reproduced by exhaustion, with no structural assumption.
 
-``census_general`` tests every graph class up to order 9 for
-P3+P1-freeness and criticality directly, so it assumes neither
-independence number two, nor the 2k - 1 order bound, nor the join
-structure that ``census_copaw_critical`` is built on.  At k = 5 it must
-find the same graphs order by order (the paper's appendix list); at
-k = 4 the orders past 2k - 1 = 7 must be empty, as claim (ii) says.
+``census_general`` grows the complements of every graph that could be
+k-vertex-critical up to its order, pruned only by the elementary degree
+bound (minimum degree >= k - 1, so the complement's maximum degree is
+at most order - k) and by the pattern, and tests criticality directly.
+It assumes neither independence number two, nor the 2k - 1 order bound,
+nor any rule of the piece run.  Against the pipeline it replaced (every
+class of order <= 8 filtered directly) it must find the same classes
+at k = 3 and 5 for no pattern and each pattern of order four, and keep
+exactly the capped pattern-free classes at every order.  Driven past
+its public cap of 9 through the same level step, with P3+P1 forbidden:
+k = 4 and 5 to order 11 must be empty past 2k - 1, as claim (ii) says,
+and k = 6 to order 11 must be the shipped 6-critical list at every
+order.  The order-12 check at k = 6 (1,235,922 complements tested,
+none 6-critical) takes about 90 s of wall time with two processes and
+is marked slow.
 
 At k = 6, order 11, every triangle-free graph F of that order is kept
 when ``is_vertex_critical`` finds its complement 6-critical; this
-assumes independence number two only, none of the rules of the piece
-run's attachment predicate (degree cap, deficiency prune, piece test).
-The enumeration must see all 105,071 triangle-free classes of order 11
-(OEIS A006785), and the complements kept must be P_6 and the order-11
-graphs of the shipped 6-critical list.
+assumes independence number two only.  The enumeration must see all
+105,071 triangle-free classes of order 11 (OEIS A006785), and the
+complements kept must be P_6 and the order-11 graphs of the shipped
+6-critical list.
 
-That enumeration still runs through the census's canonical
-augmentation.  The fourth check shares only ``canon_raw`` and ``Graph``
-with it: odd ear decompositions from K1 (Lovász 1972) grow every
-triangle-free factor-critical graph to order 11, and their complements
-must be P_1..P_6 as sets.
+Odd ear decompositions from K1 (Lovász 1972) grow every triangle-free
+factor-critical graph to order 11, sharing only ``canon_raw`` and
+``Graph`` with the census; their complements must be P_1..P_6 as sets.
 
-The fifth check covers the piece test of the k = 6 piece run's last
-step: on each of its order-10 parents, the search that reads D(P - s)
-off the parent's perfect matching must equal a fresh blossom pass on
-P - s.
+On each order-10 parent of the k = 6 piece run's last step, the search
+that reads D(P - s) off the parent's perfect matching must equal a
+fresh blossom pass on P - s.
 
-The five checks take about 60 s of wall time with two processes, so
-the file name keeps them out of the default collection.  Run them with
+The file name keeps these checks out of the default collection.  Run
+them with
 
-    PYTHONPATH=src python -m pytest -q tests/exhaustive_census.py
+    PYTHONPATH=src python -m pytest -q -m "not slow" tests/exhaustive_census.py
+
+and the order-12 check alone with
+
+    PYTHONPATH=src python -m pytest -q -m slow tests/exhaustive_census.py
 """
 
 import os
-from functools import cache
+from functools import cache, partial
 
+import pytest
+
+import kcrit.census as census
 import oracles
 from kcrit.canon import canonical_form
-from kcrit.census import _filtered_level, _pieces, census_copaw_critical, census_general
+from kcrit.census import (_filtered_level, _general_expand, _mapper, _piece_expand, _pieces,
+                          census_copaw_critical, census_general)
 from kcrit.critical import is_vertex_critical
 from kcrit.generate import TRIANGLE_FREE, generate_graphs
 from kcrit.graph import Graph, bits, complement, from_graph6, read_graph_list
 from kcrit.invariants import alternating_forest, gallai_edmonds_raw
+from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free
 
 from util import data_path
 
 WORKERS = min(2, os.cpu_count() or 1)
+P3P1 = as_pattern("P3+P1")
 
 
 @cache
@@ -57,16 +72,93 @@ def _by_order(rows):
     return {r.n: set(r.codes) for r in rows}
 
 
-def test_exhaustive_k5_census_equals_piece_census():
-    general = census_general(5, "P3+P1", 9, workers=WORKERS)
-    assert [(r.n, r.count) for r in general] == [(5, 1), (6, 0), (7, 1), (8, 6), (9, 170)]
-    assert _by_order(general) == _by_order(census_copaw_critical(5))
+def _general_steps(k, last, mapper):
+    # (order, children kept, codes) of each step of a census_general run
+    # to order last with P3+P1 forbidden, past the public cap of 9
+    expand = partial(_general_expand, k=k, last=last, pattern=P3P1)
+    level = [Graph(0, ())]
+    for n in range(1, last + 1):
+        level, codes = _filtered_level(level, expand, mapper)
+        yield n, level, codes
 
 
-def test_exhaustive_k4_census_is_empty_past_order_7():
-    general = census_general(4, "P3+P1", 9, workers=WORKERS)
-    assert [(r.n, r.count) for r in general] == \
-        [(4, 1), (5, 0), (6, 1), (7, 6), (8, 0), (9, 0)]
+def _general_run(k, last):
+    # the codes found at each order n >= k, on WORKERS processes
+    with _mapper(WORKERS) as mapper:
+        return {n: set(codes) for n, _, codes in _general_steps(k, last, mapper) if n >= k}
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("pattern", (None, *ORDER4_NAMES))
+def test_general_census_equals_the_filtered_census(k, pattern):
+    rows = census_general(k, pattern, 8)
+    assert _by_order(rows) == _by_order(oracles.filtered_general_census(k, pattern, 8))
+    assert all(len(set(r.codes)) == r.count for r in rows)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("pattern", (None, *ORDER4_NAMES))
+def test_general_run_keeps_exactly_the_capped_free_classes(k, pattern):
+    # orders 1..8 of a run to order 9: the unpruned all-graphs level, in
+    # its order, cut to maximum degree <= 9 - k and to the graphs whose
+    # complement is free of the pattern
+    pat = None if pattern is None else as_pattern(pattern)
+    expand = partial(_general_expand, k=k, last=9, pattern=pat)
+    level = [Graph(0, ())]
+    for n in range(1, 9):
+        level = _filtered_level(level, expand)[0]
+        assert level == [f for f in oracles.all_graphs_level(n)
+                         if max(a.bit_count() for a in f.adj) <= 9 - k
+                         and (pat is None or is_free(complement(f), pat))], (n, k)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_general_run_is_empty_past_2k_minus_1_to_order_11(k):
+    # claim (ii) past the order-9 cap: the orders up to 2k - 1 are the
+    # piece census, every order after them is empty
+    found = _general_run(k, 11)
+    pieces = _by_order(census_copaw_critical(k))
+    assert found == {n: pieces.get(n, set()) for n in range(k, 12)}
+
+
+def test_general_run_gives_the_k6_census_to_order_11():
+    # the k = 6 census by a second route: no alpha <= 2, no piece rules
+    shipped = {}
+    for _, code in read_graph_list(data_path("critical6.g6"))[1]:
+        shipped.setdefault(from_graph6(code).n, set()).add(code)
+    found = _general_run(6, 11)
+    assert [len(found[n]) for n in range(6, 12)] == [1, 0, 1, 6, 171, 17828]
+    assert found == {n: shipped.get(n, set()) for n in range(6, 12)}
+
+
+def _tested_at_last(parent, k, last, pattern):
+    # _general_expand's codes at the last order, with the number of
+    # complements it tested for criticality: the children it made whose
+    # complement is free of the pattern
+    tested, real = [0], census.is_vertex_critical
+
+    def counting(g, k):
+        tested[0] += 1
+        return real(g, k)
+
+    census.is_vertex_critical = counting
+    try:
+        return _general_expand(parent, k, last, pattern)[1], tested[0]
+    finally:
+        census.is_vertex_critical = real
+
+
+@pytest.mark.slow
+def test_general_run_finds_no_6_critical_graph_of_order_12():
+    # claim (ii) at k = 6, one order past 2k - 1
+    with _mapper(WORKERS) as mapper:
+        level = next(level for n, level, _ in _general_steps(6, 12, mapper) if n == 11)
+        step = partial(_tested_at_last, k=6, last=12, pattern=P3P1)
+        codes, made = set(), 0
+        for found, tested in mapper(step, level):
+            codes.update(found)
+            made += tested
+    assert (len(level), made, codes) == (104765, 1235922, set())
 
 
 def test_exhaustive_order_11_equals_p6():
@@ -95,9 +187,10 @@ def test_search_from_a_mate_equals_a_fresh_pass_at_order_11():
     # parent with a perfect matching M, for every s under the degree
     # cap, the search from M(s) in P - s gives D(P - s) as a fresh
     # blossom pass on P - s does
+    expand = partial(_piece_expand, last=11)
     level = [Graph(1, (0,))]
     for _ in range(2, 11):
-        level = _filtered_level(level, 11)[0]
+        level = _filtered_level(level, expand)[0]
     parents = searches = 0
     for parent in level:
         p, adj = parent.n, parent.adj

@@ -12,6 +12,7 @@ above check, and stand in only for the step that was replaced.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 
 from kcrit.graph import Graph, bits
@@ -661,6 +662,36 @@ def uncapped_child_graphs(parent: Graph, mode: str, admit=None):
         if ext is not None:
             out.append((tuple(ext[0]), ext[1]))
     return out
+
+
+@cache
+def all_graphs_level(n: int) -> tuple[Graph, ...]:
+    """One graph per class of order n >= 1, in the order that the
+    unfiltered all-graphs augmentation run from K1 makes them."""
+    from kcrit.generate import child_graphs
+
+    if n == 1:
+        return (Graph(1, (0,)),)
+    return tuple(c for p in all_graphs_level(n - 1) for c in child_graphs(p))
+
+
+def filtered_general_census(k: int, pattern, n_max: int):
+    """``census.census_general`` before it became a pruned run: every
+    class of order k..n_max, kept when its minimum degree is >= k - 1, it
+    is free of pattern (a name, a Graph or None) and it is
+    k-vertex-critical.  One ``CensusRow`` per order, codes in level
+    order."""
+    from kcrit.canon import canonical_form
+    from kcrit.census import CensusRow
+    from kcrit.critical import is_vertex_critical
+    from kcrit.patterns import as_pattern, is_free
+
+    pattern = None if pattern is None else as_pattern(pattern)
+    return [CensusRow(n, tuple(
+        canonical_form(g) for g in all_graphs_level(n)
+        if min(a.bit_count() for a in g.adj) >= k - 1
+        and (pattern is None or is_free(g, pattern))
+        and is_vertex_critical(g, k).is_critical)) for n in range(k, n_max + 1)]
 
 
 def per_child_piece_expand(parent: Graph, last: int):

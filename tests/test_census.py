@@ -1,6 +1,7 @@
 """Tests for the census pipelines and list verification."""
 
 import os
+from functools import partial
 from random import Random
 
 import pytest
@@ -12,9 +13,11 @@ from kcrit.census import (
     CensusRow,
     _assembled,
     _filtered_level,
+    _general_expand,
     _join_cross_check,
     _mapper,
     _pieces,
+    _piece_expand,
     census_copaw_critical,
     census_general,
     verify_list,
@@ -25,7 +28,7 @@ from kcrit.generate import TRIANGLE_FREE, _independent_masks, child_graphs
 from kcrit.graph import (Graph, complement, format_edge_list, from_graph6, join,
                          read_graph_file, read_graph_list, to_graph6)
 from kcrit.invariants import gallai_edmonds_raw, independence_number, matching_raw
-from kcrit.patterns import is_free, named_graph
+from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free, named_graph
 
 from lemmas import co_components
 from util import data_path, degree_rule, random_triangle_free
@@ -33,6 +36,10 @@ from util import data_path, degree_rule, random_triangle_free
 
 def _codes(rows):
     return {c for row in rows for c in row.codes}
+
+
+def _by_order(rows):
+    return {r.n: set(r.codes) for r in rows}
 
 
 # ===== the fast pipeline =====
@@ -134,13 +141,14 @@ def test_filtered_level_workers_keep_degree_bound():
     # the pool path must expand with the same degree bound as the serial
     # one and hand down the same generators; a run to order 9 keeps to
     # maximum degree 4
+    to_9, to_7 = partial(_piece_expand, last=9), partial(_piece_expand, last=7)
     parents = [Graph(1, (0,))]
     for _ in range(5):
-        parents, _ = _filtered_level(parents, 9)
-    serial = _filtered_level(parents, 9)
+        parents, _ = _filtered_level(parents, to_9)
+    serial = _filtered_level(parents, to_9)
     with _mapper(2) as mapper:
-        parallel = _filtered_level(parents, 9, mapper)
-        parallel_leaf = _filtered_level(parents, 7, mapper)
+        parallel = _filtered_level(parents, to_9, mapper)
+        parallel_leaf = _filtered_level(parents, to_7, mapper)
     assert len(parents) >= 8 and any(p._gens is not None for p in parents)
     kids, codes = serial
     assert parallel == serial
@@ -151,7 +159,7 @@ def test_filtered_level_workers_keep_degree_bound():
     assert max(a.bit_count() for g in kids for a in g.adj) <= 4
     # the leaf step (order 7 of a run to order 7) keeps no children and
     # finds the same pieces
-    assert parallel_leaf == _filtered_level(parents, 7)
+    assert parallel_leaf == _filtered_level(parents, to_7)
     assert parallel_leaf == ([], codes)
 
 
@@ -477,11 +485,51 @@ def test_general_1critical_is_k1():
     assert [(r.n, r.count) for r in rows] == [(1, 1), (2, 0), (3, 0)]
 
 
+@pytest.mark.parametrize("pattern", (None, *ORDER4_NAMES))
+def test_general_census_equals_the_filtered_census(pattern):
+    # the pipeline the pruned run replaced, every class of order <= 8
+    # filtered directly: the same classes at every order, none twice
+    rows = census_general(4, pattern, 8)
+    assert _by_order(rows) == _by_order(oracles.filtered_general_census(4, pattern, 8))
+    assert all(len(set(r.codes)) == r.count for r in rows)
+
+
+@pytest.mark.parametrize("pattern", [None, "P3+P1", "C4", "K3+P1"])
+def test_general_run_keeps_exactly_the_capped_free_classes(pattern):
+    # orders 1..8 of a run to order 9 at k = 5: each level is the
+    # unpruned all-graphs level, in its order, cut to maximum degree
+    # <= 9 - 5 and to the graphs whose complement is free of the pattern
+    # (every order-4 pattern, and k = 3, in tests/exhaustive_census.py)
+    pat = None if pattern is None else as_pattern(pattern)
+    expand = partial(_general_expand, k=5, last=9, pattern=pat)
+    level = [Graph(0, ())]
+    for n in range(1, 9):
+        level = _filtered_level(level, expand)[0]
+        assert level == [f for f in oracles.all_graphs_level(n)
+                         if max(a.bit_count() for a in f.adj) <= 4
+                         and (pat is None or is_free(complement(f), pat))], n
+
+
+def test_exhaustive_k5_census_equals_piece_census():
+    # every P3+P1-free class of order <= 9 under the degree cap, tested
+    # directly, against the piece census (the paper's appendix list)
+    general = census_general(5, "P3+P1", 9)
+    assert [(r.n, r.count) for r in general] == [(5, 1), (6, 0), (7, 1), (8, 6), (9, 170)]
+    assert _by_order(general) == _by_order(census_copaw_critical(5))
+
+
+def test_exhaustive_k4_census_is_empty_past_order_7():
+    # claim (ii) at k = 4, to order 9
+    general = census_general(4, "P3+P1", 9)
+    assert [(r.n, r.count) for r in general] == \
+        [(4, 1), (5, 0), (6, 1), (7, 6), (8, 0), (9, 0)]
+
+
 def test_general_args():
     with pytest.raises(ValueError):
         census_general(0, None, 5)
     with pytest.raises(ValueError):
-        census_general(3, None, 10)  # over the all-graphs cap
+        census_general(3, None, 10)  # over the order-9 cap
 
 
 # ===== verify_list =====
