@@ -9,10 +9,12 @@ components.  So the census generates only the prime pieces (connected F
 of odd order) and builds every other graph as a join of pieces; each
 rule of that run is decided on the parent's matching structure, per
 attachment set, before the canonicity test.  The general one grows
-complements up to order 9 through the same level step, under the degree
-bound every k-critical graph obeys and the pattern alone, and tests
-criticality directly; it cross-checks the fast pipeline and runs small
-censuses for other forbidden patterns, or for none.
+complements up to order 9, under the degree bound every k-critical graph
+obeys and the pattern alone, and tests criticality directly on the
+children within their own order's bound; it cross-checks the fast
+pipeline and runs small censuses for other forbidden patterns, or for
+none.  Both are read off one run from the empty graph (``_levels``), each
+with its own expand rule.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _piece_expand(parent: Graph, last: int):
 def _filtered_level(parents: list[Graph], expand, mapper=map):
     """Expand one order of a run: (children, codes found).
 
-    expand maps a parent to (children kept, codes), as ``_piece_expand``
+    ``_levels`` takes one such step per order.  expand maps a parent to (children kept, codes), as ``_piece_expand``
     and ``_general_expand`` do.  The children carry the automorphism
     generators their acceptance found, so the next order need not label
     them again.  Everything comes in parent order whatever the mapper.
@@ -133,6 +135,14 @@ def _filtered_level(parents: list[Graph], expand, mapper=map):
         children.extend(kids)
         codes.extend(found)
     return children, codes
+
+
+def _levels(expand, last: int, mapper=map):
+    """(children, codes) of orders 1..last of a run from the empty graph."""
+    level = [Graph(0, ())]
+    for _ in range(last):
+        level, codes = _filtered_level(level, expand, mapper)
+        yield level, codes
 
 
 def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
@@ -146,14 +156,8 @@ def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
     ancestor of a piece, an induced subgraph of it.
     """
     last = 2 * top - 1
-    expand = partial(_piece_expand, last=last)
-    pieces = {1: [canonical_form(Graph(1, (0,)))]}
-    level = [Graph(1, (0,))]
-    for n in range(2, last + 1):
-        level, codes = _filtered_level(level, expand, mapper)
-        if n % 2:
-            pieces[(n + 1) // 2] = codes
-    return pieces
+    levels = _levels(partial(_piece_expand, last=last), last, mapper)
+    return {(n + 1) // 2: codes for n, (_, codes) in enumerate(levels, 1) if n % 2}
 
 
 def _assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
@@ -236,21 +240,24 @@ def census_copaw_critical(k: int, n_max: int | None = None,
 def _general_expand(parent: Graph, k: int, last: int, pattern: Graph | None):
     """One step of a general run to order last, over complements F.
 
-    A k-critical G of order <= last has minimum degree >= k-1, so F and
-    every induced subgraph of it have maximum degree <= cap = last - k;
-    and no descendant of a child whose complement holds the pattern is
-    free.  (children kept, none at order last; codes of the complements
-    of order >= k that are k-vertex-critical)
+    A k-critical G of order n has minimum degree >= k-1, so F has
+    maximum degree <= n - k, and every ancestor of F, an induced subgraph
+    of it, maximum degree <= cap = last - k: S avoids the parent's
+    vertices of degree cap (child_graphs' degree rule then keeps |S| <=
+    cap).  No descendant of a child whose complement holds the pattern is
+    free.  Only a child within its own order's bound n - k (so n >= k)
+    is tested for criticality.  (children kept, none at order last; codes
+    of the complements that are k-vertex-critical)
     """
     n, cap = parent.n + 1, last - k
     heavy = sum(1 << v for v, a in enumerate(parent.adj) if a.bit_count() >= cap)
     kids, codes = [], []
-    for f in child_graphs(parent, ALL_GRAPHS,
-                          lambda s: not s & heavy and s.bit_count() <= cap):
+    for f in child_graphs(parent, ALL_GRAPHS, lambda s: not s & heavy):
         g = complement(f)
         if pattern is None or is_free(g, pattern):
             kids.append(f)
-            if n >= k and is_vertex_critical(g, k).is_critical:
+            if (max(a.bit_count() for a in f.adj) <= n - k
+                    and is_vertex_critical(g, k).is_critical):
                 codes.append(canonical_form(g))
     return ([] if n == last else kids), codes
 
@@ -259,8 +266,9 @@ def census_general(k: int, pattern: str | Graph | None, n_max: int,
                    workers: int = 1) -> list[CensusRow]:
     """Census of k-vertex-critical pattern-free graphs of order <= n_max.
 
-    pattern is a name, a Graph or None (no freeness filter).  One run
-    grows the complements from the empty graph (see ``_general_expand``).
+    pattern is a name, a Graph or None (no freeness filter).  The rows
+    are orders k..n_max of one run from the empty graph (``_levels``)
+    that grows the complements (see ``_general_expand``).
     n_max is capped at 9, as the cap and a loose pattern prune little of
     the 1.2e7 classes of order 10: (5, "co-K4", 10) takes 200 s of CPU,
     (3, None, 10) far longer.  ``workers`` (1 to the CPU count) is the
@@ -270,13 +278,9 @@ def census_general(k: int, pattern: str | Graph | None, n_max: int,
     check_int("n_max", n_max, k, 9)
     pattern = None if pattern is None else as_pattern(pattern)
     expand = partial(_general_expand, k=k, last=n_max, pattern=pattern)
-    rows, level = [], [Graph(0, ())]
     with _mapper(workers) as mapper:
-        for n in range(1, n_max + 1):
-            level, codes = _filtered_level(level, expand, mapper)
-            if n >= k:
-                rows.append(CensusRow(n, tuple(codes)))
-    return rows
+        return [CensusRow(n, tuple(codes))
+                for n, (_, codes) in enumerate(_levels(expand, n_max, mapper), 1) if n >= k]
 
 
 # ===== verifying shipped or user-supplied lists =====

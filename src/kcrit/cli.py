@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+import tempfile
 from contextlib import contextmanager
 
 from .census import census_copaw_critical, census_general
@@ -26,19 +28,30 @@ from .patterns import is_free, is_p3p1, named_graph
 @contextmanager
 def _open_out(path):
     # the --out file, opened before any work so that a bad path is a
-    # usage error, and for appending so that a usage error found later
-    # leaves an existing file as it was: truncate it before writing.  An
-    # error raised inside the context removes the file again if the
-    # context created it.  Yields None without --out
+    # usage error.  A regular file is written through a temporary file in
+    # its directory, which replaces it (with its permission bits) only
+    # when the context exits cleanly: an error leaves an existing file as
+    # it was and removes one the context created.  Any other target (a
+    # device such as /dev/stdout) is written directly.  Yields None
+    # without --out
     if path is None:
         yield None
         return
     created = not os.path.exists(path)
-    fh = open(path, "a")
+    with open(path, "a") as target:
+        mode = os.fstat(target.fileno()).st_mode
+        if not stat.S_ISREG(mode):
+            yield target
+            return
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
     try:
-        with fh:
+        with open(fd, "w") as fh:
             yield fh
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
     except BaseException:
+        os.remove(tmp)
         if created:
             os.remove(path)
         raise
@@ -53,11 +66,14 @@ def _cmd_check(args) -> int:
     patterns = [(name, named_graph(name)) for name in args.pattern or []]
     passed = 0
     for lineno, g in entries:
-        fields = [f"line {lineno}: n={g.n}", f"chi={chromatic_number(g)}",
+        # the criticality report's k is chi, so chi is computed once
+        report = None if args.k is None else is_vertex_critical(g, args.k)
+        chi = chromatic_number(g) if report is None else report.k
+        fields = [f"line {lineno}: n={g.n}", f"chi={chi}",
                   f"alpha={independence_number(g)}", f"omega={clique_number(g)}"]
         ok = True
-        if args.k is not None:
-            crit = is_vertex_critical(g, args.k).is_critical
+        if report is not None:
+            crit = report.is_critical
             ok &= crit
             fields.append(f"critical@{args.k}={'yes' if crit else 'no'}")
         for name, pat in patterns:
@@ -88,7 +104,6 @@ def _cmd_census(args) -> int:
             print(f"{args.k},{row.n},{row.count}")
         print(f"total {sum(r.count for r in rows)}")
         if fh is not None:
-            fh.truncate(0)
             write_graph_list(fh, args.k, (code for row in rows for code in row.codes))
     return 0
 
@@ -127,8 +142,6 @@ def _cmd_convert(args) -> int:
     render = to_graph6 if args.to == "graph6" else format_edge_list
     lines = [render(g) + "\n" for _, g in entries]
     with _open_out(args.out) as fh:
-        if fh is not None:
-            fh.truncate(0)
         (fh or sys.stdout).writelines(lines)
     return 0
 

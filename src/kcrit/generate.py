@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Iterator
 
 from .canon import canon_raw
-from .graph import MAX_VERTICES, Graph, bits, check_int
+from .graph import MAX_VERTICES, Graph, bits, check_int, check_order
 
 TRIANGLE_FREE = "triangle-free"
 ALL_GRAPHS = "all"
@@ -142,10 +142,11 @@ def child_graphs(parent: Graph, mode: str = ALL_GRAPHS, admit=None) -> list[Grap
 
     A child that the canonicity test labelled carries the generators of
     its automorphism group as ``_gens``; expanding it then reads them
-    instead of labelling it again.  ValueError on an unknown mode or an
-    admit that is not callable.
+    instead of labelling it again.  ValueError on an unknown mode, an
+    admit that is not callable, or a parent of order MAX_VERTICES.
     """
     _check_args(mode)
+    check_order(parent.n + 1)       # the children's order
     if admit is not None and not callable(admit):
         raise ValueError(f"admit must be callable, got {admit!r}")
     n = parent.n

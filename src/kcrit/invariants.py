@@ -3,10 +3,13 @@
 All routines are exact.  Sizes are capped at 31 vertices by the Graph type,
 so branch and bound with bitmask state is always sufficient; the only
 polynomial algorithm that matters for throughput is the blossom matching,
-run once per graph by the criticality test, once per parent by the piece
-census.  One pass gives the Gallai-Edmonds set D (the vertices some
-maximum matching leaves exposed), the union of the failed searches' even
-sets, and so decides every vertex deletion at once.
+run once per graph by the criticality test.  The piece census runs it
+once per parent P for its exposed count e(P), once more when e(P) is 0
+or N - n (N the run's last order, n the children's), and reads each
+D(P - s) off an alternating search (``alternating_forest``) from that
+pass's matching.  One pass gives the Gallai-Edmonds set D (the vertices
+some maximum matching leaves exposed), the union of the failed
+searches' even sets, and so decides every vertex deletion at once.
 
 ``chi_with_d`` is the one chromatic-number kernel.  When alpha(G) <= 2,
 i.e. when the complement is triangle-free, color classes have at most

@@ -9,12 +9,13 @@ nor any rule of the piece run.  Against the pipeline it replaced (every
 class of order <= 8 filtered directly) it must find the same classes
 at k = 3 and 5 for no pattern and each pattern of order four, and keep
 exactly the capped pattern-free classes at every order.  Driven past
-its public cap of 9 through the same level step, with P3+P1 forbidden:
-k = 4 and 5 to order 11 must be empty past 2k - 1, as claim (ii) says,
-and k = 6 to order 11 must be the shipped 6-critical list at every
-order.  The order-12 check at k = 6 (1,235,922 complements tested,
-none 6-critical) takes about 90 s of wall time with two processes and
-is marked slow.
+its public cap of 9 through the same run generator, with P3+P1
+forbidden: k = 4 and 5 to order 11 must be empty past 2k - 1, as claim
+(ii) says, and k = 6 to order 11 must be the shipped 6-critical list at
+every order, each run with its exact number of criticality tests.  The
+order-12 check at k = 6 (1,235,922 complements tested, none
+6-critical) takes about 90 s of wall time with two processes and is
+marked slow.
 
 At k = 6, order 11, every triangle-free graph F of that order is kept
 when ``is_vertex_critical`` finds its complement 6-critical; this
@@ -49,11 +50,11 @@ import pytest
 import kcrit.census as census
 import oracles
 from kcrit.canon import canonical_form
-from kcrit.census import (_filtered_level, _general_expand, _mapper, _piece_expand, _pieces,
+from kcrit.census import (_general_expand, _levels, _mapper, _piece_expand, _pieces,
                           census_copaw_critical, census_general)
 from kcrit.critical import is_vertex_critical
 from kcrit.generate import TRIANGLE_FREE, generate_graphs
-from kcrit.graph import Graph, bits, complement, from_graph6, read_graph_list
+from kcrit.graph import bits, complement, from_graph6, read_graph_list
 from kcrit.invariants import alternating_forest, gallai_edmonds_raw
 from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free
 
@@ -72,20 +73,43 @@ def _by_order(rows):
     return {r.n: set(r.codes) for r in rows}
 
 
-def _general_steps(k, last, mapper):
-    # (order, children kept, codes) of each step of a census_general run
-    # to order last with P3+P1 forbidden, past the public cap of 9
+def _tested(expand, parent):
+    # expand(parent), with the number of complements it tested for
+    # criticality
+    tested, real = [0], census.is_vertex_critical
+
+    def counting(g, k):
+        tested[0] += 1
+        return real(g, k)
+
+    census.is_vertex_critical = counting
+    try:
+        return expand(parent), tested[0]
+    finally:
+        census.is_vertex_critical = real
+
+
+def _general_steps(k, last, mapper, tests):
+    # (order, (children kept, codes)) of each step of a census_general
+    # run to order last with P3+P1 forbidden, past the public cap of 9;
+    # tests[0] adds up the criticality tests of the steps taken
+    def counted(expand, parents):
+        for result, tested in mapper(partial(_tested, expand), parents):
+            tests[0] += tested
+            yield result
+
     expand = partial(_general_expand, k=k, last=last, pattern=P3P1)
-    level = [Graph(0, ())]
-    for n in range(1, last + 1):
-        level, codes = _filtered_level(level, expand, mapper)
-        yield n, level, codes
+    return enumerate(_levels(expand, last, counted), 1)
 
 
 def _general_run(k, last):
-    # the codes found at each order n >= k, on WORKERS processes
+    # the codes found at each order n >= k, and the criticality tests of
+    # the run, on WORKERS processes
+    tests = [0]
     with _mapper(WORKERS) as mapper:
-        return {n: set(codes) for n, _, codes in _general_steps(k, last, mapper) if n >= k}
+        found = {n: set(codes) for n, (_, codes) in _general_steps(k, last, mapper, tests)
+                 if n >= k}
+    return found, tests[0]
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -104,9 +128,7 @@ def test_general_run_keeps_exactly_the_capped_free_classes(k, pattern):
     # complement is free of the pattern
     pat = None if pattern is None else as_pattern(pattern)
     expand = partial(_general_expand, k=k, last=9, pattern=pat)
-    level = [Graph(0, ())]
-    for n in range(1, 9):
-        level = _filtered_level(level, expand)[0]
+    for n, (level, _) in enumerate(_levels(expand, 8), 1):
         assert level == [f for f in oracles.all_graphs_level(n)
                          if max(a.bit_count() for a in f.adj) <= 9 - k
                          and (pat is None or is_free(complement(f), pat))], (n, k)
@@ -115,10 +137,13 @@ def test_general_run_keeps_exactly_the_capped_free_classes(k, pattern):
 @pytest.mark.parametrize("k", [4, 5])
 def test_general_run_is_empty_past_2k_minus_1_to_order_11(k):
     # claim (ii) past the order-9 cap: the orders up to 2k - 1 are the
-    # piece census, every order after them is empty
-    found = _general_run(k, 11)
+    # piece census, every order after them is empty.  Only complements
+    # within their own order's degree bound are tested (121,571 and
+    # 120,021 under the cap 11 - k alone)
+    found, tests = _general_run(k, 11)
     pieces = _by_order(census_copaw_critical(k))
     assert found == {n: pieces.get(n, set()) for n in range(k, 12)}
+    assert tests == {4: 121114, 5: 118286}[k]
 
 
 def test_general_run_gives_the_k6_census_to_order_11():
@@ -126,39 +151,22 @@ def test_general_run_gives_the_k6_census_to_order_11():
     shipped = {}
     for _, code in read_graph_list(data_path("critical6.g6"))[1]:
         shipped.setdefault(from_graph6(code).n, set()).add(code)
-    found = _general_run(6, 11)
+    found, tests = _general_run(6, 11)
     assert [len(found[n]) for n in range(6, 12)] == [1, 0, 1, 6, 171, 17828]
     assert found == {n: shipped.get(n, set()) for n in range(6, 12)}
-
-
-def _tested_at_last(parent, k, last, pattern):
-    # _general_expand's codes at the last order, with the number of
-    # complements it tested for criticality: the children it made whose
-    # complement is free of the pattern
-    tested, real = [0], census.is_vertex_critical
-
-    def counting(g, k):
-        tested[0] += 1
-        return real(g, k)
-
-    census.is_vertex_critical = counting
-    try:
-        return _general_expand(parent, k, last, pattern)[1], tested[0]
-    finally:
-        census.is_vertex_critical = real
+    assert tests == 101975          # 107,945 under the cap 11 - 6 alone
 
 
 @pytest.mark.slow
 def test_general_run_finds_no_6_critical_graph_of_order_12():
-    # claim (ii) at k = 6, one order past 2k - 1
+    # claim (ii) at k = 6, one order past 2k - 1; at the last order every
+    # pattern-free child is tested, as the cap is the order's own bound
+    tests = [0]
     with _mapper(WORKERS) as mapper:
-        level = next(level for n, level, _ in _general_steps(6, 12, mapper) if n == 11)
-        step = partial(_tested_at_last, k=6, last=12, pattern=P3P1)
-        codes, made = set(), 0
-        for found, tested in mapper(step, level):
-            codes.update(found)
-            made += tested
-    assert (len(level), made, codes) == (104765, 1235922, set())
+        for n, (level, codes) in _general_steps(6, 12, mapper, tests):
+            if n == 11:
+                parents, before = len(level), tests[0]
+    assert (parents, tests[0] - before, codes) == (104765, 1235922, [])
 
 
 def test_exhaustive_order_11_equals_p6():
@@ -187,10 +195,7 @@ def test_search_from_a_mate_equals_a_fresh_pass_at_order_11():
     # parent with a perfect matching M, for every s under the degree
     # cap, the search from M(s) in P - s gives D(P - s) as a fresh
     # blossom pass on P - s does
-    expand = partial(_piece_expand, last=11)
-    level = [Graph(1, (0,))]
-    for _ in range(2, 11):
-        level = _filtered_level(level, expand)[0]
+    *_, (level, _) = _levels(partial(_piece_expand, last=11), 10)
     parents = searches = 0
     for parent in level:
         p, adj = parent.n, parent.adj

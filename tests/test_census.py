@@ -15,6 +15,7 @@ from kcrit.census import (
     _filtered_level,
     _general_expand,
     _join_cross_check,
+    _levels,
     _mapper,
     _pieces,
     _piece_expand,
@@ -142,9 +143,7 @@ def test_filtered_level_workers_keep_degree_bound():
     # one and hand down the same generators; a run to order 9 keeps to
     # maximum degree 4
     to_9, to_7 = partial(_piece_expand, last=9), partial(_piece_expand, last=7)
-    parents = [Graph(1, (0,))]
-    for _ in range(5):
-        parents, _ = _filtered_level(parents, to_9)
+    *_, (parents, _) = _levels(to_9, 6)
     serial = _filtered_level(parents, to_9)
     with _mapper(2) as mapper:
         parallel = _filtered_level(parents, to_9, mapper)
@@ -291,16 +290,17 @@ def test_piece_expand_equals_the_per_child_blossom_path(top):
 
 
 def test_piece_run_counts_its_blossom_passes_exactly(monkeypatch):
-    # each parent of the piece run gets one blossom pass for its exposed
-    # count (matching_raw), and one for D(P) and a maximum matching M when
-    # e(P) is 0 or N - n (N the last order); when its children have odd
-    # order and e(P) = 0, one alternating search from M(v) in P - v for
-    # D(P - v), per vertex v under the degree cap.  No child gets a pass
-    # of its own: 573 passes and 1,288 searches, where a fresh pass on
-    # every P - v made 1,822 passes.  The same run offers 1,556
-    # attachment sets to the orbit step and 841 representatives to the
-    # canonicity test (2,566 and 1,327 when the new vertex's degree rule
-    # was checked on each representative)
+    # each parent of the piece run, the empty graph first, gets one
+    # blossom pass for its exposed count (matching_raw), and one for D(P)
+    # and a maximum matching M when e(P) is 0 or N - n (N the last order);
+    # when its children have odd order and e(P) = 0, one alternating
+    # search from M(v) in P - v for D(P - v), per vertex v under the
+    # degree cap.  No child gets a pass of its own: 575 passes and 1,288
+    # searches, where a fresh pass on every P - v made 1,822 passes (573
+    # and 295 parents when the run started from K1).  The same run offers
+    # 1,557 attachment sets to the orbit step and 842 representatives to
+    # the canonicity test (2,566 and 1,327 from K1 when the new vertex's
+    # degree rule was checked on each representative)
     import kcrit.generate as generate
     import kcrit.invariants as invariants
     passes, searches, want, parents = [0], [0], [0, 0], [0]
@@ -344,8 +344,8 @@ def test_piece_run_counts_its_blossom_passes_exactly(monkeypatch):
     monkeypatch.setattr(kcrit.census, "_piece_expand", spy)
     _pieces(5)
     assert [passes[0], searches[0]] == want
-    assert (parents[0], *want) == (295, 573, 1288)
-    assert (offered[0], tested[0]) == (1556, 841)
+    assert (parents[0], *want) == (296, 575, 1288)
+    assert (offered[0], tested[0]) == (1557, 842)
 
 
 def test_pieces_hand_generators_down(monkeypatch):
@@ -502,12 +502,30 @@ def test_general_run_keeps_exactly_the_capped_free_classes(pattern):
     # (every order-4 pattern, and k = 3, in tests/exhaustive_census.py)
     pat = None if pattern is None else as_pattern(pattern)
     expand = partial(_general_expand, k=5, last=9, pattern=pat)
-    level = [Graph(0, ())]
-    for n in range(1, 9):
-        level = _filtered_level(level, expand)[0]
+    for n, (level, _) in enumerate(_levels(expand, 8), 1):
         assert level == [f for f in oracles.all_graphs_level(n)
                          if max(a.bit_count() for a in f.adj) <= 4
                          and (pat is None or is_free(complement(f), pat))], n
+
+
+@pytest.mark.parametrize("k, pattern, tested", [
+    (3, None, 205913), (4, "C4", 1540), (5, "co-K4", 14922)])
+def test_general_run_tests_criticality_within_the_order_bound(monkeypatch, k, pattern,
+                                                              tested):
+    # only a child whose complement G has minimum degree >= k - 1, the
+    # bound of its own order, is tested for criticality; the run's cap
+    # alone (maximum degree <= 9 - k in F) let 210,418, 2,680 and 17,432
+    # through
+    degrees, real = [], kcrit.census.is_vertex_critical
+
+    def spy(g, j):
+        degrees.append(min(a.bit_count() for a in g.adj))
+        return real(g, j)
+
+    monkeypatch.setattr(kcrit.census, "is_vertex_critical", spy)
+    census_general(k, pattern, 9)
+    assert len(degrees) == tested
+    assert min(degrees) >= k - 1
 
 
 def test_exhaustive_k5_census_equals_piece_census():

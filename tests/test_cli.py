@@ -45,6 +45,33 @@ def test_check_wrong_k_fails(capsys):
     assert "178/178" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k", [None, 3])
+def test_check_computes_chi_once_per_graph(tmp_path, capsys, monkeypatch, k):
+    # with --k the criticality report's k is chi: one chi_with_d call a
+    # line through every module that binds it, at alpha 2 and alpha 3
+    import sys
+    f = tmp_path / "mixed.g6"
+    f.write_text("FhCKG\nDhc\nFUzro\nEhcG\n")       # C7, C5, co-C7, C5 + a leaf
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kcrit") and hasattr(module, "chi_with_d"):
+            def counted(g, real=module.chi_with_d):
+                calls.append(g)
+                return real(g)
+            monkeypatch.setattr(module, "chi_with_d", counted)
+    assert run(["check", str(f)] + ([] if k is None else ["--k", str(k)])) == (k is not None)
+    lines = ["line 1: n=7  chi=3  alpha=3  omega=2  critical@3=yes",
+             "line 2: n=5  chi=3  alpha=2  omega=2  critical@3=yes",
+             "line 3: n=7  chi=4  alpha=2  omega=3  critical@3=no",
+             "line 4: n=6  chi=3  alpha=3  omega=2  critical@3=no"]
+    if k is None:
+        lines = [line.rsplit("  ", 1)[0] for line in lines] + ["4/4 pass"]
+    else:
+        lines.append("2/4 pass")
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+    assert len(calls) == 4
+
+
 def test_check_parse_error(capsys):
     assert run(["check", "/no/such/file", "--k", "4"]) == 2
 
@@ -79,6 +106,39 @@ def test_oversized_orders_are_usage_errors(tmp_path, capsys, argv, line):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert "order must be an int in 0..31, got " in err
+
+
+def test_out_write_error_leaves_an_existing_file_as_it_was(tmp_path, capsys,
+                                                           monkeypatch):
+    # the census writes into a temporary file that replaces the target
+    # only when the command succeeds; the temporary file is removed
+    import kcrit.cli as cli
+
+    def half_written(fh, k, codes):
+        fh.write("k=4 count=8\nC~\n")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "write_graph_list", half_written)
+    out_file = tmp_path / "old.g6"
+    out_file.write_text("k=3 count=2\nBw\nDqK\n")
+    assert run(["census", "--k", "4", "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert out_file.read_text() == "k=3 count=2\nBw\nDqK\n"
+    assert os.listdir(tmp_path) == ["old.g6"]
+
+
+@pytest.mark.parametrize("argv", [["census", "--k", "4"],
+                                  ["convert", str(data_path("critical4.g6")), "--to", "graph6"]],
+                         ids=["census", "convert"])
+def test_out_overwrite_keeps_the_permission_bits(tmp_path, capsys, argv):
+    out_file = tmp_path / "old.g6"
+    out_file.write_text("old line\n" * 20)
+    out_file.chmod(0o640)
+    assert run(argv + ["--out", str(out_file)]) == 0
+    assert out_file.stat().st_mode & 0o777 == 0o640
+    assert len(read_graph_file(out_file)) == 8
+    assert "old line" not in out_file.read_text()
+    assert os.listdir(tmp_path) == ["old.g6"]
 
 
 def test_out_write_error_is_reported_and_removes_the_new_file(tmp_path, capsys,

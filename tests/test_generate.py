@@ -14,6 +14,7 @@ from kcrit.generate import (
     child_graphs,
     generate_graphs,
 )
+from kcrit.families import odd_cycle
 from kcrit.graph import Graph, from_edge_list
 from kcrit.invariants import clique_number, independence_number
 from kcrit.patterns import named_graph
@@ -264,6 +265,19 @@ def test_child_graphs_modes():
     assert {len(g.edges()) for g in kids} == {0, 1}
     with pytest.raises(ValueError):
         child_graphs(k1, "nonsense")
+
+
+@pytest.mark.parametrize("mode", [ALL_GRAPHS, TRIANGLE_FREE])
+def test_child_graphs_rejects_a_parent_at_the_order_cap(mode, monkeypatch):
+    # a child of a 31-vertex parent would have 32 vertices, past the cap
+    # Graph enforces; the parent is rejected before it is labelled
+    import kcrit.generate as generate
+    assert [g.n for g in child_graphs(odd_cycle(14), mode)] == [30, 30]
+    labelled = []
+    monkeypatch.setattr(generate, "canon_raw", lambda *args: labelled.append(args))
+    with pytest.raises(ValueError, match=r"order must be an int in 0\.\.31, got 32"):
+        child_graphs(odd_cycle(15), mode)
+    assert labelled == []
 
 
 def test_generate_level_matches_stream():
