@@ -124,10 +124,11 @@ def _piece_expand(parent: Graph, last: int):
 def _filtered_level(parents: list[Graph], expand, mapper=map):
     """Expand one order of a run: (children, codes found).
 
-    ``_levels`` takes one such step per order.  expand maps a parent to (children kept, codes), as ``_piece_expand``
-    and ``_general_expand`` do.  The children carry the automorphism
-    generators their acceptance found, so the next order need not label
-    them again.  Everything comes in parent order whatever the mapper.
+    ``_levels`` takes one such step per order.  expand maps a parent to
+    (children kept, codes), as ``_piece_expand`` and ``_general_expand``
+    do.  The children carry the automorphism generators their acceptance
+    found, so the next order need not label them again.  Everything
+    comes in parent order whatever the mapper.
     """
     children: list[Graph] = []
     codes: list[str] = []

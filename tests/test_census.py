@@ -277,7 +277,7 @@ def test_piece_expand_equals_the_per_child_blossom_path(top):
     # generators included, and the same piece codes, in the same order,
     # as the old path that gave each accepted child its own blossom pass
     last = 2 * top - 1
-    level = [Graph(1, (0,))]
+    level = [Graph(0, ())]          # the run starts from the empty graph
     while level and level[0].n < last:
         step = []
         for parent in level:

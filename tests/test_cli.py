@@ -127,9 +127,10 @@ def test_out_write_error_leaves_an_existing_file_as_it_was(tmp_path, capsys,
     assert os.listdir(tmp_path) == ["old.g6"]
 
 
-@pytest.mark.parametrize("argv", [["census", "--k", "4"],
-                                  ["convert", str(data_path("critical4.g6")), "--to", "graph6"]],
-                         ids=["census", "convert"])
+@pytest.mark.parametrize("argv", [
+    ["census", "--k", "4"],
+    ["convert", str(data_path("critical4.g6")), "--to", "graph6"],
+], ids=["census", "convert"])
 def test_out_overwrite_keeps_the_permission_bits(tmp_path, capsys, argv):
     out_file = tmp_path / "old.g6"
     out_file.write_text("old line\n" * 20)
@@ -139,6 +140,22 @@ def test_out_overwrite_keeps_the_permission_bits(tmp_path, capsys, argv):
     assert len(read_graph_file(out_file)) == 8
     assert "old line" not in out_file.read_text()
     assert os.listdir(tmp_path) == ["old.g6"]
+
+
+def test_out_to_a_fifo_is_written_directly(tmp_path, capsys):
+    # a target that is not a regular file (a pipe, /dev/stdout) is
+    # neither replaced nor truncated
+    import threading
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(["census", "--k", "3", "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == ["k=3 count=2\nBw\nDqK\n"]
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_out_write_error_is_reported_and_removes_the_new_file(tmp_path, capsys,

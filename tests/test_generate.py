@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from kcrit.canon import canon_raw, canonical_form
+from kcrit.families import odd_cycle
 from kcrit.generate import (
     ALL_GRAPHS,
     TRIANGLE_FREE,
@@ -14,7 +15,6 @@ from kcrit.generate import (
     child_graphs,
     generate_graphs,
 )
-from kcrit.families import odd_cycle
 from kcrit.graph import Graph, from_edge_list
 from kcrit.invariants import clique_number, independence_number
 from kcrit.patterns import named_graph
