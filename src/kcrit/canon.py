@@ -29,6 +29,17 @@ node, and a child extends its parent's with the columns of the vertices
 it places.  A p-vertex prefix compares against a stored leaf shifted
 right by n(n-1)/2 - p(p-1)/2 bits and prunes early; ``graph6_from_stream``
 writes the canonical code straight from the best leaf's int.
+
+The dominating vertices U (degree n - 1) form the first root cell.
+Refinement never splits it and it splits no other cell, so every leaf
+puts U first, U's rows hold only 1-bits, and leaves compare as their
+orders of G - U do.  So a canonical labelling lists U first, then G - U
+in its own canonical labelling: for H with no dominating vertex, the
+canonical code of K_m v H is the graph6 of K_m joined with H as decoded
+from H's canonical code.  The census writes join codes by this rule.
+``_search`` starts the search from root cells that its caller refined
+already, as generation's canonicity test does after deciding most
+children on those cells alone; ``canon_raw`` calls it with none.
 """
 
 from __future__ import annotations
@@ -127,18 +138,20 @@ class _Search:
             if a != b:
                 self.parent[max(a, b)] = min(a, b)
 
-    def run(self):
+    def run(self, cells):
         if self.n == 0:
             self.best_order = ()
             self.best_code = 0
             return
-        self._node([(1 << self.n) - 1], [], None, 0, 0)
+        if cells is None:
+            cells = _refine(self.adj, [(1 << self.n) - 1])
+        self._node(cells, [], [], 0, 0)
 
     def _node(self, cells, path, queue, code, done):
         """Process one node; returns the depth the caller should resume at.
 
-        cells are refined from queue (None: every cell); code encodes the
-        parent's first done vertices, which lead this node's order too.
+        cells are refined from queue; code encodes the parent's first done
+        vertices, which lead this node's order too.
         """
         depth = len(path)
         cells = _refine(self.adj, cells, queue)
@@ -217,8 +230,14 @@ def canon_raw(n, adj):
     stream bit most significant), gens generate the automorphism group as
     vertex maps, and orbit[v] is the smallest vertex in v's orbit.
     """
+    return _search(n, adj)
+
+
+def _search(n, adj, cells=None):
+    # canon_raw from the equitable root cells (default: the refined unit
+    # partition), for a caller that has refined them already
     s = _Search(n, adj)
-    s.run()
+    s.run(cells)
     return s.best_order, s.best_code, s.gens, [s._find(v) for v in range(n)]
 
 

@@ -29,7 +29,8 @@ from typing import NamedTuple
 from .canon import canonical_form
 from .critical import is_vertex_critical
 from .generate import ALL_GRAPHS, TRIANGLE_FREE, Graph, child_graphs
-from .graph import bits, check_int, complement, from_graph6, join, read_graph_file
+from .graph import (bits, check_int, complement, from_graph6, join, read_graph_file,
+                    to_graph6)
 from .invariants import alternating_forest, gallai_edmonds_raw, matching_raw
 from .patterns import as_pattern, is_free
 
@@ -161,10 +162,24 @@ def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
     return {(n + 1) // 2: codes for n, (_, codes) in enumerate(levels, 1) if n % 2}
 
 
+def _join_code(factors: list[Graph]) -> str:
+    # canonical code of the join of nonempty graphs decoded from canonical
+    # codes: each lists its dominating vertices first, then its core in
+    # the core's canonical labelling (see kcrit.canon), so the cliques
+    # followed by one factor with a core are in canonical labelling
+    # already; only two or more cores are searched
+    def has_core(f: Graph) -> bool:
+        return f.adj[-1].bit_count() < f.n - 1
+
+    g = reduce(join, sorted(factors, key=has_core))
+    return canonical_form(g) if sum(map(has_core, factors)) > 1 else to_graph6(g)
+
+
 def _assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
     # codes of the order-n k-vertex-critical P3+P1-free graphs: one join
     # per multiset of pieces P_j whose sizes j form a partition of k into
-    # 2k - n parts, taken as non-increasing tuples, largest first part first
+    # 2k - n parts, taken as non-increasing tuples, largest first part
+    # first, each coded by _join_code
     codes: list[str] = []
     for parts in combinations_with_replacement(range(k, 0, -1), 2 * k - n):
         if sum(parts) != k:
@@ -175,8 +190,7 @@ def _assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
         picks = product(*(combinations_with_replacement(pieces[j], c)
                           for j, c in Counter(parts).items()))
         for pick in picks:
-            factors = [from_graph6(c) for c in chain.from_iterable(pick)]
-            codes.append(canonical_form(reduce(join, factors)))
+            codes.append(_join_code([from_graph6(c) for c in chain.from_iterable(pick)]))
     return codes
 
 
@@ -191,12 +205,14 @@ def _join_cross_check(k: int, n_max: int, pieces: dict[int, list[str]],
     # every join of a k1- and a k2-critical P3+P1-free graph with
     # k1 + k2 = k is itself such a graph, so it must be in the census;
     # the factors are assembled on their own from the same pieces, so a
-    # miss means the assembly lost a graph
+    # miss means the assembly lost a graph.  Both sides are coded by
+    # _join_code, so this checks the joins, not that their codes are
+    # canonical: comparing rows with the shipped lists checks that
     for k1 in range(1, k // 2 + 1):
         k2 = k - k1
         for g in _critical_graphs(pieces, k1, n_max - k2):
             for h in _critical_graphs(pieces, k2, n_max - g.n):
-                code = canonical_form(join(g, h))
+                code = _join_code([g, h])
                 if code not in found:
                     raise RuntimeError(
                         f"census for k={k} is missing the join of a {k1}- and "

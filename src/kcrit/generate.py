@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator
 
-from .canon import canon_raw
+from .canon import _refine, _search, canon_raw
 from .graph import MAX_VERTICES, Graph, bits, check_int, check_order
 
 TRIANGLE_FREE = "triangle-free"
@@ -91,8 +91,15 @@ def _canonical_extension(n, adj, deg, eq, s):
     position; the child is accepted iff the new vertex n shares its orbit.
     s gives n the child's minimum degree t = |s| (child_graphs keeps no
     other set).  deg holds the parent's degrees and eq[d] the mask of
-    parent vertices of degree d.  The generators are those of Aut(child)
-    when stage 3 labelled the child, None when an earlier stage decided.
+    parent vertices of degree d.
+
+    Stage 3 decides on the child's root cells (its equitable refinement
+    of the unit partition) when it can: every leaf order of the search
+    keeps each cell in its place and orbits lie inside cells, so the
+    latest tied vertex lies in the last cell holding a tied vertex.  n
+    not in that cell rejects, the cell {n} accepts, and only otherwise
+    does a search from those cells label the child.  The generators are
+    those of Aut(child) when a search labelled it, else None.
     """
     t = s.bit_count()
     # 1. compare neighbour-degree lists among the child's degree-t vertices
@@ -114,13 +121,18 @@ def _canonical_extension(n, adj, deg, eq, s):
     # 2. n alone attains the minimum invariant: it is the deletion vertex
     if not ties:
         return child, None
-    # 3. the latest tied vertex in canonical order must share n's orbit
-    order, _, gens, orbit = canon_raw(n + 1, child)
+    # 3. the latest tied vertex in canonical order must share n's orbit;
+    # it lies in the last root cell that holds a tied vertex
     ties |= 1 << n
-    for v in reversed(order):
-        if ties >> v & 1:
-            return (child, gens) if orbit[v] == orbit[n] else None
-    raise AssertionError("unreachable: n attains the minimum")
+    cells = _refine(child, [(1 << n + 1) - 1])
+    last = next(c for c in reversed(cells) if c & ties)
+    if not last >> n & 1:
+        return None
+    if last == 1 << n:
+        return child, None
+    order, _, gens, orbit = _search(n + 1, child, cells)
+    v = next(v for v in reversed(order) if ties >> v & 1)
+    return (child, gens) if orbit[v] == orbit[n] else None
 
 
 def child_graphs(parent: Graph, mode: str = ALL_GRAPHS, admit=None) -> list[Graph]:

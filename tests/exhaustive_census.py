@@ -24,6 +24,9 @@ assumes independence number two only.  The enumeration must see all
 complements kept must be P_6 and the order-11 graphs of the shipped
 6-critical list.
 
+Every piece of order 11 joined with K1 gets from ``_join_code``, without
+a search, the canonical code of a random relabelling of the join.
+
 Odd ear decompositions from K1 (Lovász 1972) grow every triangle-free
 factor-critical graph to order 11, sharing only ``canon_raw`` and
 ``Graph`` with the census; their complements must be P_1..P_6 as sets.
@@ -44,17 +47,18 @@ and the order-12 check alone with
 
 import os
 from functools import cache, partial
+from random import Random
 
 import pytest
 
 import kcrit.census as census
 import oracles
 from kcrit.canon import canonical_form
-from kcrit.census import (_general_expand, _levels, _mapper, _piece_expand, _pieces,
-                          census_copaw_critical, census_general)
+from kcrit.census import (_general_expand, _join_code, _levels, _mapper, _piece_expand,
+                          _pieces, census_copaw_critical, census_general)
 from kcrit.critical import is_vertex_critical
 from kcrit.generate import TRIANGLE_FREE, generate_graphs
-from kcrit.graph import bits, complement, from_graph6, read_graph_list
+from kcrit.graph import Graph, bits, complement, from_graph6, join, read_graph_list, relabel
 from kcrit.invariants import alternating_forest, gallai_edmonds_raw
 from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free
 
@@ -181,6 +185,20 @@ def test_exhaustive_order_11_equals_p6():
     assert classes == 105071
     assert len(shipped) == 17828
     assert found == set(_p6()[6]) == shipped
+
+
+def test_join_codes_of_the_order_11_pieces_with_k1():
+    # K1 v h for every piece h of P_6, 17,828 of the 17,834 graphs of the
+    # k = 7 order-12 row: the code _join_code writes without a search is
+    # the canonical code of a random relabelling
+    rng = Random(61)
+    k1 = Graph(1, (0,))
+    for code in _p6()[6]:
+        h = from_graph6(code)
+        perm = list(range(h.n + 1))
+        rng.shuffle(perm)
+        assert _join_code([k1, h]) == canonical_form(relabel(join(k1, h), perm)), code
+    assert len(_p6()[6]) == 17828
 
 
 def test_ear_decompositions_give_the_pieces_to_order_11():

@@ -664,6 +664,29 @@ def uncapped_child_graphs(parent: Graph, mode: str, admit=None):
     return out
 
 
+def searched_extension(n: int, adj, s: int):
+    """``generate._canonical_extension`` before stage 3 decided on the
+    root cells: every vertex's (degree, sorted neighbour degrees) is
+    compared with the new vertex n's, and when another vertex ties with
+    n, the child is labelled by a full ``canon_raw`` search and accepted
+    iff the latest tied vertex in canonical order shares n's orbit.  n
+    must have the child's minimum degree, as ``child_graphs`` ensures.
+    (adjacency, generators) or None."""
+    from kcrit.canon import canon_raw
+
+    child = [a | (s >> v & 1) << n for v, a in enumerate(adj)] + [s]
+    deg = [a.bit_count() for a in child]
+    inv = [(deg[v], sorted(deg[u] for u in bits(a))) for v, a in enumerate(child)]
+    if min(inv) < inv[n]:
+        return None
+    ties = [v for v in range(n + 1) if inv[v] == inv[n]]
+    if ties == [n]:
+        return child, None
+    order, _, gens, orbit = canon_raw(n + 1, child)
+    latest = max(ties, key=order.index)
+    return (child, gens) if orbit[latest] == orbit[n] else None
+
+
 @cache
 def all_graphs_level(n: int) -> tuple[Graph, ...]:
     """One graph per class of order n >= 1, in the order that the

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 
 import kcrit.canon
 import oracles
-from kcrit.canon import canon_raw, canonical_form
+from kcrit.canon import _refine, _search, canon_raw, canonical_form
 from kcrit.generate import generate_graphs
-from kcrit.graph import Graph, from_edge_list, from_graph6, read_graph_file, relabel
+from kcrit.graph import (Graph, complement, from_edge_list, from_graph6, join,
+                         read_graph_file, relabel, to_graph6)
 from oracles import is_isomorphic
 from util import data_path, graph_with_permutation, random_graph
 
@@ -181,3 +182,50 @@ def test_canon_raw_matches_the_search_with_full_queue_refinement(monkeypatch):
                         lambda adj, cells, queue=None: oracles.refine(adj, cells))
     for g, got in zip(inputs, fast):
         assert got == canon_raw(g.n, g.adj), g
+
+
+def test_a_search_from_the_root_cells_equals_canon_raw():
+    # handing the search the root cells it would refine itself changes
+    # nothing: the same order, code, generators and orbits
+    for g in _refinement_inputs():
+        cells = _refine(g.adj, [(1 << g.n) - 1])
+        assert _search(g.n, g.adj, cells) == canon_raw(g.n, g.adj), g
+
+
+# ===== dominating vertices =====
+
+def _dominating(g):
+    return [v for v, a in enumerate(g.adj) if a.bit_count() == g.n - 1]
+
+
+def test_a_canonical_labelling_lists_the_dominating_vertices_first():
+    rng = random.Random(53)
+    seeded = [random_graph(rng, rng.randint(1, 12), p=rng.choice([0.5, 0.8, 0.95]))
+              for _ in range(500)]
+    tested = 0
+    for g in chain((g for n in range(1, 8) for g in generate_graphs(n)), seeded):
+        u = _dominating(from_graph6(canonical_form(g)))
+        assert u == list(range(len(u))), g
+        tested += bool(u)
+    assert tested > 500
+
+
+def test_a_join_with_a_clique_is_the_clique_before_the_canonical_labelling():
+    # K_m v H for H with no dominating vertex: the m dominating vertices
+    # lead and never split a cell, and the code ranks leaves as H's does,
+    # so the canonical labelling of the join is K_m, then H's own
+    rng = random.Random(59)
+    cases = 0
+    for n in range(1, 8):
+        for h in generate_graphs(n):
+            if _dominating(h):
+                continue
+            ch = from_graph6(canonical_form(h))
+            for m in (1, 2, 3):
+                g = join(complement(Graph(m, (0,) * m)), h)
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert canonical_form(relabel(g, perm)) == to_graph6(
+                    join(complement(Graph(m, (0,) * m)), ch)), (h, m)
+                cases += 1
+    assert cases == 3 * 1043        # the classes of order <= 7 without one

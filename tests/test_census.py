@@ -1,7 +1,7 @@
 """Tests for the census pipelines and list verification."""
 
 import os
-from functools import partial
+from functools import partial, reduce
 from random import Random
 
 import pytest
@@ -346,6 +346,49 @@ def test_piece_run_counts_its_blossom_passes_exactly(monkeypatch):
     assert [passes[0], searches[0]] == want
     assert (parents[0], *want) == (296, 575, 1288)
     assert (offered[0], tested[0]) == (1557, 842)
+
+
+def test_census_k6_counts_its_labelling_searches_exactly(monkeypatch):
+    # census_copaw_critical(6, 10) codes the 178 pieces P_1..P_5 by a
+    # search, and of the 383 joins of its rows and its cross-check only
+    # the two with two cores (C5 v C5, in the order-10 row and in the
+    # cross-check); 561 searches when every join was searched.  Of the
+    # 314 children that reach stage 3 of the canonicity test, 106 are
+    # decided on the root cells and 208 searched, and 144 parents are
+    # labelled: 452 canon_raw calls when stage 3 always searched
+    import kcrit.generate as generate
+    calls = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def spy(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counting(kcrit.census, "canonical_form")
+    for name in ("canon_raw", "_search", "_refine"):
+        counting(generate, name)
+    census_copaw_critical(6, 10)
+    assert calls == {"canonical_form": 180, "canon_raw": 144, "_search": 208, "_refine": 314}
+
+
+def test_join_code_searches_only_two_or_more_cores(monkeypatch):
+    # factors in canonical labelling: cliques and one factor with a core
+    # give the code of the join without a search, in any factor order
+    c5, k1, k2 = (from_graph6(canonical_form(g)) for g in
+                  (named_graph("C5"), Graph(1, (0,)), named_graph("K2")))
+    searched = []
+    monkeypatch.setattr(kcrit.census, "canonical_form",
+                        lambda g: searched.append(g) or canonical_form(g))
+    for factors in ([k1], [k2, k1], [c5, k1], [k1, c5, k2], [c5, k2, k1, k1]):
+        code = kcrit.census._join_code(factors)
+        assert code == canonical_form(reduce(join, factors)), factors
+    assert searched == []
+    assert kcrit.census._join_code([c5, k1, c5]) == canonical_form(join(join(c5, k1), c5))
+    assert len(searched) == 1
 
 
 def test_pieces_hand_generators_down(monkeypatch):

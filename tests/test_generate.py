@@ -192,6 +192,48 @@ def test_capped_children_equal_the_uncapped_enumeration(mode):
                         == oracles.uncapped_child_graphs(p, mode, admit))
 
 
+@pytest.mark.parametrize("mode", [TRIANGLE_FREE, ALL_GRAPHS])
+def test_root_cells_decide_as_the_full_search_does(mode, monkeypatch):
+    # on every child of seeded parents: the same verdict as labelling the
+    # child whenever another vertex ties with n, and the same generators
+    # whenever both searched; a child decided on the root cells carries
+    # none
+    import kcrit.generate as generate
+    real, kinds = generate._canonical_extension, []
+    stage3, searches = [0], [0]
+    refine, search = generate._refine, generate._search
+
+    def refining(*args):
+        stage3[0] += 1
+        return refine(*args)
+
+    def searching(*args):
+        searches[0] += 1
+        return search(*args)
+
+    def checked(n, adj, deg, eq, s):
+        got = real(n, adj, deg, eq, s)
+        want = oracles.searched_extension(n, adj, s)
+        assert (got is None) == (want is None), (adj, s)
+        if got is not None:
+            assert got[0] == want[0]
+            assert got[1] is None or got[1] == want[1], (adj, s)
+            assert want[1] is not None or got[1] is None, (adj, s)
+            kinds.append((got[1] is None, want[1] is None))
+        return got
+
+    monkeypatch.setattr(generate, "_canonical_extension", checked)
+    monkeypatch.setattr(generate, "_refine", refining)
+    monkeypatch.setattr(generate, "_search", searching)
+    parents = _seeded_parents(mode, 2703) + [p for level in _levels(mode, 6) for p in level]
+    for p in parents:
+        child_graphs(p, mode)
+    # accepted after a search, on the root cells, and by stage 2; the
+    # root cells also reject some children without a search
+    assert set(kinds) == {(False, False), (True, False), (True, True)}
+    assert stage3[0] - searches[0] > kinds.count((True, False)) > 0
+
+
 # ===== handed-down automorphism generators =====
 
 def test_handed_down_generators_give_the_same_children():
