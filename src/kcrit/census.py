@@ -29,8 +29,8 @@ from typing import NamedTuple
 from .canon import canonical_form
 from .critical import is_vertex_critical
 from .generate import ALL_GRAPHS, TRIANGLE_FREE, Graph, child_graphs
-from .graph import (bits, check_int, complement, from_graph6, join, read_graph_file,
-                    to_graph6)
+from .graph import (_graph6_stream, bits, check_int, complement, from_graph6,
+                    graph6_from_stream, join, read_graph_file)
 from .invariants import alternating_forest, gallai_edmonds_raw, matching_raw
 from .patterns import as_pattern, is_free
 
@@ -162,17 +162,28 @@ def _pieces(top: int, mapper=map) -> dict[int, list[str]]:
     return {(n + 1) // 2: codes for n, (_, codes) in enumerate(levels, 1) if n % 2}
 
 
-def _join_code(factors: list[Graph]) -> str:
-    # canonical code of the join of nonempty graphs decoded from canonical
-    # codes: each lists its dominating vertices first, then its core in
-    # the core's canonical labelling (see kcrit.canon), so the cliques
-    # followed by one factor with a core are in canonical labelling
-    # already; only two or more cores are searched
-    def has_core(f: Graph) -> bool:
-        return f.adj[-1].bit_count() < f.n - 1
-
-    g = reduce(join, sorted(factors, key=has_core))
-    return canonical_form(g) if sum(map(has_core, factors)) > 1 else to_graph6(g)
+def _join_code(codes: list[str]) -> str:
+    # canonical code of the join of the graphs with these canonical codes.
+    # Each lists its dominating vertices first, then its core in the
+    # core's canonical labelling (see kcrit.canon), so K_m, m the cliques'
+    # vertices, then the one factor F with a core is in canonical
+    # labelling: column j of its stream is j ones for j < m, then m ones
+    # and F's column j - m.  Only two or more cores are searched
+    m, cores = 0, []
+    for code in codes:
+        n, stream = _graph6_stream(code)
+        if stream == (1 << n * (n - 1) // 2) - 1:
+            m += n
+        else:
+            cores.append((n, stream))
+    if len(cores) > 1:
+        return canonical_form(reduce(join, map(from_graph6, codes)))
+    f, core = cores[0] if cores else (0, 0)
+    stream, ones = (1 << m * (m - 1) // 2) - 1, (1 << m) - 1
+    for j in range(f):
+        col = core >> (f * (f - 1) - j * (j + 1)) // 2 & (1 << j) - 1
+        stream = (stream << m | ones) << j | col
+    return graph6_from_stream(m + f, stream)
 
 
 def _assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
@@ -190,13 +201,13 @@ def _assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
         picks = product(*(combinations_with_replacement(pieces[j], c)
                           for j, c in Counter(parts).items()))
         for pick in picks:
-            codes.append(_join_code([from_graph6(c) for c in chain.from_iterable(pick)]))
+            codes.append(_join_code(list(chain.from_iterable(pick))))
     return codes
 
 
-def _critical_graphs(pieces: dict[int, list[str]], k: int, n_cap: int) -> list[Graph]:
-    # every k-vertex-critical P3+P1-free graph of order <= n_cap
-    return [from_graph6(c) for n in range(k, min(n_cap, 2 * k - 1) + 1)
+def _critical_codes(pieces: dict[int, list[str]], k: int, n_cap: int):
+    # (order, code) of every k-vertex-critical P3+P1-free graph of order <= n_cap
+    return [(n, c) for n in range(k, min(n_cap, 2 * k - 1) + 1)
             for c in _assembled(pieces, k, n)]
 
 
@@ -210,8 +221,8 @@ def _join_cross_check(k: int, n_max: int, pieces: dict[int, list[str]],
     # canonical: comparing rows with the shipped lists checks that
     for k1 in range(1, k // 2 + 1):
         k2 = k - k1
-        for g in _critical_graphs(pieces, k1, n_max - k2):
-            for h in _critical_graphs(pieces, k2, n_max - g.n):
+        for n1, g in _critical_codes(pieces, k1, n_max - k2):
+            for _, h in _critical_codes(pieces, k2, n_max - n1):
                 code = _join_code([g, h])
                 if code not in found:
                     raise RuntimeError(

@@ -274,6 +274,14 @@ def graph6_from_stream(n: int, stream: int) -> str:
                                   for s in range(size + pad - 6, -1, -6)])
 
 
+def _graph6_stream(code: str) -> tuple[int, int]:
+    # (n, stream) of a valid graph6 code: graph6_from_stream undone
+    n, stream = ord(code[0]) - 63, 0
+    for ch in code[1:]:
+        stream = stream << 6 | ord(ch) - 63
+    return n, stream >> -(n * (n - 1) // 2) % 6
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as graph6 (n <= 62 header form; here always n <= 31)."""
     stream = 0

@@ -197,7 +197,7 @@ def test_join_codes_of_the_order_11_pieces_with_k1():
         h = from_graph6(code)
         perm = list(range(h.n + 1))
         rng.shuffle(perm)
-        assert _join_code([k1, h]) == canonical_form(relabel(join(k1, h), perm)), code
+        assert _join_code(["@", code]) == canonical_form(relabel(join(k1, h), perm)), code
     assert len(_p6()[6]) == 17828
 
 

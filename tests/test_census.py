@@ -376,18 +376,22 @@ def test_census_k6_counts_its_labelling_searches_exactly(monkeypatch):
 
 
 def test_join_code_searches_only_two_or_more_cores(monkeypatch):
-    # factors in canonical labelling: cliques and one factor with a core
-    # give the code of the join without a search, in any factor order
-    c5, k1, k2 = (from_graph6(canonical_form(g)) for g in
-                  (named_graph("C5"), Graph(1, (0,)), named_graph("K2")))
+    # canonical codes of cliques and of one factor with a core (C5, or
+    # C5 v K1 with a dominating vertex of its own) give the code of the
+    # join without a search, in any factor order
+    c5, k1, k2 = named_graph("C5"), Graph(1, (0,)), named_graph("K2")
+    graphs = {"C5": c5, "K1": k1, "K2": k2, "C5vK1": join(c5, k1)}
+    code = {name: canonical_form(g) for name, g in graphs.items()}
     searched = []
     monkeypatch.setattr(kcrit.census, "canonical_form",
                         lambda g: searched.append(g) or canonical_form(g))
-    for factors in ([k1], [k2, k1], [c5, k1], [k1, c5, k2], [c5, k2, k1, k1]):
-        code = kcrit.census._join_code(factors)
-        assert code == canonical_form(reduce(join, factors)), factors
+    for names in (["K1"], ["K2", "K1"], ["C5", "K1"], ["K1", "C5", "K2"],
+                  ["C5", "K2", "K1", "K1"], ["C5vK1", "K2"]):
+        got = kcrit.census._join_code([code[x] for x in names])
+        assert got == canonical_form(reduce(join, [graphs[x] for x in names])), names
     assert searched == []
-    assert kcrit.census._join_code([c5, k1, c5]) == canonical_form(join(join(c5, k1), c5))
+    got = kcrit.census._join_code([code["C5"], code["K1"], code["C5"]])
+    assert got == canonical_form(join(join(c5, k1), c5))
     assert len(searched) == 1
 
 
