@@ -189,8 +189,7 @@ def _join_code(codes: list[str]) -> str:
 def _assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
     # codes of the order-n k-vertex-critical P3+P1-free graphs: one join
     # per multiset of pieces P_j whose sizes j form a partition of k into
-    # 2k - n parts, taken as non-increasing tuples, largest first part
-    # first, each coded by _join_code
+    # 2k - n parts, taken as non-increasing tuples, largest first part first
     codes: list[str] = []
     for parts in combinations_with_replacement(range(k, 0, -1), 2 * k - n):
         if sum(parts) != k:
@@ -217,8 +216,7 @@ def _join_cross_check(k: int, n_max: int, pieces: dict[int, list[str]],
     # k1 + k2 = k is itself such a graph, so it must be in the census;
     # the factors are assembled on their own from the same pieces, so a
     # miss means the assembly lost a graph.  Both sides are coded by
-    # _join_code, so this checks the joins, not that their codes are
-    # canonical: comparing rows with the shipped lists checks that
+    # _join_code: the shipped lists, not this check, show the codes canonical
     for k1 in range(1, k // 2 + 1):
         k2 = k - k1
         for n1, g in _critical_codes(pieces, k1, n_max - k2):

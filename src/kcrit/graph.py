@@ -13,8 +13,9 @@ byte, +63, zero padded) and a plain edge-list line format
 accepted as input only, for graphs with n <= 10.
 
 The graph6 writer takes the bit stream as one n(n-1)/2-bit int, first
-stream bit most significant: ``to_graph6`` builds it from the rows and
-canonical labeling hands it over as its search holds it.
+stream bit most significant: ``to_graph6`` builds it from the rows,
+canonical labeling hands it over as its search holds it, and the census
+builds a join's from its factors' streams (``_graph6_stream``).
 
 The graph6 decoder reads a body byte at a time.  Body byte p always
 covers stream bits 6p..6p+5, whatever the order, so one set of entries
