@@ -144,14 +144,15 @@ class _Search:
             self.best_code = 0
             return
         if cells is None:
-            cells = _refine(self.adj, [(1 << self.n) - 1])
-        self._node(cells, [], [], 0, 0)
+            self._node([(1 << self.n) - 1], [], None, 0, 0)
+        else:
+            self._node(cells, [], [], 0, 0)
 
     def _node(self, cells, path, queue, code, done):
         """Process one node; returns the depth the caller should resume at.
 
-        cells are refined from queue; code encodes the parent's first done
-        vertices, which lead this node's order too.
+        cells are refined from queue (None: every cell); code encodes the
+        parent's first done vertices, which lead this node's order too.
         """
         depth = len(path)
         cells = _refine(self.adj, cells, queue)
