@@ -37,9 +37,9 @@ orders of G - U do.  So a canonical labelling lists U first, then G - U
 in its own canonical labelling: for H with no dominating vertex, the
 canonical code of K_m v H is the graph6 of K_m joined with H as decoded
 from H's canonical code.  The census writes join codes by this rule.
-``_search`` starts the search from root cells that its caller refined
-already, as generation's canonicity test does after deciding most
-children on those cells alone; ``canon_raw`` calls it with none.
+``canon_raw`` takes root cells that its caller refined already, as
+generation's canonicity test does after deciding most children on those
+cells alone.
 """
 
 from __future__ import annotations
@@ -222,21 +222,16 @@ class _Search:
         return depth
 
 
-def canon_raw(n, adj):
+def canon_raw(n, adj, cells=None):
     """Canonicalize a raw (n, adjacency-masks) pair.
 
     Returns (order, code, gens, orbit) where order[i] is the vertex placed
     at canonical position i, code is the canonical encoding (the graph6
     bit stream of the relabelled graph as an n(n-1)/2-bit int, first
     stream bit most significant), gens generate the automorphism group as
-    vertex maps, and orbit[v] is the smallest vertex in v's orbit.
+    vertex maps, and orbit[v] is the smallest vertex in v's orbit.  cells,
+    if given, are the equitable root cells, refined by the caller already.
     """
-    return _search(n, adj)
-
-
-def _search(n, adj, cells=None):
-    # canon_raw from the equitable root cells (default: the refined unit
-    # partition), for a caller that has refined them already
     s = _Search(n, adj)
     s.run(cells)
     return s.best_order, s.best_code, s.gens, [s._find(v) for v in range(n)]

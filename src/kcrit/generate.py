@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterator
 
-from .canon import _refine, _search, canon_raw
+from .canon import _refine, canon_raw
 from .graph import MAX_VERTICES, Graph, bits, check_int, check_order
 
 TRIANGLE_FREE = "triangle-free"
@@ -130,7 +130,7 @@ def _canonical_extension(n, adj, deg, eq, s):
         return None
     if last == 1 << n:
         return child, None
-    order, _, gens, orbit = _search(n + 1, child, cells)
+    order, _, gens, orbit = canon_raw(n + 1, child, cells)
     v = next(v for v in reversed(order) if ties >> v & 1)
     return (child, gens) if orbit[v] == orbit[n] else None
 
@@ -196,7 +196,7 @@ def generate_graphs(n: int, mode: str = ALL_GRAPHS) -> Iterator[Graph]:
     """
     check_int("order", n, 1, MAX_VERTICES)
     _check_args(mode)
-    level = iter([Graph(1, (0,))])
-    for _ in range(n - 1):
+    level = iter([Graph(0, ())])
+    for _ in range(n):
         level = chain.from_iterable(child_graphs(p, mode) for p in level)
     return level

@@ -35,6 +35,12 @@ On each order-10 parent of the k = 6 piece run's last step, the search
 that reads D(P - s) off the parent's perfect matching must equal a
 fresh blossom pass on P - s.
 
+At the order-11 leaf of that run, the canonicity tests must number the
+Aut(F)-orbits on the minimum-degree vertices of the pieces F, summed
+(``util.rooted_pieces``), and ``_pieces(6)`` and
+``census_copaw_critical(6)``, on one process and on two, must keep their
+pinned digests (as ``tests/test_digests.py`` pins the smaller outputs).
+
 The file name keeps these checks out of the default collection.  Run
 them with
 
@@ -57,12 +63,12 @@ from kcrit.canon import canonical_form
 from kcrit.census import (_general_expand, _join_code, _levels, _mapper, _piece_expand,
                           _pieces, census_copaw_critical, census_general)
 from kcrit.critical import is_vertex_critical
-from kcrit.generate import TRIANGLE_FREE, generate_graphs
+from kcrit.generate import TRIANGLE_FREE, _canonical_extension, generate_graphs
 from kcrit.graph import Graph, bits, complement, from_graph6, join, read_graph_list, relabel
 from kcrit.invariants import alternating_forest, gallai_edmonds_raw
 from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free
 
-from util import data_path
+from util import data_path, digest, rooted_pieces, spy
 
 WORKERS = min(2, os.cpu_count() or 1)
 P3P1 = as_pattern("P3+P1")
@@ -228,3 +234,20 @@ def test_search_from_a_mate_equals_a_fresh_pass_at_order_11():
                 gallai_edmonds_raw(p, adj, full ^ 1 << s)[1], (parent, s)
     # the deficiency prune leaves only perfectly matchable parents here
     assert (len(level), parents, searches) == (6211, 6211, 59674)
+
+
+def test_leaf_canonicity_tests_count_the_rooted_pieces_of_order_11(monkeypatch):
+    # the counting identity checks the k = 6 run without comparing codes
+    tests = spy(monkeypatch, _canonical_extension)
+    pieces = _pieces(6)[6]
+    assert rooted_pieces(pieces) == sum(args[0] + 1 == 11 for args in tests) == 49073
+
+
+def test_k6_piece_codes_keep_their_digest():
+    assert digest(_p6()) == "bb7d871905e2259314e62527e1e7f5af50b0d0fec28473579f2b4d50c2c5844f"
+
+
+@pytest.mark.parametrize("workers", sorted({1, WORKERS}))
+def test_k6_census_rows_keep_their_digest(workers):
+    assert digest(census_copaw_critical(6, workers=workers)) == \
+        "686ce89c74c730b49ab41c4746d1e60caf1a5e64a44905065645403682754f19"

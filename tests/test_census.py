@@ -25,14 +25,16 @@ from kcrit.census import (
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
-from kcrit.generate import TRIANGLE_FREE, _independent_masks, child_graphs
+from kcrit.generate import (TRIANGLE_FREE, _canonical_extension, _independent_masks,
+                            _mask_orbit_reps, child_graphs)
 from kcrit.graph import (Graph, complement, format_edge_list, from_graph6, join,
                          read_graph_file, read_graph_list, to_graph6)
-from kcrit.invariants import gallai_edmonds_raw, independence_number, matching_raw
+from kcrit.invariants import (alternating_forest, gallai_edmonds_raw, independence_number,
+                              matching_raw)
 from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free, named_graph
 
 from lemmas import co_components
-from util import data_path, degree_rule, random_triangle_free
+from util import data_path, degree_rule, random_triangle_free, rooted_pieces, spy
 
 
 def _codes(rows):
@@ -301,51 +303,30 @@ def test_piece_run_counts_its_blossom_passes_exactly(monkeypatch):
     # 1,557 attachment sets to the orbit step and 842 representatives to
     # the canonicity test (2,566 and 1,327 from K1 when the new vertex's
     # degree rule was checked on each representative)
-    import kcrit.generate as generate
-    import kcrit.invariants as invariants
-    passes, searches, want, parents = [0], [0], [0, 0], [0]
-    real, search = invariants.gallai_edmonds_raw, kcrit.census.alternating_forest
-    offered, tested = [0], [0]
-    reps, test = generate._mask_orbit_reps, generate._canonical_extension
-
-    def reps_spy(masks, gens):
-        offered[0] += len(masks)
-        return reps(masks, gens)
-
-    def test_spy(*args):
-        tested[0] += 1
-        return test(*args)
-
-    monkeypatch.setattr(generate, "_mask_orbit_reps", reps_spy)
-    monkeypatch.setattr(generate, "_canonical_extension", test_spy)
-
-    def counting(*args):
-        passes[0] += 1
-        return real(*args)
-
-    def searching(*args):
-        searches[0] += 1
-        return search(*args)
-
-    monkeypatch.setattr(kcrit.census, "gallai_edmonds_raw", counting)
-    monkeypatch.setattr(invariants, "gallai_edmonds_raw", counting)
-    monkeypatch.setattr(kcrit.census, "alternating_forest", searching)
-    expand = kcrit.census._piece_expand
-
-    def spy(parent, last):
+    passes = spy(monkeypatch, gallai_edmonds_raw)
+    searches = spy(monkeypatch, alternating_forest, [kcrit.census])
+    offered = spy(monkeypatch, _mask_orbit_reps)
+    tested = spy(monkeypatch, _canonical_extension)
+    parents = spy(monkeypatch, _piece_expand)
+    _pieces(5)
+    want = [0, 0]
+    for parent, last in parents:
         p, n = parent.n, parent.n + 1
         exposed = p - 2 * oracles.max_matching(parent)
         low = sum(a.bit_count() < (last - 1) // 2 for a in parent.adj)
         want[0] += 1 + (exposed in (0, last - n))
         want[1] += low if n % 2 and not exposed else 0
-        parents[0] += 1
-        return expand(parent, last)
+    assert [len(passes), len(searches)] == want
+    assert (len(parents), *want) == (296, 575, 1288)
+    assert (sum(len(masks) for masks, _ in offered), len(tested)) == (1557, 842)
 
-    monkeypatch.setattr(kcrit.census, "_piece_expand", spy)
-    _pieces(5)
-    assert [passes[0], searches[0]] == want
-    assert (parents[0], *want) == (296, 575, 1288)
-    assert (offered[0], tested[0]) == (1557, 842)
+
+def test_leaf_canonicity_tests_count_the_rooted_pieces(monkeypatch):
+    # a class accepted twice at the leaf step, or not at all, breaks the
+    # equality (the order-11 leaf is in the exhaustive step)
+    tests = spy(monkeypatch, _canonical_extension)
+    pieces = _pieces(5)[5]
+    assert rooted_pieces(pieces) == sum(args[0] + 1 == 9 for args in tests) == 417
 
 
 def test_census_k6_counts_its_labelling_searches_exactly(monkeypatch):
@@ -357,22 +338,13 @@ def test_census_k6_counts_its_labelling_searches_exactly(monkeypatch):
     # decided on the root cells and 208 searched, and 144 parents are
     # labelled: 452 canon_raw calls when stage 3 always searched
     import kcrit.generate as generate
-    calls = {}
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def spy(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return real(*args)
-
-        monkeypatch.setattr(module, name, spy)
-
-    counting(kcrit.census, "canonical_form")
-    for name in ("canon_raw", "_search", "_refine"):
-        counting(generate, name)
+    coded = spy(monkeypatch, canonical_form)
+    labelled = spy(monkeypatch, canon_raw, [generate])
+    refined = spy(monkeypatch, generate._refine, [generate])
     census_copaw_critical(6, 10)
-    assert calls == {"canonical_form": 180, "canon_raw": 144, "_search": 208, "_refine": 314}
+    searched = [args for args in labelled if len(args) == 3]     # from root cells
+    assert (len(coded), len(labelled) - len(searched), len(searched), len(refined)) == \
+        (180, 144, 208, 314)
 
 
 def test_join_code_searches_only_two_or_more_cores(monkeypatch):
@@ -382,9 +354,7 @@ def test_join_code_searches_only_two_or_more_cores(monkeypatch):
     c5, k1, k2 = named_graph("C5"), Graph(1, (0,)), named_graph("K2")
     graphs = {"C5": c5, "K1": k1, "K2": k2, "C5vK1": join(c5, k1)}
     code = {name: canonical_form(g) for name, g in graphs.items()}
-    searched = []
-    monkeypatch.setattr(kcrit.census, "canonical_form",
-                        lambda g: searched.append(g) or canonical_form(g))
+    searched = spy(monkeypatch, canonical_form)
     for names in (["K1"], ["K2", "K1"], ["C5", "K1"], ["K1", "C5", "K2"],
                   ["C5", "K2", "K1", "K1"], ["C5vK1", "K2"]):
         got = kcrit.census._join_code([code[x] for x in names])
@@ -398,15 +368,9 @@ def test_join_code_searches_only_two_or_more_cores(monkeypatch):
 def test_pieces_hand_generators_down(monkeypatch):
     # a parent that stage 3 labelled when it was accepted comes with its
     # own generators, so the next step does not label it again
-    import kcrit.census as census
-    seen, expand = [], census.child_graphs
-
-    def spy(parent, *args, **kwargs):
-        seen.append(parent)
-        return expand(parent, *args, **kwargs)
-
-    monkeypatch.setattr(census, "child_graphs", spy)
+    calls = spy(monkeypatch, child_graphs)
     _pieces(5)
+    seen = [args[0] for args in calls]
     handed = [p for p in seen if p._gens is not None]
     assert len(handed) > len(seen) // 4
     assert all(p._gens == canon_raw(p.n, p.adj)[2] for p in handed)
@@ -565,11 +529,11 @@ def test_general_run_tests_criticality_within_the_order_bound(monkeypatch, k, pa
     # through
     degrees, real = [], kcrit.census.is_vertex_critical
 
-    def spy(g, j):
+    def recording(g, j):
         degrees.append(min(a.bit_count() for a in g.adj))
         return real(g, j)
 
-    monkeypatch.setattr(kcrit.census, "is_vertex_critical", spy)
+    monkeypatch.setattr(kcrit.census, "is_vertex_critical", recording)
     census_general(k, pattern, 9)
     assert len(degrees) == tested
     assert min(degrees) >= k - 1
@@ -621,15 +585,8 @@ def test_verify_census_comparison():
 
 def test_verify_never_searches_for_p3p1(monkeypatch):
     # P3+P1 is decided by the join decomposition, not by an embedding search
-    import kcrit.patterns
-    calls = []
-    real = kcrit.patterns.contains_induced
-
-    def counted(g, h):
-        calls.append(g.n)
-        return real(g, h)
-
-    monkeypatch.setattr(kcrit.patterns, "contains_induced", counted)
+    from kcrit.patterns import contains_induced
+    calls = spy(monkeypatch, contains_induced)
     rep = verify_list(data_path("critical5.g6"), 5, "P3+P1")
     assert rep.total == 178 and rep.ok
     assert calls == []

@@ -7,9 +7,6 @@ import pytest
 from kcrit.canon import canonical_form
 from kcrit.census import census_copaw_critical
 import kcrit.certify
-import kcrit.graph
-import kcrit.invariants
-import kcrit.patterns
 from kcrit.certify import (
     NO,
     NOT_IN_CLASS,
@@ -23,14 +20,14 @@ from kcrit.certify import (
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
-from kcrit.graph import (Graph, from_graph6, induced_subgraph, join, mask_of, relabel,
-                         write_graph_list)
-from kcrit.invariants import Coloring, is_k_colorable
+from kcrit.graph import (Graph, complement, from_graph6, induced_subgraph, join, mask_of,
+                         relabel, write_graph_list)
+from kcrit.invariants import Coloring, is_k_colorable, triangle_free_raw
 from kcrit.patterns import contains_induced, copaw_decompose, is_free, is_p3p1, named_graph
 
 import oracles
 from oracles import is_isomorphic
-from util import random_copaw_free, random_graph
+from util import random_copaw_free, random_graph, spy
 
 
 @pytest.fixture(scope="module")
@@ -340,28 +337,20 @@ def test_structural_coloring_tests_each_factor_for_triangles_once(monkeypatch):
     # one triangle kernel serves the decomposition and the alpha <= 2
     # kernel; a decomposition and the coloring built on it run it once
     # per factor, and never again on the whole graph
-    calls = []
-    real = kcrit.invariants.triangle_free_raw
-    for module in (kcrit.invariants, kcrit.patterns):
-        monkeypatch.setattr(module, "triangle_free_raw",
-                            lambda rows, mask: calls.append(mask) or real(rows, mask))
+    calls = spy(monkeypatch, triangle_free_raw)
     rng = random.Random(2)
     for _ in range(200):
         g = random_copaw_free(rng, 12)
         calls.clear()
         _structural_coloring(g, copaw_decompose(g))
-        tested = list(calls)
+        tested = [mask for _, mask in calls]
         assert tested == list(copaw_decompose(g).factors)
 
 
 def test_yes_query_builds_the_complement_once(monkeypatch, db5):
     # the structural coloring reads the complement rows that the join
     # decomposition built, so a YES query makes one complement
-    calls = []
-    real = kcrit.graph.complement
-    for module in (kcrit.graph, kcrit.patterns, kcrit.certify):
-        if hasattr(module, "complement"):
-            monkeypatch.setattr(module, "complement", lambda g: calls.append(g) or real(g))
+    calls = spy(monkeypatch, complement)
     rng = random.Random(3)
     answered = 0
     for _ in range(200):
@@ -369,7 +358,7 @@ def test_yes_query_builds_the_complement_once(monkeypatch, db5):
         calls.clear()
         if certify_color(g, 4, db5).verdict == YES:
             answered += 1
-            assert calls == [g]
+            assert calls == [(g,)]
     assert answered >= 50
 
 
@@ -378,12 +367,8 @@ def test_yes_query_builds_the_complement_once(monkeypatch, db5):
 def test_certify_searches_for_p3p1_only_outside_the_class(monkeypatch, db4, db5):
     # every query decomposes once; an in-class query (YES, or NO by the
     # database scan) never searches for P3+P1, a NOT-IN-CLASS query once
-    searches, decompositions = [], []
-    search, decompose = kcrit.certify.contains_induced, kcrit.certify.copaw_decompose
-    monkeypatch.setattr(kcrit.certify, "contains_induced",
-                        lambda g, h: searches.append(h) or search(g, h))
-    monkeypatch.setattr(kcrit.certify, "copaw_decompose",
-                        lambda g: decompositions.append(g) or decompose(g))
+    searches = spy(monkeypatch, contains_induced)
+    decompositions = spy(monkeypatch, copaw_decompose)
     db6 = build_database(6)
     queries = [(co_odd_cycle(5), 5, db6, YES), (co_odd_cycle(5), 4, db5, NO),
                (join(named_graph("K5"), named_graph("K1")), 3, db4, NO),
@@ -394,8 +379,8 @@ def test_certify_searches_for_p3p1_only_outside_the_class(monkeypatch, db4, db5)
         decompositions.clear()
         ans = certify_color(g, k, db)
         assert ans.verdict == verdict
-        assert decompositions == [g]
-        p3p1_searches = [h for h in searches if is_p3p1(h)]
+        assert decompositions == [(g,)]
+        p3p1_searches = [h for _, h in searches if is_p3p1(h)]
         assert len(p3p1_searches) == (verdict == NOT_IN_CLASS)
         if verdict == NOT_IN_CLASS:
             assert len(searches) == 1

@@ -11,7 +11,7 @@ from kcrit.families import co_odd_cycle, odd_cycle
 from kcrit.patterns import named_graph
 
 from oracles import is_isomorphic
-from util import data_path
+from util import data_path, spy
 
 
 def run(argv):
@@ -49,16 +49,10 @@ def test_check_wrong_k_fails(capsys):
 def test_check_computes_chi_once_per_graph(tmp_path, capsys, monkeypatch, k):
     # with --k the criticality report's k is chi: one chi_with_d call a
     # line through every module that binds it, at alpha 2 and alpha 3
-    import sys
+    from kcrit.invariants import chi_with_d
     f = tmp_path / "mixed.g6"
     f.write_text("FhCKG\nDhc\nFUzro\nEhcG\n")       # C7, C5, co-C7, C5 + a leaf
-    calls = []
-    for name, module in list(sys.modules.items()):
-        if name.startswith("kcrit") and hasattr(module, "chi_with_d"):
-            def counted(g, real=module.chi_with_d):
-                calls.append(g)
-                return real(g)
-            monkeypatch.setattr(module, "chi_with_d", counted)
+    calls = spy(monkeypatch, chi_with_d)
     assert run(["check", str(f)] + ([] if k is None else ["--k", str(k)])) == (k is not None)
     lines = ["line 1: n=7  chi=3  alpha=3  omega=2  critical@3=yes",
              "line 2: n=5  chi=3  alpha=2  omega=2  critical@3=yes",

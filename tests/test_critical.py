@@ -23,11 +23,12 @@ from kcrit.graph import (
     read_graph_file,
     relabel,
 )
-from kcrit.invariants import chromatic_number, triangle_free_raw
+from kcrit.invariants import (_alpha_raw, chi_with_d, chromatic_number, gallai_edmonds_raw,
+                              matching_raw, triangle_free_raw)
 from kcrit.patterns import copaw_decompose, named_graph
 
 from util import (data_path, graphs, random_copaw_free, random_graph,
-                  random_triangle_free)
+                  random_triangle_free, spy)
 
 
 # ===== is_vertex_critical =====
@@ -45,17 +46,9 @@ def test_alpha_computed_once(monkeypatch, name, k):
     # decomposition; alpha(C7) = 3 takes the branch-and-bound path, the
     # rest alpha <= 2.  Every binding of independence_number ends in
     # _alpha_raw, so counting that counts them all.
-    import kcrit.invariants
     g = named_graph(name)
     chi = chromatic_number(g)
-    calls = []
-    real = kcrit.invariants._alpha_raw
-
-    def counted(n, adj, avail):
-        calls.append(n)
-        return real(n, adj, avail)
-
-    monkeypatch.setattr(kcrit.invariants, "_alpha_raw", counted)
+    calls = spy(monkeypatch, _alpha_raw)
     assert is_vertex_critical(g, k).k == chi
     assert is_vertex_critical(induced_subgraph(g, find_critical_subgraph(g, chi)),
                              chi).is_critical
@@ -68,20 +61,12 @@ def test_triangle_test_runs_once(monkeypatch, name, k):
     # the criticality test and the peel run the complement's triangle test
     # once; when it fails (alpha(C7) = 3) chi comes from branch and bound
     # without a second alpha <= 2 attempt
-    import kcrit.invariants
     g = named_graph(name)
-    calls = []
-    real = kcrit.invariants.triangle_free_raw
-
-    def counted(adj, active):
-        calls.append(active.bit_count())
-        return real(adj, active)
-
-    monkeypatch.setattr(kcrit.invariants, "triangle_free_raw", counted)
+    calls = spy(monkeypatch, triangle_free_raw)
     chi = is_vertex_critical(g, k).k
-    assert calls == [g.n]
+    assert [active.bit_count() for _, active in calls] == [g.n]
     find_critical_subgraph(g, chi)
-    assert calls == [g.n, g.n]
+    assert [active.bit_count() for _, active in calls] == [g.n, g.n]
 
 
 @pytest.mark.parametrize("name", ["C5", "C7", "K4", "C6", "P3+P1", "co-C9"])
@@ -89,25 +74,17 @@ def test_chi_kernel_runs_once_per_call(monkeypatch, name):
     # the criticality test and the peel take chi, the complement rows and
     # D from one chi_with_d call, whichever branch it takes
     # (alpha(C7) = alpha(P3+P1) = 3)
-    import kcrit.critical
     g = named_graph(name)
     chi = chromatic_number(g)
-    calls = []
-    real = kcrit.critical.chi_with_d
-
-    def counted(h):
-        calls.append(h)
-        return real(h)
-
-    monkeypatch.setattr(kcrit.critical, "chi_with_d", counted)
+    calls = spy(monkeypatch, chi_with_d)
     for k in range(1, chi + 2):
         calls.clear()
         is_vertex_critical(g, k)
-        assert calls == [g]
+        assert calls == [(g,)]
     for k in range(1, chi + 1):
         calls.clear()
         find_critical_subgraph(g, k)
-        assert calls == [g]
+        assert calls == [(g,)]
 
 
 def test_wrong_chromatic_number_short_circuits():
@@ -331,30 +308,16 @@ def test_peel_oracle_on_random_graphs():
 def test_peel_matching_count(monkeypatch):
     # the alpha <= 2 peel: one blossom pass up front and one per
     # deletion, never a matching size alone
-    import kcrit.critical
-    import kcrit.invariants
-    calls = {"mates": 0, "size": 0}
-    real = kcrit.invariants.gallai_edmonds_raw
-
-    def mates(*args):
-        calls["mates"] += 1
-        return real(*args)
-
-    def size(*args):
-        calls["size"] += 1
-        return 0
-
-    for mod in (kcrit.critical, kcrit.invariants):
-        monkeypatch.setattr(mod, "gallai_edmonds_raw", mates)
-        monkeypatch.setattr(mod, "matching_raw", size)
+    mates = spy(monkeypatch, gallai_edmonds_raw)
+    sizes = spy(monkeypatch, matching_raw)
     peeled = 0
     for g in _critical6_extended(89)[:60]:
         if not triangle_free_raw(complement(g).adj, (1 << g.n) - 1):
             continue
         for k in range(1, 7):
-            calls["mates"] = 0
+            mates.clear()
             find_critical_subgraph(g, k)
-            assert calls["mates"] <= g.n + 1 and calls["size"] == 0, (g, k)
+            assert len(mates) <= g.n + 1 and sizes == [], (g, k)
             peeled += 1
     assert peeled > 30
 

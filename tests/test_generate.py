@@ -12,13 +12,14 @@ from kcrit.generate import (
     ALL_GRAPHS,
     TRIANGLE_FREE,
     _independent_masks,
+    _mask_orbit_reps,
     child_graphs,
     generate_graphs,
 )
 from kcrit.graph import Graph, from_edge_list
 from kcrit.invariants import clique_number, independence_number
 from kcrit.patterns import named_graph
-from util import degree_rule, random_graph, random_triangle_free
+from util import degree_rule, random_graph, random_triangle_free, spy
 
 
 def _oracle_class_count(n, keep=lambda g: True):
@@ -127,14 +128,7 @@ def test_min_degree_equals_post_filter(mode, top, max_degree, monkeypatch):
     # children of minimum degree >= d, in the order of the unfiltered
     # step, and it restricts the masks before their orbit representatives
     # are taken
-    import kcrit.generate as generate
-    offered, reps = [], generate._mask_orbit_reps
-
-    def spy(masks, gens):
-        offered.append(list(masks))
-        return reps(masks, gens)
-
-    monkeypatch.setattr(generate, "_mask_orbit_reps", spy)
+    offered = spy(monkeypatch, _mask_orbit_reps)
     for level in _levels(mode, top - 1, max_degree):
         for p in level:
             kids = child_graphs(p, mode, degree_rule(p, max_degree))
@@ -145,7 +139,7 @@ def test_min_degree_equals_post_filter(mode, top, max_degree, monkeypatch):
                 assert [g.adj for g in child_graphs(p, mode, admit)] == want
                 need = sum(1 << v for v, a in enumerate(p.adj) if a.bit_count() < d)
                 assert all(s & need == need and s.bit_count() >= d
-                           for masks in offered for s in masks)
+                           for masks, _ in offered for s in masks)
 
 
 # ===== attachment sets that give the new vertex the minimum degree =====
@@ -161,18 +155,12 @@ def _seeded_parents(mode, seed):
 def test_orbit_step_sees_only_sets_that_give_the_minimum_degree(mode, monkeypatch):
     # the new vertex must have the child's minimum degree |S|, at most
     # min(deg) + 1, so no other set reaches the orbit representatives
-    import kcrit.generate as generate
-    offered, reps = [], generate._mask_orbit_reps
-
-    def spy(masks, gens):
-        offered.extend(masks)
-        return reps(masks, gens)
-
-    monkeypatch.setattr(generate, "_mask_orbit_reps", spy)
+    calls = spy(monkeypatch, _mask_orbit_reps)
     parents = _seeded_parents(mode, 2701) + [p for level in _levels(mode, 6) for p in level]
     for p in parents:
-        offered.clear()
+        calls.clear()
         child_graphs(p, mode)
+        offered = [s for masks, _ in calls for s in masks]
         assert offered and max(s.bit_count() for s in offered) <= _min_degree(p) + 1
         assert all(a.bit_count() + (s >> v & 1) >= s.bit_count()
                    for s in offered for v, a in enumerate(p.adj))
@@ -200,16 +188,8 @@ def test_root_cells_decide_as_the_full_search_does(mode, monkeypatch):
     # none
     import kcrit.generate as generate
     real, kinds = generate._canonical_extension, []
-    stage3, searches = [0], [0]
-    refine, search = generate._refine, generate._search
-
-    def refining(*args):
-        stage3[0] += 1
-        return refine(*args)
-
-    def searching(*args):
-        searches[0] += 1
-        return search(*args)
+    stage3 = spy(monkeypatch, generate._refine, [generate])
+    labelled = spy(monkeypatch, canon_raw, [generate])
 
     def checked(n, adj, deg, eq, s):
         got = real(n, adj, deg, eq, s)
@@ -223,15 +203,14 @@ def test_root_cells_decide_as_the_full_search_does(mode, monkeypatch):
         return got
 
     monkeypatch.setattr(generate, "_canonical_extension", checked)
-    monkeypatch.setattr(generate, "_refine", refining)
-    monkeypatch.setattr(generate, "_search", searching)
     parents = _seeded_parents(mode, 2703) + [p for level in _levels(mode, 6) for p in level]
     for p in parents:
         child_graphs(p, mode)
     # accepted after a search, on the root cells, and by stage 2; the
     # root cells also reject some children without a search
     assert set(kinds) == {(False, False), (True, False), (True, True)}
-    assert stage3[0] - searches[0] > kinds.count((True, False)) > 0
+    searches = sum(len(args) == 3 for args in labelled)     # from root cells
+    assert len(stage3) - searches > kinds.count((True, False)) > 0
 
 
 # ===== handed-down automorphism generators =====
@@ -313,10 +292,8 @@ def test_child_graphs_modes():
 def test_child_graphs_rejects_a_parent_at_the_order_cap(mode, monkeypatch):
     # a child of a 31-vertex parent would have 32 vertices, past the cap
     # Graph enforces; the parent is rejected before it is labelled
-    import kcrit.generate as generate
     assert [g.n for g in child_graphs(odd_cycle(14), mode)] == [30, 30]
-    labelled = []
-    monkeypatch.setattr(generate, "canon_raw", lambda *args: labelled.append(args))
+    labelled = spy(monkeypatch, canon_raw)
     with pytest.raises(ValueError, match=r"order must be an int in 0\.\.31, got 32"):
         child_graphs(odd_cycle(15), mode)
     assert labelled == []

@@ -16,7 +16,7 @@ from kcrit.patterns import (ORDER4_NAMES, JoinDecomposition, contains_induced,
                             p2_lp1)
 from lemmas import is_p2_lp1_free, maximal_independent_set, nonneighbor_profile
 from util import (canonical_reps, data_path, graphs, peak_traced, random_copaw_free,
-                  random_graph)
+                  random_graph, spy)
 
 
 def cycle(n):
@@ -370,20 +370,14 @@ def test_decompose_factor_kinds_hold():
 def test_decompose_tests_cliques_only_where_the_triangle_test_fails(monkeypatch):
     import kcrit.patterns
     from kcrit.invariants import independence_number
-    real = kcrit.patterns._union_of_cliques_on
-    called = []
-
-    def counting(adj, mask):
-        called.append(mask)
-        return real(adj, mask)
-
-    monkeypatch.setattr(kcrit.patterns, "_union_of_cliques_on", counting)
+    calls = spy(monkeypatch, kcrit.patterns._union_of_cliques_on)
     rng = random.Random(61)
     tested = skipped = 0
     for _ in range(300):
         g = random_copaw_free(rng, max_n=12)
-        called.clear()
+        calls.clear()
         dec = copaw_decompose(g)
+        called = [mask for _, mask in calls]
         assert dec is not None
         # one union-of-cliques test per factor with alpha > 2, none on the rest
         assert called == [f for f, small in zip(dec.factors, dec.alpha_le_2)

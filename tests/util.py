@@ -1,9 +1,12 @@
-"""Shared test helpers: seeded random graphs, a hypothesis strategy and
-an allocation tracer."""
+"""Shared test helpers: seeded random graphs, a hypothesis strategy, an
+allocation tracer, a call counter and output digests."""
 
 from __future__ import annotations
 
+import hashlib
+import inspect
 import pathlib
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from functools import lru_cache
@@ -23,6 +26,63 @@ def peak_traced():
     finally:
         peak.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
+
+
+def spy(monkeypatch, fn, modules=None) -> list[tuple]:
+    """Record every call of fn that goes through a package binding.
+
+    Every attribute of every loaded ``kcrit`` module whose value is fn,
+    or only those of the given modules, becomes a wrapper that appends
+    the call's arguments (a positional tuple) to the returned list and
+    returns fn's result; monkeypatch restores the originals.  Counting
+    through every binding keeps a count whole when an import moves.
+    Pass modules to leave out calls made elsewhere, such as those inside
+    fn's own module.  ValueError when none of them binds fn, so that a
+    count cannot read zero because nothing was wrapped.
+    """
+    calls: list[tuple] = []
+    bind = inspect.signature(fn).bind
+
+    def spied(*args, **kwargs):
+        calls.append(bind(*args, **kwargs).args if kwargs else args)
+        return fn(*args, **kwargs)
+
+    if modules is None:
+        modules = [m for name, m in list(sys.modules.items())
+                   if name == "kcrit" or name.startswith("kcrit.")]
+    bindings = [(m, name) for m in modules for name, value in vars(m).items() if value is fn]
+    if not bindings:
+        raise ValueError(f"no module to patch binds {fn.__name__}")
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+def digest(output) -> str:
+    """SHA-256 of repr(output): it moves with any value or order in it."""
+    return hashlib.sha256(repr(output).encode()).hexdigest()
+
+
+def rooted_pieces(codes) -> int:
+    """The sum, over the pieces F whose complements have these codes, of
+    the Aut(F)-orbits on F's minimum-degree vertices.
+
+    Canonical augmentation (McKay, J. Algorithms 1998) reaches each
+    rooted class (F, v) from exactly one parent F - v and one orbit of
+    N(v).  At the leaf step of a piece run every piece qualifies with
+    each vertex of minimum degree, so this is also the number of
+    canonicity tests that step makes.
+    """
+    from kcrit.canon import canon_raw
+    from kcrit.graph import from_graph6
+
+    total = 0
+    for code in codes:
+        g = from_graph6(code)       # Aut(F) = Aut(G); F's minimum degree is G's maximum
+        top = max(a.bit_count() for a in g.adj)
+        orbit = canon_raw(g.n, g.adj)[3]
+        total += len({orbit[v] for v, a in enumerate(g.adj) if a.bit_count() == top})
+    return total
 
 
 def data_path(name: str) -> pathlib.Path:
