@@ -10,15 +10,18 @@ finite list for each k, the shipped lists (read-only
 a Yes comes with the structural coloring, a No with a vertex set
 inducing a (k+1)-vertex-critical graph found in the list, and an input
 outside the class with its induced P3+P1.  Every certificate is
-checkable without trusting the lists or the search.  A list is read in
-code order through an iterator that decodes each member once, on first
-read, so a No query decodes only the members its scan reaches.
+checkable without trusting the lists or the search.  A list is held as
+a tuple of its codes in code order, sorted once when it is read; there
+is no process-wide cache of it.  Its members come through an iterator
+that decodes each one once, on first read, so a No query decodes only
+the members its scan reaches.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from operator import eq
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,13 +60,13 @@ class CertifiedAnswer(NamedTuple):
 class CriticalDatabase(NamedTuple):
     """All k-vertex-critical P3+P1-free graphs, as canonical codes.
 
-    The codes are checked for header, count and repeats when the list is
-    read; a member is decoded once, when a read of ``members_by_order``
-    first reaches it.
+    ``graphs`` holds the codes in code order, the order ``write_graph_list``
+    writes and the order a scan reads; a member is decoded once, when a
+    read of ``members_by_order`` first reaches it.
     """
 
     k: int
-    graphs: frozenset[str]
+    graphs: tuple[str, ...]
 
     def members_by_order(self) -> Iterator[Graph]:
         """The members in code order, which groups them by order, smallest
@@ -72,28 +75,23 @@ class CriticalDatabase(NamedTuple):
         return _decode_members(self.graphs)
 
 
-@lru_cache(maxsize=8)
-def _in_order(codes: frozenset[str]) -> list[str]:
-    # a graph6 code starts with chr(n + 63), so sorting the codes
-    # groups the members by order, smallest first
-    return sorted(codes)
-
-
 # a code that fails to decode is not memoized, so every read that
 # reaches it raises again
 _decode = lru_cache(maxsize=None)(from_graph6)
 
 
-def _decode_members(codes: frozenset[str]) -> Iterator[Graph]:
-    return map(_decode, _in_order(codes))
+def _decode_members(codes: tuple[str, ...]) -> Iterator[Graph]:
+    return map(_decode, codes)
 
 
 _DATA = Path(__file__).with_name("data")
 
 
 def build_database(k: int) -> CriticalDatabase:
-    """The level-k database, read from the shipped ``data/critical<k>.g6``;
-    ValueError unless k is an int in 4..6 and the file is a level-k list, no repeats."""
+    """The level-k database, read from the shipped ``data/critical<k>.g6``
+    and sorted once into code order (a graph6 code starts with chr(n + 63),
+    so the members come grouped by order, smallest first); ValueError
+    unless k is an int in 4..6 and the file is a level-k list, no repeats."""
     check_int("k", k, 4, 6)
     path = _DATA / f"critical{k}.g6"
     level, lines = read_graph_list(path)
@@ -101,8 +99,8 @@ def build_database(k: int) -> CriticalDatabase:
         raise ValueError(f"{path}: missing header line, expected level {k}")
     if level != k:
         raise ValueError(f"{path}: header names level {level}, expected {k}")
-    codes = frozenset(code for _, code in lines)
-    if len(codes) < len(lines):
+    codes = tuple(sorted(code for _, code in lines))
+    if any(map(eq, codes, codes[1:])):      # sorted: a repeat sits next to itself
         seen = set()        # seen.add gives None: next() stops at the first repeat
         lineno = next(ln for ln, code in lines if code in seen or seen.add(code))
         raise ValueError(f"{path}:{lineno}: repeated code")

@@ -1,6 +1,10 @@
 """Tests for the certified k-colorability decision and its shipped lists."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -55,8 +59,8 @@ def test_database_range():
 
 def test_shipped_matches_census(db4, db5):
     for db in (db4, db5):
-        assert db.graphs == {c for row in census_copaw_critical(db.k)
-                             for c in row.codes}
+        assert db.graphs == tuple(sorted(c for row in census_copaw_critical(db.k)
+                                         for c in row.codes))
 
 
 def test_database_members_pass_definition(db4, db5):
@@ -82,7 +86,38 @@ def _shipped(monkeypatch, tmp_path, k, text):
 
 def test_build_database_skips_comment_lines(monkeypatch, tmp_path):
     _shipped(monkeypatch, tmp_path, 4, "# K4 only\nk=4 count=1\n\nC~  # K4\n")
-    assert build_database(4) == CriticalDatabase(4, frozenset({"C~"}))
+    assert build_database(4) == CriticalDatabase(4, ("C~",))
+
+
+def test_database_is_held_in_code_order(monkeypatch, tmp_path):
+    # the scan order is code order, whatever order the file lists
+    _shipped(monkeypatch, tmp_path, 4, "k=4 count=2\nE}iW\nC~\n")
+    assert build_database(4).graphs == ("C~", "E}iW")
+
+
+@pytest.mark.parametrize("k, count", [(4, 8), (5, 178), (6, 18007)])
+def test_members_are_the_codes_decoded_in_turn(k, count):
+    db = build_database(k)
+    assert db.graphs == tuple(sorted(set(db.graphs))) and len(db.graphs) == count
+    assert list(db.members_by_order()) == list(map(from_graph6, db.graphs))
+
+
+def test_a_dropped_database_leaves_nothing_behind():
+    # in a fresh interpreter, so that no earlier build can hide what one keeps
+    script = ("import gc, tracemalloc\n"
+              "from kcrit.certify import build_database\n"
+              "tracemalloc.start()\n"
+              "before = tracemalloc.get_traced_memory()[0]\n"
+              "db = build_database(6)\n"
+              "db.members_by_order()\n"
+              "del db\n"
+              "gc.collect()\n"
+              "print(tracemalloc.get_traced_memory()[0] - before)\n")
+    src = str(pathlib.Path(kcrit.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 64 * 1024
 
 
 def test_database_round_trip(monkeypatch, tmp_path, db5):

@@ -35,8 +35,8 @@ RECORDS = [
     (CertifiedAnswer("yes", Coloring((0, 1, 2, 0), 3)), ("verdict", "coloring", "witness"),
      "CertifiedAnswer(verdict='yes', coloring=Coloring(colors=(0, 1, 2, 0), k=3), "
      "witness=None)"),
-    (CriticalDatabase(4, frozenset({"C~"})), ("k", "graphs"),
-     "CriticalDatabase(k=4, graphs=frozenset({'C~'}))"),
+    (CriticalDatabase(4, ("C~",)), ("k", "graphs"),
+     "CriticalDatabase(k=4, graphs=('C~',))"),
 ]
 IDS = [type(r).__name__ for r, _, _ in RECORDS]
 
@@ -64,7 +64,7 @@ def test_record_properties_and_methods():
     assert VerifyReport(1, (), ("C~",)).ok
     assert not VerifyReport(1, (), ("C~",), census_match=False).ok
     assert not VerifyReport(1, ((1, "not 4-vertex-critical"),), ("C~",)).ok
-    db = CriticalDatabase(4, frozenset({"F}hXw", "C~", "E}iW"}))
+    db = CriticalDatabase(4, ("C~", "E}iW", "F}hXw"))
     assert list(db.members_by_order()) == [from_graph6(c) for c in ("C~", "E}iW", "F}hXw")]
 
 
