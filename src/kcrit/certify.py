@@ -29,7 +29,7 @@ from .canon import canonical_form
 from .critical import find_critical_subgraph, is_vertex_critical
 from .graph import (Graph, bits, check_int, from_graph6, induced_subgraph,
                     mask_of, read_graph_list)
-from .invariants import Coloring, gallai_edmonds_raw, is_proper_coloring
+from .invariants import Coloring, is_proper_coloring, matching_raw
 from .patterns import (JoinDecomposition, contains_induced, copaw_decompose, is_p3p1,
                        named_graph)
 
@@ -120,7 +120,7 @@ def _structural_coloring(g: Graph, dec: JoinDecomposition) -> Coloring:
         if small:
             # pair up nonadjacent vertices via a maximum matching in the
             # complement; pairs share a color, leftovers get their own
-            mates = gallai_edmonds_raw(g.n, co, factor)[0]
+            mates = matching_raw(g.n, co, factor)[0]
             for v in bits(factor):
                 if colors[v] < 0:
                     colors[v] = offset

@@ -17,10 +17,9 @@ from .graph import Graph, bits, check_int, delete_vertex, induced_subgraph
 from .invariants import (
     chi_with_d,
     chromatic_number,  # for the perfbench span invariants.chromatic_number
-    gallai_edmonds_raw,
     independence_number,  # for the perfbench span invariants.independence_number
     is_k_colorable,
-    matching_raw,  # for the perfbench span invariants.matching_raw
+    matching_raw,
 )
 
 
@@ -85,5 +84,5 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
         if chi > k or not in_d:
             chi -= in_d
             active ^= 1 << v
-            d = gallai_edmonds_raw(g.n, co, active)[1]
+            d = matching_raw(g.n, co, active)[1]
     return active

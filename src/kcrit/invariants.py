@@ -4,12 +4,12 @@ All routines are exact.  Sizes are capped at 31 vertices by the Graph type,
 so branch and bound with bitmask state is always sufficient; the only
 polynomial algorithm that matters for throughput is the blossom matching,
 run once per graph by the criticality test.  The piece census runs it
-once per parent P for its exposed count e(P), once more when e(P) is 0
-or N - n (N the run's last order, n the children's), and reads each
-D(P - s) off an alternating search (``alternating_forest``) from that
-pass's matching.  One pass gives the Gallai-Edmonds set D (the vertices
-some maximum matching leaves exposed), the union of the failed
-searches' even sets, and so decides every vertex deletion at once.
+once per parent P, for its exposed count e(P), D(P) and a maximum
+matching, and reads each D(P - s) off an alternating search
+(``alternating_forest``) from that matching.  One pass gives the
+Gallai-Edmonds set D (the vertices some maximum matching leaves
+exposed), the union of the failed searches' even sets, and so decides
+every vertex deletion at once.
 
 ``chi_with_d`` is the one chromatic-number kernel.  When alpha(G) <= 2,
 i.e. when the complement is triangle-free, color classes have at most
@@ -135,7 +135,7 @@ def alternating_forest(n: int, adj, active: int, match: list, root: int) -> int 
     return even
 
 
-def gallai_edmonds_raw(n: int, adj, active: int) -> tuple[list[int], int]:
+def matching_raw(n: int, adj, active: int) -> tuple[list[int], int]:
     """(mates, D) on the ``active`` mask: a maximum matching (-1 exposed)
     and the mask of D, the vertices v some maximum matching leaves
     exposed, i.e. with nu(F - v) = nu(F).
@@ -165,12 +165,6 @@ def gallai_edmonds_raw(n: int, adj, active: int) -> tuple[list[int], int]:
         else:
             d |= even
     return match, d
-
-
-def matching_raw(n: int, adj, active: int) -> int:
-    """Maximum matching size on the vertices in the ``active`` mask."""
-    mates = gallai_edmonds_raw(n, adj, active)[0]
-    return sum(1 for v, m in enumerate(mates) if m > v)
 
 
 # ===== colorings =====
@@ -309,7 +303,7 @@ def chi_with_d(g: Graph):
     if not triangle_free_raw(co, full):
         chi = max(_bb_coloring(g.n, g.adj, g.n + 1, first_hit=False)) + 1
         return chi, None, None
-    mates, d = gallai_edmonds_raw(g.n, co, full)
+    mates, d = matching_raw(g.n, co, full)
     return (g.n + mates.count(-1)) // 2, co, d
 
 

@@ -65,7 +65,7 @@ from kcrit.census import (_general_expand, _join_code, _levels, _mapper, _piece_
 from kcrit.critical import is_vertex_critical
 from kcrit.generate import TRIANGLE_FREE, _canonical_extension, generate_graphs
 from kcrit.graph import Graph, bits, complement, from_graph6, join, read_graph_list, relabel
-from kcrit.invariants import alternating_forest, gallai_edmonds_raw
+from kcrit.invariants import alternating_forest, matching_raw
 from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free
 
 from util import data_path, digest, rooted_pieces, spy
@@ -224,23 +224,29 @@ def test_search_from_a_mate_equals_a_fresh_pass_at_order_11():
     for parent in level:
         p, adj = parent.n, parent.adj
         full = (1 << p) - 1
-        mates = gallai_edmonds_raw(p, adj, full)[0]
+        mates = matching_raw(p, adj, full)[0]
         if -1 in mates:
             continue
         parents += 1
         for s in bits(sum(1 << v for v, a in enumerate(adj) if a.bit_count() < 5)):
             searches += 1
             assert alternating_forest(p, adj, full ^ 1 << s, mates, mates[s]) == \
-                gallai_edmonds_raw(p, adj, full ^ 1 << s)[1], (parent, s)
+                matching_raw(p, adj, full ^ 1 << s)[1], (parent, s)
     # the deficiency prune leaves only perfectly matchable parents here
     assert (len(level), parents, searches) == (6211, 6211, 59674)
 
 
 def test_leaf_canonicity_tests_count_the_rooted_pieces_of_order_11(monkeypatch):
-    # the counting identity checks the k = 6 run without comparing codes
+    # the counting identity checks the k = 6 run without comparing codes;
+    # the same run makes one blossom pass per parent (16,136 passes when
+    # a size-only pass preceded the pass for D)
     tests = spy(monkeypatch, _canonical_extension)
+    passes = spy(monkeypatch, matching_raw)
+    parents = spy(monkeypatch, _piece_expand)
     pieces = _pieces(6)[6]
     assert rooted_pieces(pieces) == sum(args[0] + 1 == 11 for args in tests) == 49073
+    assert passes == [(q.n, q.adj, (1 << q.n) - 1) for q, _ in parents]
+    assert len(passes) == 8123
 
 
 def test_k6_piece_codes_keep_their_digest():

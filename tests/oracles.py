@@ -165,6 +165,13 @@ def graph6_encode(g: Graph) -> str:
 
 # ===== replaced library paths =====
 
+def matching_size(n: int, adj, active: int) -> int:
+    """Maximum matching size on the ``active`` mask: the size-only call
+    the library had until its one blossom pass returned (mates, D)."""
+    from kcrit.invariants import matching_raw
+    return sum(1 for v, m in enumerate(matching_raw(n, adj, active)[0]) if m > v)
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """The package's isomorphism test until nothing in it called the
     test: equal orders and degree sequences, then equal canonical codes."""
@@ -183,7 +190,7 @@ def is_vertex_critical(g: Graph, k: int):
     exact coloring otherwise.  Returns the library's CriticalityReport."""
     from kcrit.critical import CriticalityReport
     from kcrit.graph import complement, delete_vertex
-    from kcrit.invariants import chromatic_number, is_k_colorable, matching_raw
+    from kcrit.invariants import chromatic_number, is_k_colorable
 
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -194,7 +201,7 @@ def is_vertex_critical(g: Graph, k: int):
     full = (1 << g.n) - 1
     for v in range(g.n):
         if comp is not None:
-            lowers = g.n - 1 - matching_raw(g.n, comp.adj, full ^ 1 << v) < k
+            lowers = g.n - 1 - matching_size(g.n, comp.adj, full ^ 1 << v) < k
         else:
             lowers = is_k_colorable(delete_vertex(g, v), k - 1) is not None
         if not lowers:
@@ -241,17 +248,16 @@ def from_graph6(text: str) -> Graph:
 def has_perfect_matching(f: Graph) -> bool:
     """The census's last-step prune before the deficiency prune replaced
     it: a perfect matching, from the library's maximum matching."""
-    from kcrit.invariants import matching_raw
-    return 2 * matching_raw(f.n, f.adj, (1 << f.n) - 1) == f.n
+    return 2 * matching_size(f.n, f.adj, (1 << f.n) - 1) == f.n
 
 
 def _chi_at_least(g: Graph, k: int) -> bool:
     from kcrit.graph import complement
-    from kcrit.invariants import independence_number, is_k_colorable, matching_raw
+    from kcrit.invariants import independence_number, is_k_colorable
 
     if independence_number(g) <= 2:
         comp = complement(g)
-        return g.n - matching_raw(comp.n, comp.adj, (1 << g.n) - 1) >= k
+        return g.n - matching_size(comp.n, comp.adj, (1 << g.n) - 1) >= k
     return is_k_colorable(g, k - 1) is None
 
 
@@ -726,7 +732,7 @@ def per_child_piece_expand(parent: Graph, last: int):
     from kcrit.canon import canonical_form
     from kcrit.generate import TRIANGLE_FREE, child_graphs
     from kcrit.graph import complement
-    from kcrit.invariants import gallai_edmonds_raw
+    from kcrit.invariants import matching_raw
     from util import degree_rule
 
     n = parent.n + 1
@@ -734,7 +740,7 @@ def per_child_piece_expand(parent: Graph, last: int):
     admit = degree_rule(parent, (last - 1) // 2, 2 if n == last else None)
     kept, codes = [], []
     for f in child_graphs(parent, TRIANGLE_FREE, admit):
-        mates, d = gallai_edmonds_raw(n, f.adj, full)
+        mates, d = matching_raw(n, f.adj, full)
         exposed = mates.count(-1)
         if n % 2 and exposed == 1 and d == full:
             codes.append(canonical_form(complement(f)))

@@ -23,8 +23,7 @@ from kcrit.families import co_odd_cycle, odd_cycle
 from kcrit.generate import generate_graphs
 from kcrit.graph import Graph, from_graph6, read_graph_file, to_graph6, write_graph_list
 from kcrit.invariants import (chromatic_number, clique_number,
-                              independence_number, is_k_colorable,
-                              matching_raw)
+                              independence_number, is_k_colorable)
 from kcrit.patterns import ORDER4_NAMES, contains_induced, is_free, named_graph
 
 # ===== shared machinery =====
@@ -254,7 +253,7 @@ def test_criterion_11_oracle_sweep():
                 disagreements += 1
             if clique_number(g) != oracles.clique_number(g):
                 disagreements += 1
-            if matching_raw(g.n, g.adj, (1 << g.n) - 1) != oracles.max_matching(g):
+            if oracles.matching_size(g.n, g.adj, (1 << g.n) - 1) != oracles.max_matching(g):
                 disagreements += 1
             for h in patterns:
                 # the same embedding, not just the same yes/no: both

@@ -70,8 +70,8 @@ OTHER = [
     ("certify_color-k-4.0", lambda x: certify_color(co_odd_cycle(5), x, build_database(5)),
      4.0, "k must be an int in 3..5, got 4.0"),
     ("census_copaw-k-7", census_copaw_critical, 7,
-     "k must be in 3..6 (k = 7 would take hours; its order-13 search space "
-     "holds about 2e7 graphs)"),
+     "k must be in 3..6 (a k = 7 run took 644 s of wall time on 2 workers, peaking "
+     "at 924 MB: 835,161 graphs at order 12, 6,349,630 pieces at order 13)"),
     ("census_copaw-workers-cpus", lambda x: census_copaw_critical(3, workers=x), _CPUS + 1,
      f"workers must be at most the CPU count {_CPUS}, got {_CPUS + 1}"),
     ("census_general-workers-cpus", lambda x: census_general(3, None, 5, workers=x),

@@ -23,8 +23,8 @@ from kcrit.graph import (
     read_graph_file,
     relabel,
 )
-from kcrit.invariants import (_alpha_raw, chi_with_d, chromatic_number, gallai_edmonds_raw,
-                              matching_raw, triangle_free_raw)
+from kcrit.invariants import (_alpha_raw, chi_with_d, chromatic_number, matching_raw,
+                              triangle_free_raw)
 from kcrit.patterns import copaw_decompose, named_graph
 
 from util import (data_path, graphs, random_copaw_free, random_graph,
@@ -307,17 +307,16 @@ def test_peel_oracle_on_random_graphs():
 
 def test_peel_matching_count(monkeypatch):
     # the alpha <= 2 peel: one blossom pass up front and one per
-    # deletion, never a matching size alone
-    mates = spy(monkeypatch, gallai_edmonds_raw)
-    sizes = spy(monkeypatch, matching_raw)
+    # deleted vertex, none for a kept one
+    passes = spy(monkeypatch, matching_raw)
     peeled = 0
     for g in _critical6_extended(89)[:60]:
         if not triangle_free_raw(complement(g).adj, (1 << g.n) - 1):
             continue
         for k in range(1, 7):
-            mates.clear()
-            find_critical_subgraph(g, k)
-            assert len(mates) <= g.n + 1 and sizes == [], (g, k)
+            passes.clear()
+            kept = find_critical_subgraph(g, k)
+            assert len(passes) == 1 + g.n - kept.bit_count(), (g, k)
             peeled += 1
     assert peeled > 30
 

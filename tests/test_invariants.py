@@ -12,9 +12,8 @@ from kcrit.generate import generate_graphs
 from kcrit.graph import (Graph, bits, complement, delete_vertex, from_edge_list,
                          from_graph6, read_graph_file, relabel)
 from kcrit.invariants import (Coloring, _bb_coloring, alternating_forest, chromatic_number,
-                              clique_number, gallai_edmonds_raw, independence_number,
-                              is_k_colorable, is_proper_coloring, matching_raw,
-                              triangle_free_raw)
+                              clique_number, independence_number, is_k_colorable,
+                              is_proper_coloring, matching_raw, triangle_free_raw)
 from lemmas import coloring_with_min_class_size
 from util import data_path, graphs, peak_traced, random_graph, random_triangle_free, spy
 
@@ -54,44 +53,57 @@ def test_alpha_omega_against_oracle_all_n5():
 
 # ===== matching =====
 
+def _matching_size(g, active=None):
+    # mates is a matching on active: mutual pairs, each an edge of g
+    # inside active, and -1 at every other entry; its size
+    active = (1 << g.n) - 1 if active is None else active
+    mates = matching_raw(g.n, g.adj, active)[0]
+    assert len(mates) == g.n
+    for v, m in enumerate(mates):
+        if m != -1:
+            assert mates[m] == v and g.adj[v] >> m & 1, (g, v)
+            assert active >> v & 1 and active >> m & 1, (g, v)
+    return sum(m > v for v, m in enumerate(mates))
+
+
 def test_matching_examples():
-    assert matching_raw(4, complete(4).adj, 0b1111) == 2
-    assert matching_raw(5, C5.adj, 0b11111) == 2
-    assert matching_raw(3, (0, 0, 0), 0b111) == 0
+    for g, nu in ((complete(4), 2), (C5, 2), (Graph(3, (0, 0, 0)), 0)):
+        assert _matching_size(g) == nu == oracles.max_matching(g)
+    assert _matching_size(complete(4), 0b0111) == 1
 
 
 def test_matching_against_oracle_all_n5():
     for g in oracles.all_labeled_graphs(5):
-        assert matching_raw(g.n, g.adj, (1 << g.n) - 1) == oracles.max_matching(g)
+        assert _matching_size(g) == oracles.max_matching(g)
 
 
 def test_matching_against_oracle_random_n10():
     rng = random.Random(97)
     for _ in range(150):
         g = random_graph(rng, 10, p=rng.choice([0.2, 0.4, 0.6, 0.8]))
-        assert matching_raw(g.n, g.adj, (1 << g.n) - 1) == oracles.max_matching(g)
+        assert _matching_size(g) == oracles.max_matching(g)
 
 
 def test_matching_blossom_heavy():
     # odd components force blossom contraction
     from kcrit.graph import disjoint_union
     g = disjoint_union(cycle(5), cycle(7))
-    assert matching_raw(g.n, g.adj, (1 << g.n) - 1) == 2 + 3
-    assert matching_raw(9, cycle(9).adj, (1 << 9) - 1) == 4
+    assert _matching_size(g) == 2 + 3 == oracles.max_matching(g)
+    assert _matching_size(cycle(9)) == 4 == oracles.max_matching(cycle(9))
 
 
 # ===== the Gallai-Edmonds set D =====
 
 def _brute_d(g, active):
     # v is in D iff some maximum matching misses v iff nu(F - v) = nu(F)
-    nu = matching_raw(g.n, g.adj, active)
+    nu = oracles.matching_size(g.n, g.adj, active)
     return sum(1 << v for v in range(g.n)
-               if active >> v & 1 and matching_raw(g.n, g.adj, active ^ 1 << v) == nu)
+               if active >> v & 1 and oracles.matching_size(g.n, g.adj, active ^ 1 << v) == nu)
 
 
 def _d(g, active=None):
     active = (1 << g.n) - 1 if active is None else active
-    return gallai_edmonds_raw(g.n, g.adj, active)[1]
+    return matching_raw(g.n, g.adj, active)[1]
 
 
 def _with_pendant_paths(core, lengths):
@@ -198,7 +210,7 @@ def _oracle_inputs():
 def test_one_pass_equals_the_two_pass_oracle():
     seen = 0
     for g, active in _oracle_inputs():
-        mates, d = gallai_edmonds_raw(g.n, g.adj, active)
+        mates, d = matching_raw(g.n, g.adj, active)
         old = oracles.matching_mates_raw(g.n, g.adj, active)
         assert mates == old, (g, active)
         assert d == oracles.gallai_edmonds_d_raw(g.n, g.adj, active, old), (g, active)
@@ -228,7 +240,7 @@ def test_one_failed_search_per_exposed_vertex(monkeypatch):
     calls = _count_forests(monkeypatch)
     for g, active in _oracle_inputs():
         calls["failed"] = 0
-        mates, _ = gallai_edmonds_raw(g.n, g.adj, active)
+        mates, _ = matching_raw(g.n, g.adj, active)
         assert calls["failed"] == sum(mates[v] == -1 for v in bits(active)), (g, active)
 
 
@@ -253,7 +265,7 @@ def test_perfect_pairs_grow_no_forest(monkeypatch):
     calls = _count_forests(monkeypatch)
     for n in (0, 2, 8, 30):
         g = from_edge_list(n, [(v, v + 1) for v in range(0, n, 2)])
-        mates, d = gallai_edmonds_raw(n, g.adj, (1 << n) - 1)
+        mates, d = matching_raw(n, g.adj, (1 << n) - 1)
         assert mates == [v ^ 1 for v in range(n)] and d == 0
     assert calls["all"] == 0
 
@@ -286,7 +298,7 @@ def test_search_from_a_mate_equals_a_fresh_pass(monkeypatch):
     paths, graphs, grown = spy(monkeypatch, kcrit.invariants._mark_path), 0, 0
     for g in _perfectly_matchable_inputs():
         full = (1 << g.n) - 1
-        mates = gallai_edmonds_raw(g.n, g.adj, full)[0]
+        mates = matching_raw(g.n, g.adj, full)[0]
         if -1 in mates:
             continue
         graphs += 1
@@ -295,7 +307,7 @@ def test_search_from_a_mate_equals_a_fresh_pass(monkeypatch):
             paths.clear()
             d = alternating_forest(g.n, g.adj, full ^ 1 << s, mates, mates[s])
             grown += bool(paths)
-            assert d == gallai_edmonds_raw(g.n, g.adj, full ^ 1 << s)[1], (g, s)
+            assert d == matching_raw(g.n, g.adj, full ^ 1 << s)[1], (g, s)
             assert mates == before, (g, s)
     assert graphs > 1500 and grown > 5000
 
@@ -353,7 +365,7 @@ def test_fast_path_matches_matching_identity():
             adj[tri[1]] |= 1 << tri[0]
             g = Graph(g.n, tuple(adj))
         assert chromatic_number(g) == oracles.chromatic_number(g)
-        nu = matching_raw(g.n, complement(g).adj, (1 << g.n) - 1)
+        nu = oracles.matching_size(g.n, complement(g).adj, (1 << g.n) - 1)
         assert chromatic_number(g) == g.n - nu
         hits += 1
 
