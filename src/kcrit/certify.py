@@ -11,10 +11,10 @@ a Yes comes with the structural coloring, a No with a vertex set
 inducing a (k+1)-vertex-critical graph found in the list, and an input
 outside the class with its induced P3+P1.  Every certificate is
 checkable without trusting the lists or the search.  A list is held as
-a tuple of its codes in code order, sorted once when it is read; there
-is no process-wide cache of it.  Its members come through an iterator
-that decodes each one once, on first read, so a No query decodes only
-the members its scan reaches.
+a tuple of its codes in code order, sorted once when it is read.  Each
+member is decoded once, on first read, into a process-wide memo keyed
+by code that outlives the list, so a No query decodes only the members
+its scan reaches, and no later query or list decodes them again.
 """
 
 from __future__ import annotations

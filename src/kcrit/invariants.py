@@ -15,10 +15,9 @@ every vertex deletion at once.
 i.e. when the complement is triangle-free, color classes have at most
 two vertices, so an optimal coloring pairs up nonadjacent vertices and
 chi(G) = n - nu(complement(G)); one blossom pass then gives chi and D
-together.  Otherwise chi comes from saturation-ordered branch and bound
-with a greedy clique lower bound.  Its triangle test,
-``triangle_free_raw``, is the package's only one; the join decomposition
-runs it on each factor.
+together.  Otherwise chi is the least k that the one coloring search,
+``_bb_coloring``, colors.  Its triangle test, ``triangle_free_raw``, is
+the package's only one; the join decomposition runs it on each factor.
 """
 
 from __future__ import annotations
@@ -206,21 +205,19 @@ def _greedy_clique(n: int, adj) -> list[int]:
     return clique
 
 
-def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
-    """Branch and bound for a proper coloring with fewer than ``bound``
-    colors, or None when there is none.
+def _bb_coloring(n: int, adj, bound: int):
+    """The first proper coloring with fewer than ``bound`` colors that
+    the search reaches, or None when there is none.
 
     The search precolors a greedy clique and then descends by DSATUR
     (Brelaz 1979): it colors the vertex of maximum saturation, then
     maximum degree, then lowest index (fixed so runs are reproducible),
-    trying the lowest free color first.  Each complete coloring lowers
-    the bound to its count, and the search backtracks to find one with
-    fewer colors; it returns the last, which uses chi colors.  With
-    first_hit it returns the first complete coloring instead.  Colors
-    are 0..c-1 in order of first use.  A bound above n + 1 acts as
-    n + 1, so its size costs nothing.  Saturation needs one mask per
-    color, ``seen[c]``, the vertices with a neighbour colored c: coloring
-    v with c saturates ``adj[v] & ~seen[c]``, and the undo that same set.
+    trying the lowest free color first, and backtracks only when a
+    vertex has no color below the bound left.  Colors are 0..c-1 in
+    order of first use.  A bound above n + 1 acts as n + 1, so its size
+    costs nothing.  Saturation needs one mask per color, ``seen[c]``,
+    the vertices with a neighbour colored c: coloring v with c saturates
+    ``adj[v] & ~seen[c]``, and the undo that same set.
     """
     bound = min(bound, n + 1)
     clique = _greedy_clique(n, adj)
@@ -230,7 +227,6 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
     seen = [0] * bound
     nmask = [0] * n
     degs = [adj[v].bit_count() for v in range(n)]
-    best: list = [bound, None]
 
     # precolor the greedy clique: its vertices need pairwise distinct colors
     for c, v in enumerate(clique):
@@ -240,12 +236,8 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
             nmask[u] |= 1 << c
 
     def rec(left: int, used: int) -> bool:
-        if used >= best[0]:
-            return False
         if left == 0:
-            best[0] = used
-            best[1] = list(colors)
-            return first_hit
+            return True
         v = -1
         key = None
         for u in range(n):
@@ -254,8 +246,7 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
                 if key is None or k > key:
                     key = k
                     v = u
-        limit = min(used + 1, best[0])
-        for c in range(limit):
+        for c in range(min(used + 1, bound - 1)):
             if nmask[v] >> c & 1:
                 continue
             colors[v] = c
@@ -264,17 +255,15 @@ def _bb_coloring(n: int, adj, bound: int, first_hit: bool):
             seen[c] |= new
             for u in bits(new):
                 nmask[u] |= 1 << c
-            done = rec(left - 1, max(used, c + 1))
+            if rec(left - 1, max(used, c + 1)):
+                return True
             colors[v] = -1
             seen[c] = old
             for u in bits(new):
                 nmask[u] &= ~(1 << c)
-            if done:
-                return True
         return False
 
-    rec(n - len(clique), len(clique))
-    return best[1]
+    return colors if rec(n - len(clique), len(clique)) else None
 
 
 def triangle_free_raw(adj, active: int) -> bool:
@@ -295,25 +284,27 @@ def chi_with_d(g: Graph):
     """(chi(G), complement rows, Gallai-Edmonds set D of the complement).
 
     When alpha(G) <= 2 one triangle test and one blossom pass give all
-    three; otherwise chi comes from DSATUR branch and bound, and the
-    rows and D are None.
+    three; otherwise chi is the least k the coloring search colors,
+    counting up from its greedy clique's size, and the rows and D are None.
     """
     co = complement(g).adj
     full = (1 << g.n) - 1
     if not triangle_free_raw(co, full):
-        chi = max(_bb_coloring(g.n, g.adj, g.n + 1, first_hit=False)) + 1
+        chi = len(_greedy_clique(g.n, g.adj))
+        while _bb_coloring(g.n, g.adj, chi + 1) is None:
+            chi += 1
         return chi, None, None
     mates, d = matching_raw(g.n, co, full)
     return (g.n + mates.count(-1)) // 2, co, d
 
 
 def chromatic_number(g: Graph) -> int:
-    """chi(G), exact; alpha <= 2 fast path, else DSATUR branch and bound."""
+    """chi(G), exact; alpha <= 2 fast path, else the least k the coloring search colors."""
     return chi_with_d(g)[0]
 
 
 def is_k_colorable(g: Graph, k: int) -> Coloring | None:
     """A proper coloring with at most k classes (k an int >= 0), or None iff chi(G) > k."""
     check_int("k", k, 0)
-    found = _bb_coloring(g.n, g.adj, k + 1, first_hit=True)
+    found = _bb_coloring(g.n, g.adj, k + 1)
     return None if found is None else Coloring(tuple(found), len(set(found)))

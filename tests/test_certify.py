@@ -198,6 +198,14 @@ def test_members_read_partway_in_any_order(decodes):
     assert [next(members) for _ in range(61)] == eager[:61] and decodes() == 61
 
 
+def test_a_second_database_reads_its_members_from_the_process_wide_memo(decodes):
+    # the memo is keyed by code and outlives the database that filled it
+    first = list(build_database(5).members_by_order())
+    assert len(first) == 178 and decodes() == 178
+    again = list(build_database(5).members_by_order())
+    assert decodes() == 178 and all(g is h for g, h in zip(again, first))
+
+
 def test_a_malformed_code_raises_when_a_read_reaches_it(monkeypatch, tmp_path, decodes):
     _shipped(monkeypatch, tmp_path, 4, "k=4 count=2\nC~\nC~~\n")
     db = build_database(4)

@@ -443,11 +443,11 @@ def test_is_k_colorable_zero():
     assert is_k_colorable(Graph(1, (0,)), 0) is None
 
 
-# Graphs whose first complete coloring in the branch and bound (the
+# Graphs whose first complete coloring in the coloring search (the
 # DSATUR descent from the greedy clique) uses more than chi colors, so
-# only the search's improvement step finds chi: the one such class of
-# order 7 with alpha > 2 and the 20 of order 8, labelled as
-# generate_graphs emits them.
+# chi comes from the search at bound chi + 1, which backtracks past
+# that first leaf: the one such class of order 7 with alpha > 2 and the
+# 20 of order 8, labelled as generate_graphs emits them.
 PAST_FIRST_LEAF = (
     "F}_gw", "G{dPX_", "G{S}?k", "G{S{`S", "G}_gw?", "G}_g{?", "G}_gy?",
     "G}_g}?", "G}_gz?", "G}_gwO", "G}_g{O", "G}_gyO", "G}GWWW", "G}gqG[",
@@ -459,7 +459,7 @@ PAST_FIRST_LEAF = (
 def test_coloring_search_past_its_first_leaf(code):
     g = from_graph6(code)
     chi = oracles.chromatic_number(g)
-    first = _bb_coloring(g.n, g.adj, g.n + 1, first_hit=True)
+    first = _bb_coloring(g.n, g.adj, g.n + 1)
     assert max(first) + 1 > chi
     assert chromatic_number(g) == chi
     assert is_k_colorable(g, chi - 1) is None
@@ -478,16 +478,17 @@ def _coloring_inputs():
 
 
 def test_coloring_search_equals_the_counter_table_search():
-    # the same coloring, or None, as the search that kept a neighbour count
-    # per vertex and color: the optimum search, and the first hit under
-    # every bound from 2 to 6
+    # the same first hit, or None, under every bound from 2 to 6 as the
+    # search that kept a neighbour count per vertex and color, and the
+    # chi of that search's optimum mode
     graphs = 0
     for g in _coloring_inputs():
         graphs += 1
-        cases = [(g.n + 1, False)] + [(bound, True) for bound in range(2, 7)]
-        for bound, first_hit in cases:
-            assert _bb_coloring(g.n, g.adj, bound, first_hit) == \
-                oracles.bb_coloring(g.n, g.adj, bound, first_hit), (g, bound, first_hit)
+        for bound in range(2, 7):
+            assert _bb_coloring(g.n, g.adj, bound) == \
+                oracles.bb_coloring(g.n, g.adj, bound, True), (g, bound)
+        assert chromatic_number(g) == \
+            max(oracles.bb_coloring(g.n, g.adj, g.n + 1, False), default=-1) + 1, g
     assert graphs == 1 + 2 + 4 + 11 + 34 + 156 + 1044 + 300
 
 
