@@ -15,7 +15,6 @@ from .graph import (
     Graph,
     bits,
     complement,
-    delete_vertex,
     disjoint_union,
     format_edge_list,
     from_edge_list,

@@ -229,11 +229,6 @@ def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
     return Graph._unchecked(len(verts), tuple(adj))
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    _check_vertex(g, v)
-    return induced_subgraph(g, ((1 << g.n) - 1) ^ 1 << v)
-
-
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:
     """Apply a permutation; perm[v] is the new index of old vertex v.
 

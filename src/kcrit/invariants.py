@@ -194,8 +194,8 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
     return not any(row & classes[c] for row, c in zip(g.adj, coloring.colors))
 
 
-def _greedy_clique(n: int, adj) -> list[int]:
-    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
+def _greedy_clique(adj, verts: list[int]) -> list[int]:
+    order = sorted(verts, key=lambda v: adj[v].bit_count(), reverse=True)
     clique: list[int] = []
     cmask = 0
     for v in order:
@@ -205,28 +205,32 @@ def _greedy_clique(n: int, adj) -> list[int]:
     return clique
 
 
-def _bb_coloring(n: int, adj, bound: int):
-    """The first proper coloring with fewer than ``bound`` colors that
-    the search reaches, or None when there is none.
+def _bb_coloring(n: int, adj, active: int, bound: int):
+    """The first proper coloring of the subgraph induced on ``active``
+    with fewer than ``bound`` colors that the search reaches, or None
+    when there is none; vertices outside ``active`` stay -1.
 
     The search precolors a greedy clique and then descends by DSATUR
     (Brelaz 1979): it colors the vertex of maximum saturation, then
     maximum degree, then lowest index (fixed so runs are reproducible),
     trying the lowest free color first, and backtracks only when a
     vertex has no color below the bound left.  Colors are 0..c-1 in
-    order of first use.  A bound above n + 1 acts as n + 1, so its size
-    costs nothing.  Saturation needs one mask per color, ``seen[c]``,
-    the vertices with a neighbour colored c: coloring v with c saturates
-    ``adj[v] & ~seen[c]``, and the undo that same set.
+    order of first use.  A bound above the mask's size + 1 acts as that
+    size + 1, so its size costs nothing.  Saturation needs one mask per
+    color, ``seen[c]``, the vertices with a neighbour colored c:
+    coloring v with c saturates ``adj[v] & ~seen[c]``, and the undo
+    that same set.
     """
-    bound = min(bound, n + 1)
-    clique = _greedy_clique(n, adj)
+    adj = [row & active for row in adj]
+    verts = [v for v in range(n) if active >> v & 1]
+    bound = min(bound, len(verts) + 1)
+    clique = _greedy_clique(adj, verts)
     if len(clique) >= bound:
         return None
     colors = [-1] * n
     seen = [0] * bound
     nmask = [0] * n
-    degs = [adj[v].bit_count() for v in range(n)]
+    degs = [row.bit_count() for row in adj]
 
     # precolor the greedy clique: its vertices need pairwise distinct colors
     for c, v in enumerate(clique):
@@ -240,7 +244,7 @@ def _bb_coloring(n: int, adj, bound: int):
             return True
         v = -1
         key = None
-        for u in range(n):
+        for u in verts:
             if colors[u] == -1:
                 k = (nmask[u].bit_count(), degs[u], -u)
                 if key is None or k > key:
@@ -263,7 +267,7 @@ def _bb_coloring(n: int, adj, bound: int):
                 nmask[u] &= ~(1 << c)
         return False
 
-    return colors if rec(n - len(clique), len(clique)) else None
+    return colors if rec(len(verts) - len(clique), len(clique)) else None
 
 
 def triangle_free_raw(adj, active: int) -> bool:
@@ -290,8 +294,8 @@ def chi_with_d(g: Graph):
     co = complement(g).adj
     full = (1 << g.n) - 1
     if not triangle_free_raw(co, full):
-        chi = len(_greedy_clique(g.n, g.adj))
-        while _bb_coloring(g.n, g.adj, chi + 1) is None:
+        chi = len(_greedy_clique(g.adj, list(range(g.n))))
+        while is_k_colorable(g, chi) is None:
             chi += 1
         return chi, None, None
     mates, d = matching_raw(g.n, co, full)
@@ -306,5 +310,5 @@ def chromatic_number(g: Graph) -> int:
 def is_k_colorable(g: Graph, k: int) -> Coloring | None:
     """A proper coloring with at most k classes (k an int >= 0), or None iff chi(G) > k."""
     check_int("k", k, 0)
-    found = _bb_coloring(g.n, g.adj, k + 1)
+    found = _bb_coloring(g.n, g.adj, (1 << g.n) - 1, k + 1)
     return None if found is None else Coloring(tuple(found), len(set(found)))

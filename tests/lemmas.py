@@ -10,10 +10,11 @@ serves.
 from __future__ import annotations
 
 from kcrit.critical import is_vertex_critical
-from kcrit.graph import (MAX_VERTICES, Graph, bits, complement, delete_vertex, from_edge_list,
+from kcrit.graph import (MAX_VERTICES, Graph, bits, complement, from_edge_list,
                          join, mask_of)
 from kcrit.invariants import Coloring
 from kcrit.patterns import _components
+from util import delete_vertex
 
 
 # ===== criterion 8: the nonneighbor bound on a maximal independent set =====

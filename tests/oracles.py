@@ -189,8 +189,9 @@ def is_vertex_critical(g: Graph, k: int):
     order: a maximum matching in the complement when alpha(g) <= 2, an
     exact coloring otherwise.  Returns the library's CriticalityReport."""
     from kcrit.critical import CriticalityReport
-    from kcrit.graph import complement, delete_vertex
+    from kcrit.graph import complement
     from kcrit.invariants import chromatic_number, is_k_colorable
+    from util import delete_vertex
 
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -266,7 +267,8 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
     repeatedly delete the lowest-indexed vertex whose removal keeps the
     chromatic number at k or above, restarting the scan after each
     deletion.  Same mask and same ValueErrors as the library."""
-    from kcrit.graph import delete_vertex, mask_of
+    from kcrit.graph import mask_of
+    from util import delete_vertex
 
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -512,7 +514,7 @@ def bb_coloring(n: int, adj, bound: int, first_hit: bool):
     from kcrit.invariants import _greedy_clique
 
     bound = min(bound, n + 1)
-    clique = _greedy_clique(n, adj)
+    clique = _greedy_clique(adj, list(range(n)))
     if len(clique) >= bound:
         return None
     colors = [-1] * n

@@ -1,6 +1,7 @@
 """Tests for vertex-criticality reports, peeling, and join behavior."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,11 @@ from lemmas import check_min_class_colorings, verify_join_criticality
 
 from kcrit.critical import CriticalityReport, find_critical_subgraph, is_vertex_critical
 from kcrit.families import co_odd_cycle, odd_cycle
+from kcrit.generate import generate_graphs
 from kcrit.graph import (
     Graph,
     bits,
     complement,
-    delete_vertex,
     disjoint_union,
     from_edge_list,
     induced_subgraph,
@@ -27,7 +28,7 @@ from kcrit.invariants import (_alpha_raw, chi_with_d, chromatic_number, matching
                               triangle_free_raw)
 from kcrit.patterns import copaw_decompose, named_graph
 
-from util import (data_path, graphs, random_copaw_free, random_graph,
+from util import (data_path, delete_vertex, graphs, random_copaw_free, random_graph,
                   random_triangle_free, spy)
 
 
@@ -319,6 +320,65 @@ def test_peel_matching_count(monkeypatch):
             assert len(passes) == 1 + g.n - kept.bit_count(), (g, k)
             peeled += 1
     assert peeled > 30
+
+
+# ===== the criticality test is the peel's first deletion =====
+
+def _small_and_random_graphs(seed):
+    # every class of order 1..7, then seeded graphs with alpha <= 2
+    # (complements of triangle-free graphs) and mostly with alpha > 2
+    for n in range(1, 8):
+        yield from generate_graphs(n)
+    rng = random.Random(seed)
+    for i in range(300):
+        if i % 2:
+            yield complement(random_triangle_free(rng, rng.randint(1, 13),
+                                                  p=rng.choice([0.3, 0.5])))
+        else:
+            yield random_graph(rng, rng.randint(1, 10), p=rng.choice([0.3, 0.5, 0.7]))
+
+
+def test_witness_is_the_lowest_vertex_the_peel_deletes():
+    full = small_alpha = large_alpha = witnesses = 0
+    for g in _small_and_random_graphs(97):
+        k = chromatic_number(g)
+        dropped = (1 << g.n) - 1 & ~find_critical_subgraph(g, k)
+        witness = is_vertex_critical(g, k).witness
+        if dropped:
+            assert witness == (dropped & -dropped).bit_length() - 1, g
+            witnesses += 1
+        else:
+            assert witness is None, g
+            full += 1
+        if triangle_free_raw(complement(g).adj, (1 << g.n) - 1):
+            small_alpha += 1
+        else:
+            large_alpha += 1
+    assert full > 30 and witnesses > 1000 and small_alpha > 300 and large_alpha > 900
+
+
+def test_criticality_test_makes_one_blossom_pass_and_builds_no_subgraph(monkeypatch):
+    # alpha <= 2: the one pass of chi_with_d, also when a witness is
+    # found, as the peel's next pass runs after its first deletion;
+    # alpha > 2: each deletion is searched on the vertex mask
+    rng = random.Random(101)
+    critical6 = [g for _, g in read_graph_file(data_path("critical6.g6"))]
+    inputs = rng.sample(critical6, 40) + _critical6_extended(103)[:80]
+    inputs += [random_graph(rng, rng.randint(4, 10), p=0.4) for _ in range(80)]
+    cycles = [odd_cycle(m) for m in range(3, 7)]
+    inputs += cycles + [join(c, named_graph(h)) for c in cycles for h in ("K1", "K2", "C5")]
+    passes = spy(monkeypatch, matching_raw)
+    built = spy(monkeypatch, induced_subgraph)
+    seen = Counter()
+    for g in inputs:
+        k = chromatic_number(g)
+        passes.clear()
+        built.clear()
+        rep = is_vertex_critical(g, k)
+        small_alpha = triangle_free_raw(complement(g).adj, (1 << g.n) - 1)
+        assert len(passes) == small_alpha and built == [], g
+        seen[small_alpha, rep.is_critical] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 # ===== colorings with every class of size two =====

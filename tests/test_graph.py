@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import kcrit.graph as kcrit_graph
 import oracles
-from kcrit.graph import (Graph, bits, complement, delete_vertex, disjoint_union,
+from kcrit.graph import (Graph, bits, complement, disjoint_union,
                          format_edge_list, from_edge_list, from_graph6,
                          induced_subgraph, join, mask_of, parse_edge_list,
                          parse_graph_line, read_graph_list, relabel, to_graph6,
@@ -206,12 +206,6 @@ def test_induced_of_complete():
     assert induced_subgraph(complete(5), {0, 2, 3, 4}) == complete(4)
 
 
-def test_delete_vertex():
-    p4 = delete_vertex(C5, 0)
-    assert p4.n == 4 and len(p4.edges()) == 3 and sorted(r.bit_count() for r in p4.adj) == [1, 1, 2, 2]
-    assert delete_vertex(K4, 2) == complete(3)
-
-
 @pytest.mark.parametrize("s, vertex", [
     (-1, 5),                    # a negative mask holds every vertex from n up
     (0b1100001, 5),
@@ -222,12 +216,6 @@ def test_delete_vertex():
 def test_induced_rejects_vertices_out_of_range(s, vertex):
     with pytest.raises(ValueError, match=f"vertex {vertex} out of range for n=5"):
         induced_subgraph(C5, s)
-
-
-@pytest.mark.parametrize("v", [-1, 5, 7])
-def test_delete_vertex_rejects_vertices_out_of_range(v):
-    with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
-        delete_vertex(C5, v)
 
 
 @given(graphs(max_n=9), st.integers(0, (1 << 9) - 1))
@@ -254,12 +242,11 @@ def test_join_order_overflow():
 @pytest.mark.parametrize("call, message", [
     (lambda: relabel(P3, [True, False, 2]), "not a permutation"),
     (lambda: relabel(P3, [1, 0, 2.0]), "not a permutation"),
-    (lambda: delete_vertex(P3, True), "vertex must be an int, got True"),
-    (lambda: delete_vertex(P3, 1.0), "vertex must be an int, got 1.0"),
     (lambda: induced_subgraph(P3, [False, 2]), "vertex must be an int, got False"),
+    (lambda: induced_subgraph(P3, [1.0, 2]), "vertex must be an int, got 1.0"),
     (lambda: induced_subgraph(P3, True), "vertex mask must be an int, got True"),
-], ids=["relabel-bool", "relabel-float", "delete-bool", "delete-float",
-        "induced-iterable-bool", "induced-mask-bool"])
+], ids=["relabel-bool", "relabel-float", "induced-iterable-bool", "induced-iterable-float",
+        "induced-mask-bool"])
 def test_vertex_indices_must_be_ints(call, message):
     # a bool is an int but names no vertex, as in Graph's order check
     with pytest.raises(ValueError, match=message):

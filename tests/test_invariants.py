@@ -9,13 +9,14 @@ import oracles
 import kcrit.invariants
 from kcrit.critical import is_vertex_critical
 from kcrit.generate import generate_graphs
-from kcrit.graph import (Graph, bits, complement, delete_vertex, from_edge_list,
-                         from_graph6, read_graph_file, relabel)
+from kcrit.graph import (Graph, bits, complement, from_edge_list,
+                         from_graph6, induced_subgraph, read_graph_file, relabel)
 from kcrit.invariants import (Coloring, _bb_coloring, alternating_forest, chromatic_number,
                               clique_number, independence_number, is_k_colorable,
                               is_proper_coloring, matching_raw, triangle_free_raw)
 from lemmas import coloring_with_min_class_size
-from util import data_path, graphs, peak_traced, random_graph, random_triangle_free, spy
+from util import (data_path, delete_vertex, graphs, peak_traced, random_graph,
+                  random_triangle_free, spy)
 
 
 def cycle(n):
@@ -459,7 +460,7 @@ PAST_FIRST_LEAF = (
 def test_coloring_search_past_its_first_leaf(code):
     g = from_graph6(code)
     chi = oracles.chromatic_number(g)
-    first = _bb_coloring(g.n, g.adj, g.n + 1)
+    first = _bb_coloring(g.n, g.adj, (1 << g.n) - 1, g.n + 1)
     assert max(first) + 1 > chi
     assert chromatic_number(g) == chi
     assert is_k_colorable(g, chi - 1) is None
@@ -485,11 +486,35 @@ def test_coloring_search_equals_the_counter_table_search():
     for g in _coloring_inputs():
         graphs += 1
         for bound in range(2, 7):
-            assert _bb_coloring(g.n, g.adj, bound) == \
+            assert _bb_coloring(g.n, g.adj, (1 << g.n) - 1, bound) == \
                 oracles.bb_coloring(g.n, g.adj, bound, True), (g, bound)
         assert chromatic_number(g) == \
             max(oracles.bb_coloring(g.n, g.adj, g.n + 1, False), default=-1) + 1, g
     assert graphs == 1 + 2 + 4 + 11 + 34 + 156 + 1044 + 300
+
+
+def test_coloring_search_on_a_mask_equals_the_search_on_the_subgraph():
+    # the same verdict under every bound from 2 to 6, and the same
+    # coloring vertex by vertex after relabelling, -1 off the mask
+    rng = random.Random(2029)
+    found = refused = 0
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 14), p=rng.choice([0.2, 0.4, 0.6, 0.8]))
+        mask = rng.getrandbits(g.n)
+        sub = induced_subgraph(g, mask)
+        for bound in range(2, 7):
+            got = _bb_coloring(g.n, g.adj, mask, bound)
+            want = _bb_coloring(sub.n, sub.adj, (1 << sub.n) - 1, bound)
+            if want is None:
+                assert got is None, (g, mask, bound)
+                refused += 1
+                continue
+            expected = [-1] * g.n
+            for v, c in zip(bits(mask), want):
+                expected[v] = c
+            assert got == expected, (g, mask, bound)
+            found += 1
+    assert found > 1000 and refused > 250
 
 
 @settings(max_examples=80)

@@ -1,5 +1,6 @@
-"""Shared test helpers: seeded random graphs, a hypothesis strategy, an
-allocation tracer, a call counter and output digests."""
+"""Shared test helpers: seeded random graphs, vertex deletion, a
+hypothesis strategy, an allocation tracer, a call counter and output
+digests."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from kcrit.graph import Graph
+from kcrit.graph import Graph, induced_subgraph
 
 
 @contextmanager
@@ -100,6 +101,11 @@ def canonical_reps(n: int) -> tuple[Graph, ...]:
     for g in oracles.all_labeled_graphs(n):
         reps.setdefault(canonical_form(g), g)
     return tuple(reps.values())
+
+
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """g - v, relabelled in ascending index order."""
+    return induced_subgraph(g, ((1 << g.n) - 1) ^ 1 << v)
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:
