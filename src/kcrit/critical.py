@@ -47,9 +47,9 @@ def _peel(g: Graph, k: int, chi: int, co, d) -> Iterator[int]:
     ascending order, given chi, co and d from chi_with_d(g) with chi >= k.
 
     When alpha(g) <= 2 only deleting a vertex of D lowers chi (by one),
-    so the next deletion is the lowest vertex from v on, outside D
-    unless chi > k; the blossom pass for the smaller mask runs after the
-    yield, so a caller that stops there makes none.
+    so the next deletion is the lowest later vertex outside D, or any
+    later vertex while chi > k; the blossom pass for the smaller mask
+    runs after the yield, so a caller that stops there makes none.
     """
     active = (1 << g.n) - 1
     if d is None:
