@@ -9,17 +9,19 @@ deleting v lowers chi exactly when some maximum matching of F leaves v
 exposed (v is in D(F)).  One blossom pass over F gives both the
 maximum matching and D, so it decides criticality, and the peel needs
 one per deletion.  Otherwise each deletion is an exact coloring search
-on a vertex mask, which builds no subgraph.
+on a vertex mask, which builds no subgraph.  The entry points take a
+Graph and build its complement rows once; ``chi_raw`` and the peel
+work on raw rows and the vertex mask they start from.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .graph import Graph, check_int
+from .graph import Graph, bits, check_int, complement
 from .invariants import (
     _bb_coloring,
-    chi_with_d,
+    chi_raw,
     chromatic_number,  # for the perfbench span invariants.chromatic_number
     independence_number,  # for the perfbench span invariants.independence_number
     matching_raw,
@@ -42,19 +44,19 @@ class CriticalityReport(NamedTuple):
     witness: int | None
 
 
-def _peel(g: Graph, k: int, chi: int, co, d) -> Iterator[int]:
-    """Each vertex whose deletion from what is left keeps chi >= k, in
-    ascending order, given chi, co and d from chi_with_d(g) with chi >= k.
+def _peel(n: int, adj, co, active: int, k: int, chi: int, d) -> Iterator[int]:
+    """Each vertex of ``active`` whose deletion from what is left keeps
+    chi >= k, in ascending order, given (chi, d) = chi_raw(n, adj, co,
+    active) with chi >= k; ``co``'s rows stay inside ``active``.
 
-    When alpha(g) <= 2 only deleting a vertex of D lowers chi (by one),
-    so the next deletion is the lowest later vertex outside D, or any
-    later vertex while chi > k; the blossom pass for the smaller mask
-    runs after the yield, so a caller that stops there makes none.
+    When alpha <= 2 on the mask only deleting a vertex of D lowers chi
+    (by one), so the next deletion is the lowest later vertex outside D,
+    or any later vertex while chi > k; the blossom pass for the smaller
+    mask runs after the yield, so a caller that stops there makes none.
     """
-    active = (1 << g.n) - 1
     if d is None:
-        for v in range(g.n):
-            if _bb_coloring(g.n, g.adj, active ^ 1 << v, k) is None:
+        for v in bits(active):
+            if _bb_coloring(n, adj, active ^ 1 << v, k) is None:
                 active ^= 1 << v
                 yield v
         return
@@ -64,7 +66,7 @@ def _peel(g: Graph, k: int, chi: int, co, d) -> Iterator[int]:
         chi -= d >> v & 1
         active ^= 1 << v
         yield v
-        d = matching_raw(g.n, co, active)[1]
+        d = matching_raw(n, co, active)[1]
 
 
 def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
@@ -74,10 +76,11 @@ def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     whose deletion fails to lower the chromatic number, the peel's first.
     """
     check_int("k", k, 1)
-    chi, co, d = chi_with_d(g)
+    co, full = complement(g).adj, (1 << g.n) - 1
+    chi, d = chi_raw(g.n, g.adj, co, full)
     if chi != k:
         return CriticalityReport(k=chi, is_critical=False, witness=None)
-    witness = next(_peel(g, k, chi, co, d), None)
+    witness = next(_peel(g.n, g.adj, co, full, k, chi, d), None)
     return CriticalityReport(k=chi, is_critical=witness is None, witness=witness)
 
 
@@ -91,10 +94,10 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
     chi(S' - v) < k for S' inside S.  Requires an int k >= 1 and chi(g) >= k.
     """
     check_int("k", k, 1)
-    chi, co, d = chi_with_d(g)
+    co, active = complement(g).adj, (1 << g.n) - 1
+    chi, d = chi_raw(g.n, g.adj, co, active)
     if chi < k:
         raise ValueError("graph is not even k-chromatic; nothing to extract")
-    active = (1 << g.n) - 1
-    for v in _peel(g, k, chi, co, d):
+    for v in _peel(g.n, g.adj, co, active, k, chi, d):
         active ^= 1 << v
     return active

@@ -208,7 +208,7 @@ def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
     Raises ValueError naming a vertex of s outside 0..n-1, or on a
     vertex or mask that is not an int (a bool is not).
     """
-    if isinstance(s, int):
+    if type(s) is int or not isinstance(s, Iterable):   # an int skips the slower ABC check
         if type(s) is not int:
             raise ValueError(f"vertex mask must be an int, got {s!r}")
         high = s >> g.n                 # negative masks have every high bit

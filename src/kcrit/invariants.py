@@ -11,9 +11,10 @@ Gallai-Edmonds set D (the vertices some maximum matching leaves
 exposed), the union of the failed searches' even sets, and so decides
 every vertex deletion at once.
 
-``chi_with_d`` is the one chromatic-number kernel.  When alpha(G) <= 2,
-i.e. when the complement is triangle-free, color classes have at most
-two vertices, so an optimal coloring pairs up nonadjacent vertices and
+``chi_raw`` is the one chromatic-number kernel, on a vertex mask and
+the complement rows its caller built.  When alpha(G) <= 2, i.e. when
+the complement is triangle-free, color classes have at most two
+vertices, so an optimal coloring pairs up nonadjacent vertices and
 chi(G) = n - nu(complement(G)); one blossom pass then gives chi and D
 together.  Otherwise chi is the least k that the one coloring search,
 ``_bb_coloring``, colors.  Its triangle test, ``triangle_free_raw``, is
@@ -284,27 +285,28 @@ def triangle_free_raw(adj, active: int) -> bool:
     return True
 
 
-def chi_with_d(g: Graph):
-    """(chi(G), complement rows, Gallai-Edmonds set D of the complement).
+def chi_raw(n: int, adj, co, active: int) -> tuple[int, int | None]:
+    """(chi, D) of the subgraph induced on ``active``, given the rows
+    ``adj`` and the complement rows ``co``, whose rows stay inside
+    ``active`` (the full mask, or any union of complement components).
 
-    When alpha(G) <= 2 one triangle test and one blossom pass give all
-    three; otherwise chi is the least k the coloring search colors,
-    counting up from its greedy clique's size, and the rows and D are None.
+    When alpha <= 2 on the mask one triangle test and one blossom pass
+    give chi and D; otherwise chi is the least k the coloring search
+    colors, counting up from its greedy clique's size, and D is None.
     """
-    co = complement(g).adj
-    full = (1 << g.n) - 1
-    if not triangle_free_raw(co, full):
-        chi = len(_greedy_clique(g.adj, list(range(g.n))))
-        while is_k_colorable(g, chi) is None:
+    if not triangle_free_raw(co, active):
+        chi = len(_greedy_clique(adj, list(bits(active))))
+        while _bb_coloring(n, adj, active, chi + 1) is None:
             chi += 1
-        return chi, None, None
-    mates, d = matching_raw(g.n, co, full)
-    return (g.n + mates.count(-1)) // 2, co, d
+        return chi, None
+    mates, d = matching_raw(n, co, active)
+    # the -1s off the mask are not exposed
+    return (2 * active.bit_count() - n + mates.count(-1)) // 2, d
 
 
 def chromatic_number(g: Graph) -> int:
     """chi(G), exact; alpha <= 2 fast path, else the least k the coloring search colors."""
-    return chi_with_d(g)[0]
+    return chi_raw(g.n, g.adj, complement(g).adj, (1 << g.n) - 1)[0]
 
 
 def is_k_colorable(g: Graph, k: int) -> Coloring | None:

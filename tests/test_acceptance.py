@@ -18,7 +18,8 @@ from lemmas import (check_min_class_colorings, co_components, is_p2_lp1_free,
 from util import data_path, random_copaw_free
 from kcrit.canon import canonical_form
 from kcrit.census import census_copaw_critical, census_general, verify_list
-from kcrit.certify import YES, build_database, certify_color, verify_certificate
+from kcrit.certify import (YES, CertifiedAnswer, build_database, certify_color,
+                           verify_certificate)
 from kcrit.families import co_odd_cycle, odd_cycle
 from kcrit.generate import generate_graphs
 from kcrit.graph import Graph, from_graph6, read_graph_file, to_graph6, write_graph_list
@@ -271,7 +272,7 @@ def test_criterion_12_certifier_soundness():
     databases = {k: build_database(k + 1) for k in (3, 4)}
     rng = random.Random(4096)
     instances = {3: 0, 4: 0}
-    bad = 0
+    bad = rejected = 0
     for _ in range(1000):
         g = random_copaw_free(rng)
         for k in (3, 4):
@@ -281,7 +282,11 @@ def test_criterion_12_certifier_soundness():
             if (answer.verdict == YES) != (is_k_colorable(g, k) is not None):
                 bad += 1
             instances[k] += 1
-    ok = bad == 0 and all(instances[k] == 1000 for k in (3, 4))
+        # a proper chi-coloring is no YES at k = chi - 1
+        chi = chromatic_number(g)
+        forged = CertifiedAnswer(YES, coloring=is_k_colorable(g, chi))
+        rejected += not verify_certificate(g, chi - 1, forged)
+    ok = bad == 0 and all(instances[k] == 1000 for k in (3, 4)) and rejected == 1000
     _report(12, "certificates verify and agree with the decision "
-                "procedure", ok,
-            f"instances={instances} failures={bad}")
+                "procedure; a coloring is no YES below its chi", ok,
+            f"instances={instances} forged_rejected={rejected} failures={bad}")

@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,7 @@ from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
 from kcrit.graph import (Graph, complement, from_graph6, induced_subgraph, join, mask_of,
                          relabel, write_graph_list)
-from kcrit.invariants import Coloring, is_k_colorable, triangle_free_raw
+from kcrit.invariants import Coloring, chromatic_number, is_k_colorable, triangle_free_raw
 from kcrit.patterns import contains_induced, copaw_decompose, is_free, is_p3p1, named_graph
 
 import oracles
@@ -321,6 +322,23 @@ def test_verify_rejects_tampering(db5):
     assert not verify_certificate(co9, 5, CertifiedAnswer(YES, witness=1))
     assert not verify_certificate(co9, 4, CertifiedAnswer(NO, coloring=yes.coloring))
     assert not verify_certificate(co9, 4, CertifiedAnswer("maybe", witness=3))
+
+
+def test_verify_rejects_a_yes_with_one_color_too_many():
+    # chi = c: a proper c-coloring verifies as a YES at k = c and must
+    # not verify at k = c - 1
+    rng = random.Random(4099)
+    inputs = [named_graph(h) for h in ("K1", "K2", "P3", "C5", "C7", "K4")]
+    inputs += [co_odd_cycle(5)] + [random_copaw_free(rng) for _ in range(150)]
+    inputs += [random_graph(rng, rng.randint(1, 10)) for _ in range(150)]
+    seen = Counter()
+    for g in inputs:
+        c = chromatic_number(g)
+        yes = CertifiedAnswer(YES, coloring=is_k_colorable(g, c))
+        assert yes.coloring.k == c and verify_certificate(g, c, yes), g
+        assert not verify_certificate(g, c - 1, yes), g
+        seen[c] += 1
+    assert all(seen[c] >= 10 for c in range(1, 6)), seen
 
 
 @pytest.mark.parametrize("answer", [

@@ -47,12 +47,13 @@ def test_check_wrong_k_fails(capsys):
 
 @pytest.mark.parametrize("k", [None, 3])
 def test_check_computes_chi_once_per_graph(tmp_path, capsys, monkeypatch, k):
-    # with --k the criticality report's k is chi: one chi_with_d call a
-    # line through every module that binds it, at alpha 2 and alpha 3
-    from kcrit.invariants import chi_with_d
+    # with --k the criticality report's k is chi: one chi_raw call a
+    # line, on the full mask, through every module that binds it, at
+    # alpha 2 and alpha 3
+    from kcrit.invariants import chi_raw
     f = tmp_path / "mixed.g6"
     f.write_text("FhCKG\nDhc\nFUzro\nEhcG\n")       # C7, C5, co-C7, C5 + a leaf
-    calls = spy(monkeypatch, chi_with_d)
+    calls = spy(monkeypatch, chi_raw)
     assert run(["check", str(f)] + ([] if k is None else ["--k", str(k)])) == (k is not None)
     lines = ["line 1: n=7  chi=3  alpha=3  omega=2  critical@3=yes",
              "line 2: n=5  chi=3  alpha=2  omega=2  critical@3=yes",
@@ -63,7 +64,7 @@ def test_check_computes_chi_once_per_graph(tmp_path, capsys, monkeypatch, k):
     else:
         lines.append("2/4 pass")
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
-    assert len(calls) == 4
+    assert [(n, active) for n, _, _, active in calls] == [(7, 127), (5, 31), (7, 127), (6, 63)]
 
 
 def test_check_parse_error(capsys):

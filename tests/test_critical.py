@@ -10,6 +10,7 @@ import oracles
 from oracles import is_isomorphic
 from lemmas import check_min_class_colorings, verify_join_criticality
 
+import kcrit.critical
 from kcrit.critical import CriticalityReport, find_critical_subgraph, is_vertex_critical
 from kcrit.families import co_odd_cycle, odd_cycle
 from kcrit.generate import generate_graphs
@@ -24,9 +25,9 @@ from kcrit.graph import (
     read_graph_file,
     relabel,
 )
-from kcrit.invariants import (_alpha_raw, chi_with_d, chromatic_number, matching_raw,
+from kcrit.invariants import (_alpha_raw, chi_raw, chromatic_number, matching_raw,
                               triangle_free_raw)
-from kcrit.patterns import copaw_decompose, named_graph
+from kcrit.patterns import _components, copaw_decompose, named_graph
 
 from util import (data_path, delete_vertex, graphs, random_copaw_free, random_graph,
                   random_triangle_free, spy)
@@ -72,20 +73,21 @@ def test_triangle_test_runs_once(monkeypatch, name, k):
 
 @pytest.mark.parametrize("name", ["C5", "C7", "K4", "C6", "P3+P1", "co-C9"])
 def test_chi_kernel_runs_once_per_call(monkeypatch, name):
-    # the criticality test and the peel take chi, the complement rows and
-    # D from one chi_with_d call, whichever branch it takes
+    # the criticality test and the peel take chi and D from one chi_raw
+    # call on the full mask, whichever branch it takes
     # (alpha(C7) = alpha(P3+P1) = 3)
     g = named_graph(name)
     chi = chromatic_number(g)
-    calls = spy(monkeypatch, chi_with_d)
+    full_call = (g.n, g.adj, complement(g).adj, (1 << g.n) - 1)
+    calls = spy(monkeypatch, chi_raw)
     for k in range(1, chi + 2):
         calls.clear()
         is_vertex_critical(g, k)
-        assert calls == [(g,)]
+        assert calls == [full_call]
     for k in range(1, chi + 1):
         calls.clear()
         find_critical_subgraph(g, k)
-        assert calls == [(g,)]
+        assert calls == [full_call]
 
 
 def test_wrong_chromatic_number_short_circuits():
@@ -237,11 +239,32 @@ def _peel(f, g, k):
         return str(exc)
 
 
-def _peels_agree(g):
-    # same mask or same ValueError at every k up to one past chi
+def _peels_agree(g) -> Counter:
+    # same mask or same ValueError at every k up to one past chi; then,
+    # from each union of complement components that is one component or
+    # all but one (the full mask aside), the same chi, D and deletions
+    # at every k up to chi as on the induced subgraph, after relabelling.
+    # Counts those start masks by whether alpha <= 2 on them.
     for k in range(1, chromatic_number(g) + 2):
         assert _peel(find_critical_subgraph, g, k) == \
             _peel(oracles.find_critical_subgraph, g, k), (g, k)
+    co, full = complement(g).adj, (1 << g.n) - 1
+    comps = _components(co)
+    starts = Counter()
+    for mask in sorted({m for c in comps for m in (c, full ^ c)} - {0, full}):
+        sub = induced_subgraph(g, mask)
+        verts = list(bits(mask))
+        chi, d = chi_raw(g.n, g.adj, co, mask)
+        sub_d = None if d is None else sum(1 << i for i, v in enumerate(verts) if d >> v & 1)
+        assert (chi, sub_d) == chi_raw(sub.n, sub.adj, complement(sub).adj,
+                                       (1 << sub.n) - 1), (g, mask)
+        for k in range(1, chi + 1):
+            peeled = [verts.index(v) for v in
+                      kcrit.critical._peel(g.n, g.adj, co, mask, k, chi, d)]
+            kept = find_critical_subgraph(sub, k)
+            assert peeled == list(bits((1 << sub.n) - 1 & ~kept)), (g, mask, k)
+        starts[d is not None] += 1
+    return starts
 
 
 def _with_extra_vertices(rng, g):
@@ -285,16 +308,19 @@ def test_peel_oracle_on_copaw_free_no_instances():
     # chi >= 4: each is a NO instance of the k = 3 certifier and more
     rng = random.Random(79)
     seen = 0
+    starts = Counter()
     while seen < 400:
         g = random_copaw_free(rng, 12)
         if chromatic_number(g) >= 4:
             seen += 1
-            _peels_agree(g)
+            starts += _peels_agree(g)
+    assert starts[True] > 1000 and starts[False] > 100, starts
 
 
 def test_peel_oracle_on_random_graphs():
     rng = random.Random(83)
     small_alpha = 0
+    starts = Counter()
     for i in range(400):
         if i % 2:
             g = complement(random_triangle_free(rng, rng.randint(1, 13),
@@ -302,8 +328,9 @@ def test_peel_oracle_on_random_graphs():
         else:
             g = random_graph(rng, rng.randint(1, 9), p=rng.choice([0.3, 0.5, 0.7]))
         small_alpha += oracles.independence_number(g) <= 2
-        _peels_agree(g)
+        starts += _peels_agree(g)
     assert 200 <= small_alpha < 400
+    assert starts[True] > 200 and starts[False] > 10, starts
 
 
 def test_peel_matching_count(monkeypatch):
@@ -358,7 +385,7 @@ def test_witness_is_the_lowest_vertex_the_peel_deletes():
 
 
 def test_criticality_test_makes_one_blossom_pass_and_builds_no_subgraph(monkeypatch):
-    # alpha <= 2: the one pass of chi_with_d, also when a witness is
+    # alpha <= 2: the one pass of chi_raw, also when a witness is
     # found, as the peel's next pass runs after its first deletion;
     # alpha > 2: each deletion is searched on the vertex mask
     rng = random.Random(101)

@@ -245,8 +245,10 @@ def test_join_order_overflow():
     (lambda: induced_subgraph(P3, [False, 2]), "vertex must be an int, got False"),
     (lambda: induced_subgraph(P3, [1.0, 2]), "vertex must be an int, got 1.0"),
     (lambda: induced_subgraph(P3, True), "vertex mask must be an int, got True"),
+    (lambda: induced_subgraph(P3, 1.0), "vertex mask must be an int, got 1.0"),
+    (lambda: induced_subgraph(P3, None), "vertex mask must be an int, got None"),
 ], ids=["relabel-bool", "relabel-float", "induced-iterable-bool", "induced-iterable-float",
-        "induced-mask-bool"])
+        "induced-mask-bool", "induced-mask-float", "induced-mask-none"])
 def test_vertex_indices_must_be_ints(call, message):
     # a bool is an int but names no vertex, as in Graph's order check
     with pytest.raises(ValueError, match=message):

@@ -21,7 +21,7 @@ ENTRY_POINTS = {
     "generate_graphs", "relabel", "census_general", "verify_list",
     "from_graph6", "chromatic_number", "is_vertex_critical",
     "census_copaw_critical", "build_database", "certify_color",
-    "verify_certificate", "co_odd_cycle",
+    "verify_certificate", "co_odd_cycle", "is_k_colorable",
 }
 
 
