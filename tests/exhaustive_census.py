@@ -40,6 +40,8 @@ Aut(F)-orbits on the minimum-degree vertices of the pieces F, summed
 (``util.rooted_pieces``), and ``_pieces(6)`` and
 ``census_copaw_critical(6)``, on one process and on two, must keep their
 pinned digests (as ``tests/test_digests.py`` pins the smaller outputs).
+``kcrit census --k 6 --out`` on two processes must write the shipped
+6-critical list byte for byte.
 
 The file name keeps these checks out of the default collection.  Run
 them with
@@ -62,6 +64,7 @@ import oracles
 from kcrit.canon import canonical_form
 from kcrit.census import (_general_expand, _join_code, _levels, _mapper, _piece_expand,
                           _pieces, census_copaw_critical, census_general)
+from kcrit.cli import main
 from kcrit.critical import is_vertex_critical
 from kcrit.generate import TRIANGLE_FREE, _canonical_extension, generate_graphs
 from kcrit.graph import Graph, bits, complement, from_graph6, join, read_graph_list, relabel
@@ -257,3 +260,12 @@ def test_k6_piece_codes_keep_their_digest():
 def test_k6_census_rows_keep_their_digest(workers):
     assert digest(census_copaw_critical(6, workers=workers)) == \
         "686ce89c74c730b49ab41c4746d1e60caf1a5e64a44905065645403682754f19"
+
+
+def test_k6_census_out_reproduces_the_shipped_list(tmp_path, capsys):
+    # the command line, with children crossing the pool with the
+    # automorphism generators their acceptance found
+    out_file = tmp_path / "critical6.g6"
+    assert main(["census", "--k", "6", "--workers", str(WORKERS), "--out", str(out_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total 18007"
+    assert out_file.read_bytes() == data_path("critical6.g6").read_bytes()

@@ -25,9 +25,10 @@ from kcrit.certify import (
 )
 from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
-from kcrit.graph import (Graph, complement, from_graph6, induced_subgraph, join, mask_of,
-                         relabel, write_graph_list)
-from kcrit.invariants import Coloring, chromatic_number, is_k_colorable, triangle_free_raw
+from kcrit.graph import (Graph, bits, complement, disjoint_union, from_graph6,
+                         induced_subgraph, join, mask_of, relabel, write_graph_list)
+from kcrit.invariants import (Coloring, chi_raw, chromatic_number, is_k_colorable,
+                              matching_raw, triangle_free_raw)
 from kcrit.patterns import contains_induced, copaw_decompose, is_free, is_p3p1, named_graph
 
 import oracles
@@ -341,6 +342,35 @@ def test_verify_rejects_a_yes_with_one_color_too_many():
     assert all(seen[c] >= 10 for c in range(1, 6)), seen
 
 
+@pytest.mark.parametrize("forgery", ["vertex-added", "vertex-removed", "mask-zero",
+                                     "mask-minus-one", "p3p1-free-3", "p3p1-free-5"])
+def test_verify_rejects_a_forged_witness(db5, forgery):
+    # g: co-C9 with a true twin 9 of vertex 0, P3+P1-free with chi = 5
+    # and not critical, so its certified NO at k = 4 is a proper subset
+    # (a K5); h: P3+P1 (on 0..3) beside K5, not in the class
+    co9 = co_odd_cycle(5)
+    twin = co9.adj[0] | 1
+    g = Graph(10, tuple(row | (twin >> v & 1) << 9 for v, row in enumerate(co9.adj)) + (twin,))
+    h = disjoint_union(named_graph("P3+P1"), named_graph("K5"))
+    s = certify_color(g, 4, db5).witness
+    assert verify_certificate(g, 4, CertifiedAnswer(NO, witness=s)) and s != (1 << g.n) - 1
+    assert certify_color(h, 4, db5) == CertifiedAnswer(NOT_IN_CLASS, witness=0b1111)
+    free = {size: [m for m in range(1 << h.n) if m.bit_count() == size
+                   and is_free(induced_subgraph(h, m), "P3+P1")] for size in (3, 5)}
+    forged = {
+        "vertex-added": [(g, NO, s | 1 << v) for v in bits((1 << g.n) - 1 & ~s)],
+        "vertex-removed": [(g, NO, s ^ 1 << v) for v in bits(s)],
+        "mask-zero": [(g, NO, 0), (h, NOT_IN_CLASS, 0)],
+        "mask-minus-one": [(g, NO, -1), (h, NOT_IN_CLASS, -1)],
+        "p3p1-free-3": [(h, NOT_IN_CLASS, m) for m in free[3]],
+        "p3p1-free-5": [(h, NOT_IN_CLASS, m) for m in free[5]],
+    }[forgery]
+    assert forged
+    for graph, verdict, witness in forged:
+        assert not verify_certificate(graph, 4, CertifiedAnswer(verdict, witness=witness)), \
+            (verdict, witness)
+
+
 @pytest.mark.parametrize("answer", [
     CertifiedAnswer(NO, witness=3.0),
     CertifiedAnswer(NO, witness="7"),
@@ -406,6 +436,34 @@ def test_structural_coloring_tests_each_factor_for_triangles_once(monkeypatch):
         _structural_coloring(g, copaw_decompose(g))
         tested = [mask for _, mask in calls]
         assert tested == list(copaw_decompose(g).factors)
+
+
+def test_factor_passes_equal_fresh_passes_on_each_factor(monkeypatch):
+    # the blossom pass the structural coloring makes on each alpha <= 2
+    # factor, on the whole graph's complement rows and the factor's
+    # mask, has the exposed count and D of a fresh pass on the factor's
+    # induced complement, after relabelling; chi_raw on the same mask is
+    # the factor's chromatic number
+    passes = spy(monkeypatch, matching_raw, [kcrit.certify])
+    rng = random.Random(18)
+    seen = Counter()
+    for _ in range(600):
+        g = random_copaw_free(rng, 12)
+        dec = copaw_decompose(g)
+        small = [f for f, flag in zip(dec.factors, dec.alpha_le_2) if flag]
+        passes.clear()
+        _structural_coloring(g, dec)
+        assert passes == [(g.n, dec.co, f) for f in small]
+        for factor in small:
+            verts = list(bits(factor))
+            mates, d = matching_raw(g.n, dec.co, factor)
+            sub = induced_subgraph(g, factor)
+            sub_mates, sub_d = matching_raw(sub.n, complement(sub).adj, (1 << sub.n) - 1)
+            assert [mates[v] for v in verts].count(-1) == sub_mates.count(-1), (g, factor)
+            assert sum(1 << i for i, v in enumerate(verts) if d >> v & 1) == sub_d, (g, factor)
+            assert chi_raw(g.n, g.adj, dec.co, factor)[0] == chromatic_number(sub), (g, factor)
+            seen[len(dec.factors) > 1, sub.n > 2] += 1
+    assert seen[True, True] > 200, seen
 
 
 def test_yes_query_builds_the_complement_once(monkeypatch, db5):

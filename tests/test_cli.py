@@ -39,10 +39,20 @@ def test_check_appendix(capsys):
     assert "178/178 pass" in out
 
 
-def test_check_wrong_k_fails(capsys):
-    code = run(["check", str(data_path("appendix5.edges")), "--k", "4"])
-    assert code == 1
-    assert "178/178" not in capsys.readouterr().out
+def test_check_wrong_k_fails(tmp_path, capsys):
+    # appendix5 at k = 4 (alpha 2), and clique-cycle 3 4 (kcrit family
+    # clique-cycle 3 4) plus an isolated vertex 10: chi = 4 but not
+    # 4-critical, a NO at alpha > 2
+    f = tmp_path / "g.edges"
+    f.write_text("11: 0 1, 0 2, 0 9, 1 2, 1 3, 2 3, 3 4, 3 5, 4 5, 4 6, 5 6, "
+                 "6 7, 6 8, 7 8, 7 9, 8 9\n")
+    for source, last in [
+            (data_path("appendix5.edges"),
+             "line 180: n=9  chi=5  alpha=2  omega=4  critical@4=no"),
+            (f, "line 1: n=11  chi=4  alpha=4  omega=3  critical@4=no")]:
+        assert run(["check", str(source), "--k", "4"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [last, f"0/{len(lines) - 1} pass"]
 
 
 @pytest.mark.parametrize("k", [None, 3])
@@ -171,11 +181,11 @@ def test_out_write_error_is_reported_and_removes_the_new_file(tmp_path, capsys,
 # ===== census =====
 
 def test_census_table(capsys):
-    code = run(["census", "--k", "4"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.splitlines()[:4] == ["4,4,1", "4,5,0", "4,6,1", "4,7,6"]
-    assert "total 8" in out
+    for workers in ([], ["--workers", "2"]):
+        code = run(["census", "--k", "4"] + workers)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines() == ["4,4,1", "4,5,0", "4,6,1", "4,7,6", "total 8"]
 
 
 def test_census_small_copaw(capsys):
@@ -212,6 +222,10 @@ def test_census_general_pattern(capsys, tmp_path):
     got = [g for _, g in read_graph_file(out_file)]
     assert len(got) == 2
     assert any(is_isomorphic(g, named_graph("C5")) for g in got)
+    # through a pool of two
+    assert run(["census", "--k", "4", "--pattern", "C4", "--max-order", "9",
+                "--workers", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total 9"
 
 
 def test_census_usage_errors(capsys):
@@ -306,6 +320,20 @@ def test_color_verdicts(tmp_path, capsys):
     assert "NOT-IN-CLASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("code, line", [
+    ("E~~w", "line 1: NO witness=0,1,2,3,4,5"),
+    # the last 6-critical member: the scan reads every member first
+    (None, "line 1: NO witness=0,1,2,3,4,5,6,7,8,9,10"),
+], ids=["k6", "last-critical6"])
+def test_color_no_names_its_witness(tmp_path, capsys, code, line):
+    if code is None:
+        code = data_path("critical6.g6").read_text().splitlines()[-1]
+    f = tmp_path / "g.g6"
+    f.write_text(code + "\n")
+    assert run(["color", str(f), "--k", "5"]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_color_failed_certificate_keeps_answering(tmp_path, capsys,
                                                  monkeypatch):
     import kcrit.cli as cli
@@ -328,7 +356,8 @@ def test_color_failed_certificate_keeps_answering(tmp_path, capsys,
 def test_color_unsupported_k(tmp_path, capsys):
     f = tmp_path / "g.g6"
     f.write_text(to_graph6(named_graph("K3")) + "\n")
-    assert run(["color", str(f), "--k", "6"]) == 2
+    for k in ("6", "9"):
+        assert run(["color", str(f), "--k", k]) == 2
 
 
 # ===== convert =====
@@ -343,6 +372,18 @@ def test_convert_round_trip(tmp_path, capsys):
     orig = [g for _, g in read_graph_file(data_path("appendix5.edges"))]
     back = [g for _, g in read_graph_file(edges)]
     assert all(is_isomorphic(a, b) for a, b in zip(orig, back))
+    again = tmp_path / "c.g6"
+    assert run(["convert", str(edges), "--to", "graph6", "--out", str(again)]) == 0
+    assert again.read_bytes() == g6.read_bytes()
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_convert_to_graph6_reproduces_the_shipped_list_body(tmp_path, capsys, k):
+    # the shipped file less its k= header line, byte for byte
+    shipped = data_path(f"critical{k}.g6")
+    out_file = tmp_path / "body.g6"
+    assert run(["convert", str(shipped), "--to", "graph6", "--out", str(out_file)]) == 0
+    assert out_file.read_bytes() == shipped.read_bytes().split(b"\n", 1)[1]
 
 
 def test_convert_bad_out_path_is_usage_error(tmp_path, capsys):
@@ -382,6 +423,10 @@ def test_family_outputs(capsys):
     assert run(["family", "clique-cycle", "2", "4"]) == 0
     g = parse_graph_line(capsys.readouterr().out.strip())
     assert g.n == 7
+
+    # the largest family member, at the 31-vertex cap
+    assert run(["family", "co-odd-cycle", "16", "--to", "graph6"]) == 0
+    assert capsys.readouterr().out == to_graph6(co_odd_cycle(16)) + "\n"
 
 
 def test_family_bad_params(capsys):
