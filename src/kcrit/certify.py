@@ -180,16 +180,16 @@ def certify_color(g: Graph, k: int, db: CriticalDatabase) -> CertifiedAnswer:
 
 def verify_certificate(g: Graph, k: int, answer: CertifiedAnswer) -> bool:
     """Check an answer by direct recomputation, never the database; False
-    on a payload of the wrong type (a bool is no int), ValueError on a bad k."""
+    on an answer or payload of the wrong type (a bool is no int),
+    ValueError on a bad k."""
     check_int("k", k, 0)
+    if not isinstance(answer, CertifiedAnswer):
+        return False
+    c, s = answer.coloring, answer.witness
     if answer.verdict == YES:
-        c = answer.coloring
-        if answer.witness is not None or not isinstance(c, Coloring):
-            return False
-        # is_proper_coloring rejects a c.k that is not an int first
-        return is_proper_coloring(g, c) and c.k <= k
-    s = answer.witness
-    if answer.coloring is not None or type(s) is not int:
+        # is_proper_coloring is False on a c that is no Coloring or has no int k
+        return s is None and is_proper_coloring(g, c) and c.k <= k
+    if c is not None or type(s) is not int:
         return False
     if s <= 0 or s >> g.n:
         return False

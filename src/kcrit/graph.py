@@ -50,11 +50,12 @@ def bits(mask: int) -> Iterator[int]:
 
 def mask_of(vertices: Iterable[int]) -> int:
     """Pack an iterable of vertex indices into a bit mask; ValueError on a
-    vertex that is not a nonnegative int (a bool is not an int here)."""
+    vertex that is not an int in 0..MAX_VERTICES-1 (a bool is not an int
+    here), so no mask is wider than the largest graph."""
     m = 0
     for v in vertices:
-        if type(v) is not int or v < 0:
-            raise ValueError(f"vertex must be an int >= 0, got {v!r}")
+        if type(v) is not int or not 0 <= v < MAX_VERTICES:
+            raise ValueError(f"vertex must be an int in 0..{MAX_VERTICES - 1}, got {v!r}")
         m |= 1 << v
     return m
 
@@ -195,36 +196,26 @@ def complement(g: Graph) -> Graph:
     return Graph._unchecked(g.n, tuple(rows))
 
 
-def _check_vertex(g: Graph, v: int) -> None:
-    if type(v) is not int:
-        raise ValueError(f"vertex must be an int, got {v!r}")
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-
-
 def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
     """Subgraph induced on s (mask or iterable), relabeled in ascending index order.
 
-    Raises ValueError naming a vertex of s outside 0..n-1, or on a
-    vertex or mask that is not an int (a bool is not).
+    An iterable is read through ``mask_of``.  Raises ValueError naming a
+    vertex of s outside 0..n-1, or on a vertex or mask that is not an
+    int (a bool is not).
     """
-    if type(s) is int or not isinstance(s, Iterable):   # an int skips the slower ABC check
-        if type(s) is not int:
+    if type(s) is not int:
+        if not isinstance(s, Iterable):
             raise ValueError(f"vertex mask must be an int, got {s!r}")
-        high = s >> g.n                 # negative masks have every high bit
-        if high:
-            _check_vertex(g, g.n + (high & -high).bit_length() - 1)
-        smask = s
-    else:
-        smask = 0
-        for v in s:
-            _check_vertex(g, v)
-            smask |= 1 << v
-    verts = list(bits(smask))
+        s = mask_of(s)
+    high = s >> g.n                     # negative masks have every high bit
+    if high:
+        raise ValueError(f"vertex {g.n + (high & -high).bit_length() - 1} "
+                         f"out of range for n={g.n}")
+    verts = list(bits(s))
     pos = {v: i for i, v in enumerate(verts)}
     adj = [0] * len(verts)
     for v in verts:
-        for u in bits(g.adj[v] & smask):
+        for u in bits(g.adj[v] & s):
             adj[pos[v]] |= 1 << pos[u]
     return Graph._unchecked(len(verts), tuple(adj))
 

@@ -178,8 +178,10 @@ class Coloring(NamedTuple):
 
 def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
     """Independent properness check used by certificate verification;
-    False unless colors is a tuple of ints and k an int (a bool is not)."""
-    if (type(coloring.k) is not int or type(coloring.colors) is not tuple
+    False unless coloring is a Coloring whose colors are a tuple of ints
+    and whose k is an int (a bool is not)."""
+    if (not isinstance(coloring, Coloring) or type(coloring.k) is not int
+            or type(coloring.colors) is not tuple
             or any(type(c) is not int for c in coloring.colors)):
         return False
     if len(coloring.colors) != g.n:

@@ -1,22 +1,26 @@
 """Every integer argument of the public entry points is checked at entry.
 
-One table: each row names a call, the argument it checks and that
-argument's range, and expands to the values True (a bool is not an int
-here), 2.5, "3", one below the range and, where the range is bounded,
-one above it.  Each must raise ValueError with the exact message of
-``graph.check_int``.  The census calls run with the process pool and the
+One table: each row names an entry point, its arguments with X in the
+place of the checked one, and that argument's range, and expands to the
+values True (a bool is not an int here), 2.5, "3", one below the range,
+one above it where the range is bounded, and the row's extra values.
+Each must raise ValueError with the exact message of
+``graph.check_int``, which names the parameter (an order for one called
+n).  A test reads the package's signatures and requires a row for each
+integer parameter.  The census calls run with the process pool and the
 augmentation step replaced by failures, so a check that came after the
 first step of work would fail the test instead of raising.
 """
 
+import inspect
 import os
 
 import pytest
 
+import kcrit
 import kcrit.census
 from kcrit.census import census_copaw_critical, census_general, verify_list
-from kcrit.certify import (YES, CertifiedAnswer, build_database, certify_color,
-                           verify_certificate)
+from kcrit.certify import YES, CertifiedAnswer, build_database, certify_color, verify_certificate
 from kcrit.critical import find_critical_subgraph, is_vertex_critical
 from kcrit.families import clique_substituted_odd_cycle, co_odd_cycle, odd_cycle
 from kcrit.generate import ALL_GRAPHS, TRIANGLE_FREE, child_graphs, generate_graphs
@@ -26,95 +30,119 @@ from kcrit.patterns import is_free, named_graph, p2_lp1
 
 C5 = named_graph("C5")
 MISSING = "no-such-list.g6"     # the k check comes before the file is read
+X = object()                    # the checked argument's place in a row
 
-# (id, call taking the checked value, argument name, low, high or None)
+# (id, entry point, arguments, low, high or None, extra values...)
 CHECKS = [
-    ("odd_cycle-m", odd_cycle, "m", 1, 15),
-    ("co_odd_cycle-k", co_odd_cycle, "k", 3, 16),
-    ("clique_cycle-t", lambda x: clique_substituted_odd_cycle(x, 4), "t", 2, None),
-    ("clique_cycle-k", lambda x: clique_substituted_odd_cycle(2, x), "k", 3, None),
-    ("p2_lp1-l", p2_lp1, "l", 0, None),
-    ("Graph-order", lambda x: Graph(x, ()), "order", 0, 31),
-    ("from_edge_list-order", lambda x: from_edge_list(x, []), "order", 0, 31),
-    ("is_vertex_critical-k", lambda x: is_vertex_critical(Graph(1, (0,)), x), "k", 1, None),
-    ("find_critical_subgraph-k", lambda x: find_critical_subgraph(C5, x), "k", 1, None),
-    ("is_k_colorable-k", lambda x: is_k_colorable(C5, x), "k", 0, None),
-    ("census_copaw-k", census_copaw_critical, "k", 3, None),
-    ("census_copaw-n_max", lambda x: census_copaw_critical(4, x), "n_max", 4, 7),
-    ("census_copaw-workers", lambda x: census_copaw_critical(3, workers=x),
-     "workers", 1, None),
-    ("census_general-k", lambda x: census_general(x, None, 9), "k", 1, 9),
-    ("census_general-n_max", lambda x: census_general(3, None, x), "n_max", 3, 9),
-    ("census_general-workers", lambda x: census_general(3, None, 5, workers=x),
-     "workers", 1, None),
-    ("verify_list-k", lambda x: verify_list(MISSING, x), "k", 1, None),
-    # no file: a write before the check would raise AttributeError
-    ("write_graph_list-k", lambda x: write_graph_list(None, x, ["C~"]), "k", 1, None),
-    ("build_database-k", build_database, "k", 4, 6),
-    ("certify_color-k", lambda x: certify_color(co_odd_cycle(5), x, build_database(5)),
-     "k", 3, 5),
-    ("verify_certificate-k", lambda x: verify_certificate(C5, x, CertifiedAnswer(YES)),
-     "k", 0, None),
+    ("odd_cycle-m", odd_cycle, (X,), 1, 15),
+    ("co_odd_cycle-k", co_odd_cycle, (X,), 3, 16),
+    ("clique_cycle-t", clique_substituted_odd_cycle, (X, 4), 2, None),
+    ("clique_cycle-k", clique_substituted_odd_cycle, (2, X), 3, None),
+    ("p2_lp1-l", p2_lp1, (X,), 0, None),
+    ("Graph-order", Graph, (X, ()), 0, 31),
+    ("from_edge_list-order", from_edge_list, (X, []), 0, 31),
+    # generate_graphs returns its stream: every value raises at the call
+    ("generate_graphs", generate_graphs, (X,), 1, 31, 2.0, -1, 40),
+    ("is_vertex_critical-k", is_vertex_critical, (Graph(1, (0,)), X), 1, None),
+    ("find_critical_subgraph-k", find_critical_subgraph, (C5, X), 1, None),
+    ("is_k_colorable-k", is_k_colorable, (C5, X), 0, None),
+    ("census_copaw-k", census_copaw_critical, (X,), 3, None, 4.0),
+    ("census_copaw-n_max", census_copaw_critical, (4, X), 4, 7),
+    ("census_copaw-workers", census_copaw_critical, (3, None, X), 1, None),
+    ("census_general-k", census_general, (X, None, 9), 1, 9),
+    ("census_general-n_max", census_general, (3, None, X), 3, 9),
+    ("census_general-workers", census_general, (3, None, 5, X), 1, None),
+    ("verify_list-k", verify_list, (MISSING, X), 1, None),
+    # no file or database: a write or read before the check would raise AttributeError
+    ("write_graph_list-k", write_graph_list, (None, X, ["C~"]), 1, None),
+    ("build_database-k", build_database, (X,), 4, 6, 4.0),
+    ("certify_color-k", certify_color, (co_odd_cycle(5), X, None), 3, 5, 4.0),
+    ("verify_certificate-k", verify_certificate, (C5, X, CertifiedAnswer(YES)), 0, None),
 ]
 
 _CPUS = os.cpu_count() or 1
+_K7 = ("k must be in 3..6 (a k = 7 run took 644 s of wall time on 2 workers, peaking "
+       "at 924 MB: 835,161 graphs at order 12, 6,349,630 pieces at order 13)")
 _PATTERN = "pattern must be a name or a Graph, got 5"
 
-# single rows, each with its value and message: floats of an in-range
-# value, the two messages that say more than the range, and the pattern
+# single calls, each with its message: those that say more than the range,
+# the checks of other arguments and the orders built from two of them
 OTHER = [
-    ("census_copaw-k-4.0", census_copaw_critical, 4.0,
-     "k must be an int >= 3, got 4.0"),
-    ("build_database-k-4.0", build_database, 4.0,
-     "k must be an int in 4..6, got 4.0"),
-    ("certify_color-k-4.0", lambda x: certify_color(co_odd_cycle(5), x, build_database(5)),
-     4.0, "k must be an int in 3..5, got 4.0"),
-    ("census_copaw-k-7", census_copaw_critical, 7,
-     "k must be in 3..6 (a k = 7 run took 644 s of wall time on 2 workers, peaking "
-     "at 924 MB: 835,161 graphs at order 12, 6,349,630 pieces at order 13)"),
-    ("census_copaw-workers-cpus", lambda x: census_copaw_critical(3, workers=x), _CPUS + 1,
+    ("census_copaw-k-7", census_copaw_critical, (7,), _K7),
+    ("census_copaw-k-8", census_copaw_critical, (8,), _K7),
+    ("census_copaw-workers-cpus", census_copaw_critical, (3, None, _CPUS + 1),
      f"workers must be at most the CPU count {_CPUS}, got {_CPUS + 1}"),
-    ("census_general-workers-cpus", lambda x: census_general(3, None, 5, workers=x),
-     _CPUS + 1, f"workers must be at most the CPU count {_CPUS}, got {_CPUS + 1}"),
-    ("generate_graphs-mode", lambda x: generate_graphs(3, x), "bogus",
-     "unknown generation mode 'bogus'"),
-    ("child_graphs-admit-all", lambda x: child_graphs(C5, ALL_GRAPHS, x), 3,
+    ("census_general-workers-cpus", census_general, (3, None, 5, _CPUS + 1),
+     f"workers must be at most the CPU count {_CPUS}, got {_CPUS + 1}"),
+    ("clique_cycle-order-36", clique_substituted_odd_cycle, (5, 8),
+     "order must be an int in 0..31, got 36"),
+    ("generate_graphs-mode", generate_graphs, (3, "bogus"), "unknown generation mode 'bogus'"),
+    ("child_graphs-mode", child_graphs, (Graph(1, (0,)), "nonsense"),
+     "unknown generation mode 'nonsense'"),
+    ("child_graphs-admit-all", child_graphs, (C5, ALL_GRAPHS, 3), "admit must be callable, got 3"),
+    ("child_graphs-admit-tf", child_graphs, (C5, TRIANGLE_FREE, 3),
      "admit must be callable, got 3"),
-    ("child_graphs-admit-tf", lambda x: child_graphs(C5, TRIANGLE_FREE, x), 3,
-     "admit must be callable, got 3"),
-    ("is_free-pattern", lambda x: is_free(C5, x), 5, _PATTERN),
-    ("census_general-pattern", lambda x: census_general(3, x, 7), 5, _PATTERN),
-    ("verify_list-pattern", lambda x: verify_list(MISSING, 3, x), 5, _PATTERN),
+    ("is_free-pattern", is_free, (C5, 5), _PATTERN),
+    ("census_general-pattern", census_general, (3, 5, 7), _PATTERN),
+    ("verify_list-pattern", verify_list, (MISSING, 3, 5), _PATTERN),
 ]
 
 
+def _place(args, x):
+    return [x if a is X else a for a in args]
+
+
+def _checked(fn, args) -> str:
+    # the name of the parameter at X
+    return next(p for p, a in zip(inspect.signature(fn).parameters, args) if a is X)
+
+
 def _cases():
-    for name, call, arg, low, high in CHECKS:
+    for name, fn, args, low, high, *extra in CHECKS:
+        param = _checked(fn, args)
         span = f">= {low}" if high is None else f"in {low}..{high}"
-        values = [True, 2.5, "3", low - 1] + ([] if high is None else [high + 1])
+        values = [True, 2.5, "3", low - 1] + ([] if high is None else [high + 1]) + extra
         for x in values:
-            yield pytest.param(call, x, f"{arg} must be an int {span}, got {x!r}",
-                               id=f"{name}-{x!r}")
-    # generate_graphs returns its stream: every value raises at the call
-    for x in (True, 2.0, 2.5, "3", -1, 0, 40):
-        yield pytest.param(generate_graphs, x,
-                           f"order must be an int in 1..31, got {x!r}",
-                           id=f"generate_graphs-{x!r}")
-    for name, call, x, message in OTHER:
-        yield pytest.param(call, x, message, id=name)
+            message = f"{'order' if param == 'n' else param} must be an int {span}, got {x!r}"
+            yield pytest.param(fn, _place(args, x), message, id=f"{name}-{x!r}")
+    for name, fn, args, message in OTHER:
+        yield pytest.param(fn, args, message, id=name)
 
 
 def _no_work(*args, **kwargs):
     pytest.fail("work started before the arguments were checked")
 
 
-@pytest.mark.parametrize("call, x, message", _cases())
-def test_integer_arguments_are_checked_at_entry(monkeypatch, call, x, message):
+@pytest.mark.parametrize("fn, args, message", _cases())
+def test_integer_arguments_are_checked_at_entry(monkeypatch, fn, args, message):
     monkeypatch.setattr(kcrit.census, "Pool", _no_work)
     monkeypatch.setattr(kcrit.census, "child_graphs", _no_work)
     with pytest.raises(ValueError) as info:
-        call(x)
+        fn(*args)
     assert str(info.value) == message
+
+
+def test_every_integer_parameter_of_the_package_has_a_row():
+    rows = {(fn, _checked(fn, args)) for _, fn, args, *_ in CHECKS}
+    missing = [(name, p.name) for name, fn in vars(kcrit).items()
+               if inspect.isfunction(fn) and name != "bits"    # bits reads a mask of any width
+               for p in inspect.signature(fn).parameters.values()
+               if p.annotation in ("int", "int | None") and (fn, p.name) not in rows]
+    assert missing == []
+
+
+_CHEAP = {"odd_cycle-m", "co_odd_cycle-k", "clique_cycle-t", "clique_cycle-k", "p2_lp1-l",
+          "Graph-order", "from_edge_list-order"}
+
+
+@pytest.mark.parametrize("fn, args, low, high", [pytest.param(*row[1:5], id=row[0])
+                                                 for row in CHECKS if row[0] in _CHEAP])
+def test_cheap_rows_accept_their_bounds(fn, args, low, high):
+    for x in (low, high):
+        if x is not None:
+            # Graph takes one row per vertex
+            g = Graph(x, (0,) * x) if fn is Graph else fn(*_place(args, x))
+            assert x == low or g.n == 31        # each high bound is the order cap
 
 
 def test_check_int_returns_its_argument():

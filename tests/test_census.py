@@ -94,19 +94,6 @@ def test_census_soundness_double_entry():
             assert is_vertex_critical(g, 4).is_critical
 
 
-def test_census_args():
-    with pytest.raises(ValueError):
-        census_copaw_critical(2)
-    with pytest.raises(ValueError, match="644 s of wall time"):
-        census_copaw_critical(7)
-    with pytest.raises(ValueError):
-        census_copaw_critical(8)
-    with pytest.raises(ValueError):
-        census_copaw_critical(4, n_max=8)
-    with pytest.raises(ValueError):
-        census_copaw_critical(4, n_max=3)
-
-
 @pytest.mark.parametrize("workers", [0, -2])
 def test_census_rejects_workers_below_one(workers):
     with pytest.raises(ValueError, match="workers"):

@@ -383,9 +383,10 @@ def test_verify_rejects_a_forged_witness(db5, forgery):
     CertifiedAnswer(YES, coloring=Coloring(None, 2)),
     CertifiedAnswer(YES, coloring=Coloring([0, 1, 0], 2)),
     CertifiedAnswer(YES, coloring=((0, 1, 0), 2)),
+    (YES, Coloring((0, 1, 0), 2), None),
 ], ids=["witness-float", "witness-str", "witness-bool", "p3p1-witness-float",
         "color-none", "k-str", "k-bool", "color-bool", "colors-none", "colors-list",
-        "bare-tuple"])
+        "bare-tuple", "answer-tuple"])
 def test_verify_rejects_malformed_payloads(answer):
     # a payload of the wrong type is a wrong answer, not an error
     p3 = named_graph("P3")

@@ -31,14 +31,6 @@ def test_odd_cycle_is_extremal_candidate():
         assert is_vertex_critical(g, 3).is_critical
 
 
-def test_odd_cycle_range():
-    with pytest.raises(ValueError):
-        odd_cycle(0)
-    with pytest.raises(ValueError):
-        odd_cycle(16)  # order 33 over the cap
-    odd_cycle(15)
-
-
 @pytest.mark.parametrize("build, args", [
     (odd_cycle, (2.5,)), (odd_cycle, (True,)), (odd_cycle, ("3",)), (odd_cycle, (10**20,)),
     (co_odd_cycle, (3.5,)), (co_odd_cycle, (True,)), (co_odd_cycle, (10**20,)),
@@ -69,14 +61,6 @@ def test_co_odd_cycle_properties():
         assert independence_number(g) == 2
         assert is_free(g, "P3+P1")
         assert is_vertex_critical(g, k).is_critical
-
-
-def test_co_odd_cycle_range():
-    with pytest.raises(ValueError):
-        co_odd_cycle(2)
-    with pytest.raises(ValueError):
-        co_odd_cycle(17)
-    assert co_odd_cycle(16).n == 31
 
 
 # ===== clique substitution =====
@@ -128,15 +112,6 @@ def test_iterated_substitution_matches_composite():
     for v in (3, 1):
         g = substitute_clique(g, v, 2)
     assert is_isomorphic(g, clique_substituted_odd_cycle(2, 4))
-
-
-def test_clique_substituted_cycle_errors():
-    with pytest.raises(ValueError):
-        clique_substituted_odd_cycle(1, 4)
-    with pytest.raises(ValueError):
-        clique_substituted_odd_cycle(2, 2)
-    with pytest.raises(ValueError):
-        clique_substituted_odd_cycle(5, 8)  # order 36 over the cap
 
 
 # ===== joins with cliques =====

@@ -284,8 +284,6 @@ def test_child_graphs_modes():
     k1 = Graph(1, (0,))
     kids = child_graphs(k1)
     assert {len(g.edges()) for g in kids} == {0, 1}
-    with pytest.raises(ValueError):
-        child_graphs(k1, "nonsense")
 
 
 @pytest.mark.parametrize("mode", [ALL_GRAPHS, TRIANGLE_FREE])
@@ -304,13 +302,6 @@ def test_generate_level_matches_stream():
     for _ in range(4):
         lvl = [c for p in lvl for c in child_graphs(p, TRIANGLE_FREE)]
     assert len(lvl) == len(list(generate_graphs(5, TRIANGLE_FREE)))
-
-
-def test_order_range_errors():
-    with pytest.raises(ValueError):
-        list(generate_graphs(0))
-    with pytest.raises(ValueError):
-        list(generate_graphs(32))
 
 
 @pytest.mark.parametrize("n", [2.0, True, "3", 10**20],

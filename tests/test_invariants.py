@@ -383,8 +383,9 @@ def test_is_k_colorable_examples():
     Coloring((0, None), 2), Coloring((0, 1.0), 2), Coloring((0, True), 2),
     Coloring((0, 1), "2"), Coloring((0, 1), True), Coloring((0, 1), None),
     Coloring([0, 1], 2), Coloring(None, 2), Coloring((0,), 2), Coloring((0, 2), 2),
+    ((0, 1), 2),
 ], ids=["color-none", "color-float", "color-bool", "k-str", "k-bool", "k-none",
-        "colors-list", "colors-none", "colors-short", "color-not-below-k"])
+        "colors-list", "colors-none", "colors-short", "color-not-below-k", "coloring-tuple"])
 def test_is_proper_coloring_is_false_on_a_malformed_coloring(coloring):
     edge = from_edge_list(2, [(0, 1)])
     assert is_proper_coloring(edge, Coloring((0, 1), 2))
