@@ -61,6 +61,8 @@ _FIXED = {
 def named_graph(name: str) -> Graph:
     """Build the graph for a pattern name; raises ValueError on a bad name
     or, before building anything, on an order above MAX_VERTICES."""
+    if not isinstance(name, str):
+        raise ValueError(f"pattern name must be a str, got {name!r}")
     g = _parse_name(name.strip().lower().replace(" ", "").replace("_", ""))
     if g is None:
         raise ValueError(f"unknown pattern name {name!r}")
@@ -86,10 +88,10 @@ def _parse_name(s: str) -> Graph | None:
         base = _parse_name(s[3:] if s.startswith("co-") else s[2:])
         if base is not None:
             return complement(base)
-    m = re.fullmatch(r"p2\+(\d*)p1", s)
+    m = re.fullmatch(r"p2\+(\d*)p1", s, re.ASCII)
     if m:
         return p2_lp1(int(m.group(1)) if m.group(1) else 1)
-    m = re.fullmatch(r"([kpc])(\d+)", s)
+    m = re.fullmatch(r"([kpc])(\d+)", s, re.ASCII)
     if m:
         kind, t = m.group(1), check_order(int(m.group(2)))
         if kind == "k" and t >= 1:

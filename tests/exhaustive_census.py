@@ -71,7 +71,7 @@ from kcrit.graph import Graph, bits, complement, from_graph6, join, read_graph_l
 from kcrit.invariants import alternating_forest, matching_raw
 from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free
 
-from util import data_path, digest, rooted_pieces, spy
+from util import codes_by_order, data_path, digest, rooted_pieces, spy
 
 WORKERS = min(2, os.cpu_count() or 1)
 P3P1 = as_pattern("P3+P1")
@@ -80,10 +80,6 @@ P3P1 = as_pattern("P3+P1")
 @cache
 def _p6():
     return _pieces(6)
-
-
-def _by_order(rows):
-    return {r.n: set(r.codes) for r in rows}
 
 
 def _tested(expand, parent):
@@ -129,7 +125,7 @@ def _general_run(k, last):
 @pytest.mark.parametrize("pattern", (None, *ORDER4_NAMES))
 def test_general_census_equals_the_filtered_census(k, pattern):
     rows = census_general(k, pattern, 8)
-    assert _by_order(rows) == _by_order(oracles.filtered_general_census(k, pattern, 8))
+    assert codes_by_order(rows) == codes_by_order(oracles.filtered_general_census(k, pattern, 8))
     assert all(len(set(r.codes)) == r.count for r in rows)
 
 
@@ -154,7 +150,7 @@ def test_general_run_is_empty_past_2k_minus_1_to_order_11(k):
     # within their own order's degree bound are tested (121,571 and
     # 120,021 under the cap 11 - k alone)
     found, tests = _general_run(k, 11)
-    pieces = _by_order(census_copaw_critical(k))
+    pieces = codes_by_order(census_copaw_critical(k))
     assert found == {n: pieces.get(n, set()) for n in range(k, 12)}
     assert tests == {4: 121114, 5: 118286}[k]
 

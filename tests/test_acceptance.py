@@ -15,7 +15,7 @@ import oracles
 from lemmas import (check_min_class_colorings, co_components, is_p2_lp1_free,
                     maximal_independent_set, nonneighbor_profile,
                     verify_join_criticality)
-from util import data_path, random_copaw_free
+from util import all_codes, data_path, random_copaw_free
 from kcrit.canon import canonical_form
 from kcrit.census import census_copaw_critical, census_general, verify_list
 from kcrit.certify import (YES, CertifiedAnswer, build_database, certify_color,
@@ -45,10 +45,6 @@ def _counts(rows):
     return {row.n: row.count for row in rows}
 
 
-def _codes(rows):
-    return {code for row in rows for code in row.codes}
-
-
 def _report(num, label, ok, detail):
     line = f"criterion {num:2d} {label}: {'PASS' if ok else 'FAIL'}  [{detail}]"
     print(line)
@@ -71,9 +67,9 @@ def test_criterion_02_census_k5_matches_appendix():
     appendix = {canonical_form(g)
                 for _, g in read_graph_file(data_path("appendix5.edges"))}
     ok = (counts == {5: 1, 6: 0, 7: 1, 8: 6, 9: 170}
-          and _codes(rows) == appendix and secs < 120.0)
+          and all_codes(rows) == appendix and secs < 120.0)
     _report(2, "5-critical census equals the 178-graph list", ok,
-            f"counts={counts} set_match={_codes(rows) == appendix} "
+            f"counts={counts} set_match={all_codes(rows) == appendix} "
             f"time={secs:.2f}s budget=120s")
 
 
@@ -84,10 +80,10 @@ def test_criterion_03_census_k6():
     # comparison also pins the canonical labeling bit for bit
     shipped = {to_graph6(g)
                for _, g in read_graph_file(data_path("critical6.g6"))}
-    set_match = _codes(rows) == shipped
+    set_match = all_codes(rows) == shipped
     # the list writer turns the rows into the shipped file byte for byte
     written = io.StringIO()
-    write_graph_list(written, 6, _codes(rows))
+    write_graph_list(written, 6, all_codes(rows))
     file_match = written.getvalue() == data_path("critical6.g6").read_text()
     ok = (counts == {6: 1, 7: 0, 8: 1, 9: 6, 10: 171, 11: 17828}
           and set_match and file_match and secs < 3600.0)
@@ -145,14 +141,14 @@ def test_criterion_07_three_critical_censuses():
     rows = census_general(3, None, 7)
     odd_cycles = {canonical_form(odd_cycle(m)) for m in (1, 2, 3)}
     ok = (_counts(rows) == {3: 1, 4: 0, 5: 1, 6: 0, 7: 1}
-          and _codes(rows) == odd_cycles)
+          and all_codes(rows) == odd_cycles)
     caps = {}
     for l in (1, 2, 3):
         lrows = census_general(3, f"P2+{l}P1", 7)
         want = {canonical_form(odd_cycle(m)) for m in range(1, l + 1)}
         populated = [row.n for row in lrows if row.count]
         caps[l] = populated[-1]
-        ok = ok and _codes(lrows) == want and populated[-1] == 2 * l + 1
+        ok = ok and all_codes(lrows) == want and populated[-1] == 2 * l + 1
     _report(7, "3-critical censuses: odd cycles only", ok,
             f"unrestricted={_counts(rows)} max_order_by_l={caps}")
 

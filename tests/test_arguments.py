@@ -39,19 +39,19 @@ CHECKS = [
     ("clique_cycle-t", clique_substituted_odd_cycle, (X, 4), 2, None),
     ("clique_cycle-k", clique_substituted_odd_cycle, (2, X), 3, None),
     ("p2_lp1-l", p2_lp1, (X,), 0, None),
-    ("Graph-order", Graph, (X, ()), 0, 31),
+    ("Graph-order", Graph, (X, ()), 0, 31, 2.0, "1"),
     ("from_edge_list-order", from_edge_list, (X, []), 0, 31),
     # generate_graphs returns its stream: every value raises at the call
-    ("generate_graphs", generate_graphs, (X,), 1, 31, 2.0, -1, 40),
+    ("generate_graphs", generate_graphs, (X,), 1, 31, 2.0, -1, 40, 10**20),
     ("is_vertex_critical-k", is_vertex_critical, (Graph(1, (0,)), X), 1, None),
     ("find_critical_subgraph-k", find_critical_subgraph, (C5, X), 1, None),
     ("is_k_colorable-k", is_k_colorable, (C5, X), 0, None),
     ("census_copaw-k", census_copaw_critical, (X,), 3, None, 4.0),
     ("census_copaw-n_max", census_copaw_critical, (4, X), 4, 7),
-    ("census_copaw-workers", census_copaw_critical, (3, None, X), 1, None),
+    ("census_copaw-workers", census_copaw_critical, (3, None, X), 1, None, -2, 1.5),
     ("census_general-k", census_general, (X, None, 9), 1, 9),
     ("census_general-n_max", census_general, (3, None, X), 3, 9),
-    ("census_general-workers", census_general, (3, None, 5, X), 1, None),
+    ("census_general-workers", census_general, (3, None, 5, X), 1, None, -2, 1.5),
     ("verify_list-k", verify_list, (MISSING, X), 1, None),
     # no file or database: a write or read before the check would raise AttributeError
     ("write_graph_list-k", write_graph_list, (None, X, ["C~"]), 1, None),
@@ -66,7 +66,8 @@ _K7 = ("k must be in 3..6 (a k = 7 run took 644 s of wall time on 2 workers, pea
 _PATTERN = "pattern must be a name or a Graph, got 5"
 
 # single calls, each with its message: those that say more than the range,
-# the checks of other arguments and the orders built from two of them
+# the checks of other arguments and of preconditions, and the orders built
+# from two arguments
 OTHER = [
     ("census_copaw-k-7", census_copaw_critical, (7,), _K7),
     ("census_copaw-k-8", census_copaw_critical, (8,), _K7),
@@ -77,6 +78,9 @@ OTHER = [
     ("clique_cycle-order-36", clique_substituted_odd_cycle, (5, 8),
      "order must be an int in 0..31, got 36"),
     ("generate_graphs-mode", generate_graphs, (3, "bogus"), "unknown generation mode 'bogus'"),
+    # order 1 needs no augmentation step, and once yielded K1 for any mode
+    ("generate_graphs-mode-1", generate_graphs, (1, "bogus"), "unknown generation mode 'bogus'"),
+    ("generate_graphs-mode-2", generate_graphs, (2, "bogus"), "unknown generation mode 'bogus'"),
     ("child_graphs-mode", child_graphs, (Graph(1, (0,)), "nonsense"),
      "unknown generation mode 'nonsense'"),
     ("child_graphs-admit-all", child_graphs, (C5, ALL_GRAPHS, 3), "admit must be callable, got 3"),
@@ -85,6 +89,16 @@ OTHER = [
     ("is_free-pattern", is_free, (C5, 5), _PATTERN),
     ("census_general-pattern", census_general, (3, 5, 7), _PATTERN),
     ("verify_list-pattern", verify_list, (MISSING, 3, 5), _PATTERN),
+    ("named_graph-none", named_graph, (None,), "pattern name must be a str, got None"),
+    ("named_graph-int", named_graph, (5,), "pattern name must be a str, got 5"),
+    # pattern names take ASCII digits only: these are Arabic-Indic three
+    ("named_graph-k-digit", named_graph, ("k\u0663",), "unknown pattern name 'k\u0663'"),
+    ("named_graph-p2lp1-digit", named_graph, ("p2+\u0663p1",),
+     "unknown pattern name 'p2+\u0663p1'"),
+    ("find_critical_subgraph-chi", find_critical_subgraph, (named_graph("C6"), 3),
+     "graph is not even k-chromatic; nothing to extract"),
+    ("certify_color-level", certify_color, (named_graph("K3"), 4, build_database(4)),
+     "need the level-5 database, got level 4"),
 ]
 
 

@@ -1,6 +1,5 @@
 """Tests for the census pipelines and list verification."""
 
-import os
 from functools import partial, reduce
 from random import Random
 
@@ -33,15 +32,8 @@ from kcrit.invariants import alternating_forest, independence_number, matching_r
 from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free, named_graph
 
 from lemmas import co_components
-from util import data_path, degree_rule, random_triangle_free, rooted_pieces, spy
-
-
-def _codes(rows):
-    return {c for row in rows for c in row.codes}
-
-
-def _by_order(rows):
-    return {r.n: set(r.codes) for r in rows}
+from util import (all_codes, codes_by_order, data_path, level_run, random_triangle_free,
+                  rooted_pieces, spy)
 
 
 # ===== the fast pipeline =====
@@ -49,15 +41,15 @@ def _by_order(rows):
 def test_census_k3():
     rows = census_copaw_critical(3)
     assert [(r.n, r.count) for r in rows] == [(3, 1), (4, 0), (5, 1)]
-    assert _codes(rows) == {canonical_form(named_graph("K3")),
-                            canonical_form(named_graph("C5"))}
+    assert all_codes(rows) == {canonical_form(named_graph("K3")),
+                               canonical_form(named_graph("C5"))}
 
 
 def test_census_k4():
     rows = census_copaw_critical(4)
     assert [(r.n, r.count) for r in rows] == [(4, 1), (5, 0), (6, 1), (7, 6)]
     assert sum(r.count for r in rows) == 8
-    assert canonical_form(co_odd_cycle(4)) in _codes(rows)
+    assert canonical_form(co_odd_cycle(4)) in all_codes(rows)
 
 
 def test_census_k5():
@@ -65,7 +57,7 @@ def test_census_k5():
     assert [(r.n, r.count) for r in rows] == [
         (5, 1), (6, 0), (7, 1), (8, 6), (9, 170)]
     assert sum(r.count for r in rows) == 178
-    assert canonical_form(co_odd_cycle(5)) in _codes(rows)
+    assert canonical_form(co_odd_cycle(5)) in all_codes(rows)
 
 
 def test_census_truncated_k6():
@@ -92,32 +84,6 @@ def test_census_soundness_double_entry():
             assert g.n <= 7
             assert min(row.bit_count() for row in g.adj) >= 3
             assert is_vertex_critical(g, 4).is_critical
-
-
-@pytest.mark.parametrize("workers", [0, -2])
-def test_census_rejects_workers_below_one(workers):
-    with pytest.raises(ValueError, match="workers"):
-        census_copaw_critical(4, workers=workers)
-    with pytest.raises(ValueError, match="workers"):
-        census_general(3, None, 5, workers=workers)
-
-
-@pytest.mark.parametrize("workers", [True, 1.5])
-def test_census_rejects_workers_that_are_not_ints(workers):
-    with pytest.raises(ValueError, match="workers must be an int"):
-        census_copaw_critical(3, workers=workers)
-    with pytest.raises(ValueError, match="workers must be an int"):
-        census_general(3, None, 5, workers=workers)
-
-
-def test_census_rejects_workers_above_cpu_count(monkeypatch):
-    # checked before any pool is made, so this starts no process
-    monkeypatch.setattr(kcrit.census, "Pool", lambda *a: pytest.fail("pool made"))
-    workers = (os.cpu_count() or 1) + 1
-    with pytest.raises(ValueError, match="at most the CPU count"):
-        census_copaw_critical(4, workers=workers)
-    with pytest.raises(ValueError, match="at most the CPU count"):
-        census_general(3, None, 5, workers=workers)
 
 
 def test_census_workers_match_serial():
@@ -158,10 +124,7 @@ def _level_filter_census(k, n_max):
     # keep, at every order n >= k, the F whose complement is
     # k-vertex-critical, read off maximum matchings in F
     rows = {}
-    level = [Graph(1, (0,))]
-    for n in range(2, n_max + 1):
-        level = [c for p in level
-                 for c in child_graphs(p, TRIANGLE_FREE, degree_rule(p, n_max - k))]
+    for n, level in enumerate(level_run(TRIANGLE_FREE, n_max, n_max - k), 1):
         if n < k:
             continue
         full = (1 << n) - 1
@@ -176,7 +139,7 @@ def _level_filter_census(k, n_max):
                          + [(6, n) for n in range(6, 11)])
 def test_piece_census_equals_level_filter_census(k, n_max):
     rows = census_copaw_critical(k, n_max)
-    assert {r.n: set(r.codes) for r in rows} == _level_filter_census(k, n_max)
+    assert codes_by_order(rows) == _level_filter_census(k, n_max)
     assert all(len(set(r.codes)) == r.count for r in rows)
 
 
@@ -187,30 +150,40 @@ def _is_piece(f):
     return mates.count(-1) == 1 and d == full
 
 
+def _is_piece_per_vertex(f):
+    # factor-critical by the filter the Gallai-Edmonds test replaced:
+    # every F - v has a perfect matching
+    full = (1 << f.n) - 1
+    return all(2 * oracles.matching_size(f.n, f.adj, full ^ 1 << v) == f.n - 1
+               for v in range(f.n))
+
+
 @pytest.mark.parametrize("top", [3, 4, 5])
 def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
-    # an unpruned run that keeps every child at every order finds the same
-    # pieces in the same order, and both prunes drop something: the
-    # deficiency prune some graph at some order, the leaf step (only
-    # pieces at the last order) some child, for one of minimum degree < 2
+    # an unpruned run that keeps every child at every order, triangle-free
+    # F of maximum degree <= top - 1, finds the same pieces in the same
+    # order, by D and by the per-vertex filter alike; and both prunes drop
+    # something: the deficiency prune some graph at some order, the leaf
+    # step (only pieces at the last order) some child, for one of minimum
+    # degree < 2
     last = 2 * top - 1
-    level, unpruned, drops = [Graph(1, (0,))], {}, 0
-    for n in range(2, last + 1):
-        kept = [f for f in level
-                if matching_raw(f.n, f.adj, (1 << f.n) - 1)[0].count(-1) <= last - n]
-        drops += len(kept) < len(level)
-        if n == last:       # the perfect-matching prune it generalises
+    unpruned, drops = {}, 0
+    for n, level in enumerate(level_run(TRIANGLE_FREE, last, top - 1), 1):
+        if n < last:
+            kept = [f for f in level
+                    if matching_raw(n, f.adj, (1 << n) - 1)[0].count(-1) < last - n]
+            drops += len(kept) < len(level)
+        if n == last - 1:   # the perfect-matching prune it generalises
             assert kept == [f for f in level if oracles.has_perfect_matching(f)]
-        level = [c for p in level
-                 for c in child_graphs(p, TRIANGLE_FREE, degree_rule(p, top - 1))]
         if n % 2:
-            unpruned[n] = [canonical_form(complement(f)) for f in level if _is_piece(f)]
+            verdicts = [_is_piece(f) for f in level]
+            assert verdicts == [_is_piece_per_vertex(f) for f in level]
+            unpruned[(n + 1) // 2] = [canonical_form(complement(f))
+                                      for f, piece in zip(level, verdicts) if piece]
     assert drops and 0 < len(kept)
     assert any(min(a.bit_count() for a in f.adj) < 2 for f in level)
-    pieces = _pieces(top)
-    assert [pieces[j] for j in range(2, top + 1)] == \
-        [unpruned[2 * j - 1] for j in range(2, top + 1)]
-    assert [len(pieces[j]) for j in range(1, top + 1)] == [1, 0, 1, 6, 170][:top]
+    assert _pieces(top) == unpruned
+    assert [len(unpruned[j]) for j in range(1, top + 1)] == [1, 0, 1, 6, 170][:top]
 
 
 def _predicted(parent, s):
@@ -362,31 +335,6 @@ def test_pieces_hand_generators_down(monkeypatch):
     assert all(p._gens == canon_raw(p.n, p.adj)[2] for p in handed)
 
 
-def _per_vertex_pieces(top):
-    # the piece filter the Gallai-Edmonds test replaced, kept as an
-    # oracle without its prunes: at each odd order 2j-1 <= 2*top-1, the
-    # triangle-free F of maximum degree <= top-1 whose every F - v has a
-    # perfect matching, in discovery order
-    pieces, level = {}, [Graph(1, (0,))]
-    for n in range(2, 2 * top):
-        level = [c for p in level
-                 for c in child_graphs(p, TRIANGLE_FREE, degree_rule(p, top - 1))]
-        if n % 2:
-            full = (1 << n) - 1
-            pieces[(n + 1) // 2] = [
-                canonical_form(complement(f)) for f in level
-                if all(2 * oracles.matching_size(n, f.adj, full ^ 1 << v) == n - 1
-                       for v in range(n))]
-    return pieces
-
-
-@pytest.mark.parametrize("top", [3, 4, 5])
-def test_piece_filter_equals_per_vertex_filter(top):
-    pieces, oracle = _pieces(top), _per_vertex_pieces(top)
-    assert [pieces[j] for j in range(2, top + 1)] == \
-        [oracle[j] for j in range(2, top + 1)]
-
-
 def test_ear_decompositions_give_the_pieces():
     # P_1..P_5 as sets against the complements of the triangle-free
     # factor-critical graphs that odd ear decompositions grow to order 9,
@@ -448,8 +396,8 @@ def test_shipped_graphs_are_joins_of_odd_pieces(k):
 # ===== the general pipeline =====
 
 def test_general_vs_fast_pipeline_small():
-    fast = _codes(census_copaw_critical(4))
-    general = _codes(census_general(4, "P3+P1", 7))
+    fast = all_codes(census_copaw_critical(4))
+    general = all_codes(census_general(4, "P3+P1", 7))
     assert fast == general
 
 
@@ -457,14 +405,14 @@ def test_general_3critical_unrestricted():
     rows = census_general(3, None, 7)
     assert [(r.n, r.count) for r in rows] == [
         (3, 1), (4, 0), (5, 1), (6, 0), (7, 1)]
-    assert _codes(rows) == {canonical_form(named_graph(f"C{m}"))
-                            for m in (3, 5, 7)}
+    assert all_codes(rows) == {canonical_form(named_graph(f"C{m}"))
+                               for m in (3, 5, 7)}
 
 
 def test_general_p2lp1_censuses():
     for l in (1, 2):
         rows = census_general(3, f"P2+{l}P1", 2 * l + 1)
-        got = _codes(rows)
+        got = all_codes(rows)
         expect = {canonical_form(named_graph(f"C{2*m+1}")) for m in range(1, l + 1)}
         assert got == expect
         assert max(r.n for r in rows if r.count) == 2 * l + 1
@@ -487,7 +435,8 @@ def test_general_census_equals_the_filtered_census(pattern):
     # the pipeline the pruned run replaced, every class of order <= 8
     # filtered directly: the same classes at every order, none twice
     rows = census_general(4, pattern, 8)
-    assert _by_order(rows) == _by_order(oracles.filtered_general_census(4, pattern, 8))
+    assert codes_by_order(rows) == \
+        codes_by_order(oracles.filtered_general_census(4, pattern, 8))
     assert all(len(set(r.codes)) == r.count for r in rows)
 
 
@@ -530,7 +479,7 @@ def test_exhaustive_k5_census_equals_piece_census():
     # directly, against the piece census (the paper's appendix list)
     general = census_general(5, "P3+P1", 9)
     assert [(r.n, r.count) for r in general] == [(5, 1), (6, 0), (7, 1), (8, 6), (9, 170)]
-    assert _by_order(general) == _by_order(census_copaw_critical(5))
+    assert codes_by_order(general) == codes_by_order(census_copaw_critical(5))
 
 
 def test_exhaustive_k4_census_is_empty_past_order_7():
@@ -538,13 +487,6 @@ def test_exhaustive_k4_census_is_empty_past_order_7():
     general = census_general(4, "P3+P1", 9)
     assert [(r.n, r.count) for r in general] == \
         [(4, 1), (5, 0), (6, 1), (7, 6), (8, 0), (9, 0)]
-
-
-def test_general_args():
-    with pytest.raises(ValueError):
-        census_general(0, None, 5)
-    with pytest.raises(ValueError):
-        census_general(3, None, 10)  # over the order-9 cap
 
 
 # ===== verify_list =====
@@ -562,7 +504,7 @@ def test_verify_figure_file():
 
 
 def test_verify_census_comparison():
-    codes = _codes(census_copaw_critical(5))
+    codes = all_codes(census_copaw_critical(5))
     rep = verify_list(data_path("appendix5.edges"), 5, "P3+P1", census_codes=codes)
     assert rep.census_match is True and rep.ok
     rep = verify_list(data_path("fig1.edges"), 4, census_codes={"dummy"})

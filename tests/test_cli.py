@@ -212,6 +212,13 @@ def test_census_unknown_pattern_is_usage_error(capsys):
     assert "unknown pattern" in err and "Traceback" not in err and out == ""
 
 
+def test_census_pattern_digits_must_be_ascii(capsys):
+    # "k" and an Arabic-Indic four, once read as K4
+    assert run(["census", "--k", "3", "--pattern", "k\u0664", "--max-order", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: unknown pattern name 'k\u0664'\n" and out == ""
+
+
 def test_census_general_pattern(capsys, tmp_path):
     out_file = tmp_path / "res.g6"
     code = run(["census", "--k", "3", "--pattern", "P2+2P1",

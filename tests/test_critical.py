@@ -103,11 +103,6 @@ def test_witness_vertex():
     assert chromatic_number(delete_vertex(g, rep.witness)) == 3
 
 
-def test_bad_k():
-    with pytest.raises(ValueError):
-        is_vertex_critical(named_graph("K2"), 0)
-
-
 @given(graphs(min_n=1, max_n=7))
 @settings(max_examples=60, deadline=None)
 def test_report_matches_definition(g):
@@ -212,13 +207,6 @@ def test_peel_join_supergraph():
     g = join(named_graph("K5"), named_graph("co-K4"))
     s = find_critical_subgraph(g, 5)
     assert is_vertex_critical(induced_subgraph(g, s), 5).is_critical
-
-
-def test_peel_precondition():
-    with pytest.raises(ValueError):
-        find_critical_subgraph(named_graph("C6"), 3)
-    with pytest.raises(ValueError):
-        find_critical_subgraph(named_graph("K3"), 0)
 
 
 @given(graphs(min_n=1, max_n=8))

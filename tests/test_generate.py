@@ -19,7 +19,7 @@ from kcrit.generate import (
 from kcrit.graph import Graph, from_edge_list
 from kcrit.invariants import clique_number, independence_number
 from kcrit.patterns import named_graph
-from util import degree_rule, random_graph, random_triangle_free, spy
+from util import degree_rule, level_run, random_graph, random_triangle_free, spy
 
 
 def _oracle_class_count(n, keep=lambda g: True):
@@ -88,16 +88,6 @@ def test_triangle_free_counts_order8_9():
 
 # ===== degree-bounded generation through an attachment predicate =====
 
-def _levels(mode, top, max_degree=None):
-    # every level of one run, orders 1..top, each child of maximum degree
-    # <= max_degree (None: no bound) by an admit predicate
-    levels = [[Graph(1, (0,))]]
-    while len(levels) < top:
-        levels.append([c for p in levels[-1]
-                       for c in child_graphs(p, mode, degree_rule(p, max_degree))])
-    return levels
-
-
 def _max_degree(g):
     return max(a.bit_count() for a in g.adj)
 
@@ -107,9 +97,9 @@ def test_degree_bounded_equals_filtered_unbounded(mode, top):
     # the maximum degree is hereditary, so bounded runs keep exactly the
     # unbounded run's classes of maximum degree <= D, as the same graphs
     # in the same order
-    full = _levels(mode, top)
+    full = level_run(mode, top)
     for d in range(1, 6):
-        for want, got in zip(full, _levels(mode, top, d)):
+        for want, got in zip(full, level_run(mode, top, d)):
             kept = [g for g in want if _max_degree(g) <= d]
             assert ({canonical_form(g) for g in got}
                     == {canonical_form(g) for g in kept})
@@ -129,7 +119,7 @@ def test_min_degree_equals_post_filter(mode, top, max_degree, monkeypatch):
     # step, and it restricts the masks before their orbit representatives
     # are taken
     offered = spy(monkeypatch, _mask_orbit_reps)
-    for level in _levels(mode, top - 1, max_degree):
+    for level in level_run(mode, top - 1, max_degree):
         for p in level:
             kids = child_graphs(p, mode, degree_rule(p, max_degree))
             for d in (1, 2, 3):
@@ -156,7 +146,7 @@ def test_orbit_step_sees_only_sets_that_give_the_minimum_degree(mode, monkeypatc
     # the new vertex must have the child's minimum degree |S|, at most
     # min(deg) + 1, so no other set reaches the orbit representatives
     calls = spy(monkeypatch, _mask_orbit_reps)
-    parents = _seeded_parents(mode, 2701) + [p for level in _levels(mode, 6) for p in level]
+    parents = _seeded_parents(mode, 2701) + [p for level in level_run(mode, 6) for p in level]
     for p in parents:
         calls.clear()
         child_graphs(p, mode)
@@ -203,7 +193,7 @@ def test_root_cells_decide_as_the_full_search_does(mode, monkeypatch):
         return got
 
     monkeypatch.setattr(generate, "_canonical_extension", checked)
-    parents = _seeded_parents(mode, 2703) + [p for level in _levels(mode, 6) for p in level]
+    parents = _seeded_parents(mode, 2703) + [p for level in level_run(mode, 6) for p in level]
     for p in parents:
         child_graphs(p, mode)
     # accepted after a search, on the root cells, and by stage 2; the
@@ -302,17 +292,3 @@ def test_generate_level_matches_stream():
     for _ in range(4):
         lvl = [c for p in lvl for c in child_graphs(p, TRIANGLE_FREE)]
     assert len(lvl) == len(list(generate_graphs(5, TRIANGLE_FREE)))
-
-
-@pytest.mark.parametrize("n", [2.0, True, "3", 10**20],
-                         ids=["float", "bool", "str", "huge"])
-def test_order_must_be_an_int(n):
-    with pytest.raises(ValueError, match=r"order must be an int in 1\.\.31, got"):
-        list(generate_graphs(n))
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_unknown_mode_is_rejected_at_every_order(n):
-    # order 1 needs no augmentation step, and used to yield K1 for any mode
-    with pytest.raises(ValueError, match="unknown generation mode 'bogus'"):
-        list(generate_graphs(n, "bogus"))

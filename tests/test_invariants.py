@@ -14,21 +14,14 @@ from kcrit.graph import (Graph, bits, complement, from_edge_list,
 from kcrit.invariants import (Coloring, _bb_coloring, alternating_forest, chromatic_number,
                               clique_number, independence_number, is_k_colorable,
                               is_proper_coloring, matching_raw, triangle_free_raw)
+from kcrit.patterns import named_graph
 from lemmas import coloring_with_min_class_size
 from util import (data_path, delete_vertex, graphs, peak_traced, random_graph,
                   random_triangle_free, spy)
 
 
-def cycle(n):
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n):
-    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-C5 = cycle(5)
-C9BAR = complement(cycle(9))
+C5 = named_graph("C5")
+C9BAR = complement(named_graph("C9"))
 
 
 # ===== alpha and omega =====
@@ -37,12 +30,12 @@ def test_alpha_examples():
     assert independence_number(Graph(4, (0, 0, 0, 0))) == 4
     assert independence_number(C9BAR) == 2
     # frozen from the subset-scan oracle
-    assert oracles.independence_number(cycle(7)) == 3
-    assert independence_number(cycle(7)) == 3
+    assert oracles.independence_number(named_graph("C7")) == 3
+    assert independence_number(named_graph("C7")) == 3
 
 
 def test_omega_examples():
-    assert clique_number(complete(5)) == 5
+    assert clique_number(named_graph("K5")) == 5
     assert clique_number(C5) == 2
 
 
@@ -68,9 +61,9 @@ def _matching_size(g, active=None):
 
 
 def test_matching_examples():
-    for g, nu in ((complete(4), 2), (C5, 2), (Graph(3, (0, 0, 0)), 0)):
+    for g, nu in ((named_graph("K4"), 2), (C5, 2), (Graph(3, (0, 0, 0)), 0)):
         assert _matching_size(g) == nu == oracles.max_matching(g)
-    assert _matching_size(complete(4), 0b0111) == 1
+    assert _matching_size(named_graph("K4"), 0b0111) == 1
 
 
 def test_matching_against_oracle_all_n5():
@@ -88,9 +81,9 @@ def test_matching_against_oracle_random_n10():
 def test_matching_blossom_heavy():
     # odd components force blossom contraction
     from kcrit.graph import disjoint_union
-    g = disjoint_union(cycle(5), cycle(7))
+    g = disjoint_union(C5, named_graph("C7"))
     assert _matching_size(g) == 2 + 3 == oracles.max_matching(g)
-    assert _matching_size(cycle(9)) == 4 == oracles.max_matching(cycle(9))
+    assert _matching_size(named_graph("C9")) == 4 == oracles.max_matching(named_graph("C9"))
 
 
 # ===== the Gallai-Edmonds set D =====
@@ -119,7 +112,7 @@ def _with_pendant_paths(core, lengths):
 
 def test_d_examples():
     assert _d(C5) == 0b11111                      # factor-critical
-    assert _d(cycle(6)) == 0                      # perfect matching: D empty
+    assert _d(named_graph("C6")) == 0             # perfect matching: D empty
     assert _d(Graph(3, (0, 0, 0))) == 0b111
     star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
     assert _d(star) == 0b1110                     # the centre is in A(F)
@@ -130,8 +123,8 @@ def test_d_examples():
 
 def test_d_against_brute_force_blossoms():
     rng = random.Random(41)
-    cases = [cycle(m) for m in (3, 5, 7, 9, 11, 13)]
-    for core in (cycle(5), cycle(7)):
+    cases = [named_graph(f"C{m}") for m in (3, 5, 7, 9, 11, 13)]
+    for core in (C5, named_graph("C7")):
         for _ in range(12):
             picks = rng.sample(range(core.n), rng.randint(1, 3))
             tails = [(v, rng.randint(1, 3)) for v in picks]
@@ -139,8 +132,8 @@ def test_d_against_brute_force_blossoms():
             if g.n <= 13:
                 cases.append(g)
     from kcrit.graph import disjoint_union
-    cases.append(disjoint_union(cycle(5), cycle(7)))
-    cases.append(disjoint_union(cycle(3), _with_pendant_paths(cycle(5), [(2, 2)])))
+    cases.append(disjoint_union(C5, named_graph("C7")))
+    cases.append(disjoint_union(named_graph("C3"), _with_pendant_paths(C5, [(2, 2)])))
     for g in cases:
         full = (1 << g.n) - 1
         assert _d(g) == _brute_d(g, full), g
@@ -166,7 +159,7 @@ def test_d_against_brute_force_random():
 
 def test_d_leaves_mates_alone_and_rejects_non_maximum():
     # the two-pass oracle: D from a second forest over a given matching
-    g = cycle(7)
+    g = named_graph("C7")
     mates = oracles.matching_mates_raw(7, g.adj, 0b1111111)
     before = list(mates)
     assert oracles.gallai_edmonds_d_raw(7, g.adj, 0b1111111, mates) == 0b1111111
@@ -315,7 +308,7 @@ def test_search_from_a_mate_equals_a_fresh_pass(monkeypatch):
 
 def test_triangle_free_raw():
     assert triangle_free_raw(C5.adj, 0b11111) and triangle_free_raw((), 0)
-    assert not triangle_free_raw(cycle(3).adj, 0b111)
+    assert not triangle_free_raw(named_graph("C3").adj, 0b111)
     for g in oracles.all_labeled_graphs(5):
         assert triangle_free_raw(g.adj, 0b11111) == (oracles.clique_number(g) <= 2)
 
@@ -324,7 +317,7 @@ def test_triangle_free_raw():
 
 def test_chi_odd_cycles():
     for m in range(1, 6):
-        assert chromatic_number(cycle(2 * m + 1)) == 3
+        assert chromatic_number(named_graph(f"C{2 * m + 1}")) == 3
 
 
 def test_chi_c9bar():
@@ -334,7 +327,7 @@ def test_chi_c9bar():
 def test_chi_small_cases():
     assert chromatic_number(Graph(0, ())) == 0
     assert chromatic_number(Graph(4, (0, 0, 0, 0))) == 1
-    assert chromatic_number(complete(6)) == 6
+    assert chromatic_number(named_graph("K6")) == 6
 
 
 def test_chi_against_oracle_all_n5():
@@ -532,9 +525,9 @@ def test_is_k_colorable_agrees_with_chi(g):
 
 
 def test_min_class_size_examples():
-    assert coloring_with_min_class_size(complete(4), 4, 2) is None
-    col = coloring_with_min_class_size(cycle(6), 2, 3)
-    assert col is not None and is_proper_coloring(cycle(6), col)
+    assert coloring_with_min_class_size(named_graph("K4"), 4, 2) is None
+    col = coloring_with_min_class_size(named_graph("C6"), 2, 3)
+    assert col is not None and is_proper_coloring(named_graph("C6"), col)
     assert col.colors.count(0) == col.colors.count(1) == 3
     for v in range(9):
         got = coloring_with_min_class_size(delete_vertex(C9BAR, v), 4, 2)

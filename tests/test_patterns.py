@@ -11,16 +11,11 @@ from oracles import is_isomorphic
 from kcrit.canon import canonical_form
 from kcrit.graph import (Graph, complement, from_edge_list, induced_subgraph,
                          join, mask_of, read_graph_file, relabel)
-from kcrit.patterns import (ORDER4_NAMES, JoinDecomposition, contains_induced,
-                            copaw_decompose, is_free, is_p3p1, named_graph,
-                            p2_lp1)
+from kcrit.patterns import (ORDER4_NAMES, contains_induced, copaw_decompose, is_free,
+                            is_p3p1, named_graph, p2_lp1)
 from lemmas import is_p2_lp1_free, maximal_independent_set, nonneighbor_profile
 from util import (canonical_reps, data_path, graphs, peak_traced, random_copaw_free,
                   random_graph, spy)
-
-
-def cycle(n):
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # ===== named graphs =====
@@ -38,8 +33,8 @@ def test_named_graph_parsing_variants():
     assert named_graph("k4") == named_graph("K4")
     assert named_graph("co-K4") == Graph(4, (0, 0, 0, 0))
     assert named_graph("coK4") == named_graph("co-K4")
-    assert named_graph("c5") == cycle(5)
-    assert is_isomorphic(named_graph("co-C7"), complement(cycle(7)))
+    assert named_graph("c5") == from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert is_isomorphic(named_graph("co-C7"), complement(named_graph("C7")))
     assert named_graph("P2+P1").n == 3
     assert named_graph("p2+3p1").n == 5
     assert len(named_graph("2K2").edges()) == 2
@@ -110,10 +105,10 @@ def backtrack_contains_induced(g, h):
 
 
 def test_contains_examples():
-    assert contains_induced(cycle(7), named_graph("P3+P1")) is not None
-    assert oracles.contains_induced(cycle(7), named_graph("P3+P1")) is not None
-    assert contains_induced(cycle(5), p2_lp1(2)) is None
-    assert oracles.contains_induced(cycle(5), p2_lp1(2)) is None
+    assert contains_induced(named_graph("C7"), named_graph("P3+P1")) is not None
+    assert oracles.contains_induced(named_graph("C7"), named_graph("P3+P1")) is not None
+    assert contains_induced(named_graph("C5"), p2_lp1(2)) is None
+    assert oracles.contains_induced(named_graph("C5"), p2_lp1(2)) is None
 
 
 def test_contains_identity_embedding():
@@ -278,7 +273,7 @@ def test_odd_cycle_p2_lp1_threshold():
     # C(2m+1) is (P2+lP1)-free exactly when m <= l
     for m in range(1, 5):
         for l in range(1, 5):
-            assert is_p2_lp1_free(cycle(2 * m + 1), l) == (m <= l)
+            assert is_p2_lp1_free(named_graph(f"C{2 * m + 1}"), l) == (m <= l)
 
 
 # ===== join decomposition =====
@@ -291,14 +286,14 @@ def test_decompose_k4():
 
 
 def test_decompose_c9bar():
-    dec = copaw_decompose(complement(cycle(9)))
+    dec = copaw_decompose(complement(named_graph("C9")))
     assert dec is not None and len(dec.factors) == 1
     assert dec.alpha_le_2 == (True,)
 
 
 def test_decompose_absent_on_c7():
-    assert copaw_decompose(cycle(7)) is None
-    assert oracles.contains_induced(cycle(7), named_graph("P3+P1")) is not None
+    assert copaw_decompose(named_graph("C7")) is None
+    assert oracles.contains_induced(named_graph("C7"), named_graph("P3+P1")) is not None
 
 
 @settings(max_examples=150)
@@ -407,9 +402,9 @@ def test_random_copaw_free_rejects_an_empty_order_range():
 # ===== nonneighbor profile =====
 
 def test_profile_c5():
-    s = maximal_independent_set(cycle(5), order=[0, 2])
+    s = maximal_independent_set(named_graph("C5"), order=[0, 2])
     assert s == mask_of([0, 2])
-    prof = nonneighbor_profile(cycle(5), s)
+    prof = nonneighbor_profile(named_graph("C5"), s)
     assert set(prof) == {1, 3, 4}
     assert all(c <= 1 for c in prof.values())
 
@@ -421,6 +416,6 @@ def test_profile_empty_outside():
 
 def test_profile_rejects_bad_s():
     with pytest.raises(ValueError):
-        nonneighbor_profile(cycle(5), mask_of([0, 1]))   # not independent
+        nonneighbor_profile(named_graph("C5"), mask_of([0, 1]))  # not independent
     with pytest.raises(ValueError):
-        nonneighbor_profile(cycle(5), mask_of([0]))      # not maximal
+        nonneighbor_profile(named_graph("C5"), mask_of([0]))     # not maximal

@@ -1,6 +1,6 @@
-"""Shared test helpers: seeded random graphs, vertex deletion, a
-hypothesis strategy, an allocation tracer, a call counter and output
-digests."""
+"""Shared test helpers: seeded random graphs, vertex deletion, level
+runs, census codes, a hypothesis strategy, an allocation tracer, a call
+counter and output digests."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
+from kcrit.generate import child_graphs
 from kcrit.graph import Graph, induced_subgraph
 
 
@@ -149,6 +150,27 @@ def degree_rule(parent: Graph, max_degree=None, min_degree=None):
         return (not stranded and d_min <= s.bit_count() <= d_max
                 and not s & ~room and s & need == need)
     return admit
+
+
+def level_run(mode: str, top: int, max_degree=None) -> list[list[Graph]]:
+    """Every level of one ``child_graphs`` run from K1, orders 1..top,
+    each child of maximum degree <= max_degree (None: no bound) by a
+    ``degree_rule`` predicate."""
+    levels = [[Graph(1, (0,))]]
+    while len(levels) < top:
+        levels.append([c for p in levels[-1]
+                       for c in child_graphs(p, mode, degree_rule(p, max_degree))])
+    return levels
+
+
+def all_codes(rows) -> set[str]:
+    """The codes of every row of a census."""
+    return {c for row in rows for c in row.codes}
+
+
+def codes_by_order(rows) -> dict[int, set[str]]:
+    """The set of codes of each row of a census, by its order."""
+    return {r.n: set(r.codes) for r in rows}
 
 
 def random_clique_union(rng, n: int) -> Graph:
