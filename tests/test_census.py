@@ -1,6 +1,7 @@
 """Tests for the census pipelines and list verification."""
 
-from functools import partial, reduce
+import os
+from functools import lru_cache, partial, reduce
 from random import Random
 
 import pytest
@@ -86,6 +87,32 @@ def test_census_soundness_double_entry():
             assert is_vertex_critical(g, 4).is_critical
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_census_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers"):
+        census_copaw_critical(4, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        census_general(3, None, 5, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [True, 1.5])
+def test_census_rejects_workers_that_are_not_ints(workers):
+    with pytest.raises(ValueError, match="workers must be an int"):
+        census_copaw_critical(3, workers=workers)
+    with pytest.raises(ValueError, match="workers must be an int"):
+        census_general(3, None, 5, workers=workers)
+
+
+def test_census_rejects_workers_above_cpu_count(monkeypatch):
+    # checked before any pool is made, so this starts no process
+    monkeypatch.setattr(kcrit.census, "Pool", lambda *a: pytest.fail("pool made"))
+    workers = (os.cpu_count() or 1) + 1
+    with pytest.raises(ValueError, match="at most the CPU count"):
+        census_copaw_critical(4, workers=workers)
+    with pytest.raises(ValueError, match="at most the CPU count"):
+        census_general(3, None, 5, workers=workers)
+
+
 def test_census_workers_match_serial():
     serial = census_copaw_critical(4, workers=1)
     parallel = census_copaw_critical(4, workers=2)
@@ -158,17 +185,31 @@ def _is_piece_per_vertex(f):
                for v in range(f.n))
 
 
+@lru_cache(maxsize=None)
+def _unpruned_levels(top):
+    # one run that keeps every child at every order: the triangle-free F
+    # of maximum degree <= top - 1, from K1 up to order 2*top - 1
+    return level_run(TRIANGLE_FREE, 2 * top - 1, top - 1)
+
+
+@pytest.mark.parametrize("top", [3, 4, 5])
+def test_piece_filter_equals_per_vertex_filter(top):
+    # at every odd order of the unpruned run, D and the per-vertex filter
+    # call the same F factor-critical
+    for n, level in enumerate(_unpruned_levels(top), 1):
+        if n % 2:
+            assert [_is_piece(f) for f in level] == [_is_piece_per_vertex(f) for f in level]
+
+
 @pytest.mark.parametrize("top", [3, 4, 5])
 def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
-    # an unpruned run that keeps every child at every order, triangle-free
-    # F of maximum degree <= top - 1, finds the same pieces in the same
-    # order, by D and by the per-vertex filter alike; and both prunes drop
-    # something: the deficiency prune some graph at some order, the leaf
-    # step (only pieces at the last order) some child, for one of minimum
-    # degree < 2
+    # the unpruned run finds the same pieces in the same order, and both
+    # prunes drop something: the deficiency prune some graph at some
+    # order, the leaf step (only pieces at the last order) some child,
+    # for one of minimum degree < 2
     last = 2 * top - 1
     unpruned, drops = {}, 0
-    for n, level in enumerate(level_run(TRIANGLE_FREE, last, top - 1), 1):
+    for n, level in enumerate(_unpruned_levels(top), 1):
         if n < last:
             kept = [f for f in level
                     if matching_raw(n, f.adj, (1 << n) - 1)[0].count(-1) < last - n]
@@ -176,10 +217,8 @@ def test_deficiency_prune_and_leaf_step_lose_no_piece(top):
         if n == last - 1:   # the perfect-matching prune it generalises
             assert kept == [f for f in level if oracles.has_perfect_matching(f)]
         if n % 2:
-            verdicts = [_is_piece(f) for f in level]
-            assert verdicts == [_is_piece_per_vertex(f) for f in level]
             unpruned[(n + 1) // 2] = [canonical_form(complement(f))
-                                      for f, piece in zip(level, verdicts) if piece]
+                                      for f in level if _is_piece(f)]
     assert drops and 0 < len(kept)
     assert any(min(a.bit_count() for a in f.adj) < 2 for f in level)
     assert _pieces(top) == unpruned
@@ -487,6 +526,13 @@ def test_exhaustive_k4_census_is_empty_past_order_7():
     general = census_general(4, "P3+P1", 9)
     assert [(r.n, r.count) for r in general] == \
         [(4, 1), (5, 0), (6, 1), (7, 6), (8, 0), (9, 0)]
+
+
+def test_general_args():
+    with pytest.raises(ValueError):
+        census_general(0, None, 5)
+    with pytest.raises(ValueError):
+        census_general(3, None, 10)  # over the order-9 cap
 
 
 # ===== verify_list =====

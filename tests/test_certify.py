@@ -53,6 +53,12 @@ def test_database_sizes(db4, db5):
     assert len(db5.graphs) == 178
 
 
+def test_database_range():
+    for bad in (3, 7):
+        with pytest.raises(ValueError):
+            build_database(bad)
+
+
 def test_shipped_matches_census(db4, db5):
     for db in (db4, db5):
         assert db.graphs == tuple(sorted(c for row in census_copaw_critical(db.k)

@@ -103,6 +103,11 @@ def test_witness_vertex():
     assert chromatic_number(delete_vertex(g, rep.witness)) == 3
 
 
+def test_bad_k():
+    with pytest.raises(ValueError):
+        is_vertex_critical(named_graph("K2"), 0)
+
+
 @given(graphs(min_n=1, max_n=7))
 @settings(max_examples=60, deadline=None)
 def test_report_matches_definition(g):

@@ -292,3 +292,10 @@ def test_generate_level_matches_stream():
     for _ in range(4):
         lvl = [c for p in lvl for c in child_graphs(p, TRIANGLE_FREE)]
     assert len(lvl) == len(list(generate_graphs(5, TRIANGLE_FREE)))
+
+
+@pytest.mark.parametrize("n", [2.0, True, "3", 10**20],
+                         ids=["float", "bool", "str", "huge"])
+def test_order_must_be_an_int(n):
+    with pytest.raises(ValueError, match=r"order must be an int in 1\.\.31, got"):
+        list(generate_graphs(n))

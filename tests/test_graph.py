@@ -71,6 +71,12 @@ def test_orders_over_the_cap_get_the_one_order_message(make):
         make()
 
 
+@pytest.mark.parametrize("n, adj", [(2.0, (2, 1)), (True, (0,)), ("1", (0,))])
+def test_graph_rejects_an_order_that_is_not_an_int(n, adj):
+    with pytest.raises(ValueError, match="order must be an int"):
+        Graph(n, adj)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: Graph(2, None), "adj must be an iterable of rows, got None"),
     (lambda: Graph(2, 5), "adj must be an iterable of rows, got 5"),
