@@ -21,18 +21,19 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from collections.abc import Iterable
 from contextlib import contextmanager
 from functools import partial, reduce
 from itertools import chain, combinations_with_replacement, product
 from typing import NamedTuple
 
 from .canon import canonical_form
-from .critical import is_vertex_critical
+from .critical import _criticality, is_vertex_critical
 from .generate import ALL_GRAPHS, TRIANGLE_FREE, Graph, child_graphs
 from .graph import (_graph6_stream, bits, check_int, complement, from_graph6,
                     graph6_from_stream, join, read_graph_file)
 from .invariants import alternating_forest, matching_raw
-from .patterns import as_pattern, is_free
+from .patterns import as_pattern, is_free, is_p3p1
 
 
 # ===== census rows =====
@@ -335,13 +336,22 @@ def verify_list(path, k: int, pattern: str | Graph | None = None,
     """Check every graph in a file for freeness, criticality, novelty.
 
     Each listed graph must be pattern-free (when a pattern, a name or a
-    Graph, is given), k-vertex-critical (k an int >= 1, checked before the
-    file is read), and not isomorphic to an earlier listed graph;
-    offenders are reported by line number.  When census_codes is given,
-    the file must also match it as a set of isomorphism classes.
+    Graph, is given), k-vertex-critical (k an int >= 1), and not
+    isomorphic to an earlier listed graph; offenders are reported by
+    line number.  When census_codes (an iterable of str codes) is given,
+    the file must also match it as a set of isomorphism classes.  The
+    arguments are checked before the file is read.
+
+    Each graph gets one complement and one ``chi_raw`` pass, which the
+    criticality test reads.  The pass returns D exactly when alpha <= 2,
+    and a graph with alpha <= 2 is P3+P1-free (P3+P1 has three
+    independent vertices), so only a graph with alpha > 2, or a pattern
+    other than P3+P1, goes to ``is_free``.
     """
     check_int("k", k, 1)
     pattern = None if pattern is None else as_pattern(pattern)
+    p3p1 = pattern is not None and is_p3p1(pattern)
+    want = None if census_codes is None else _code_set(census_codes)
     failures: list[tuple[int, str]] = []
     codes: list[str] = []
     seen: dict[str, int] = {}
@@ -353,11 +363,23 @@ def verify_list(path, k: int, pattern: str | Graph | None = None,
             failures.append((lineno, f"isomorphic to the graph on line {seen[code]}"))
         else:
             seen[code] = lineno
-        if pattern is not None and not is_free(g, pattern):
+        report, d = _criticality(g.n, g.adj, complement(g).adj, k)
+        # D is not None exactly when alpha <= 2, which rules out P3+P1
+        if pattern is not None and not (p3p1 and d is not None or is_free(g, pattern)):
             failures.append((lineno, "contains the forbidden pattern"))
-        if not is_vertex_critical(g, k).is_critical:
+        if not report.is_critical:
             failures.append((lineno, f"not {k}-vertex-critical"))
-    match = None
-    if census_codes is not None:
-        match = set(census_codes) == set(codes)
+    match = None if want is None else want == set(codes)
     return VerifyReport(len(entries), tuple(failures), tuple(codes), match)
+
+
+def _code_set(census_codes) -> set[str]:
+    # a str is one code, not an iterable of codes
+    if isinstance(census_codes, str) or not isinstance(census_codes, Iterable):
+        raise ValueError(f"census_codes must be None or an iterable of str codes, "
+                         f"got {census_codes!r}")
+    codes = list(census_codes)
+    for c in codes:
+        if not isinstance(c, str):
+            raise ValueError(f"census_codes must hold str codes only, got {c!r}")
+    return set(codes)

@@ -11,7 +11,9 @@ maximum matching and D, so it decides criticality, and the peel needs
 one per deletion.  Otherwise each deletion is an exact coloring search
 on a vertex mask, which builds no subgraph.  The entry points take a
 Graph and build its complement rows once; ``chi_raw`` and the peel
-work on raw rows and the vertex mask they start from.
+work on raw rows and the vertex mask they start from, and
+``_criticality`` is the test on raw rows, which ``verify_list`` also
+calls with the rows it built.
 """
 
 from __future__ import annotations
@@ -69,6 +71,18 @@ def _peel(n: int, adj, co, active: int, k: int, chi: int, d) -> Iterator[int]:
         d = matching_raw(n, co, active)[1]
 
 
+def _criticality(n: int, adj, co, k: int) -> tuple[CriticalityReport, int | None]:
+    """(report, D) of the k-criticality test on an order-n graph's rows
+    ``adj`` and its complement rows ``co``; D is ``chi_raw``'s on the
+    full mask, so it is not None exactly when alpha <= 2."""
+    full = (1 << n) - 1
+    chi, d = chi_raw(n, adj, co, full)
+    if chi != k:
+        return CriticalityReport(k=chi, is_critical=False, witness=None), d
+    witness = next(_peel(n, adj, co, full, k, chi, d), None)
+    return CriticalityReport(k=chi, is_critical=witness is None, witness=witness), d
+
+
 def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     """Exact k-vertex-criticality test, for an int k >= 1.
 
@@ -76,12 +90,7 @@ def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     whose deletion fails to lower the chromatic number, the peel's first.
     """
     check_int("k", k, 1)
-    co, full = complement(g).adj, (1 << g.n) - 1
-    chi, d = chi_raw(g.n, g.adj, co, full)
-    if chi != k:
-        return CriticalityReport(k=chi, is_critical=False, witness=None)
-    witness = next(_peel(g.n, g.adj, co, full, k, chi, d), None)
-    return CriticalityReport(k=chi, is_critical=witness is None, witness=witness)
+    return _criticality(g.n, g.adj, complement(g).adj, k)[0]
 
 
 # ===== extracting a critical induced subgraph =====

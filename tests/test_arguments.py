@@ -89,6 +89,13 @@ OTHER = [
     ("is_free-pattern", is_free, (C5, 5), _PATTERN),
     ("census_general-pattern", census_general, (3, 5, 7), _PATTERN),
     ("verify_list-pattern", verify_list, (MISSING, 3, 5), _PATTERN),
+    ("verify_list-census_codes-int", verify_list, (MISSING, 5, "P3+P1", 5),
+     "census_codes must be None or an iterable of str codes, got 5"),
+    # a str is one code, not a list of them
+    ("verify_list-census_codes-str", verify_list, (MISSING, 5, "P3+P1", "D~{"),
+     "census_codes must be None or an iterable of str codes, got 'D~{'"),
+    ("verify_list-census_codes-int-code", verify_list, (MISSING, 5, "P3+P1", [3]),
+     "census_codes must hold str codes only, got 3"),
     ("named_graph-none", named_graph, (None,), "pattern name must be a str, got None"),
     ("named_graph-int", named_graph, (5,), "pattern name must be a str, got 5"),
     # pattern names take ASCII digits only: these are Arabic-Indic three

@@ -1,6 +1,7 @@
 """Tests for the census pipelines and list verification."""
 
 import os
+from collections import Counter
 from functools import lru_cache, partial, reduce
 from random import Random
 
@@ -11,6 +12,7 @@ import oracles
 from kcrit.canon import canon_raw, canonical_form
 from kcrit.census import (
     CensusRow,
+    VerifyReport,
     _assembled,
     _filtered_level,
     _general_expand,
@@ -28,13 +30,13 @@ from kcrit.families import co_odd_cycle
 from kcrit.generate import (TRIANGLE_FREE, _canonical_extension, _independent_masks,
                             _mask_orbit_reps, child_graphs)
 from kcrit.graph import (Graph, complement, format_edge_list, from_graph6, join,
-                         read_graph_file, read_graph_list, to_graph6)
+                         read_graph_file, read_graph_list, relabel, to_graph6)
 from kcrit.invariants import alternating_forest, independence_number, matching_raw
 from kcrit.patterns import ORDER4_NAMES, as_pattern, is_free, named_graph
 
 from lemmas import co_components
-from util import (all_codes, codes_by_order, data_path, level_run, random_triangle_free,
-                  rooted_pieces, spy)
+from util import (all_codes, codes_by_order, data_path, level_run, random_copaw_free,
+                  random_graph, random_triangle_free, rooted_pieces, spy)
 
 
 # ===== the fast pipeline =====
@@ -583,3 +585,72 @@ def test_verify_flags_pattern_hit(tmp_path):
     path.write_text(format_edge_list(named_graph("C7")) + "\n")
     rep = verify_list(path, 3, "P3+P1")
     assert (1, "contains the forbidden pattern") in rep.failures
+
+
+def _mixed_list(rng) -> list[Graph]:
+    # random graphs, random P3+P1-free joins (alpha > 2 when a factor is
+    # a union of cliques), shipped critical graphs, and repeated lines,
+    # both verbatim and relabelled
+    shipped = [[from_graph6(c) for _, c in read_graph_list(data_path(f"critical{k}.g6"))[1]]
+               for k in (4, 5, 6)]
+    gs = [random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7, 0.9]))
+          for _ in range(16)]
+    gs += [random_copaw_free(rng, 11) for _ in range(16)]
+    gs += shipped[0] + rng.sample(shipped[1], 10) + rng.sample(shipped[2], 6)
+    gs += [named_graph("C7"), Graph(1, (0,))]
+    gs += rng.sample(gs, 4)
+    gs += [relabel(g, rng.sample(range(g.n), g.n)) for g in rng.sample(gs, 4)]
+    rng.shuffle(gs)
+    return gs
+
+
+def _verify_oracle(gs, k, pattern) -> VerifyReport:
+    # each line checked by the public entry points on their own: the
+    # reference for verify_list's one chi_raw pass per line
+    failures, codes, seen = [], [], {}
+    for lineno, g in enumerate(gs, 1):
+        code = canonical_form(g)
+        codes.append(code)
+        if code in seen:
+            failures.append((lineno, f"isomorphic to the graph on line {seen[code]}"))
+        else:
+            seen[code] = lineno
+        if pattern is not None and not is_free(g, pattern):
+            failures.append((lineno, "contains the forbidden pattern"))
+        if not is_vertex_critical(g, k).is_critical:
+            failures.append((lineno, f"not {k}-vertex-critical"))
+    return VerifyReport(len(gs), tuple(failures), tuple(codes))
+
+
+def test_verify_equals_the_per_line_oracle(tmp_path):
+    gs = _mixed_list(Random(50))
+    path = tmp_path / "mixed.g6"
+    path.write_text("".join(to_graph6(g) + "\n" for g in gs))
+    failed = Counter()
+    for k in range(1, 8):
+        for pattern in (None, "P3+P1", "claw", "K4", "co-K4"):
+            rep = verify_list(path, k, pattern)
+            assert rep == _verify_oracle(gs, k, pattern), (k, pattern)
+            failed.update((k, msg.split()[0]) for _, msg in rep.failures)
+    # each kind of failure occurs, and some lines are critical at each k = 3..6
+    assert {kind for _, kind in failed} == {"isomorphic", "contains", "not"}
+    assert all(failed[k, "not"] < 5 * len(gs) for k in range(3, 7))
+
+
+def test_verify_builds_one_complement_and_one_triangle_test_per_line(monkeypatch, tmp_path):
+    # alpha <= 2 on every line: the chi_raw pass decides P3+P1 with the rest
+    from kcrit.invariants import triangle_free_raw
+    from kcrit.patterns import contains_induced, copaw_decompose
+    c7 = tmp_path / "c7.g6"
+    c7.write_text(to_graph6(named_graph("C7")) + "\n")
+    built = spy(monkeypatch, complement)
+    tested = spy(monkeypatch, triangle_free_raw)
+    decomposed = spy(monkeypatch, copaw_decompose)
+    searched = spy(monkeypatch, contains_induced)
+    rep = verify_list(data_path("critical5.g6"), 5, "P3+P1")
+    assert rep.total == 178 and rep.ok
+    assert (len(built), len(tested), decomposed, searched) == (178, 178, [], [])
+    # alpha(C7) = 3: the join decomposition decides it, once
+    rep = verify_list(c7, 3, "P3+P1")
+    assert rep.failures == ((1, "contains the forbidden pattern"),)
+    assert len(decomposed) == 1 and searched == []

@@ -11,10 +11,11 @@ from kcrit.critical import is_vertex_critical
 from kcrit.generate import generate_graphs
 from kcrit.graph import (Graph, bits, complement, from_edge_list,
                          from_graph6, induced_subgraph, read_graph_file, relabel)
-from kcrit.invariants import (Coloring, _bb_coloring, alternating_forest, chromatic_number,
-                              clique_number, independence_number, is_k_colorable,
-                              is_proper_coloring, matching_raw, triangle_free_raw)
-from kcrit.patterns import named_graph
+from kcrit.invariants import (Coloring, _bb_coloring, alternating_forest, chi_raw,
+                              chromatic_number, clique_number, independence_number,
+                              is_k_colorable, is_proper_coloring, matching_raw,
+                              triangle_free_raw)
+from kcrit.patterns import ORDER4_NAMES, copaw_decompose, named_graph
 from lemmas import coloring_with_min_class_size
 from util import (data_path, delete_vertex, graphs, peak_traced, random_graph,
                   random_triangle_free, spy)
@@ -362,6 +363,23 @@ def test_fast_path_matches_matching_identity():
         nu = oracles.matching_size(g.n, complement(g).adj, (1 << g.n) - 1)
         assert chromatic_number(g) == g.n - nu
         hits += 1
+
+
+def test_chi_raw_returns_d_exactly_when_alpha_is_at_most_two():
+    # verify_list reads D is not None as P3+P1-freeness
+    rng = random.Random(31)
+    sample = [named_graph(name) for name in ORDER4_NAMES]
+    sample += [random_graph(rng, rng.randint(0, 9), p=rng.choice([0.3, 0.5, 0.7, 0.9]))
+               for _ in range(300)]
+    small = 0
+    for g in sample:
+        co, full = complement(g).adj, (1 << g.n) - 1
+        d = chi_raw(g.n, g.adj, co, full)[1]
+        assert (d is not None) == triangle_free_raw(co, full), g
+        if d is not None:
+            small += 1
+            assert copaw_decompose(g) is not None, g
+    assert 50 < small < len(sample) - 50
 
 
 # ===== colorability witnesses =====
