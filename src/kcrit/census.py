@@ -190,9 +190,10 @@ def _join_code(codes: list[str]) -> str:
 def _assembled(pieces: dict[int, list[str]], k: int, n: int) -> list[str]:
     # codes of the order-n k-vertex-critical P3+P1-free graphs: one join
     # per multiset of pieces P_j whose sizes j form a partition of k into
-    # 2k - n parts, taken as non-increasing tuples, largest first part first
+    # 2k - n parts, taken as non-increasing tuples, largest first part
+    # first; the other parts are at least 1, so no part exceeds n - k + 1
     codes: list[str] = []
-    for parts in combinations_with_replacement(range(k, 0, -1), 2 * k - n):
+    for parts in combinations_with_replacement(range(n - k + 1, 0, -1), 2 * k - n):
         if sum(parts) != k:
             continue
         if len(parts) == 1:

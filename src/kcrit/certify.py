@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 from .canon import canonical_form
 from .critical import find_critical_subgraph, is_vertex_critical
-from .graph import (Graph, bits, check_int, from_graph6, induced_subgraph,
-                    mask_of, read_graph_list)
-from .invariants import Coloring, is_proper_coloring, matching_raw
+from .graph import Graph, check_int, from_graph6, induced_subgraph, mask_of, read_graph_list
+from .invariants import Coloring, _matching, is_proper_coloring
 from .patterns import (JoinDecomposition, contains_induced, copaw_decompose, is_p3p1,
                        named_graph)
 
@@ -113,15 +112,19 @@ def _structural_coloring(g: Graph, dec: JoinDecomposition) -> Coloring:
     # optimal coloring of a P3+P1-free graph from its join decomposition
     # dec, on raw masks; factors take disjoint palettes, so the total is
     # the sum of exact factor chromatic numbers
-    co = dec.co
+    adj, co = g.adj, dec.co
     colors = [-1] * g.n
     offset = 0
     for factor, small in zip(dec.factors, dec.alpha_le_2):
+        rest = factor
         if small:
             # pair up nonadjacent vertices via a maximum matching in the
             # complement; pairs share a color, leftovers get their own
-            mates = matching_raw(g.n, co, factor)[0]
-            for v in bits(factor):
+            mates = _matching(g.n, co, factor, False)[0]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
                 if colors[v] < 0:
                     colors[v] = offset
                     if mates[v] != -1:
@@ -130,12 +133,17 @@ def _structural_coloring(g: Graph, dec: JoinDecomposition) -> Coloring:
         else:
             # each component is a clique: number the vertices inside each one
             largest = 0
-            for v in bits(factor):
-                if colors[v] < 0:
-                    clique = (g.adj[v] | 1 << v) & factor
-                    for i, u in enumerate(bits(clique)):
-                        colors[u] = offset + i
-                    largest = max(largest, clique.bit_count())
+            while rest:
+                low = rest & -rest
+                clique = (adj[low.bit_length() - 1] | low) & factor
+                rest ^= clique
+                c = offset
+                while clique:
+                    low = clique & -clique
+                    clique ^= low
+                    colors[low.bit_length() - 1] = c
+                    c += 1
+                largest = max(largest, c - offset)
             offset += largest
     return Coloring(tuple(colors), offset)
 
@@ -145,7 +153,8 @@ def _structural_coloring(g: Graph, dec: JoinDecomposition) -> Coloring:
 def certify_color(g: Graph, k: int, db: CriticalDatabase) -> CertifiedAnswer:
     """Decide k-colorability of g with an independently checkable witness.
 
-    Requires an int k in 3..5 and the database one level up (db.k == k + 1).
+    Requires an int k in 3..5 and the database one level up (db.k == k + 1);
+    ValueError otherwise, and on a db that is no CriticalDatabase.
     One join decomposition decides membership in the class and, inside
     it, gives the coloring; an input outside the class gets the
     lexicographically first embedding of P3+P1 as its witness.  When
@@ -153,6 +162,8 @@ def certify_color(g: Graph, k: int, db: CriticalDatabase) -> CertifiedAnswer:
     embeds in g gives the witness.
     """
     check_int("k", k, 3, 5)
+    if not isinstance(db, CriticalDatabase):
+        raise ValueError(f"db must be a CriticalDatabase, got {db!r}")
     if db.k != k + 1:
         raise ValueError(f"need the level-{k + 1} database, got level {db.k}")
     dec = copaw_decompose(g)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .graph import Graph, bits, check_int, complement
+from .graph import Graph, _complement_rows, bits, check_int
 from .invariants import (
     _bb_coloring,
     chi_raw,
@@ -90,7 +90,7 @@ def is_vertex_critical(g: Graph, k: int) -> CriticalityReport:
     whose deletion fails to lower the chromatic number, the peel's first.
     """
     check_int("k", k, 1)
-    return _criticality(g.n, g.adj, complement(g).adj, k)[0]
+    return _criticality(g.n, g.adj, _complement_rows(g.n, g.adj), k)[0]
 
 
 # ===== extracting a critical induced subgraph =====
@@ -103,7 +103,7 @@ def find_critical_subgraph(g: Graph, k: int) -> int:
     chi(S' - v) < k for S' inside S.  Requires an int k >= 1 and chi(g) >= k.
     """
     check_int("k", k, 1)
-    co, active = complement(g).adj, (1 << g.n) - 1
+    co, active = _complement_rows(g.n, g.adj), (1 << g.n) - 1
     chi, d = chi_raw(g.n, g.adj, co, active)
     if chi < k:
         raise ValueError("graph is not even k-chromatic; nothing to extract")

@@ -30,9 +30,12 @@ positions, the order-31 cap 78.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cache
 from math import isqrt
+from operator import xor
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 31
@@ -95,6 +98,40 @@ def _transpose_swaps(w: int) -> tuple[tuple[int, int], ...]:
 
 
 _SWAPS = _transpose_swaps(_SLOT)
+# the array type of an unsigned _SLOT-bit row, and the diagonal of the matrix
+_ROW_TYPE = next(t for t in "HIL" if array(t).itemsize * 8 == _SLOT)
+_DIAGONAL = sum(1 << (_SLOT + 1) * v for v in range(_SLOT))
+
+
+def _packed(adj: tuple) -> int | None:
+    # the rows _SLOT bits apart as one int, or None unless each is an int
+    # (a bool is not) of at most _SLOT bits, the ints the array takes
+    if not {*map(type, adj)} <= {int}:
+        return None
+    try:
+        rows = array(_ROW_TYPE, adj)
+    except OverflowError:
+        return None
+    if sys.byteorder == "big":
+        rows.byteswap()
+    return int.from_bytes(rows.tobytes(), "little")
+
+
+def _raise_fault(n: int, adj: tuple, one_way: int):
+    # the message of the first bad row, else of the first one-way pair
+    # (-1 when a row is known to be bad): bit _SLOT*v + u of one_way is
+    # u in adj[v] but v not in adj[u], and the lowest comes first in
+    # row-then-column order
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if type(row) is not int:
+            raise ValueError(f"adjacency row of vertex {v} is not an int: {row!r}")
+        if row & ~full:
+            raise ValueError(f"vertex {v} has a neighbor bit at or above n={n}")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+    v, u = divmod((one_way & -one_way).bit_length() - 1, _SLOT)
+    raise ValueError(f"asymmetric adjacency between {v} and {u}")
 
 
 @dataclass(frozen=True)
@@ -110,34 +147,28 @@ class Graph:
 
     def __post_init__(self) -> None:
         check_order(self.n)
-        try:
-            iter(self.adj)
-        except TypeError:
-            raise ValueError(f"adj must be an iterable of rows, got {self.adj!r}") from None
-        # stored as a tuple, so a list argument still hashes and joins
-        object.__setattr__(self, "adj", tuple(self.adj))
+        if type(self.adj) is not tuple:
+            try:
+                iter(self.adj)
+            except TypeError:
+                raise ValueError(f"adj must be an iterable of rows, got {self.adj!r}") from None
+            # stored as a tuple, so a list argument still hashes and joins
+            object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.n:
             raise ValueError("adjacency tuple length differs from order")
-        full = (1 << self.n) - 1
-        packed = 0
-        for v, row in enumerate(self.adj):
-            if type(row) is not int:
-                raise ValueError(f"adjacency row of vertex {v} is not an int: {row!r}")
-            if row & ~full:
-                raise ValueError(f"vertex {v} has a neighbor bit at or above n={self.n}")
-            if row >> v & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-            packed |= row << _SLOT * v
+        # valid rows pack into a symmetric matrix with a clear diagonal; a
+        # bit at or above n is one way, as the slots from n on are empty,
+        # and anything else goes to the per-row scan for its message
+        packed = _packed(self.adj)
+        if packed is None or packed & _DIAGONAL:
+            _raise_fault(self.n, self.adj, -1)
         t = packed
         for shift, mask in _SWAPS:
             x = (t ^ t >> shift) & mask
             t ^= x ^ x << shift
-        # bit _SLOT*v + u of packed & ~t: u in adj[v] but v not in adj[u];
-        # the lowest is the first such pair in row-then-column order
         one_way = packed & ~t
         if one_way:
-            v, u = divmod((one_way & -one_way).bit_length() - 1, _SLOT)
-            raise ValueError(f"asymmetric adjacency between {v} and {u}")
+            _raise_fault(self.n, self.adj, one_way)
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -189,11 +220,21 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 # ===== basic transformations =====
 
+@cache
+def _not_self(n: int) -> tuple[int, ...]:
+    # entry v: every vertex of an order-n graph but v
+    return tuple((1 << n) - 1 ^ 1 << v for v in range(n))
+
+
+def _complement_rows(n: int, adj) -> tuple[int, ...]:
+    # the complement's rows, for the kernels that need no Graph; a tuple
+    # from a list is allocated at its size, one from map is resized
+    return tuple([*map(xor, adj, _not_self(n))])
+
+
 def complement(g: Graph) -> Graph:
     # valid by construction when g is, so the checks are skipped
-    full = (1 << g.n) - 1
-    rows = [full ^ row ^ 1 << v for v, row in enumerate(g.adj)]
-    return Graph._unchecked(g.n, tuple(rows))
+    return Graph._unchecked(g.n, _complement_rows(g.n, g.adj))
 
 
 def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
@@ -211,12 +252,25 @@ def induced_subgraph(g: Graph, s: int | Iterable[int]) -> Graph:
     if high:
         raise ValueError(f"vertex {g.n + (high & -high).bit_length() - 1} "
                          f"out of range for n={g.n}")
-    verts = list(bits(s))
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
+    # new label of each vertex of s, by its rank in s
+    pos = [0] * g.n
+    verts = []
+    rest = s
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        pos[v] = len(verts)
+        verts.append(v)
+        rest ^= low
+    adj = []
     for v in verts:
-        for u in bits(g.adj[v] & s):
-            adj[pos[v]] |= 1 << pos[u]
+        row = 0
+        rest = g.adj[v] & s
+        while rest:
+            low = rest & -rest
+            row |= 1 << pos[low.bit_length() - 1]
+            rest ^= low
+        adj.append(row)
     return Graph._unchecked(len(verts), tuple(adj))
 
 

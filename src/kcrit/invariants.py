@@ -103,7 +103,11 @@ def alternating_forest(n: int, adj, active: int, match: list, root: int) -> int 
     while qi < len(queue):
         v = queue[qi]
         qi += 1
-        for to in bits(adj[v] & active):
+        nbrs = adj[v] & active
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            to = low.bit_length() - 1
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or match[to] != -1 and p[match[to]] != -1:
@@ -135,36 +139,59 @@ def alternating_forest(n: int, adj, active: int, match: list, root: int) -> int 
     return even
 
 
+def _matching(n: int, adj, active: int, with_d: bool) -> tuple[list[int], int]:
+    # matching_raw's loop; without with_d it skips every search that can
+    # only fail, and its D is partial
+    match = [-1] * n
+    free = active
+    d = 0
+    rest = active
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not free & low:
+            continue
+        v = low.bit_length() - 1
+        near = adj[v] & free
+        if near:
+            near &= -near
+            u = near.bit_length() - 1
+            match[v] = u
+            match[u] = v
+            free ^= low | near
+            continue
+        if not adj[v] & active:
+            d |= low                    # isolated: its tree is v alone
+            continue
+        if not with_d and not free & rest:
+            continue                    # no exposed vertex left to reach
+        even = alternating_forest(n, adj, active, match, v)
+        if even is None:
+            scan = free
+            while scan:
+                b = scan & -scan
+                scan ^= b
+                if match[b.bit_length() - 1] != -1:
+                    free ^= b
+        else:
+            d |= even
+    return match, d
+
+
 def matching_raw(n: int, adj, active: int) -> tuple[list[int], int]:
     """(mates, D) on the ``active`` mask: a maximum matching (-1 exposed)
     and the mask of D, the vertices v some maximum matching leaves
     exposed, i.e. with nu(F - v) = nu(F).
 
     One search per exposed vertex, in ascending order; a vertex with an
-    exposed neighbour takes the lowest, as its search would.  No later
-    augmenting path enters a failed search's tree (Edmonds 1965), so D
-    is the union of the failed searches' even vertices.
+    exposed neighbour takes the lowest, as its search would, and one
+    with no neighbour in the mask is its own tree.  No later augmenting
+    path enters a failed search's tree (Edmonds 1965), so D is the union
+    of the failed searches' even vertices.  For the same reason a search
+    can only augment to a later vertex; ``_matching`` without D skips
+    the searches that have none left, with the same mates.
     """
-    match = [-1] * n
-    verts = list(bits(active))
-    free = active
-    d = 0
-    for v in verts:
-        if not free >> v & 1:
-            continue
-        near = adj[v] & free
-        if near:
-            u = (near & -near).bit_length() - 1
-            match[v] = u
-            match[u] = v
-            free ^= 1 << v | 1 << u
-            continue
-        even = alternating_forest(n, adj, active, match, v)
-        if even is None:
-            free = sum(1 << u for u in bits(free) if match[u] == -1)
-        else:
-            d |= even
-    return match, d
+    return _matching(n, adj, active, True)
 
 
 # ===== colorings =====
@@ -179,22 +206,25 @@ class Coloring(NamedTuple):
 def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
     """Independent properness check used by certificate verification;
     False unless coloring is a Coloring whose colors are a tuple of ints
-    and whose k is an int (a bool is not)."""
-    if (not isinstance(coloring, Coloring) or type(coloring.k) is not int
-            or type(coloring.colors) is not tuple
-            or any(type(c) is not int for c in coloring.colors)):
+    and whose k is an int (a bool is not).
+
+    One pass over the vertices: each color must be an int in 0..k-1 with
+    no earlier neighbour in its class, and every class must be used.
+    """
+    if not isinstance(coloring, Coloring):
         return False
-    if len(coloring.colors) != g.n:
+    colors, k = coloring
+    # k classes from n vertices, all used, need 0 <= k <= n
+    if (type(k) is not int or type(colors) is not tuple or len(colors) != g.n
+            or not 0 <= k <= g.n):
         return False
-    if any(not 0 <= c < coloring.k for c in coloring.colors):
-        return False
-    if len(set(coloring.colors)) != coloring.k:  # every class used
-        return False
-    # one mask per class: no vertex may have a neighbor in its own class
-    classes = [0] * coloring.k
-    for v, c in enumerate(coloring.colors):
+    classes = [0] * k
+    adj = g.adj
+    for v, c in enumerate(colors):
+        if type(c) is not int or not 0 <= c < k or adj[v] & classes[c]:
+            return False
         classes[c] |= 1 << v
-    return not any(row & classes[c] for row, c in zip(g.adj, coloring.colors))
+    return 0 not in classes
 
 
 def _greedy_clique(adj, verts: list[int]) -> list[int]:
@@ -276,9 +306,12 @@ def _bb_coloring(n: int, adj, active: int, bound: int):
 def triangle_free_raw(adj, active: int) -> bool:
     """True iff no triangle lies on the ``active`` vertices, whose rows
     ``adj`` stay inside ``active``."""
-    for v in bits(active):
-        row = adj[v]
-        later = row >> v << v
+    rest = active
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        row = adj[v.bit_length() - 1]
+        later = row & -v                # the neighbours above v
         while later:
             low = later & -later
             if row & adj[low.bit_length() - 1]:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .graph import Graph, bits, check_int, check_order, complement, from_edge_list
+from .graph import (Graph, _complement_rows, check_int, check_order, complement,
+                    from_edge_list)
 from .invariants import (
     independence_number,  # for the perfbench span of that name
     triangle_free_raw,
@@ -129,7 +130,7 @@ def contains_induced(g: Graph, h: Graph):
     if h.n == 0:
         return ()
     adj = g.adj
-    nadj = complement(g).adj
+    nadj = _complement_rows(g.n, adj)
     # at_least[d]: the host vertices of degree >= d
     at_least = [0] * (g.n + 1)
     for v, row in enumerate(adj):
@@ -148,16 +149,21 @@ def contains_induced(g: Graph, h: Graph):
     phi = [0] * h.n
 
     def rec(u: int, dom: int) -> bool:
-        hrow = h.adj[u + 1] if u < last else 0
-        while dom:
+        # dom is not empty; the last vertex takes its lowest host vertex
+        if u == last:
+            phi[u] = (dom & -dom).bit_length() - 1
+            return True
+        # the hosts phi(0..u-1) leave pattern vertex u + 1, whatever phi(u)
+        hrow = h.adj[u + 1]
+        fixed = deg_ok[u + 1]
+        for i in range(u):
+            fixed &= adj[phi[i]] if hrow >> i & 1 else nadj[phi[i]]
+        # neither adj[w] nor nadj[w] contains w, so used vertices drop out
+        rows = adj if hrow >> u & 1 else nadj
+        while fixed and dom:
             low = dom & -dom
             phi[u] = low.bit_length() - 1
-            if u == last:
-                return True
-            # neither adj[w] nor nadj[w] contains w, so used vertices drop out
-            nxt = deg_ok[u + 1]
-            for i in range(u + 1):
-                nxt &= adj[phi[i]] if hrow >> i & 1 else nadj[phi[i]]
+            nxt = fixed & rows[phi[u]]
             if nxt and rec(u + 1, nxt):
                 return True
             dom ^= low
@@ -169,7 +175,7 @@ def contains_induced(g: Graph, h: Graph):
 def is_p3p1(h: Graph) -> bool:
     """True iff h is P3+P1 under some labelling: the only graph on four
     vertices with degrees 0, 1, 1, 2."""
-    return h.n == 4 and sorted(row.bit_count() for row in h.adj) == [0, 1, 1, 2]
+    return h.n == 4 and sorted(map(int.bit_count, h.adj)) == [0, 1, 1, 2]
 
 
 def is_free(g: Graph, pattern: str | Graph) -> bool:
@@ -206,13 +212,12 @@ def _components(rows) -> list[int]:
     unseen = (1 << len(rows)) - 1
     comps = []
     while unseen:
-        comp = frontier = unseen & -unseen
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~comp
-            comp |= frontier
+        comp = todo = unseen & -unseen
+        while todo:
+            low = todo & -todo
+            new = rows[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo ^= low | new
         comps.append(comp)
         unseen ^= comp
     return comps
@@ -245,7 +250,7 @@ def copaw_decompose(g: Graph):
     factor's complement, and the triangle test (alpha <= 2) reads them
     directly.  Only a factor that fails it gets the union-of-cliques test.
     """
-    co = complement(g).adj
+    co = _complement_rows(g.n, g.adj)
     factors = []
     alpha_le_2 = []
     for comp in _components(co):

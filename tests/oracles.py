@@ -625,6 +625,55 @@ def adjacency_fault(n: int, adj: tuple) -> str | None:
     return None
 
 
+def graph_row_scan(n: int, adj: tuple) -> str | None:
+    """The message of ``Graph``'s checks before a mask on the packed
+    matrix accepted valid rows: a scan of the rows one at a time, then
+    the packed matrix against its transpose; None when the rows are valid."""
+    from kcrit.graph import _SLOT, _SWAPS
+
+    full = (1 << n) - 1
+    packed = 0
+    for v, row in enumerate(adj):
+        if type(row) is not int:
+            return f"adjacency row of vertex {v} is not an int: {row!r}"
+        if row & ~full:
+            return f"vertex {v} has a neighbor bit at or above n={n}"
+        if row >> v & 1:
+            return f"self-loop at vertex {v}"
+        packed |= row << _SLOT * v
+    t = packed
+    for shift, mask in _SWAPS:
+        x = (t ^ t >> shift) & mask
+        t ^= x ^ x << shift
+    one_way = packed & ~t
+    if one_way:
+        v, u = divmod((one_way & -one_way).bit_length() - 1, _SLOT)
+        return f"asymmetric adjacency between {v} and {u}"
+    return None
+
+
+def is_proper_coloring_in_passes(g: Graph, coloring) -> bool:
+    """The library's properness check before it made one pass: the types,
+    the range of the colors, the classes used and the edges inside a
+    class, each in a pass of its own."""
+    from kcrit.invariants import Coloring
+
+    if (not isinstance(coloring, Coloring) or type(coloring.k) is not int
+            or type(coloring.colors) is not tuple
+            or any(type(c) is not int for c in coloring.colors)):
+        return False
+    if len(coloring.colors) != g.n:
+        return False
+    if any(not 0 <= c < coloring.k for c in coloring.colors):
+        return False
+    if len(set(coloring.colors)) != coloring.k:
+        return False
+    classes = [0] * coloring.k
+    for v, c in enumerate(coloring.colors):
+        classes[c] |= 1 << v
+    return not any(row & classes[c] for row, c in zip(g.adj, coloring.colors))
+
+
 def is_proper_coloring(g: Graph, coloring) -> bool:
     """Well-formed (int colors in 0..k-1, every class used) and no edge
     inside a class, by a walk over the edge list."""

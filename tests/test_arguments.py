@@ -106,6 +106,13 @@ OTHER = [
      "graph is not even k-chromatic; nothing to extract"),
     ("certify_color-level", certify_color, (named_graph("K3"), 4, build_database(4)),
      "need the level-5 database, got level 4"),
+    ("certify_color-db-none", certify_color, (named_graph("K3"), 3, None),
+     "db must be a CriticalDatabase, got None"),
+    # a plain tuple with the fields of a database is still no database
+    ("certify_color-db-tuple", certify_color, (named_graph("K3"), 3, (4, ())),
+     "db must be a CriticalDatabase, got (4, ())"),
+    ("certify_color-db-str", certify_color, (named_graph("K3"), 3, "critical4.g6"),
+     "db must be a CriticalDatabase, got 'critical4.g6'"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Tests for the census pipelines and list verification."""
 
 import os
+import time
 from collections import Counter
 from functools import lru_cache, partial, reduce
 from random import Random
@@ -410,11 +411,22 @@ def test_assembly_equals_the_recursive_partition_assembly():
                  if from_graph6(code).n == 11]
     # with two stand-in codes (K1, 2K1) for every P_j, P_2 included, any
     # change in the order of the partitions or of the picks would show
-    stand_ins = {j: ["@", "A?"] for j in range(1, 7)}
-    for k in range(3, 7):
+    stand_ins = {j: ["@", "A?"] for j in range(1, 9)}
+    for k in range(3, 9):
         for n in range(k, 2 * k):
-            for ps in (pieces, stand_ins):
+            for ps in (pieces, stand_ins) if k < 7 else (stand_ins,):
                 assert _assembled(ps, k, n) == oracles.assembled(ps, k, n), (k, n)
+
+
+def test_assembly_takes_no_part_above_n_minus_k_plus_1():
+    # 2k - n parts of at least 1 sum to k, so a part is at most n - k + 1:
+    # order k + t needs only the pieces up to P_{t+1}, at any k, and an
+    # enumeration of parts up to k would take C(2k - 1, k) tuples here
+    pieces = _pieces(5)
+    start = time.process_time()
+    counts = [len(_assembled(pieces, 16, n)) for n in range(16, 21)]
+    assert counts == [1, 0, 1, 6, 171]
+    assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])

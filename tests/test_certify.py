@@ -27,13 +27,19 @@ from kcrit.critical import is_vertex_critical
 from kcrit.families import co_odd_cycle
 from kcrit.graph import (Graph, bits, complement, disjoint_union, from_graph6,
                          induced_subgraph, join, mask_of, relabel, write_graph_list)
-from kcrit.invariants import (Coloring, chi_raw, chromatic_number, is_k_colorable,
+from kcrit.invariants import (Coloring, _matching, chi_raw, chromatic_number, is_k_colorable,
                               matching_raw, triangle_free_raw)
 from kcrit.patterns import contains_induced, copaw_decompose, is_free, is_p3p1, named_graph
 
 import oracles
 from oracles import is_isomorphic
-from util import random_copaw_free, random_graph, spy
+from util import digest, random_copaw_free, random_graph, spy
+
+
+# the NO queries of the seeded stream and their contains_induced calls,
+# and the digest of the calls per query
+NO_SCANS = (185, 1531)
+NO_SCANS_DIGEST = "ecc6aa78b590b8f53790eec00c8f6cca23a67d6e7ec7d329ffe0d7ae5285cb6b"
 
 
 @pytest.fixture(scope="module")
@@ -433,12 +439,12 @@ def test_structural_coloring_tests_each_factor_for_triangles_once(monkeypatch):
 
 
 def test_factor_passes_equal_fresh_passes_on_each_factor(monkeypatch):
-    # the blossom pass the structural coloring makes on each alpha <= 2
-    # factor, on the whole graph's complement rows and the factor's
-    # mask, has the exposed count and D of a fresh pass on the factor's
-    # induced complement, after relabelling; chi_raw on the same mask is
-    # the factor's chromatic number
-    passes = spy(monkeypatch, matching_raw, [kcrit.certify])
+    # the structural coloring makes one mates-only blossom pass on each
+    # alpha <= 2 factor, on the whole graph's complement rows and the
+    # factor's mask; a full pass there has the exposed count and D of a
+    # fresh pass on the factor's induced complement, after relabelling,
+    # and chi_raw on the same mask is the factor's chromatic number
+    passes = spy(monkeypatch, _matching, [kcrit.certify])
     rng = random.Random(18)
     seen = Counter()
     for _ in range(600):
@@ -447,7 +453,7 @@ def test_factor_passes_equal_fresh_passes_on_each_factor(monkeypatch):
         small = [f for f, flag in zip(dec.factors, dec.alpha_le_2) if flag]
         passes.clear()
         _structural_coloring(g, dec)
-        assert passes == [(g.n, dec.co, f) for f in small]
+        assert passes == [(g.n, dec.co, f, False) for f in small]
         for factor in small:
             verts = list(bits(factor))
             mates, d = matching_raw(g.n, dec.co, factor)
@@ -460,9 +466,10 @@ def test_factor_passes_equal_fresh_passes_on_each_factor(monkeypatch):
     assert seen[True, True] > 200, seen
 
 
-def test_yes_query_builds_the_complement_once(monkeypatch, db5):
-    # the structural coloring reads the complement rows that the join
-    # decomposition built, so a YES query makes one complement
+def test_yes_query_builds_no_complement_graph(monkeypatch, db5):
+    # the join decomposition builds the complement rows as a tuple, and
+    # the structural coloring reads them, so a YES query makes no
+    # complement Graph
     calls = spy(monkeypatch, complement)
     rng = random.Random(3)
     answered = 0
@@ -471,7 +478,7 @@ def test_yes_query_builds_the_complement_once(monkeypatch, db5):
         calls.clear()
         if certify_color(g, 4, db5).verdict == YES:
             answered += 1
-            assert calls == [(g,)]
+            assert calls == []
     assert answered >= 50
 
 
@@ -499,6 +506,28 @@ def test_certify_searches_for_p3p1_only_outside_the_class(monkeypatch, db4, db5)
             assert len(searches) == 1
         elif verdict == YES:
             assert searches == []
+
+
+def test_no_scans_make_the_pinned_contains_induced_calls(monkeypatch, db4, db5):
+    # a NO query makes one contains_induced call per member it scans, in
+    # code order, up to the first that embeds; the calls of each NO query
+    # on seeded joins and relabelled members of order <= 10 are pinned
+    calls = spy(monkeypatch, contains_induced, [kcrit.certify])
+    dbs = {4: db4, 5: db5, 6: build_database(6)}
+    rng = random.Random(55)
+    queries = [(rng.choice((3, 4, 5)), random_copaw_free(rng, 10)) for _ in range(400)]
+    for k in (3, 4, 5):
+        pool = [code for code in dbs[k + 1].graphs if from_graph6(code).n <= 10]
+        for code in rng.sample(pool, 8):
+            g = from_graph6(code)
+            queries.append((k, relabel(g, rng.sample(range(g.n), g.n))))
+    counts = []
+    for k, g in queries:
+        calls.clear()
+        if certify_color(g, k, dbs[k + 1]).verdict == NO:
+            counts.append(len(calls))
+    assert (len(counts), sum(counts)) == NO_SCANS
+    assert digest(counts) == NO_SCANS_DIGEST
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

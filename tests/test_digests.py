@@ -10,13 +10,16 @@ CHANGES.md.  The exhaustive step (``tests/exhaustive_census.py``) pins
 """
 
 import os
+import random
 
 import pytest
 
 from kcrit.census import _pieces, census_copaw_critical, census_general
+from kcrit.certify import build_database, certify_color
 from kcrit.generate import ALL_GRAPHS, TRIANGLE_FREE, generate_graphs
+from kcrit.graph import from_graph6, relabel
 
-from util import digest
+from util import digest, random_copaw_free, random_graph
 
 PIECES = {
     1: "2c5b5b57b184d2cb0ce86ab0414142af23cebb0e17968a07e402920f767d3eb5",
@@ -61,6 +64,9 @@ STREAMS = {
     (TRIANGLE_FREE, 10): "b4cbb9ace9a359e655cde0e22d6ebd87609265d95d2b8e42dc56666c5d7e163e",
 }
 
+# verdict, coloring and witness of every answer in ``_certify_stream``
+CERTIFY = "70cb03b8972ab29529cde4c77bf8a9e3a1276af567213e3c4a94fe82a95e6944"
+
 WORKERS = sorted({1, min(2, os.cpu_count() or 1)})
 
 
@@ -83,3 +89,23 @@ def test_general_census_rows(args):
 @pytest.mark.parametrize("mode, n", STREAMS)
 def test_generated_streams(mode, n):
     assert digest(list(generate_graphs(n, mode))) == STREAMS[mode, n]
+
+
+def _certify_stream():
+    # seeded queries at k = 3..5: P3+P1-free joins, general graphs, and
+    # relabelled members one level up (critical6 at orders <= 10)
+    rng = random.Random(5501)
+    dbs = {k: build_database(k) for k in (4, 5, 6)}
+    queries = [(rng.choice((3, 4, 5)), random_copaw_free(rng, 11)) for _ in range(300)]
+    queries += [(rng.choice((3, 4, 5)), random_graph(rng, rng.randint(1, 10), rng.random()))
+                for _ in range(100)]
+    for k in (3, 4, 5):
+        pool = [code for code in dbs[k + 1].graphs if ord(code[0]) - 63 <= 10]
+        for code in rng.sample(pool, 8):
+            g = from_graph6(code)
+            queries.append((k, relabel(g, rng.sample(range(g.n), g.n))))
+    return [(k, certify_color(g, k, dbs[k + 1])) for k, g in queries]
+
+
+def test_certified_answers():
+    assert digest(_certify_stream()) == CERTIFY

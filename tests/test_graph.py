@@ -162,6 +162,35 @@ def test_graph_checks_equal_the_row_and_pair_loops():
         Graph(3, (1 << 34, 0, 1 << 1))
 
 
+def _one_defect(rng, n, adj, kind):
+    # the rows of a valid graph with one defect of the given kind
+    adj = list(adj)
+    v = rng.randrange(n)
+    if kind == "not-int":
+        adj[v] = rng.choice((float(adj[v]), str(adj[v]), None, bool(adj[v] & 1)))
+    elif kind == "bit-at-n":
+        adj[v] |= 1 << rng.randint(n, 40)
+    elif kind == "self-loop":
+        adj[v] |= 1 << v
+    else:
+        u = rng.choice([u for u in range(n) if u != v])
+        adj[v] ^= 1 << u                # one pair, one way
+    return tuple(adj)
+
+
+@pytest.mark.parametrize("kind", ["not-int", "bit-at-n", "self-loop", "asymmetric"])
+def test_graph_message_equals_the_row_scan(kind):
+    rng = Random(55)
+    for _ in range(300):
+        n = rng.randint(2, 31)
+        adj = random_graph(rng, n, rng.random()).adj
+        assert oracles.graph_row_scan(n, adj) is None and Graph(n, adj).adj == adj
+        bad = _one_defect(rng, n, adj, kind)
+        with pytest.raises(ValueError) as exc:
+            Graph(n, bad)
+        assert str(exc.value) == oracles.graph_row_scan(n, bad)
+
+
 # ===== transformations =====
 
 def test_complement_k4():

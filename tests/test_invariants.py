@@ -11,14 +11,14 @@ from kcrit.critical import is_vertex_critical
 from kcrit.generate import generate_graphs
 from kcrit.graph import (Graph, bits, complement, from_edge_list,
                          from_graph6, induced_subgraph, read_graph_file, relabel)
-from kcrit.invariants import (Coloring, _bb_coloring, alternating_forest, chi_raw,
+from kcrit.invariants import (Coloring, _bb_coloring, _matching, alternating_forest, chi_raw,
                               chromatic_number, clique_number, independence_number,
                               is_k_colorable, is_proper_coloring, matching_raw,
                               triangle_free_raw)
 from kcrit.patterns import ORDER4_NAMES, copaw_decompose, named_graph
 from lemmas import coloring_with_min_class_size
-from util import (data_path, delete_vertex, graphs, peak_traced, random_graph,
-                  random_triangle_free, spy)
+from util import (data_path, delete_vertex, graphs, peak_traced, random_copaw_free,
+                  random_graph, random_triangle_free, spy)
 
 
 C5 = named_graph("C5")
@@ -214,6 +214,35 @@ def test_one_pass_equals_the_two_pass_oracle():
     assert seen > 1500
 
 
+def test_mates_only_pass_equals_matching_raw():
+    # the seeded inputs, then the complement rows and factor masks of
+    # seeded joins, as the structural coloring passes them
+    rng = random.Random(55)
+    inputs = list(_oracle_inputs())
+    for _ in range(300):
+        dec = copaw_decompose(random_copaw_free(rng, 12))
+        inputs += [(Graph._unchecked(len(dec.co), dec.co), f) for f in dec.factors]
+    isolated = odd = 0
+    for g, active in inputs:
+        mates = _matching(g.n, g.adj, active, False)[0]
+        assert mates == matching_raw(g.n, g.adj, active)[0], (g, active)
+        isolated += any(not g.adj[v] & active for v in bits(active))
+        odd += active.bit_count() % 2
+    assert isolated > 300 and odd > 500
+
+
+def test_d_of_every_criticality_pass_equals_the_forest_oracle(monkeypatch):
+    # every blossom pass the critical5 members' criticality tests make,
+    # peel included, still gives the D of one forest from the exposed vertices
+    calls = spy(monkeypatch, matching_raw)
+    for _, g in read_graph_file(data_path("critical5.g6")):
+        assert is_vertex_critical(g, 5).is_critical
+    assert len(calls) > 100
+    for n, adj, active in calls:
+        mates, d = matching_raw(n, adj, active)
+        assert d == oracles.gallai_edmonds_d_raw(n, adj, active, mates), (adj, active)
+
+
 def _count_forests(monkeypatch):
     # counts every alternating-forest search and the failed ones, which
     # return the even vertices instead of None
@@ -231,12 +260,14 @@ def _count_forests(monkeypatch):
 
 
 def test_one_failed_search_per_exposed_vertex(monkeypatch):
-    # D comes from the failed searches themselves: no second forest
+    # D comes from the failed searches themselves: no second forest; an
+    # exposed vertex with no neighbour in the mask is its own tree, unsearched
     calls = _count_forests(monkeypatch)
     for g, active in _oracle_inputs():
         calls["failed"] = 0
         mates, _ = matching_raw(g.n, g.adj, active)
-        assert calls["failed"] == sum(mates[v] == -1 for v in bits(active)), (g, active)
+        exposed = [v for v in bits(active) if mates[v] == -1]
+        assert calls["failed"] == sum(1 for v in exposed if g.adj[v] & active), (g, active)
 
 
 def test_criticality_test_fails_one_search_per_component(monkeypatch):
@@ -390,17 +421,29 @@ def test_is_k_colorable_examples():
     assert col is not None and is_proper_coloring(C5, col) and col.k <= 3
 
 
-@pytest.mark.parametrize("coloring", [
+_MALFORMED = [
     Coloring((0, None), 2), Coloring((0, 1.0), 2), Coloring((0, True), 2),
     Coloring((0, 1), "2"), Coloring((0, 1), True), Coloring((0, 1), None),
     Coloring([0, 1], 2), Coloring(None, 2), Coloring((0,), 2), Coloring((0, 2), 2),
     ((0, 1), 2),
-], ids=["color-none", "color-float", "color-bool", "k-str", "k-bool", "k-none",
-        "colors-list", "colors-none", "colors-short", "color-not-below-k", "coloring-tuple"])
+]
+_MALFORMED_IDS = ["color-none", "color-float", "color-bool", "k-str", "k-bool", "k-none",
+                  "colors-list", "colors-none", "colors-short", "color-not-below-k",
+                  "coloring-tuple"]
+
+
+@pytest.mark.parametrize("coloring", _MALFORMED, ids=_MALFORMED_IDS)
 def test_is_proper_coloring_is_false_on_a_malformed_coloring(coloring):
     edge = from_edge_list(2, [(0, 1)])
     assert is_proper_coloring(edge, Coloring((0, 1), 2))
     assert not is_proper_coloring(edge, coloring)
+
+
+@pytest.mark.parametrize("g, coloring", [(from_edge_list(2, [(0, 1)]), c) for c in _MALFORMED]
+                         + [(Graph(0, ()), Coloring((), -1)), (Graph(0, ()), Coloring((), 0))],
+                         ids=_MALFORMED_IDS + ["k-negative-n-0", "k-0-n-0"])
+def test_one_pass_coloring_check_equals_the_one_in_passes(g, coloring):
+    assert is_proper_coloring(g, coloring) == oracles.is_proper_coloring_in_passes(g, coloring)
 
 
 def _colorings(rng, g):
@@ -427,6 +470,7 @@ def test_is_proper_coloring_equals_the_edge_walk():
         for col in _colorings(rng, g):
             got = is_proper_coloring(g, col)
             assert got == oracles.is_proper_coloring(g, col), (g, col)
+            assert got == oracles.is_proper_coloring_in_passes(g, col), (g, col)
             seen.add(got)
     assert seen == {True, False}
 
